@@ -262,7 +262,8 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     data_dir = Path(args.data)
     dataset, stored_folds = ingest.load_prepared(data_dir)
     folds = stored_folds
-    if args.folds is not None or args.seed is not None or stored_folds is None:
+    resplit = any(getattr(args, key) is not None or key in cfg_file for key in ("folds", "seed"))
+    if resplit or stored_folds is None:
         folds = ingest.split_folds(dataset, k=k, seed=seed)
 
     config = regression.TrainConfig(l2=l2)

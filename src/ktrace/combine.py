@@ -6,7 +6,11 @@ seeded shuffle: bases train on the 90 percent, the meta model trains on
 their predictions over the held-out 10 percent (plus a bias input), and
 the bases are then refit on the full training set for deployment.
 Subset selection evaluates every non-empty candidate subset on the
-first fold only, keeping later folds untouched by the choice.
+first fold only, keeping later folds untouched by the choice.  It fits
+each candidate twice (on the 90 percent and on all of the fold-1
+training students) and scores every subset from those cached
+predictions, so n candidates cost 2n base fits plus one small meta fit
+per subset of size >= 2 (2^n - n - 1 of them).
 """
 
 from __future__ import annotations
@@ -56,6 +60,44 @@ def _meta_inputs(columns: Sequence[np.ndarray], logit_inputs: bool) -> sp.csr_ma
     return sp.csr_matrix(np.column_stack(cols))
 
 
+def _base_predictions(
+    specs: Sequence,
+    fit_students: Mapping[str, list],
+    predict_students: Mapping[str, list],
+    dataset: Dataset,
+    config: TrainConfig,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Fit each base on fit_students; its probabilities on predict_students.
+
+    Returns one probability column per base and the shared labels.
+    """
+    columns: list[np.ndarray] = []
+    labels: np.ndarray | None = None
+    for spec in specs:
+        try:
+            fitted = spec.fit_on(fit_students, dataset, config)
+            pred = spec.predict_on(fitted, predict_students, dataset)
+        except Exception as exc:
+            raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
+        columns.append(pred.probs)
+        if labels is None:
+            labels = pred.labels
+        elif not np.array_equal(labels, pred.labels):
+            raise CombinationError("base predictions disagree on example order")
+    return columns, labels
+
+
+def _fit_meta(columns: Sequence[np.ndarray], labels: np.ndarray, config: TrainConfig,
+              logit_inputs: bool) -> Model:
+    """The meta model over base columns; only its bias goes unregularized."""
+    return regression.fit(
+        _meta_inputs(columns, logit_inputs),
+        labels,
+        config,
+        reg_mask=np.array([0.0] + [1.0] * len(columns)),
+    )
+
+
 @dataclass
 class CombinedModel:
     """Fitted base predictors plus the meta model over their probabilities."""
@@ -86,26 +128,8 @@ def fit_combined(
     base_students = {s: train_students[s] for s in base_ids}
     meta_students = {s: train_students[s] for s in meta_ids}
 
-    columns: list[np.ndarray] = []
-    labels: np.ndarray | None = None
-    for spec in specs:
-        try:
-            fitted = spec.fit_on(base_students, dataset, config)
-            pred = spec.predict_on(fitted, meta_students, dataset)
-        except Exception as exc:
-            raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
-        columns.append(pred.probs)
-        if labels is None:
-            labels = pred.labels
-        elif not np.array_equal(labels, pred.labels):
-            raise CombinationError("base predictions disagree on example order")
-
-    meta = regression.fit(
-        _meta_inputs(columns, logit_inputs),
-        labels,
-        config,
-        reg_mask=np.array([0.0] + [1.0] * len(specs)),
-    )
+    columns, labels = _base_predictions(specs, base_students, meta_students, dataset, config)
+    meta = _fit_meta(columns, labels, config, logit_inputs)
 
     fitted_bases = []
     for spec in specs:
@@ -184,6 +208,17 @@ def select_bases(
 ) -> SelectionResult:
     """Exhaustively score every non-empty candidate subset on fold 1.
 
+    Each candidate is fitted twice: on all fold-1 training students
+    (predicting the fold-1 test students) and, when there are at least
+    two candidates, on the base 90 percent of fit_combined's meta split
+    (predicting the meta students).  Every subset is then scored from
+    those cached predictions: a single base by its own test
+    probabilities, a larger subset by the meta model fit_combined would
+    fit over the same columns.  So selection costs two base fits per
+    candidate plus one small meta fit per subset of size >= 2
+    (2^n - n - 1 of them), with the scores of fitting every subset from
+    scratch.
+
     Subsets are enumerated smallest-first in index order and a new
     winner must be strictly better, so ties resolve toward fewer bases.
     Returns candidate indices, the winning fold-1 AUC and the full table.
@@ -195,21 +230,33 @@ def select_bases(
     train = {s: dataset.students[s] for s in folds.train_students(0)}
     test = {s: dataset.students[s] for s in folds.students_in(0)}
 
+    if len(candidates) >= 2:
+        base_ids, meta_ids = _split_meta_students(train, seed)
+        meta_columns, meta_labels = _base_predictions(
+            candidates,
+            {s: train[s] for s in base_ids},
+            {s: train[s] for s in meta_ids},
+            dataset,
+            config,
+        )
+    test_columns, test_labels = _base_predictions(candidates, train, test, dataset, config)
+
     table: list[dict] = []
     best: tuple[int, ...] | None = None
     best_auc = -1.0
     for size in range(1, len(candidates) + 1):
         for subset in itertools.combinations(range(len(candidates)), size):
-            specs = [candidates[i] for i in subset]
-            if len(specs) == 1:
-                spec = specs[0]
-                pred = spec.predict_on(spec.fit_on(train, dataset, config), test, dataset)
+            if size == 1:
+                probs = test_columns[subset[0]]
             else:
-                cm = fit_combined(train, specs, dataset, config, seed=seed)
-                pred = predict_combined(cm, test, dataset)
-            score = auc(pred.probs, pred.labels)
+                meta = _fit_meta([meta_columns[i] for i in subset], meta_labels, config,
+                                 logit_inputs=False)
+                probs = regression.predict_proba_batch(
+                    meta, _meta_inputs([test_columns[i] for i in subset], logit_inputs=False)
+                )
+            score = auc(probs, test_labels)
             table.append(
-                {"subset": list(subset), "labels": [s.label for s in specs], "auc": score}
+                {"subset": list(subset), "labels": [candidates[i].label for i in subset], "auc": score}
             )
             if score > best_auc:
                 best = subset

@@ -135,6 +135,13 @@ def test_option_precedence_flag_env_config(prepared, tmp_path, monkeypatch):
 
     assert effective_jobs("--jobs", 1)["jobs"] == 1
 
+    # folds and seed from the config file replace the stored 4-fold split
+    cfg.write_text(json.dumps({"folds": 3, "seed": 9}))
+    got = effective_jobs()
+    assert (got["folds"], got["seed"]) == (3, 9)
+    got = effective_jobs("--folds", 2)
+    assert (got["folds"], got["seed"]) == (2, 9)
+
 
 def test_train_eval_partitioned_label(prepared, tmp_path):
     report_path = tmp_path / "part.json"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,20 +93,23 @@ def test_complementary_signals_not_worse_than_best_base():
     assert auc(pred.probs, pred.labels) >= max(base_aucs) - 0.002
 
 
+class BoomSpec:
+    label = "boom"
+
+    def fit_on(self, *a, **kw):
+        raise RuntimeError("nope")
+
+    def predict_on(self, *a, **kw):
+        raise RuntimeError("nope")
+
+
 def test_failing_base_named():
-    ds, _, train, _ = _irt_data()
-
-    class Boom:
-        label = "boom"
-
-        def fit_on(self, *a, **kw):
-            raise RuntimeError("nope")
-
-        def predict_on(self, *a, **kw):
-            raise RuntimeError("nope")
-
+    ds, folds, train, _ = _irt_data()
     with pytest.raises(CombinationError, match="boom"):
-        fit_combined(train, [PlainSpec("irt"), Boom()], ds, CFG)
+        fit_combined(train, [PlainSpec("irt"), BoomSpec()], ds, CFG)
+    for cands in ([PlainSpec("irt"), BoomSpec()], [BoomSpec()]):
+        with pytest.raises(CombinationError, match="boom"):
+            select_bases(cands, ds, folds, CFG)
 
 
 def test_combined_spec_cross_validates():
@@ -139,6 +144,23 @@ class NoiseSpec:
         return FoldPrediction(probs=rng.random(ext.y.size), labels=ext.y, t=ext.t)
 
 
+class CountingSpec:
+    """Wraps a spec and counts its fit_on and predict_on calls."""
+
+    def __init__(self, inner, counts):
+        self.inner = inner
+        self.label = inner.label
+        self.counts = counts
+
+    def fit_on(self, students, dataset, config):
+        self.counts["fit_on"] += 1
+        return self.inner.fit_on(students, dataset, config)
+
+    def predict_on(self, fitted, students, dataset):
+        self.counts["predict_on"] += 1
+        return self.inner.predict_on(fitted, students, dataset)
+
+
 def test_select_bases_examples():
     ds, folds, _, _ = _irt_data(seed=53, n_students=50, per=20)
     # one candidate -> that singleton
@@ -157,10 +179,49 @@ def test_select_bases_examples():
 
 def test_select_bases_subset_count():
     ds, folds, _, _ = _irt_data(seed=59, n_students=40, per=15)
-    cands = [PlainSpec("irt"), PlainSpec("pfa"), NoiseSpec(1), NoiseSpec(2)]
+    counts = Counter()
+    cands = [CountingSpec(s, counts)
+             for s in (PlainSpec("irt"), PlainSpec("pfa"), NoiseSpec(1), NoiseSpec(2))]
     res = select_bases(cands, ds, folds, CFG, seed=2)
     assert len(res.table) == 15  # 2^4 - 1
     assert set(res.chosen) <= {0, 1, 2, 3}
+    # each candidate is fitted on the meta split and on all of fold 1's training students
+    assert counts == {"fit_on": 8, "predict_on": 8}
+
+
+def _select_from_scratch(candidates, ds, folds, config, seed):
+    """Reference selection: fit every subset from scratch, as fit_combined does."""
+    train = {s: ds.students[s] for s in folds.train_students(0)}
+    test = {s: ds.students[s] for s in folds.students_in(0)}
+    table, best, best_auc = [], None, -1.0
+    for size in range(1, len(candidates) + 1):
+        for subset in itertools.combinations(range(len(candidates)), size):
+            specs = [candidates[i] for i in subset]
+            if size == 1:
+                pred = specs[0].predict_on(specs[0].fit_on(train, ds, config), test, ds)
+            else:
+                pred = predict_combined(fit_combined(train, specs, ds, config, seed=seed), test, ds)
+            score = auc(pred.probs, pred.labels)
+            table.append({"subset": list(subset), "labels": [s.label for s in specs], "auc": score})
+            if score > best_auc:
+                best, best_auc = subset, score
+    return table, best, best_auc
+
+
+def test_select_bases_matches_fitting_every_subset():
+    ds, folds, _, _ = _irt_data(seed=71, n_students=48, per=20)
+    cands = [
+        PlainSpec("irt"),
+        PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 8, math.inf)),
+                        min_partition=10),
+        PlainSpec("pfa"),
+        NoiseSpec(3),
+    ]
+    table, best, best_auc = _select_from_scratch(cands, ds, folds, CFG, seed=5)
+    res = select_bases(cands, ds, folds, CFG, seed=5)
+    assert res.table == table
+    assert res.chosen == best
+    assert res.best_auc == best_auc
 
 
 class TrackingFolds(FoldAssignment):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,21 @@ def test_load_rejects_undeclared_event_kinds(tmp_path):
     lines = [csv_line(student_id="s1", timestamp=1, event_kind="VideoWatch", kc_ids="k1")]
     with pytest.raises(SchemaError, match="videos"):
         load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+
+
+def test_readme_event_kinds_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"`event_kind` is one of(.*?)\.", readme, re.S).group(1)
+    kinds = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(kinds) == sorted(k.value for k in EventKind)
+    lines = [
+        csv_line(student_id="s1", timestamp=i, event_kind=kind, question_id="q1", kc_ids="k1",
+                 correct=1 if kind == "QuestionResponse" else "")
+        for i, kind in enumerate(kinds)
+    ]
+    manifest = DatasetManifest(name="t", capabilities=frozenset({"videos", "reading", "hints"}))
+    ds = load_events(write_csv(tmp_path / "e.csv", lines), manifest)
+    assert [e.kind.value for e in ds.students["s1"]] == kinds
 
 
 def test_load_response_without_kcs_fails(tmp_path):
