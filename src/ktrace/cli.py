@@ -252,8 +252,10 @@ def _build_spec(args: argparse.Namespace, cfg_file: dict):
 
 def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     cfg_file = _load_config_file(args.config)
-    seed = int(_effective(args, cfg_file, "seed", 0))
-    k = int(_effective(args, cfg_file, "folds", 5))
+    seed_set = _effective(args, cfg_file, "seed", None)
+    k_set = _effective(args, cfg_file, "folds", None)
+    # stacking and base selection keep seed 0 unless one is given, whatever the stored split's seed
+    seed = int(seed_set) if seed_set is not None else 0
     jobs = int(_effective(args, cfg_file, "jobs", 1, env=JOBS_ENV))
     l2 = float(_effective(args, cfg_file, "l2", 1e-6))
     if args.recipe not in RECIPE_NAMES:
@@ -262,9 +264,11 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     data_dir = Path(args.data)
     dataset, stored_folds = ingest.load_prepared(data_dir)
     folds = stored_folds
-    resplit = any(getattr(args, key) is not None or key in cfg_file for key in ("folds", "seed"))
-    if resplit or stored_folds is None:
-        folds = ingest.split_folds(dataset, k=k, seed=seed)
+    if stored_folds is None or k_set is not None or seed_set is not None:
+        # re-split; whichever of folds and seed is unset comes from the stored split
+        k = int(k_set) if k_set is not None else (stored_folds.k if stored_folds else 5)
+        fold_seed = int(seed_set) if seed_set is not None else (stored_folds.seed if stored_folds else 0)
+        folds = ingest.split_folds(dataset, k=k, seed=fold_seed)
 
     config = regression.TrainConfig(l2=l2)
     bases, spec, min_partition = _build_spec(args, cfg_file)

@@ -125,9 +125,12 @@ def _parse_row(row: Mapping[str, str], line: int, manifest: DatasetManifest) -> 
     if not sid:
         raise ParseError("empty student_id", line)
     try:
-        ts = int(math.floor(float(row["timestamp"])))
+        ts = float(row["timestamp"])
     except ValueError:
-        raise ParseError(f"bad timestamp {row['timestamp']!r}", line) from None
+        ts = math.nan
+    if not math.isfinite(ts):
+        raise ParseError(f"bad timestamp {row['timestamp']!r}", line)
+    ts = int(math.floor(ts))
     try:
         kind = EventKind(row["event_kind"])
     except ValueError:
@@ -154,9 +157,12 @@ def _parse_row(row: Mapping[str, str], line: int, manifest: DatasetManifest) -> 
         if not cell:
             return None
         try:
-            return float(cell)
+            value = float(cell)
         except ValueError:
-            raise ParseError(f"bad number {cell!r} in column {col!r}", line) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad number {cell!r} in column {col!r}", line)
+        return value
 
     def inum(col: str) -> int | None:
         cell = row[col]

@@ -12,6 +12,10 @@ strictly decreases J, the step grows after each accepted epoch, and the
 run stops when the relative improvement drops below the tolerance.
 There is no randomness anywhere (weights start at zero), so a fit is a
 pure function of the training matrix, labels and config.
+
+Cost per epoch: one sparse product X w per line-search trial, and one
+transposed product X^T r per accepted epoch, whose gradient reuses the
+accepted trial's margins.  X^T is built once per fit.
 """
 
 from __future__ import annotations
@@ -76,17 +80,33 @@ def reg_mask_for(encoder: Encoder) -> np.ndarray:
     return mask
 
 
+def _objective(
+    weights: np.ndarray, X: sp.csr_matrix, y: np.ndarray, l2: float, reg_mask: np.ndarray | None
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """J(w) together with the margins z = X w and the penalized weights
+    w_reg (None when l2 is 0), so the gradient can reuse both."""
+    z = X @ weights
+    value = float(np.sum(np.logaddexp(0.0, z) - y * z))
+    w_reg = None
+    if l2:
+        w_reg = weights if reg_mask is None else weights * reg_mask
+        value += 0.5 * l2 * float(np.sum(w_reg * w_reg))
+    return value, z, w_reg
+
+
+def _gradient(Xt, y: np.ndarray, z: np.ndarray, w_reg: np.ndarray | None, l2: float) -> np.ndarray:
+    """Gradient of J at the weights that produced `z` and `w_reg`; `Xt` is X^T."""
+    grad = Xt @ (expit(z) - y)
+    if l2:
+        grad += l2 * w_reg
+    return grad
+
+
 def nll(weights: np.ndarray, X, y: np.ndarray, l2: float = 0.0, reg_mask: np.ndarray | None = None) -> float:
     """Objective value only (shares the definition with nll_and_gradient)."""
-    X = _as_csr(X)
     # overflow to inf/nan is detected by callers, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ weights
-        data = float(np.sum(np.logaddexp(0.0, z) - y * z))
-        if l2:
-            w_reg = weights if reg_mask is None else weights * reg_mask
-            data += 0.5 * l2 * float(np.sum(w_reg * w_reg))
-    return data
+        return _objective(weights, _as_csr(X), y, l2, reg_mask)[0]
 
 
 def nll_and_gradient(
@@ -106,13 +126,8 @@ def nll_and_gradient(
     if X.shape[0] != len(y):
         raise ConfigError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ weights
-        value = float(np.sum(np.logaddexp(0.0, z) - y * z))
-        grad = X.T @ (expit(z) - y)
-        if l2:
-            w_reg = weights if reg_mask is None else weights * reg_mask
-            value += 0.5 * l2 * float(np.sum(w_reg * w_reg))
-            grad = grad + l2 * w_reg
+        value, z, w_reg = _objective(weights, X, y, l2, reg_mask)
+        grad = _gradient(X.T, y, z, w_reg, l2)
     return value, np.asarray(grad, dtype=np.float64)
 
 
@@ -212,42 +227,40 @@ def fit(
     if len(w) != dim:
         raise ConfigError(f"init has length {len(w)}, expected {dim}")
 
-    value, grad = nll_and_gradient(w, X, y, config.l2, reg_mask)
-    if not math.isfinite(value):
-        raise TrainingDivergenceError(
-            f"non-finite loss at initialization (loss={value!r}, max|w|={np.max(np.abs(w))!r})"
-        )
-    trace = [value]
-    step = config.initial_step
-    epochs = 0
-    converged = False
-    for _ in range(config.max_epochs):
-        accepted = False
-        s = step
-        for _ in range(config.max_halvings):
-            w_try = w - s * grad
-            v_try = nll(w_try, X, y, config.l2, reg_mask)
-            if math.isfinite(v_try) and v_try < value:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            converged = True
-            break
-        epochs += 1
-        rel = (value - v_try) / max(abs(value), 1.0)
-        w = w_try
-        value = v_try
-        trace.append(value)
+    l2 = config.l2
+    Xt = X.T.tocsr()
+    # overflow to inf/nan is caught by the isfinite checks, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, z, w_reg = _objective(w, X, y, l2, reg_mask)
         if not math.isfinite(value):
             raise TrainingDivergenceError(
-                f"non-finite loss at epoch {epochs} (step={s!r})"
+                f"non-finite loss at initialization (loss={value!r}, max|w|={np.max(np.abs(w))!r})"
             )
-        _, grad = nll_and_gradient(w, X, y, config.l2, reg_mask)
-        step = s * 2.0
-        if rel < config.tol:
-            converged = True
-            break
+        grad = _gradient(Xt, y, z, w_reg, l2)
+        step = config.initial_step
+        epochs = 0
+        converged = False
+        for _ in range(config.max_epochs):
+            s = step
+            for _ in range(config.max_halvings):
+                w_try = w - s * grad
+                v_try, z, w_reg = _objective(w_try, X, y, l2, reg_mask)
+                if math.isfinite(v_try) and v_try < value:
+                    break
+                s *= 0.5
+            else:
+                converged = True
+                break
+            epochs += 1
+            rel = (value - v_try) / max(abs(value), 1.0)
+            w = w_try
+            value = v_try
+            # the accepted trial's margins give the gradient without a second X @ w
+            grad = _gradient(Xt, y, z, w_reg, l2)
+            step = s * 2.0
+            if rel < config.tol:
+                converged = True
+                break
     info = {
         "epochs": epochs,
         "converged": converged,

@@ -1,15 +1,25 @@
-"""Brute-force reference computations for feature emission.
+"""Brute-force reference computations for feature emission and training.
 
 Everything here recomputes expected feature values from a raw event
 prefix with plain loops (no StudentState, no ResponseLog, no emit), so
 it can serve as an independent check of the incremental extraction
 path.  Layout (offsets, vocab indexing) comes from the encoder under
 test; the values are derived from scratch.
+
+`reference_fit` is the straightforward gradient-descent trainer that
+recomputes X @ w for the gradient of every accepted step; the production
+trainer must reproduce its weights bit for bit.
 """
 
 import math
 import time
 from datetime import date
+
+import numpy as np
+from scipy.special import expit
+
+from ktrace.core import ConfigError
+from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
 
 ELAPSED_CAP = 300
 LAG_CATS = list(range(6)) + list(range(10, 1441, 10))
@@ -325,3 +335,89 @@ def modal_successor_oracle(sequences):
             hits += 1 if pick == b else 0
             total += 1
     return hits / total if total else None
+
+
+def _reference_nll(weights, X, y, l2=0.0, reg_mask=None):
+    X = _as_csr(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = X @ weights
+        data = float(np.sum(np.logaddexp(0.0, z) - y * z))
+        if l2:
+            w_reg = weights if reg_mask is None else weights * reg_mask
+            data += 0.5 * l2 * float(np.sum(w_reg * w_reg))
+    return data
+
+
+def _reference_nll_and_gradient(weights, X, y, l2=0.0, reg_mask=None):
+    X = _as_csr(X)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = X @ weights
+        value = float(np.sum(np.logaddexp(0.0, z) - y * z))
+        grad = X.T @ (expit(z) - y)
+        if l2:
+            w_reg = weights if reg_mask is None else weights * reg_mask
+            value += 0.5 * l2 * float(np.sum(w_reg * w_reg))
+            grad = grad + l2 * w_reg
+    return value, np.asarray(grad, dtype=np.float64)
+
+
+def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=None):
+    """Full-batch gradient descent with step-halving: (weights, info)."""
+    X = _as_csr(X)
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] != len(y):
+        raise ConfigError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
+    if X.shape[0] == 0:
+        raise ConfigError("cannot fit on an empty training set")
+    if reg_mask is None and encoder is not None:
+        reg_mask = reg_mask_for(encoder)
+
+    dim = X.shape[1]
+    w = np.zeros(dim, dtype=np.float64) if init is None else np.array(init, dtype=np.float64)
+    if len(w) != dim:
+        raise ConfigError(f"init has length {len(w)}, expected {dim}")
+
+    value, grad = _reference_nll_and_gradient(w, X, y, config.l2, reg_mask)
+    if not math.isfinite(value):
+        raise TrainingDivergenceError(
+            f"non-finite loss at initialization (loss={value!r}, max|w|={np.max(np.abs(w))!r})"
+        )
+    trace = [value]
+    step = config.initial_step
+    epochs = 0
+    converged = False
+    for _ in range(config.max_epochs):
+        accepted = False
+        s = step
+        for _ in range(config.max_halvings):
+            w_try = w - s * grad
+            v_try = _reference_nll(w_try, X, y, config.l2, reg_mask)
+            if math.isfinite(v_try) and v_try < value:
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted:
+            converged = True
+            break
+        epochs += 1
+        rel = (value - v_try) / max(abs(value), 1.0)
+        w = w_try
+        value = v_try
+        trace.append(value)
+        if not math.isfinite(value):
+            raise TrainingDivergenceError(
+                f"non-finite loss at epoch {epochs} (step={s!r})"
+            )
+        _, grad = _reference_nll_and_gradient(w, X, y, config.l2, reg_mask)
+        step = s * 2.0
+        if rel < config.tol:
+            converged = True
+            break
+    info = {
+        "epochs": epochs,
+        "converged": converged,
+        "final_nll": value,
+        "n_examples": int(X.shape[0]),
+    }
+    return w, info

@@ -143,6 +143,29 @@ def test_option_precedence_flag_env_config(prepared, tmp_path, monkeypatch):
     assert (got["folds"], got["seed"]) == (2, 9)
 
 
+def test_train_eval_unset_folds_or_seed_come_from_stored_split(prepared, tmp_path):
+    """`prepared` holds a 4-fold split with seed 3."""
+
+    def run(name, *extra):
+        out = tmp_path / name
+        assert run_cli(
+            "train-eval", "--data", prepared, "--recipe", "irt", "--out", out, *extra,
+        ) == 0
+        effective = json.loads((out / "run_manifest.json").read_text())["effective_config"]
+        report = (out / "report.json").read_bytes()
+        obj = json.loads(report)
+        assert (obj["k"], obj["seed"]) == (effective["folds"], effective["seed"])
+        return (obj["k"], obj["seed"]), report
+
+    got, report = run("seed-only", "--seed", 4)
+    assert got == (4, 4)
+    assert report == run("seed-both", "--seed", 4, "--folds", 4)[1]
+
+    got, report = run("folds-only", "--folds", 3)
+    assert got == (3, 3)
+    assert report == run("folds-both", "--folds", 3, "--seed", 3)[1]
+
+
 def test_train_eval_partitioned_label(prepared, tmp_path):
     report_path = tmp_path / "part.json"
     assert run_cli(

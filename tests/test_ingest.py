@@ -1,13 +1,18 @@
+import csv
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
 
 from ktrace.core import ConfigError, DatasetManifest, EventKind, ParseError, SchemaError
 from ktrace.ingest import (
+    CANONICAL_COLUMNS,
     Dataset,
     derive_lag_times,
     filter_students,
@@ -70,6 +75,87 @@ def test_load_malformed_row_names_line(tmp_path):
     ]
     with pytest.raises(ParseError, match="line 3"):
         load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+
+
+NON_FINITE = ("inf", "-inf", "1e400", "nan", "-nan", "Infinity")
+
+
+def _assert_each_rejected(tmp_path, manifest, column, make_line):
+    for cell in NON_FINITE:
+        lines = [
+            csv_line(student_id="s1", timestamp=1, event_kind="QuestionResponse", question_id="q1", kc_ids="k1", correct=1),
+            make_line(cell),
+        ]
+        with pytest.raises(ParseError, match=rf"^line 3: bad .*{re.escape(repr(cell))}") as err:
+            load_events(write_csv(tmp_path / "e.csv", lines), manifest)
+        assert column in str(err.value)
+
+
+def test_load_rejects_non_finite_timestamp(tmp_path):
+    _assert_each_rejected(tmp_path, MINIMAL, "timestamp", lambda cell: csv_line(
+        student_id="s1", timestamp=cell, event_kind="QuestionResponse", question_id="q1", kc_ids="k1", correct=1,
+    ))
+
+
+def test_load_rejects_non_finite_elapsed_time(tmp_path):
+    manifest = DatasetManifest(name="t", capabilities=frozenset({"elapsed_lag_time"}))
+    _assert_each_rejected(tmp_path, manifest, "elapsed_time_s", lambda cell: csv_line(
+        student_id="s1", timestamp=2, event_kind="QuestionResponse", question_id="q1", kc_ids="k1", correct=1,
+        elapsed_time_s=cell,
+    ))
+
+
+def test_load_rejects_non_finite_consumption_minutes(tmp_path):
+    manifest = DatasetManifest(name="t", capabilities=frozenset({"reading"}))
+    _assert_each_rejected(tmp_path, manifest, "consumption_minutes", lambda cell: csv_line(
+        student_id="s1", timestamp=2, event_kind="Reading", kc_ids="k1", consumption_minutes=cell,
+    ))
+
+
+# cells that reach every branch of the row parser, plus arbitrary text
+_CELLS = st.one_of(
+    st.sampled_from([
+        "", "s1", "q1", "k1", "k1;k2", "0", "1", "-1", "2.5", "true", "False", "x",
+        "inf", "-inf", "nan", "1e400", "-1e400", "1e18",
+        *(kind.value for kind in EventKind), "questionresponse",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+_NUMBER_COLUMNS = ("timestamp", "elapsed_time_s", "hint_count", "consumption_minutes")
+
+
+@st.composite
+def _rows(draw):
+    """A valid response row with a few cells replaced, sometimes cut or extended."""
+    row = dict.fromkeys(CANONICAL_COLUMNS, "")
+    row.update(student_id="s1", timestamp="5", event_kind="QuestionResponse",
+               question_id="q1", kc_ids="k1", correct="1")
+    for col in draw(st.lists(st.sampled_from(CANONICAL_COLUMNS + _NUMBER_COLUMNS * 4), max_size=4)):
+        row[col] = draw(st.one_of(_CELLS, st.floats().map(repr)) if col in _NUMBER_COLUMNS else _CELLS)
+    cells = [row[c] for c in CANONICAL_COLUMNS]
+    width = draw(st.sampled_from([len(cells)] * 40 + [0, 1, len(cells) - 1, len(cells) + 1]))
+    return (cells + [draw(_CELLS)])[:width]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(_rows(), max_size=6),
+    manifest=st.sampled_from([MINIMAL, DatasetManifest.full("f")]),
+)
+def test_load_events_fuzz_fails_only_with_line_numbered_errors(rows, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CANONICAL_COLUMNS)
+            writer.writerows(rows)
+        try:
+            ds = load_events(path, manifest)
+        except (ParseError, SchemaError) as err:
+            assert re.match(r"line \d+: ", str(err)), str(err)
+        else:
+            assert ds.n_students <= len(rows)
 
 
 def test_load_header_mismatch(tmp_path):

@@ -6,9 +6,11 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from conftest import response
+from oracle import reference_fit
 
 from ktrace.core import ConfigError, DatasetManifest, SparseVector
-from ktrace.features import F, Recipe, fit_encoders
+from ktrace.features import F, Recipe, build_matrix, fit_encoders
+from ktrace.recipes import resolve
 from ktrace.regression import (
     Model,
     TrainConfig,
@@ -23,6 +25,7 @@ from ktrace.regression import (
     save_model,
     sigmoid,
 )
+from ktrace.synth import GeneratorConfig, generate
 
 LN2 = 0.6931471805599453
 
@@ -157,8 +160,9 @@ def test_fit_optimum_independent_of_init(rng):
 
 def test_fit_divergent_init_raises(rng):
     X, y = _margin_data(rng, margin=0.0)
-    with pytest.raises(TrainingDivergenceError):
-        fit(X, y, TrainConfig(l2=1e-6), init=np.full(X.shape[1], 1e200))
+    for trainer in (fit, reference_fit):
+        with pytest.raises(TrainingDivergenceError):
+            trainer(X, y, TrainConfig(l2=1e-6), init=np.full(X.shape[1], 1e200))
 
 
 def test_config_validation():
@@ -218,3 +222,57 @@ def test_fit_ties_weights_to_encoder_bias_block(rng):
     target = math.log((n // 2 + 100) / (n // 2 - 100))
     assert abs(with_enc.weights[0] - target) < 1e-3
     assert abs(without.weights[0]) < abs(with_enc.weights[0])
+
+
+def _sparse_counts(rng, n=400, d=40):
+    """Bias column plus one-hot and log-count columns, like extracted rows."""
+    X = np.zeros((n, d))
+    X[:, 0] = 1.0
+    X[np.arange(n), rng.integers(1, d // 2, size=n)] = 1.0
+    counts = rng.integers(0, 6, size=(n, d - d // 2)) * (rng.random((n, d - d // 2)) < 0.2)
+    X[:, d // 2 :] = np.log1p(counts)
+    y = (rng.random(n) < expit(X @ rng.normal(size=d))).astype(float)
+    return sp.csr_matrix(X), y
+
+
+def _assert_matches_reference(X, y, config, **kw):
+    model = fit(X, y, config, **kw)
+    want_w, want_info = reference_fit(X, y, config, **kw)
+    assert model.weights.tobytes() == want_w.tobytes()
+    assert model.info == want_info
+    return model
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-6, 0.5])
+def test_fit_matches_reference_trainer(rng, l2):
+    X, y = _sparse_counts(rng)
+    mask = np.ones(X.shape[1])
+    mask[0] = 0.0
+    for kw in ({}, {"reg_mask": mask}, {"init": rng.normal(size=X.shape[1])}):
+        _assert_matches_reference(X, y, TrainConfig(l2=l2, max_epochs=60), **kw)
+
+
+def test_fit_matches_reference_on_extracted_features():
+    ds, _ = generate(GeneratorConfig(seed=5, n_students=12, n_questions=10, n_kcs=3,
+                                     responses_per_student=30))
+    recipe = resolve("best-lr", ds.manifest).recipe
+    enc = fit_encoders(ds.students, recipe, ds.manifest)
+    ext = build_matrix(ds.students, enc)
+    model = _assert_matches_reference(ext.X, ext.y, TrainConfig(max_epochs=80), encoder=enc)
+    assert model.info["epochs"] > 0
+
+
+def test_fit_matches_reference_at_max_epochs_and_at_tol(rng):
+    X, y = _sparse_counts(rng, n=200, d=12)
+    capped = _assert_matches_reference(X, y, TrainConfig(l2=1e-3, max_epochs=7))
+    assert capped.info["epochs"] == 7 and not capped.info["converged"]
+    done = _assert_matches_reference(X, y, TrainConfig(l2=1.0, tol=1e-4))
+    assert done.info["converged"] and done.info["epochs"] < done.config.max_epochs
+
+
+def test_fit_matches_reference_when_line_search_fails(rng):
+    """A start at the optimum accepts no step: converged after 0 epochs."""
+    X = sp.csr_matrix(np.ones((4, 1)))
+    y = np.array([1.0, 1.0, 0.0, 0.0])
+    model = _assert_matches_reference(X, y, TrainConfig(l2=0.0), init=np.zeros(1))
+    assert model.info["epochs"] == 0 and model.info["converged"]
