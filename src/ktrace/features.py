@@ -7,6 +7,14 @@ dimension, and the training-fold mean correctness used by the smoothed
 average.  Emission maps (student state, upcoming question) to a
 SparseVector using only events strictly before the question.
 
+Everything known about a family kind sits in its one row of the
+`_KINDS` table: the variants it takes, the manifest capability it needs
+(a flag, the context field's flag, or either graph flag), the
+vocabulary its block is indexed by, the block width, and the emitter
+that writes the block.  Family validation, capability gating, encoder
+fitting and `emit` all read that row, so a new family is one row plus
+one emitter.
+
 Counts and time values pass through scale() = ln(1+x).  Time-window
 counts use ascending windows whose last entry is infinite; a prior
 response falls into a finite window when its age is strictly less than
@@ -18,9 +26,9 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +39,6 @@ from ktrace.core import (
     EventKind,
     InteractionEvent,
     KCGraph,
-    SchemaError,
     SparseVector,
     StudentState,
     canonical_json,
@@ -41,6 +48,7 @@ from ktrace.core import (
 # ---------------------------------------------------------------------------
 # Families and recipes
 
+# context variant -> manifest flag it needs
 _CONTEXT_FIELDS = {
     "teacher_group": "teacher_group",
     "school": "school",
@@ -55,36 +63,6 @@ _CONTEXT_FIELDS = {
     "social_support": "social_support",
 }
 
-# kind -> (allowed variants or None, required manifest flag or special key)
-_FAMILY_TABLE: dict[str, tuple[tuple[str, ...] | None, str | None]] = {
-    "bias": (None, None),
-    "student": (None, None),
-    "question": (None, None),
-    "kc": (None, None),
-    "counts": (("total", "kc", "question"), None),
-    "tw_counts": (("total", "kc", "question"), None),
-    "elapsed_time": (("current", "prior"), "elapsed_lag_time"),
-    "lag_time": (("current", "prior"), "elapsed_lag_time"),
-    "datetime": (("month", "week", "day", "hour"), None),
-    "study_module": (None, "study_module"),
-    "study_module_counts": (None, "study_module"),
-    "context": (tuple(_CONTEXT_FIELDS), "context"),
-    "part_area_counts": (None, "part_area"),
-    "prereq_ids": (None, "graph"),
-    "prereq_counts": (None, "graph"),
-    "postreq_ids": (None, "graph"),
-    "postreq_counts": (None, "graph"),
-    "video_watched_counts": (None, "videos"),
-    "video_skipped_counts": (None, "videos"),
-    "video_watched_time": (None, "videos"),
-    "reading_counts": (None, "reading"),
-    "reading_time": (None, "reading"),
-    "hint_counts": (None, "hints"),
-    "hint_time": (None, "hints"),
-    "smoothed_avg_correct": (None, None),
-    "response_pattern": (None, None),
-}
-
 
 @dataclass(frozen=True, slots=True)
 class FeatureFamily:
@@ -94,9 +72,9 @@ class FeatureFamily:
     variant: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_TABLE:
+        if self.kind not in _KINDS:
             raise ConfigError(f"unknown feature family kind {self.kind!r}")
-        variants, _ = _FAMILY_TABLE[self.kind]
+        variants = _KINDS[self.kind].variants
         if variants is None:
             if self.variant is not None:
                 raise ConfigError(f"family {self.kind!r} takes no variant")
@@ -114,25 +92,10 @@ class FeatureFamily:
         kind, _, variant = name.partition(":")
         return cls(kind, variant or None)
 
-    def required_flag(self, manifest: DatasetManifest) -> str | None:
-        """Manifest flag this family needs on the given dataset, or None."""
-        _, req = _FAMILY_TABLE[self.kind]
-        if req == "context":
-            return _CONTEXT_FIELDS[self.variant]  # type: ignore[index]
-        if req == "graph":
-            # satisfied by either an explicit graph or an ontology-derived one
-            if manifest.allows("prereq_graph") or manifest.allows("kc_hierarchy"):
-                return None
-            return "prereq_graph|kc_hierarchy"
-        return req
-
     def allowed_by(self, manifest: DatasetManifest) -> bool:
-        flag = self.required_flag(manifest)
-        if flag is None:
-            return True
-        if flag == "prereq_graph|kc_hierarchy":
-            return False
-        return manifest.allows(flag)
+        """Whether the manifest has a capability this family needs (any one suffices)."""
+        flags = _KINDS[self.kind].needs(self.variant)
+        return not flags or any(manifest.allows(f) for f in flags)
 
 
 def F(kind: str, variant: str | None = None) -> FeatureFamily:
@@ -268,58 +231,6 @@ def pattern_block(bits: Sequence[int], n: int) -> int | None:
 # ---------------------------------------------------------------------------
 # Encoder
 
-_VOCAB_DOMAINS = ("student", "question", "kc", "study_module", "graph_node")
-
-
-def _family_domain(fam: FeatureFamily) -> str | None:
-    """Vocabulary domain a family indexes into, if any."""
-    if fam.kind == "student":
-        return "student"
-    if fam.kind == "question":
-        return "question"
-    if fam.kind == "kc" or (fam.kind in ("counts", "tw_counts") and fam.variant == "kc"):
-        return "kc"
-    if fam.kind in ("study_module", "study_module_counts"):
-        return "study_module"
-    if fam.kind in ("prereq_ids", "prereq_counts", "postreq_ids", "postreq_counts"):
-        return "graph_node"
-    if fam.kind == "context":
-        return fam.variant
-    return None
-
-
-def _block_size(fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]], recipe: Recipe) -> int:
-    nw = recipe.tw.count
-    k = fam.kind
-    if k == "bias":
-        return 1
-    if k in ("student", "question", "kc", "study_module", "context"):
-        return len(vocabs[_family_domain(fam)])
-    if k == "counts":
-        return 2 * len(vocabs["kc"]) if fam.variant == "kc" else 2
-    if k == "tw_counts":
-        per = 2 * nw
-        return per * len(vocabs["kc"]) if fam.variant == "kc" else per
-    if k == "elapsed_time":
-        return ELAPSED_MAX_S + 1 + 1
-    if k == "lag_time":
-        return len(LAG_CATEGORIES_MIN) + 2
-    if k == "datetime":
-        return {"month": 12, "week": 53, "day": 7, "hour": 24}[fam.variant]
-    if k == "study_module_counts":
-        return 2 * len(vocabs["study_module"])
-    if k in ("prereq_ids", "postreq_ids"):
-        return len(vocabs["graph_node"])
-    if k in ("prereq_counts", "postreq_counts"):
-        return 2 * len(vocabs["graph_node"])
-    if k == "response_pattern":
-        return 1 << recipe.n_recent
-    if k == "smoothed_avg_correct":
-        return 1
-    # fixed two-slot blocks: (total, related-to-current-KCs) or (corrects, attempts)
-    return 2
-
-
 @dataclass(frozen=True)
 class Encoder:
     """A recipe bound to training-fold vocabularies and offsets."""
@@ -367,9 +278,7 @@ def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: 
             f"dataset {manifest.name!r} does not support feature families: {', '.join(gaps)}"
         )
     needs_graph = [
-        f.name
-        for f in recipe.families
-        if f.kind in ("prereq_ids", "prereq_counts", "postreq_ids", "postreq_counts")
+        f.name for f in recipe.families if _KINDS[f.kind].domain(f.variant) == "graph_node"
     ]
     if needs_graph and kc_graph is None:
         raise ConfigError(
@@ -390,7 +299,7 @@ def fit_encoders(
     """
     check_recipe_supported(recipe, manifest, kc_graph)
 
-    needed = {d for d in (_family_domain(f) for f in recipe.families) if d is not None}
+    needed = {_KINDS[f.kind].domain(f.variant) for f in recipe.families} - {None}
     seen: dict[str, set[str]] = {d: set() for d in needed if d != "graph_node"}
     corrects = 0
     attempts = 0
@@ -427,7 +336,7 @@ def fit_encoders(
     blocks: list[tuple[FeatureFamily, int, int]] = []
     offset = 0
     for fam in recipe.families:
-        size = _block_size(fam, vocabs, recipe)
+        size = _KINDS[fam.kind].width(fam, vocabs, recipe)
         blocks.append((fam, offset, size))
         offset += size
     return Encoder(
@@ -518,12 +427,259 @@ def _push_pair(entries: list, off: int, corrects: float, attempts: float) -> Non
         entries.append((off + 1, scale(attempts)))
 
 
-def _push_tally_pair(entries: list, off: int, tally, kcs: Sequence[str]) -> None:
-    if tally.total:
-        entries.append((off, scale(tally.total)))
-    related = tally.for_kcs(kcs)
-    if related:
-        entries.append((off + 1, scale(related)))
+def _scope_log(fam: FeatureFamily, state: StudentState, event: InteractionEvent):
+    """Response log of a total- or question-scoped counts family (None if unseen)."""
+    return state.total if fam.variant == "total" else state.by_question.get(event.question_id)
+
+
+# Emitters: (entries, off, fam, encoder, state, event) -> None, appending
+# the (index, value) pairs of one block that starts at column off.
+
+def _emit_bias(entries, off, fam, encoder, state, event) -> None:
+    entries.append((off, 1.0))
+
+
+def _one_hot(attr: str, domain: str):
+    """Emitter for the one-hot of an event field in a vocabulary."""
+
+    def emit_one_hot(entries, off, fam, encoder, state, event) -> None:
+        idx = encoder.vocabs[domain].get(getattr(event, attr))
+        if idx is not None:
+            entries.append((off + idx, 1.0))
+
+    return emit_one_hot
+
+
+def _emit_context(entries, off, fam, encoder, state, event) -> None:
+    idx = encoder.vocabs[fam.variant].get(getattr(event, fam.variant))
+    if idx is not None:
+        entries.append((off + idx, 1.0))
+
+
+def _emit_kc(entries, off, fam, encoder, state, event) -> None:
+    kvoc = encoder.vocabs["kc"]
+    for k in event.kc_ids:
+        idx = kvoc.get(k)
+        if idx is not None:
+            entries.append((off + idx, 1.0))
+
+
+def _emit_counts(entries, off, fam, encoder, state, event) -> None:
+    if fam.variant != "kc":
+        log = _scope_log(fam, state, event)
+        if log is not None:
+            _push_pair(entries, off, log.corrects, log.attempts)
+        return
+    kvoc = encoder.vocabs["kc"]
+    for k in event.kc_ids:
+        idx = kvoc.get(k)
+        log = state.by_kc.get(k)
+        if idx is not None and log is not None:
+            _push_pair(entries, off + 2 * idx, log.corrects, log.attempts)
+
+
+def _push_windows(entries: list, off: int, log, now: int) -> None:
+    if log is None or not log.ts:
+        return
+    win = log.window_counts(now)
+    win.append((log.corrects, log.attempts))
+    for j, (c, a) in enumerate(win):
+        _push_pair(entries, off + 2 * j, c, a)
+
+
+def _emit_tw_counts(entries, off, fam, encoder, state, event) -> None:
+    if fam.variant != "kc":
+        _push_windows(entries, off, _scope_log(fam, state, event), event.timestamp)
+        return
+    kvoc = encoder.vocabs["kc"]
+    per_kc = 2 * encoder.recipe.tw.count
+    for k in event.kc_ids:
+        idx = kvoc.get(k)
+        if idx is not None:
+            _push_windows(entries, off + idx * per_kc, state.by_kc.get(k), event.timestamp)
+
+
+def _emit_elapsed_time(entries, off, fam, encoder, state, event) -> None:
+    secs = event.elapsed_time_s if fam.variant == "current" else state.prior_elapsed_s
+    if secs is not None:
+        cat, scaled = elapsed_bins(secs)
+        entries.append((off + cat, 1.0))
+        if scaled:
+            entries.append((off + ELAPSED_MAX_S + 1, scaled))
+
+
+def _emit_lag_time(entries, off, fam, encoder, state, event) -> None:
+    if fam.variant == "current":
+        lag_s, flag = event.lag_s, event.no_lag
+    else:
+        lag_s, flag = state.prior_lag_s, state.prior_no_lag
+    n_cat = len(LAG_CATEGORIES_MIN)
+    if flag:
+        entries.append((off + n_cat + 1, 1.0))
+    elif lag_s is not None:
+        cat, scaled = lag_bins(lag_s / 60.0)
+        entries.append((off + cat, 1.0))
+        if scaled:
+            entries.append((off + n_cat, scaled))
+
+
+# datetime variant -> (block width, column of a UTC datetime)
+_DATETIME: dict[str, tuple[int, Callable[[datetime], int]]] = {
+    "month": (12, lambda dt: dt.month - 1),
+    "week": (53, lambda dt: dt.isocalendar().week - 1),
+    "day": (7, datetime.weekday),
+    "hour": (24, lambda dt: dt.hour),
+}
+
+
+def _emit_datetime(entries, off, fam, encoder, state, event) -> None:
+    dt = datetime.fromtimestamp(event.timestamp, tz=timezone.utc)
+    entries.append((off + _DATETIME[fam.variant][1](dt), 1.0))
+
+
+def _emit_study_module_counts(entries, off, fam, encoder, state, event) -> None:
+    idx = encoder.vocabs["study_module"].get(event.study_module)
+    cell = state.by_module.get(event.study_module)
+    if idx is not None and cell is not None:
+        _push_pair(entries, off + 2 * idx, cell[0], cell[1])
+
+
+def _emit_part_area_counts(entries, off, fam, encoder, state, event) -> None:
+    cell = state.by_part.get(event.part_area)
+    if cell is not None:
+        _push_pair(entries, off, cell[0], cell[1])
+
+
+def _graph(step: str, counts: bool):
+    """Emitter for the nodes one `step` ("prereqs_of" or "postreqs_of") away
+    from the event's graph nodes: one-hots, or correct/attempt tallies."""
+
+    def emit_graph(entries, off, fam, encoder, state, event) -> None:
+        graph = state.kc_graph
+        if graph is None:
+            raise ConfigError(f"family {fam.name} requires a prerequisite graph")
+        nodes = graph.nodes_for_event(event.question_id, state.original_kcs(event.kc_ids))
+        related: set[str] = set()
+        for node in nodes:
+            related.update(getattr(graph, step)(node))
+        nvoc = encoder.vocabs["graph_node"]
+        for p in sorted(related):
+            idx = nvoc.get(p)
+            if idx is None:
+                continue
+            if not counts:
+                entries.append((off + idx, 1.0))
+            elif (cell := state.graph_nodes.get(p)) is not None:
+                _push_pair(entries, off + 2 * idx, cell[0], cell[1])
+
+    return emit_graph
+
+
+def _tally(attr: str):
+    """Emitter for a material tally of StudentState: (total, related to the event's KCs)."""
+
+    def emit_tally(entries, off, fam, encoder, state, event) -> None:
+        tally = getattr(state, attr)
+        _push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
+
+    return emit_tally
+
+
+def _emit_smoothed_avg_correct(entries, off, fam, encoder, state, event) -> None:
+    value = smoothed_avg_correct(
+        state.total.corrects, state.total.attempts, encoder.rbar, encoder.recipe.eta
+    )
+    if value:
+        entries.append((off, value))
+
+
+def _emit_response_pattern(entries, off, fam, encoder, state, event) -> None:
+    idx = pattern_block(state.recent_bits, encoder.recipe.n_recent)
+    if idx is not None:
+        entries.append((off + idx, 1.0))
+
+
+def _per_variant(value, variant: str | None):
+    return value.get(variant) if isinstance(value, Mapping) else value
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything this module knows about one family kind.
+
+    `flags` and `vocab` hold one value for every variant, or a dict keyed
+    by variant.  A block has `slots` columns per entry of its vocabulary,
+    or `slots` columns in all when it has none.
+    """
+
+    emitter: Callable[..., None]
+    variants: tuple[str, ...] | None = None
+    flags: tuple[str, ...] | Mapping[str, tuple[str, ...]] = ()  # any one suffices
+    vocab: str | Mapping[str, str] | None = None
+    slots: int | Callable[[FeatureFamily, Recipe], int] = 1
+
+    def needs(self, variant: str | None) -> tuple[str, ...]:
+        return _per_variant(self.flags, variant)
+
+    def domain(self, variant: str | None) -> str | None:
+        return _per_variant(self.vocab, variant)
+
+    def width(self, fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]], recipe: Recipe) -> int:
+        per = self.slots(fam, recipe) if callable(self.slots) else self.slots
+        domain = self.domain(fam.variant)
+        return per if domain is None else per * len(vocabs[domain])
+
+
+_SCOPES = ("total", "kc", "question")
+_NOW_OR_PRIOR = ("current", "prior")
+_GRAPH = ("prereq_graph", "kc_hierarchy")  # an explicit graph or an ontology-derived one
+
+_KINDS: dict[str, _Kind] = {
+    "bias": _Kind(_emit_bias),
+    "student": _Kind(_one_hot("student_id", "student"), vocab="student"),
+    "question": _Kind(_one_hot("question_id", "question"), vocab="question"),
+    "kc": _Kind(_emit_kc, vocab="kc"),
+    "counts": _Kind(_emit_counts, _SCOPES, vocab={"kc": "kc"}, slots=2),
+    "tw_counts": _Kind(
+        _emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=lambda fam, recipe: 2 * recipe.tw.count
+    ),
+    # categories, then the scaled value (and the no-lag flag for lag time)
+    "elapsed_time": _Kind(
+        _emit_elapsed_time, _NOW_OR_PRIOR, flags=("elapsed_lag_time",), slots=ELAPSED_MAX_S + 2
+    ),
+    "lag_time": _Kind(
+        _emit_lag_time, _NOW_OR_PRIOR, flags=("elapsed_lag_time",), slots=len(LAG_CATEGORIES_MIN) + 2
+    ),
+    "datetime": _Kind(
+        _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]
+    ),
+    "study_module": _Kind(
+        _one_hot("study_module", "study_module"), flags=("study_module",), vocab="study_module"
+    ),
+    "study_module_counts": _Kind(
+        _emit_study_module_counts, flags=("study_module",), vocab="study_module", slots=2
+    ),
+    "context": _Kind(
+        _emit_context,
+        tuple(_CONTEXT_FIELDS),
+        flags={v: (flag,) for v, flag in _CONTEXT_FIELDS.items()},
+        vocab={v: v for v in _CONTEXT_FIELDS},
+    ),
+    "part_area_counts": _Kind(_emit_part_area_counts, flags=("part_area",), slots=2),
+    "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node"),
+    "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
+    "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node"),
+    "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
+    "video_watched_counts": _Kind(_tally("videos_watched"), flags=("videos",), slots=2),
+    "video_skipped_counts": _Kind(_tally("videos_skipped"), flags=("videos",), slots=2),
+    "video_watched_time": _Kind(_tally("video_minutes"), flags=("videos",), slots=2),
+    "reading_counts": _Kind(_tally("readings"), flags=("reading",), slots=2),
+    "reading_time": _Kind(_tally("reading_minutes"), flags=("reading",), slots=2),
+    "hint_counts": _Kind(_tally("hints"), flags=("hints",), slots=2),
+    "hint_time": _Kind(_tally("hint_minutes"), flags=("hints",), slots=2),
+    "smoothed_avg_correct": _Kind(_emit_smoothed_avg_correct),
+    "response_pattern": _Kind(_emit_response_pattern, slots=lambda fam, recipe: 1 << recipe.n_recent),
+}
 
 
 def emit(encoder: Encoder, state: StudentState, event: InteractionEvent) -> SparseVector:
@@ -535,166 +691,9 @@ def emit(encoder: Encoder, state: StudentState, event: InteractionEvent) -> Spar
     """
     if not event.is_response():
         raise ConfigError("can only emit features for question responses")
-    recipe = encoder.recipe
-    vocabs = encoder.vocabs
-    now = event.timestamp
-    kcs = event.kc_ids
-    nw = recipe.tw.count
     entries: list[tuple[int, float]] = []
-
-    for fam, off, size in encoder.blocks:
-        kind = fam.kind
-        if kind == "bias":
-            entries.append((off, 1.0))
-        elif kind == "student":
-            idx = vocabs["student"].get(event.student_id)
-            if idx is not None:
-                entries.append((off + idx, 1.0))
-        elif kind == "question":
-            idx = vocabs["question"].get(event.question_id)
-            if idx is not None:
-                entries.append((off + idx, 1.0))
-        elif kind == "kc":
-            kvoc = vocabs["kc"]
-            for k in kcs:
-                idx = kvoc.get(k)
-                if idx is not None:
-                    entries.append((off + idx, 1.0))
-        elif kind == "counts":
-            if fam.variant == "total":
-                _push_pair(entries, off, state.total.corrects, state.total.attempts)
-            elif fam.variant == "question":
-                log = state.by_question.get(event.question_id)
-                if log is not None:
-                    _push_pair(entries, off, log.corrects, log.attempts)
-            else:
-                kvoc = vocabs["kc"]
-                for k in kcs:
-                    idx = kvoc.get(k)
-                    if idx is None:
-                        continue
-                    log = state.by_kc.get(k)
-                    if log is not None:
-                        _push_pair(entries, off + 2 * idx, log.corrects, log.attempts)
-        elif kind == "tw_counts":
-            def tw_entries(log, base: int) -> None:
-                if log is None or not log.ts:
-                    return
-                win = log.window_counts(now)
-                win.append((log.corrects, log.attempts))
-                for j, (c, a) in enumerate(win):
-                    _push_pair(entries, base + 2 * j, c, a)
-
-            if fam.variant == "total":
-                tw_entries(state.total, off)
-            elif fam.variant == "question":
-                tw_entries(state.by_question.get(event.question_id), off)
-            else:
-                kvoc = vocabs["kc"]
-                for k in kcs:
-                    idx = kvoc.get(k)
-                    if idx is not None:
-                        tw_entries(state.by_kc.get(k), off + idx * 2 * nw)
-        elif kind == "elapsed_time":
-            secs = event.elapsed_time_s if fam.variant == "current" else state.prior_elapsed_s
-            if secs is not None:
-                cat, scaled = elapsed_bins(secs)
-                entries.append((off + cat, 1.0))
-                if scaled:
-                    entries.append((off + ELAPSED_MAX_S + 1, scaled))
-        elif kind == "lag_time":
-            if fam.variant == "current":
-                lag_s, flag = event.lag_s, event.no_lag
-            else:
-                lag_s, flag = state.prior_lag_s, state.prior_no_lag
-            n_cat = len(LAG_CATEGORIES_MIN)
-            if flag:
-                entries.append((off + n_cat + 1, 1.0))
-            elif lag_s is not None:
-                cat, scaled = lag_bins(lag_s / 60.0)
-                entries.append((off + cat, 1.0))
-                if scaled:
-                    entries.append((off + n_cat, scaled))
-        elif kind == "datetime":
-            dt = datetime.fromtimestamp(now, tz=timezone.utc)
-            if fam.variant == "month":
-                entries.append((off + dt.month - 1, 1.0))
-            elif fam.variant == "week":
-                entries.append((off + dt.isocalendar().week - 1, 1.0))
-            elif fam.variant == "day":
-                entries.append((off + dt.weekday(), 1.0))
-            else:
-                entries.append((off + dt.hour, 1.0))
-        elif kind == "study_module":
-            if event.study_module is not None:
-                idx = vocabs["study_module"].get(event.study_module)
-                if idx is not None:
-                    entries.append((off + idx, 1.0))
-        elif kind == "study_module_counts":
-            if event.study_module is not None:
-                idx = vocabs["study_module"].get(event.study_module)
-                cell = state.by_module.get(event.study_module)
-                if idx is not None and cell is not None:
-                    _push_pair(entries, off + 2 * idx, cell[0], cell[1])
-        elif kind == "context":
-            value = getattr(event, fam.variant)  # type: ignore[arg-type]
-            if value is not None:
-                idx = vocabs[fam.variant].get(value)  # type: ignore[index]
-                if idx is not None:
-                    entries.append((off + idx, 1.0))
-        elif kind == "part_area_counts":
-            if event.part_area is not None:
-                cell = state.by_part.get(event.part_area)
-                if cell is not None:
-                    _push_pair(entries, off, cell[0], cell[1])
-        elif kind in ("prereq_ids", "prereq_counts", "postreq_ids", "postreq_counts"):
-            graph = state.kc_graph
-            if graph is None:
-                raise ConfigError(f"family {fam.name} requires a prerequisite graph")
-            nodes = graph.nodes_for_event(event.question_id, state.original_kcs(kcs))
-            related: set[str] = set()
-            step = graph.prereqs_of if kind.startswith("prereq") else graph.postreqs_of
-            for node in nodes:
-                related.update(step(node))
-            nvoc = vocabs["graph_node"]
-            if kind.endswith("_ids"):
-                for p in sorted(related):
-                    idx = nvoc.get(p)
-                    if idx is not None:
-                        entries.append((off + idx, 1.0))
-            else:
-                for p in sorted(related):
-                    idx = nvoc.get(p)
-                    cell = state.graph_nodes.get(p)
-                    if idx is not None and cell is not None:
-                        _push_pair(entries, off + 2 * idx, cell[0], cell[1])
-        elif kind == "video_watched_counts":
-            _push_tally_pair(entries, off, state.videos_watched, kcs)
-        elif kind == "video_skipped_counts":
-            _push_tally_pair(entries, off, state.videos_skipped, kcs)
-        elif kind == "video_watched_time":
-            _push_tally_pair(entries, off, state.video_minutes, kcs)
-        elif kind == "reading_counts":
-            _push_tally_pair(entries, off, state.readings, kcs)
-        elif kind == "reading_time":
-            _push_tally_pair(entries, off, state.reading_minutes, kcs)
-        elif kind == "hint_counts":
-            _push_tally_pair(entries, off, state.hints, kcs)
-        elif kind == "hint_time":
-            _push_tally_pair(entries, off, state.hint_minutes, kcs)
-        elif kind == "smoothed_avg_correct":
-            value = smoothed_avg_correct(
-                state.total.corrects, state.total.attempts, encoder.rbar, recipe.eta
-            )
-            if value:
-                entries.append((off, value))
-        elif kind == "response_pattern":
-            idx = pattern_block(state.recent_bits, recipe.n_recent)
-            if idx is not None:
-                entries.append((off + idx, 1.0))
-        else:  # pragma: no cover - table and dispatch kept in sync
-            raise ConfigError(f"unhandled family {fam.name}")
-
+    for fam, off, _ in encoder.blocks:
+        _KINDS[fam.kind].emitter(entries, off, fam, encoder, state, event)
     vec = SparseVector.from_pairs(entries)
     if vec.nnz and vec.indices[-1] >= encoder.dim:
         raise RuntimeError("emitted index outside encoder dimension")

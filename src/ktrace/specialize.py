@@ -119,6 +119,14 @@ def assign_partition(scheme: PartitionScheme, event: InteractionEvent, t: int) -
     return MISSING_KEY if value is None else str(value)
 
 
+def _rows_by_partition(scheme: PartitionScheme, ext: features.ExtractResult) -> dict[str, np.ndarray]:
+    """Row indices of an extracted matrix grouped by partition key, in sorted key order."""
+    groups: dict[str, list[int]] = {}
+    for i, (event, t) in enumerate(zip(ext.events, ext.t)):
+        groups.setdefault(assign_partition(scheme, event, int(t)), []).append(i)
+    return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
+
+
 @dataclass
 class PartitionedModel:
     """Per-partition models sharing one encoder, plus the fallback."""
@@ -156,10 +164,8 @@ def fit_partitioned(
     )
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 
-    groups: dict[str, list[int]] = {}
-    for i, (event, t) in enumerate(zip(ext.events, ext.t)):
-        groups.setdefault(assign_partition(scheme, event, int(t)), []).append(i)
-    assert sum(len(v) for v in groups.values()) == len(ext.events)
+    groups = _rows_by_partition(scheme, ext)
+    assert sum(rows.size for rows in groups.values()) == len(ext.events)
 
     warnings: list[str] = []
     if scheme.kind == "response_index":
@@ -170,8 +176,7 @@ def fit_partitioned(
     models: dict[str, Model] = {}
     merged: list[str] = []
     single_class: list[str] = []
-    for key in sorted(groups):
-        rows = np.asarray(groups[key], dtype=np.int64)
+    for key, rows in groups.items():
         if rows.size < min_partition:
             merged.append(key)
             warnings.append(
@@ -203,11 +208,7 @@ def predict_routed(pm: PartitionedModel, phi: SparseVector, event: InteractionEv
 def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> np.ndarray:
     """Routed probabilities for an extracted matrix, in row order."""
     out = np.zeros(len(ext.events), dtype=np.float64)
-    groups: dict[str, list[int]] = {}
-    for i, (event, t) in enumerate(zip(ext.events, ext.t)):
-        groups.setdefault(assign_partition(pm.scheme, event, int(t)), []).append(i)
-    for key in sorted(groups):
-        rows = np.asarray(groups[key], dtype=np.int64)
+    for key, rows in _rows_by_partition(pm.scheme, ext).items():
         out[rows] = regression.predict_proba_batch(pm.model_for(key), ext.X[rows])
     return out
 

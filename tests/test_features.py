@@ -7,6 +7,7 @@ from conftest import response
 from oracle import compare_vector
 
 from ktrace.core import (
+    CAPABILITY_FLAGS,
     ConfigError,
     DatasetManifest,
     EventKind,
@@ -17,6 +18,7 @@ from ktrace.core import (
     scale,
 )
 from ktrace.features import (
+    _KINDS,
     F,
     FeatureFamily,
     Recipe,
@@ -468,6 +470,94 @@ def _random_full_students(rng, n_students=6, max_events=120):
                 )
         students[sid] = events
     return students
+
+
+def test_full_recipe_names_every_kind_and_variant():
+    """The oracle tests run full_recipe(), so a family missing here goes unchecked."""
+    names = {f.name for f in full_recipe().families}
+    table = {
+        kind if variant is None else f"{kind}:{variant}"
+        for kind, row in _KINDS.items()
+        for variant in (row.variants or (None,))
+    }
+    assert names == table
+
+
+_GRAPH_FLAGS = {"prereq_graph", "kc_hierarchy"}
+
+# family -> capability flags any one of which allows it (empty: always allowed)
+FAMILY_NEEDS = {
+    "bias": set(),
+    "student": set(),
+    "question": set(),
+    "kc": set(),
+    "counts:total": set(),
+    "counts:kc": set(),
+    "counts:question": set(),
+    "tw_counts:total": set(),
+    "tw_counts:kc": set(),
+    "tw_counts:question": set(),
+    "elapsed_time:current": {"elapsed_lag_time"},
+    "elapsed_time:prior": {"elapsed_lag_time"},
+    "lag_time:current": {"elapsed_lag_time"},
+    "lag_time:prior": {"elapsed_lag_time"},
+    "datetime:month": set(),
+    "datetime:week": set(),
+    "datetime:day": set(),
+    "datetime:hour": set(),
+    "study_module": {"study_module"},
+    "study_module_counts": {"study_module"},
+    "context:teacher_group": {"teacher_group"},
+    "context:school": {"school"},
+    "context:course": {"course"},
+    "context:topic": {"topic"},
+    "context:difficulty": {"difficulty"},
+    "context:bundle": {"bundle"},
+    "context:part_area": {"part_area"},
+    "context:platform": {"platform"},
+    "context:age": {"age_gender"},
+    "context:gender": {"age_gender"},
+    "context:social_support": {"social_support"},
+    "part_area_counts": {"part_area"},
+    "prereq_ids": _GRAPH_FLAGS,
+    "prereq_counts": _GRAPH_FLAGS,
+    "postreq_ids": _GRAPH_FLAGS,
+    "postreq_counts": _GRAPH_FLAGS,
+    "video_watched_counts": {"videos"},
+    "video_skipped_counts": {"videos"},
+    "video_watched_time": {"videos"},
+    "reading_counts": {"reading"},
+    "reading_time": {"reading"},
+    "hint_counts": {"hints"},
+    "hint_time": {"hints"},
+    "smoothed_avg_correct": set(),
+    "response_pattern": set(),
+}
+
+
+def _only(flag: str) -> DatasetManifest:
+    return DatasetManifest(name=f"only-{flag}", capabilities=frozenset({flag}))
+
+
+def test_allowed_by_single_capability_manifests():
+    families = full_recipe().families
+    assert [f.name for f in families] == list(FAMILY_NEEDS)
+    for fam in families:
+        needs = FAMILY_NEEDS[fam.name]
+        assert fam.allowed_by(MINIMAL) == (not needs), fam.name
+        assert fam.allowed_by(FULL), fam.name
+        for flag in CAPABILITY_FLAGS:
+            assert fam.allowed_by(_only(flag)) == (not needs or flag in needs), (fam.name, flag)
+
+    for variant in ("age", "gender"):
+        assert F("context", variant).allowed_by(_only("age_gender"))
+        assert not F("context", variant).allowed_by(_only("social_support"))
+    for kind in ("prereq_ids", "prereq_counts", "postreq_ids", "postreq_counts"):
+        assert F(kind).allowed_by(_only("kc_hierarchy"))
+        assert F(kind).allowed_by(_only("prereq_graph"))
+        assert not F(kind).allowed_by(MINIMAL)
+    for fam in (F("datetime", "hour"), F("smoothed_avg_correct"), F("response_pattern")):
+        assert fam.allowed_by(MINIMAL)
 
 
 def test_build_matrix_shapes():
