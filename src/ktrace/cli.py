@@ -52,6 +52,7 @@ class RunManifest:
         self.seed = seed
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.extraction: dict[str, int] | None = None  # the dataset's RowStore counts
         self._t0 = time.monotonic()
         self._started = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -83,6 +84,8 @@ class RunManifest:
                 "scipy": scipy.__version__,
             },
         }
+        if self.extraction is not None:
+            payload["extraction"] = self.extraction
         path.write_text(canonical_json(payload), encoding="utf-8")
         return path
 
@@ -333,6 +336,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         run.add_output(out / "report.json")
         for fold in range(folds.k):
             run.add_output(out / "models" / f"fold-{fold}")
+        run.extraction = dataset.feature_rows.counts()
         run.add_output(run.write(out))
     print(
         f"{spec.label}: acc {report.acc_mean:.4f} (var {report.acc_var:.2e}), "

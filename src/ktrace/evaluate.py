@@ -133,13 +133,19 @@ class PlainSpec:
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
         recipe = self.resolve_recipe(dataset)
         encoder = features.fit_encoders(students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
-        ext = features.build_matrix(students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map)
+        ext = features.build_matrix(
+            students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
+            store=dataset.feature_rows,
+        )
         model = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
         return encoder, model
 
     def predict_on(self, fitted, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         encoder, model = fitted
-        ext = features.build_matrix(students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map)
+        ext = features.build_matrix(
+            students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
+            store=dataset.feature_rows,
+        )
         return FoldPrediction(
             probs=regression.predict_proba_batch(model, ext.X), labels=ext.y, t=ext.t
         )

@@ -3,17 +3,27 @@
 A Recipe is an ordered list of feature families plus extraction
 parameters.  An Encoder binds a recipe to a training fold: it fixes the
 categorical vocabularies, the per-family block offsets, the total
-dimension, and the training-fold mean correctness used by the smoothed
-average.  Emission maps (student state, upcoming question) to a
-SparseVector using only events strictly before the question.
+dimension, and the training-fold mean correctness (rbar) used by the
+smoothed average.  Emission maps (student state, upcoming question) to
+features using only events strictly before the question.
 
 Everything known about a family kind sits in its one row of the
 `_KINDS` table: the variants it takes, the manifest capability it needs
 (a flag, the context field's flag, or either graph flag), the
 vocabulary its block is indexed by, the block width, and the emitter
 that writes the block.  Family validation, capability gating, encoder
-fitting and `emit` all read that row, so a new family is one row plus
+fitting and emission all read that row, so a new family is one row plus
 one emitter.
+
+Emitters write keyed rows, which no fold changes: per entry the block,
+the vocabulary key's code (or none), the slot within the key's columns
+and the value.  A RowStore, one per dataset, walks each student once
+per recipe (families, n_recent, windows) and keeps the entries as flat
+arrays.  `build_matrix` remaps them for an encoder with one vectorized
+lookup, column = block offset + vocabulary index * slots + slot,
+dropping keys the fold's vocabulary lacks, and computes the smoothed
+average from stored correct/attempt counts and the fold's rbar and eta.
+`emit` is the same remap applied to one row.
 
 Counts and time values pass through scale() = ln(1+x).  Time-window
 counts use ascending windows whose last entry is infinite; a prior
@@ -25,9 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -151,6 +164,11 @@ class Recipe:
         if self.eta < 0:
             raise ConfigError("eta must be >= 0")
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """Vocabulary domain and columns per key of each block (see _Placer)."""
+        return _Layout.of(self)
+
     def has(self, kind: str, variant: str | None = None) -> bool:
         return any(f.kind == kind and (variant is None or f.variant == variant) for f in self.families)
 
@@ -202,14 +220,19 @@ def lag_bins(minutes: float) -> tuple[int, float]:
     return min(pos, len(LAG_CATEGORIES_MIN) - 1), scale(minutes)
 
 
-def smoothed_avg_correct(corrects: int, attempts: int, rbar: float, eta: float) -> float:
-    """Average correctness shrunk toward the training mean rbar."""
-    if corrects < 0 or attempts < corrects:
+def smoothed_avg_correct(corrects, attempts, rbar: float, eta: float):
+    """Average correctness shrunk toward the training mean rbar.
+
+    Takes counts or equal-shaped arrays of counts (elementwise).
+    """
+    corrects = np.asarray(corrects)
+    attempts = np.asarray(attempts)
+    if np.any(corrects < 0) or np.any(attempts < corrects):
         raise ValueError("need 0 <= corrects <= attempts")
     if not 0.0 <= rbar <= 1.0:
         raise ValueError("rbar must be in [0, 1]")
     denom = attempts + eta
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ValueError("attempts + eta must be positive")
     return (corrects + eta * rbar) / denom
 
@@ -418,13 +441,31 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Emission
+# Emission: keyed entries
+#
+# An emitter appends one block's entries for one response as
+# (block, key code, slot, value) tuples.  Blocks indexed by a vocabulary
+# (student, question, KC, ...) give the key's code in that domain's
+# _Codes and the slot within the key's group of columns; other blocks
+# give code -1 and the column within the block.  Nothing an emitter
+# writes depends on a fold: _Placer puts the entries in an encoder's
+# columns.
 
-def _push_pair(entries: list, off: int, corrects: float, attempts: float) -> None:
+class _Codes(dict):
+    """Dense integer codes for one vocabulary domain's keys, in first-seen order."""
+
+    def code(self, key: str) -> int:
+        c = self.get(key)
+        if c is None:
+            c = self[key] = len(self)
+        return c
+
+
+def _push_pair(out: list, b: int, code: int, slot: int, corrects: float, attempts: float) -> None:
     if corrects:
-        entries.append((off, scale(corrects)))
+        out.append((b, code, slot, scale(corrects)))
     if attempts:
-        entries.append((off + 1, scale(attempts)))
+        out.append((b, code, slot + 1, scale(attempts)))
 
 
 def _scope_log(fam: FeatureFamily, state: StudentState, event: InteractionEvent):
@@ -432,95 +473,81 @@ def _scope_log(fam: FeatureFamily, state: StudentState, event: InteractionEvent)
     return state.total if fam.variant == "total" else state.by_question.get(event.question_id)
 
 
-# Emitters: (entries, off, fam, encoder, state, event) -> None, appending
-# the (index, value) pairs of one block that starts at column off.
+# Emitters: (out, b, codes, fam, recipe, state, event) -> None, appending
+# the keyed entries of block b; codes is the block's domain (None if it
+# has no vocabulary).
 
-def _emit_bias(entries, off, fam, encoder, state, event) -> None:
-    entries.append((off, 1.0))
+def _emit_bias(out, b, codes, fam, recipe, state, event) -> None:
+    out.append((b, -1, 0, 1.0))
 
 
-def _one_hot(attr: str, domain: str):
-    """Emitter for the one-hot of an event field in a vocabulary."""
+def _one_hot(attr: str | None):
+    """Emitter for the one-hot of an event field (None: the field the variant names)."""
 
-    def emit_one_hot(entries, off, fam, encoder, state, event) -> None:
-        idx = encoder.vocabs[domain].get(getattr(event, attr))
-        if idx is not None:
-            entries.append((off + idx, 1.0))
+    def emit_one_hot(out, b, codes, fam, recipe, state, event) -> None:
+        value = getattr(event, attr or fam.variant)
+        if value is not None:
+            out.append((b, codes.code(value), 0, 1.0))
 
     return emit_one_hot
 
 
-def _emit_context(entries, off, fam, encoder, state, event) -> None:
-    idx = encoder.vocabs[fam.variant].get(getattr(event, fam.variant))
-    if idx is not None:
-        entries.append((off + idx, 1.0))
-
-
-def _emit_kc(entries, off, fam, encoder, state, event) -> None:
-    kvoc = encoder.vocabs["kc"]
+def _emit_kc(out, b, codes, fam, recipe, state, event) -> None:
     for k in event.kc_ids:
-        idx = kvoc.get(k)
-        if idx is not None:
-            entries.append((off + idx, 1.0))
+        out.append((b, codes.code(k), 0, 1.0))
 
 
-def _emit_counts(entries, off, fam, encoder, state, event) -> None:
+def _emit_counts(out, b, codes, fam, recipe, state, event) -> None:
     if fam.variant != "kc":
         log = _scope_log(fam, state, event)
         if log is not None:
-            _push_pair(entries, off, log.corrects, log.attempts)
+            _push_pair(out, b, -1, 0, log.corrects, log.attempts)
         return
-    kvoc = encoder.vocabs["kc"]
     for k in event.kc_ids:
-        idx = kvoc.get(k)
         log = state.by_kc.get(k)
-        if idx is not None and log is not None:
-            _push_pair(entries, off + 2 * idx, log.corrects, log.attempts)
+        if log is not None:
+            _push_pair(out, b, codes.code(k), 0, log.corrects, log.attempts)
 
 
-def _push_windows(entries: list, off: int, log, now: int) -> None:
+def _push_windows(out: list, b: int, code: int, log, now: int) -> None:
     if log is None or not log.ts:
         return
     win = log.window_counts(now)
     win.append((log.corrects, log.attempts))
     for j, (c, a) in enumerate(win):
-        _push_pair(entries, off + 2 * j, c, a)
+        _push_pair(out, b, code, 2 * j, c, a)
 
 
-def _emit_tw_counts(entries, off, fam, encoder, state, event) -> None:
+def _emit_tw_counts(out, b, codes, fam, recipe, state, event) -> None:
     if fam.variant != "kc":
-        _push_windows(entries, off, _scope_log(fam, state, event), event.timestamp)
+        _push_windows(out, b, -1, _scope_log(fam, state, event), event.timestamp)
         return
-    kvoc = encoder.vocabs["kc"]
-    per_kc = 2 * encoder.recipe.tw.count
     for k in event.kc_ids:
-        idx = kvoc.get(k)
-        if idx is not None:
-            _push_windows(entries, off + idx * per_kc, state.by_kc.get(k), event.timestamp)
+        _push_windows(out, b, codes.code(k), state.by_kc.get(k), event.timestamp)
 
 
-def _emit_elapsed_time(entries, off, fam, encoder, state, event) -> None:
+def _emit_elapsed_time(out, b, codes, fam, recipe, state, event) -> None:
     secs = event.elapsed_time_s if fam.variant == "current" else state.prior_elapsed_s
     if secs is not None:
         cat, scaled = elapsed_bins(secs)
-        entries.append((off + cat, 1.0))
+        out.append((b, -1, cat, 1.0))
         if scaled:
-            entries.append((off + ELAPSED_MAX_S + 1, scaled))
+            out.append((b, -1, ELAPSED_MAX_S + 1, scaled))
 
 
-def _emit_lag_time(entries, off, fam, encoder, state, event) -> None:
+def _emit_lag_time(out, b, codes, fam, recipe, state, event) -> None:
     if fam.variant == "current":
         lag_s, flag = event.lag_s, event.no_lag
     else:
         lag_s, flag = state.prior_lag_s, state.prior_no_lag
     n_cat = len(LAG_CATEGORIES_MIN)
     if flag:
-        entries.append((off + n_cat + 1, 1.0))
+        out.append((b, -1, n_cat + 1, 1.0))
     elif lag_s is not None:
         cat, scaled = lag_bins(lag_s / 60.0)
-        entries.append((off + cat, 1.0))
+        out.append((b, -1, cat, 1.0))
         if scaled:
-            entries.append((off + n_cat, scaled))
+            out.append((b, -1, n_cat, scaled))
 
 
 # datetime variant -> (block width, column of a UTC datetime)
@@ -532,29 +559,28 @@ _DATETIME: dict[str, tuple[int, Callable[[datetime], int]]] = {
 }
 
 
-def _emit_datetime(entries, off, fam, encoder, state, event) -> None:
+def _emit_datetime(out, b, codes, fam, recipe, state, event) -> None:
     dt = datetime.fromtimestamp(event.timestamp, tz=timezone.utc)
-    entries.append((off + _DATETIME[fam.variant][1](dt), 1.0))
+    out.append((b, -1, _DATETIME[fam.variant][1](dt), 1.0))
 
 
-def _emit_study_module_counts(entries, off, fam, encoder, state, event) -> None:
-    idx = encoder.vocabs["study_module"].get(event.study_module)
+def _emit_study_module_counts(out, b, codes, fam, recipe, state, event) -> None:
     cell = state.by_module.get(event.study_module)
-    if idx is not None and cell is not None:
-        _push_pair(entries, off + 2 * idx, cell[0], cell[1])
+    if cell is not None:
+        _push_pair(out, b, codes.code(event.study_module), 0, cell[0], cell[1])
 
 
-def _emit_part_area_counts(entries, off, fam, encoder, state, event) -> None:
+def _emit_part_area_counts(out, b, codes, fam, recipe, state, event) -> None:
     cell = state.by_part.get(event.part_area)
     if cell is not None:
-        _push_pair(entries, off, cell[0], cell[1])
+        _push_pair(out, b, -1, 0, cell[0], cell[1])
 
 
 def _graph(step: str, counts: bool):
     """Emitter for the nodes one `step` ("prereqs_of" or "postreqs_of") away
     from the event's graph nodes: one-hots, or correct/attempt tallies."""
 
-    def emit_graph(entries, off, fam, encoder, state, event) -> None:
+    def emit_graph(out, b, codes, fam, recipe, state, event) -> None:
         graph = state.kc_graph
         if graph is None:
             raise ConfigError(f"family {fam.name} requires a prerequisite graph")
@@ -562,15 +588,11 @@ def _graph(step: str, counts: bool):
         related: set[str] = set()
         for node in nodes:
             related.update(getattr(graph, step)(node))
-        nvoc = encoder.vocabs["graph_node"]
         for p in sorted(related):
-            idx = nvoc.get(p)
-            if idx is None:
-                continue
             if not counts:
-                entries.append((off + idx, 1.0))
+                out.append((b, codes.code(p), 0, 1.0))
             elif (cell := state.graph_nodes.get(p)) is not None:
-                _push_pair(entries, off + 2 * idx, cell[0], cell[1])
+                _push_pair(out, b, codes.code(p), 0, cell[0], cell[1])
 
     return emit_graph
 
@@ -578,25 +600,23 @@ def _graph(step: str, counts: bool):
 def _tally(attr: str):
     """Emitter for a material tally of StudentState: (total, related to the event's KCs)."""
 
-    def emit_tally(entries, off, fam, encoder, state, event) -> None:
+    def emit_tally(out, b, codes, fam, recipe, state, event) -> None:
         tally = getattr(state, attr)
-        _push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
+        _push_pair(out, b, -1, 0, tally.total, tally.for_kcs(event.kc_ids))
 
     return emit_tally
 
 
-def _emit_smoothed_avg_correct(entries, off, fam, encoder, state, event) -> None:
-    value = smoothed_avg_correct(
-        state.total.corrects, state.total.attempts, encoder.rbar, encoder.recipe.eta
-    )
-    if value:
-        entries.append((off, value))
+def _emit_smoothed_avg_correct(out, b, codes, fam, recipe, state, event) -> None:
+    # the value depends on the fold's rbar: _Placer computes it from the
+    # row's stored correct/attempt counts
+    out.append((b, -1, 0, 1.0))
 
 
-def _emit_response_pattern(entries, off, fam, encoder, state, event) -> None:
-    idx = pattern_block(state.recent_bits, encoder.recipe.n_recent)
+def _emit_response_pattern(out, b, codes, fam, recipe, state, event) -> None:
+    idx = pattern_block(state.recent_bits, recipe.n_recent)
     if idx is not None:
-        entries.append((off + idx, 1.0))
+        out.append((b, -1, idx, 1.0))
 
 
 def _per_variant(value, variant: str | None):
@@ -624,8 +644,11 @@ class _Kind:
     def domain(self, variant: str | None) -> str | None:
         return _per_variant(self.vocab, variant)
 
+    def per_entry(self, fam: FeatureFamily, recipe: Recipe) -> int:
+        return self.slots(fam, recipe) if callable(self.slots) else self.slots
+
     def width(self, fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]], recipe: Recipe) -> int:
-        per = self.slots(fam, recipe) if callable(self.slots) else self.slots
+        per = self.per_entry(fam, recipe)
         domain = self.domain(fam.variant)
         return per if domain is None else per * len(vocabs[domain])
 
@@ -636,8 +659,8 @@ _GRAPH = ("prereq_graph", "kc_hierarchy")  # an explicit graph or an ontology-de
 
 _KINDS: dict[str, _Kind] = {
     "bias": _Kind(_emit_bias),
-    "student": _Kind(_one_hot("student_id", "student"), vocab="student"),
-    "question": _Kind(_one_hot("question_id", "question"), vocab="question"),
+    "student": _Kind(_one_hot("student_id"), vocab="student"),
+    "question": _Kind(_one_hot("question_id"), vocab="question"),
     "kc": _Kind(_emit_kc, vocab="kc"),
     "counts": _Kind(_emit_counts, _SCOPES, vocab={"kc": "kc"}, slots=2),
     "tw_counts": _Kind(
@@ -653,14 +676,12 @@ _KINDS: dict[str, _Kind] = {
     "datetime": _Kind(
         _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]
     ),
-    "study_module": _Kind(
-        _one_hot("study_module", "study_module"), flags=("study_module",), vocab="study_module"
-    ),
+    "study_module": _Kind(_one_hot("study_module"), flags=("study_module",), vocab="study_module"),
     "study_module_counts": _Kind(
         _emit_study_module_counts, flags=("study_module",), vocab="study_module", slots=2
     ),
     "context": _Kind(
-        _emit_context,
+        _one_hot(None),
         tuple(_CONTEXT_FIELDS),
         flags={v: (flag,) for v, flag in _CONTEXT_FIELDS.items()},
         vocab={v: v for v in _CONTEXT_FIELDS},
@@ -682,6 +703,128 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
+@dataclass(frozen=True)
+class _Entries:
+    """Keyed entries of consecutive rows, flat.
+
+    Per entry: block, key code, slot and value.  Per row: the number of
+    entries and the student's correct and attempt counts before the
+    response, from which _Placer computes the smoothed average.
+    """
+
+    block: np.ndarray  # int16
+    code: np.ndarray  # int32, -1 for blocks without a vocabulary
+    slot: np.ndarray  # int32
+    value: np.ndarray  # float64
+    row_len: np.ndarray  # int64
+    corrects: np.ndarray  # int64
+    attempts: np.ndarray  # int64
+
+    @classmethod
+    def of(cls, out: list, row_len: list, corrects: list, attempts: list) -> "_Entries":
+        flat = np.fromiter(chain.from_iterable(out), dtype=np.float64, count=4 * len(out)).reshape(-1, 4)
+        return cls(
+            block=flat[:, 0].astype(np.int16),
+            code=flat[:, 1].astype(np.int32),
+            slot=flat[:, 2].astype(np.int32),
+            value=flat[:, 3].copy(),
+            row_len=np.array(row_len, dtype=np.int64),
+            corrects=np.array(corrects, dtype=np.int64),
+            attempts=np.array(attempts, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["_Entries"]) -> "_Entries":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Per block of a recipe: vocabulary domain and columns per key; the smoothed-average block."""
+
+    domains: tuple[str | None, ...]
+    per: np.ndarray  # slots per vocabulary key; 0 for blocks without a vocabulary
+    smoothed: int | None
+
+    @classmethod
+    def of(cls, recipe: Recipe) -> "_Layout":
+        domains = tuple(_KINDS[f.kind].domain(f.variant) for f in recipe.families)
+        per = np.array(
+            [0 if d is None else _KINDS[f.kind].per_entry(f, recipe) for f, d in zip(recipe.families, domains)],
+            dtype=np.int64,
+        )
+        per.flags.writeable = False
+        smoothed = [b for b, f in enumerate(recipe.families) if f.kind == "smoothed_avg_correct"]
+        return cls(domains, per, smoothed[0] if smoothed else None)
+
+
+def _plan(recipe: Recipe, codes: dict[str, _Codes]) -> list[tuple]:
+    """(emitter, block, domain codes, family) for each block of a recipe."""
+    return [
+        (_KINDS[fam.kind].emitter, b, None if d is None else codes.setdefault(d, _Codes()), fam)
+        for b, (fam, d) in enumerate(zip(recipe.families, recipe._layout.domains))
+    ]
+
+
+class _Placer:
+    """Places keyed entries in an encoder's columns.
+
+    `keys[domain]` lists the domain's keys in code order.  An entry lands
+    in column off + vocab_index * slots + slot of its block (off + slot
+    without a vocabulary); keys the encoder's vocabulary lacks and zero
+    values are dropped, and each row is ordered by column.
+    """
+
+    def __init__(self, encoder: Encoder, keys: Mapping[str, Sequence[str]]):
+        layout = encoder.recipe._layout
+        luts: list[np.ndarray] = []
+        lut_base: dict[str | None, int] = {}
+        size = 0
+        for domain in dict.fromkeys(d for d in layout.domains if d is not None):
+            vocab, ks = encoder.vocabs[domain], keys.get(domain, ())
+            lut_base[domain] = size
+            luts.append(np.fromiter((vocab.get(k, -1) for k in ks), dtype=np.int64, count=len(ks)))
+            size += len(ks)
+        self.encoder = encoder
+        self.lut = np.concatenate(luts) if luts else np.zeros(0, dtype=np.int64)
+        self.off = np.array([o for _, o, _ in encoder.blocks], dtype=np.int64)
+        self.base = np.array([lut_base.get(d, 0) for d in layout.domains], dtype=np.int64)
+        self.per = layout.per
+        self.smoothed = layout.smoothed
+
+    def place(self, entries: _Entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entries per row, columns, values) of the rows, each ordered by column."""
+        encoder = self.encoder
+        n = len(entries.row_len)
+        block = entries.block
+        rows = np.repeat(np.arange(n, dtype=np.int64), entries.row_len)
+        value = entries.value
+        if self.smoothed is not None:
+            at = block == self.smoothed
+            r = rows[at]
+            value = value.copy()
+            value[at] = smoothed_avg_correct(
+                entries.corrects[r], entries.attempts[r], encoder.rbar, encoder.recipe.eta
+            )
+        vidx = np.zeros(len(block), dtype=np.int64)
+        keyed = entries.code >= 0
+        vidx[keyed] = self.lut[self.base[block[keyed]] + entries.code[keyed]]
+        col = self.off[block] + vidx * self.per[block] + entries.slot
+        keep = (vidx >= 0) & (value != 0.0)
+        rows, col, value = rows[keep], col[keep], value[keep]
+
+        if col.size > 1:
+            key = rows * max(encoder.dim, int(col.max()) + 1) + col
+            if not np.all(key[1:] > key[:-1]):
+                order = np.argsort(key, kind="stable")
+                key, rows, col, value = key[order], rows[order], col[order], value[order]
+                if np.any(key[1:] == key[:-1]):
+                    raise ValueError("duplicate feature index")
+        if col.size and col.max() >= encoder.dim:
+            raise RuntimeError("emitted index outside encoder dimension")
+        return np.bincount(rows, minlength=n), col, value
+
+
 def emit(encoder: Encoder, state: StudentState, event: InteractionEvent) -> SparseVector:
     """Feature vector for predicting the response to `event`.
 
@@ -691,13 +834,13 @@ def emit(encoder: Encoder, state: StudentState, event: InteractionEvent) -> Spar
     """
     if not event.is_response():
         raise ConfigError("can only emit features for question responses")
-    entries: list[tuple[int, float]] = []
-    for fam, off, _ in encoder.blocks:
-        _KINDS[fam.kind].emitter(entries, off, fam, encoder, state, event)
-    vec = SparseVector.from_pairs(entries)
-    if vec.nnz and vec.indices[-1] >= encoder.dim:
-        raise RuntimeError("emitted index outside encoder dimension")
-    return vec
+    codes: dict[str, _Codes] = {}
+    out: list[tuple] = []
+    for emitter, b, domain_codes, fam in _plan(encoder.recipe, codes):
+        emitter(out, b, domain_codes, fam, encoder.recipe, state, event)
+    entries = _Entries.of(out, [len(out)], [state.total.corrects], [state.total.attempts])
+    _, indices, values = _Placer(encoder, {d: list(c) for d, c in codes.items()}).place(entries)
+    return SparseVector(indices, values, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +866,121 @@ def iter_contexts(
         update_state(state, e)
 
 
+@dataclass(frozen=True)
+class _StudentRows:
+    """One student's walk under one recipe: keyed entries plus labels."""
+
+    events: Sequence[InteractionEvent]  # the walked sequence, to catch a different one
+    responses: list[InteractionEvent]
+    y: np.ndarray
+    entries: _Entries
+
+
+def _walk(
+    events: Sequence[InteractionEvent],
+    recipe: Recipe,
+    kc_graph: KCGraph | None,
+    squash_map: Mapping[str, tuple[str, ...]] | None,
+    codes: dict[str, _Codes],
+) -> _StudentRows:
+    plan = _plan(recipe, codes)
+    out: list[tuple] = []
+    row_len: list[int] = []
+    corrects: list[int] = []
+    attempts: list[int] = []
+    responses: list[InteractionEvent] = []
+    for event, state, _ in iter_contexts(events, recipe.tw, kc_graph=kc_graph, squash_map=squash_map):
+        start = len(out)
+        for emitter, b, domain_codes, fam in plan:
+            emitter(out, b, domain_codes, fam, recipe, state, event)
+        row_len.append(len(out) - start)
+        corrects.append(state.total.corrects)
+        attempts.append(state.total.attempts)
+        responses.append(event)
+    return _StudentRows(
+        events=events,
+        responses=responses,
+        y=np.array([1.0 if e.correct else 0.0 for e in responses], dtype=np.float64),
+        entries=_Entries.of(out, row_len, corrects, attempts),
+    )
+
+
+class RowStore:
+    """Keyed rows of one dataset, walked once per (recipe, student).
+
+    A row's keyed entries depend only on the student's own history and
+    the recipe's walk parameters (families, n_recent, windows), never on
+    a fold, so every fold, partition, base and stacking split of a
+    dataset shares them.  Filling is lazy and under a lock, so folds
+    running in threads walk each student once.  One store serves one
+    dataset's KC graph and squash map.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._rows: dict[tuple, dict[str, _StudentRows]] = {}
+        self._codes: dict[str, _Codes] = {}
+        self._context: tuple | None = None
+        self.students_walked = 0
+        self.rows_walked = 0
+        self.rows_served = 0
+
+    def counts(self) -> dict[str, int]:
+        return {
+            "students_walked": self.students_walked,
+            "rows_walked": self.rows_walked,
+            "rows_served": self.rows_served,
+        }
+
+    def rows(
+        self,
+        students: Mapping[str, Sequence[InteractionEvent]],
+        recipe: Recipe,
+        kc_graph: KCGraph | None,
+        squash_map: Mapping[str, tuple[str, ...]] | None,
+    ) -> tuple[list[_StudentRows], dict[str, list[str]]]:
+        """Rows of the given students in sorted-id order, walking the missing
+        ones, plus each domain's keys in code order."""
+        with self._lock:
+            if self._context is None:
+                self._context = (kc_graph, squash_map)
+            elif self._context[0] is not kc_graph or self._context[1] is not squash_map:
+                raise ConfigError("a row store serves one KC graph and squash map")
+            by_student = self._rows.setdefault((recipe.families, recipe.n_recent, recipe.tw), {})
+            parts = []
+            for sid in sorted(students):
+                events = students[sid]
+                part = by_student.get(sid)
+                if part is None:
+                    part = by_student[sid] = _walk(events, recipe, kc_graph, squash_map, self._codes)
+                    self.students_walked += 1
+                    self.rows_walked += len(part.responses)
+                elif part.events is not events:
+                    raise ConfigError(f"student {sid!r}: events differ from the ones this store walked")
+                parts.append(part)
+            self.rows_served += sum(len(p.responses) for p in parts)
+            return parts, {d: list(c) for d, c in self._codes.items()}
+
+
+# Entries placed per step of build_matrix; bounds the placement's
+# temporaries, several times the size of the entries they place.
+_CHUNK_ENTRIES = 1 << 12
+
+
+def _chunks(parts: Sequence[_StudentRows]) -> Iterator[list[_StudentRows]]:
+    """Consecutive runs of whole students holding about _CHUNK_ENTRIES entries."""
+    chunk: list[_StudentRows] = []
+    size = 0
+    for part in parts:
+        chunk.append(part)
+        size += len(part.entries.value)
+        if size >= _CHUNK_ENTRIES:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
 @dataclass
 class ExtractResult:
     """Stacked training examples for one encoder."""
@@ -733,42 +991,44 @@ class ExtractResult:
     events: list[InteractionEvent]
 
 
-def stack_vectors(vectors: Sequence[SparseVector], dim: int) -> sp.csr_matrix:
-    n = len(vectors)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + v.nnz
-    if n:
-        indices = np.concatenate([v.indices for v in vectors])
-        data = np.concatenate([v.values for v in vectors])
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0, dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, dim))
-
-
 def build_matrix(
     students: Mapping[str, Sequence[InteractionEvent]],
     encoder: Encoder,
     kc_graph: KCGraph | None = None,
     squash_map: Mapping[str, tuple[str, ...]] | None = None,
+    store: RowStore | None = None,
 ) -> ExtractResult:
-    """Extract features for every response of every given student."""
-    vectors: list[SparseVector] = []
-    labels: list[int] = []
-    t_idx: list[int] = []
-    kept: list[InteractionEvent] = []
-    for sid in sorted(students):
-        for event, state, t in iter_contexts(
-            students[sid], encoder.recipe.tw, kc_graph=kc_graph, squash_map=squash_map
-        ):
-            vectors.append(emit(encoder, state, event))
-            labels.append(1 if event.correct else 0)
-            t_idx.append(t)
-            kept.append(event)
+    """Extract features for every response of every given student.
+
+    Keyed rows come from `store` (a dataset's `feature_rows`; a
+    throwaway store when None), which walks each student once per
+    recipe; the encoder's vocabularies, offsets and rbar place them.
+    """
+    store = RowStore() if store is None else store
+    parts, keys = store.rows(students, encoder.recipe, kc_graph, squash_map)
+    placer = _Placer(encoder, keys)
+    n = sum(len(p.responses) for p in parts)
+    total = sum(len(p.entries.value) for p in parts)
+    row_nnz = np.zeros(n, dtype=np.int64)
+    indices = np.empty(total, dtype=np.int64)
+    data = np.empty(total, dtype=np.float64)
+    row = at = 0
+    for chunk in _chunks(parts):
+        counts, cols, values = placer.place(_Entries.concat([p.entries for p in chunk]))
+        row_nnz[row : row + len(counts)] = counts
+        indices[at : at + len(cols)] = cols
+        data[at : at + len(cols)] = values
+        row += len(counts)
+        at += len(cols)
+    if at < total:  # entries dropped: unseen keys, zero values
+        indices, data = indices[:at].copy(), data[:at].copy()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
     return ExtractResult(
-        X=stack_vectors(vectors, encoder.dim),
-        y=np.asarray(labels, dtype=np.float64),
-        t=np.asarray(t_idx, dtype=np.int64),
-        events=kept,
+        X=sp.csr_matrix((data, indices, indptr), shape=(n, encoder.dim)),
+        y=np.concatenate([p.y for p in parts] or [np.zeros(0, dtype=np.float64)]),
+        t=np.concatenate(
+            [np.arange(len(p.responses), dtype=np.int64) for p in parts] or [np.zeros(0, dtype=np.int64)]
+        ),
+        events=[e for p in parts for e in p.responses],
     )

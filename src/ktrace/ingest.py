@@ -30,6 +30,7 @@ from ktrace.core import (
     SchemaError,
     canonical_json,
 )
+from ktrace.features import RowStore
 
 CANONICAL_COLUMNS: tuple[str, ...] = (
     "student_id",
@@ -91,6 +92,8 @@ class Dataset:
     squash_map: dict[str, tuple[str, ...]] | None = None
     quality: dict[str, int] = field(default_factory=dict)
     lags_derived: bool = False
+    # keyed feature rows of these students; `replace` starts a fresh store
+    feature_rows: RowStore = field(init=False, default_factory=RowStore, repr=False, compare=False)
 
     @property
     def n_students(self) -> int:

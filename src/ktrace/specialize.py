@@ -160,7 +160,8 @@ def fit_partitioned(
     """
     encoder = features.fit_encoders(train_students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
     ext = features.build_matrix(
-        train_students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map
+        train_students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
+        store=dataset.feature_rows,
     )
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 
@@ -235,7 +236,8 @@ class PartitionedSpec:
 
     def predict_on(self, fitted: PartitionedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         ext = features.build_matrix(
-            students, fitted.encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map
+            students, fitted.encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
+            store=dataset.feature_rows,
         )
         return FoldPrediction(probs=predict_routed_batch(fitted, ext), labels=ext.y, t=ext.t)
 

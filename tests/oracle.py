@@ -6,6 +6,11 @@ it can serve as an independent check of the incremental extraction
 path.  Layout (offsets, vocab indexing) comes from the encoder under
 test; the values are derived from scratch.
 
+`reference_build_matrix` is the per-row extraction loop (one emit,
+from_pairs sort and vector per response, columns written straight from
+the encoder's vocabularies) that the keyed-row store replaced; the
+production build_matrix must reproduce its matrices bit for bit.
+
 `reference_fit` is the straightforward gradient-descent trainer that
 recomputes X @ w for the gradient of every accepted step; the production
 trainer must reproduce its weights bit for bit.
@@ -13,12 +18,21 @@ trainer must reproduce its weights bit for bit.
 
 import math
 import time
-from datetime import date
+from datetime import date, datetime, timezone
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
-from ktrace.core import ConfigError
+from ktrace.core import ConfigError, SparseVector, scale
+from ktrace.features import (
+    ELAPSED_MAX_S,
+    LAG_CATEGORIES_MIN,
+    elapsed_bins,
+    iter_contexts,
+    lag_bins,
+    pattern_block,
+)
 from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
 
 ELAPSED_CAP = 300
@@ -421,3 +435,202 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
         "n_examples": int(X.shape[0]),
     }
     return w, info
+
+
+# ---------------------------------------------------------------------------
+# Reference extraction: the per-row emit -> from_pairs -> stack loop that
+# build_matrix replaced.  Every emitter writes encoder columns directly
+# from the encoder's vocabularies; build_matrix must give the same bytes.
+
+def _ref_push_pair(entries, off, corrects, attempts):
+    if corrects:
+        entries.append((off, scale(corrects)))
+    if attempts:
+        entries.append((off + 1, scale(attempts)))
+
+
+def _ref_scope_log(fam, state, event):
+    return state.total if fam.variant == "total" else state.by_question.get(event.question_id)
+
+
+def _ref_one_hot(entries, off, vocab, value):
+    idx = vocab.get(value)
+    if idx is not None:
+        entries.append((off + idx, 1.0))
+
+
+def _ref_push_windows(entries, off, log, now):
+    if log is None or not log.ts:
+        return
+    win = log.window_counts(now)
+    win.append((log.corrects, log.attempts))
+    for j, (c, a) in enumerate(win):
+        _ref_push_pair(entries, off + 2 * j, c, a)
+
+
+def _ref_smoothed(corrects, attempts, rbar, eta):
+    if corrects < 0 or attempts < corrects:
+        raise ValueError("need 0 <= corrects <= attempts")
+    if not 0.0 <= rbar <= 1.0:
+        raise ValueError("rbar must be in [0, 1]")
+    denom = attempts + eta
+    if denom <= 0:
+        raise ValueError("attempts + eta must be positive")
+    return (corrects + eta * rbar) / denom
+
+
+_REF_TALLIES = {
+    "video_watched_counts": "videos_watched",
+    "video_skipped_counts": "videos_skipped",
+    "video_watched_time": "video_minutes",
+    "reading_counts": "readings",
+    "reading_time": "reading_minutes",
+    "hint_counts": "hints",
+    "hint_time": "hint_minutes",
+}
+
+
+def _ref_block(entries, off, fam, encoder, state, event):
+    kind, variant, vocabs = fam.kind, fam.variant, encoder.vocabs
+    if kind == "bias":
+        entries.append((off, 1.0))
+    elif kind == "student":
+        _ref_one_hot(entries, off, vocabs["student"], event.student_id)
+    elif kind == "question":
+        _ref_one_hot(entries, off, vocabs["question"], event.question_id)
+    elif kind == "study_module":
+        _ref_one_hot(entries, off, vocabs["study_module"], event.study_module)
+    elif kind == "context":
+        _ref_one_hot(entries, off, vocabs[variant], getattr(event, variant))
+    elif kind == "kc":
+        for k in event.kc_ids:
+            _ref_one_hot(entries, off, vocabs["kc"], k)
+    elif kind == "counts":
+        if variant != "kc":
+            log = _ref_scope_log(fam, state, event)
+            if log is not None:
+                _ref_push_pair(entries, off, log.corrects, log.attempts)
+            return
+        for k in event.kc_ids:
+            idx = vocabs["kc"].get(k)
+            log = state.by_kc.get(k)
+            if idx is not None and log is not None:
+                _ref_push_pair(entries, off + 2 * idx, log.corrects, log.attempts)
+    elif kind == "tw_counts":
+        if variant != "kc":
+            _ref_push_windows(entries, off, _ref_scope_log(fam, state, event), event.timestamp)
+            return
+        per_kc = 2 * encoder.recipe.tw.count
+        for k in event.kc_ids:
+            idx = vocabs["kc"].get(k)
+            if idx is not None:
+                _ref_push_windows(entries, off + idx * per_kc, state.by_kc.get(k), event.timestamp)
+    elif kind == "elapsed_time":
+        secs = event.elapsed_time_s if variant == "current" else state.prior_elapsed_s
+        if secs is not None:
+            cat, scaled = elapsed_bins(secs)
+            entries.append((off + cat, 1.0))
+            if scaled:
+                entries.append((off + ELAPSED_MAX_S + 1, scaled))
+    elif kind == "lag_time":
+        if variant == "current":
+            lag_s, flag = event.lag_s, event.no_lag
+        else:
+            lag_s, flag = state.prior_lag_s, state.prior_no_lag
+        n_cat = len(LAG_CATEGORIES_MIN)
+        if flag:
+            entries.append((off + n_cat + 1, 1.0))
+        elif lag_s is not None:
+            cat, scaled = lag_bins(lag_s / 60.0)
+            entries.append((off + cat, 1.0))
+            if scaled:
+                entries.append((off + n_cat, scaled))
+    elif kind == "datetime":
+        dt = datetime.fromtimestamp(event.timestamp, tz=timezone.utc)
+        col = {"month": dt.month - 1, "week": dt.isocalendar().week - 1,
+               "day": dt.weekday(), "hour": dt.hour}[variant]
+        entries.append((off + col, 1.0))
+    elif kind == "study_module_counts":
+        idx = vocabs["study_module"].get(event.study_module)
+        cell = state.by_module.get(event.study_module)
+        if idx is not None and cell is not None:
+            _ref_push_pair(entries, off + 2 * idx, cell[0], cell[1])
+    elif kind == "part_area_counts":
+        cell = state.by_part.get(event.part_area)
+        if cell is not None:
+            _ref_push_pair(entries, off, cell[0], cell[1])
+    elif kind in ("prereq_ids", "prereq_counts", "postreq_ids", "postreq_counts"):
+        graph = state.kc_graph
+        if graph is None:
+            raise ConfigError(f"family {fam.name} requires a prerequisite graph")
+        step = graph.prereqs_of if kind.startswith("prereq") else graph.postreqs_of
+        nodes = graph.nodes_for_event(event.question_id, state.original_kcs(event.kc_ids))
+        related = set()
+        for node in nodes:
+            related.update(step(node))
+        for p in sorted(related):
+            idx = vocabs["graph_node"].get(p)
+            if idx is None:
+                continue
+            if kind.endswith("_ids"):
+                entries.append((off + idx, 1.0))
+            elif (cell := state.graph_nodes.get(p)) is not None:
+                _ref_push_pair(entries, off + 2 * idx, cell[0], cell[1])
+    elif kind in _REF_TALLIES:
+        tally = getattr(state, _REF_TALLIES[kind])
+        _ref_push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
+    elif kind == "smoothed_avg_correct":
+        value = _ref_smoothed(state.total.corrects, state.total.attempts, encoder.rbar, encoder.recipe.eta)
+        if value:
+            entries.append((off, value))
+    elif kind == "response_pattern":
+        idx = pattern_block(state.recent_bits, encoder.recipe.n_recent)
+        if idx is not None:
+            entries.append((off + idx, 1.0))
+    else:
+        raise AssertionError(f"reference does not know family {fam.name}")
+
+
+def reference_emit(encoder, state, event):
+    if not event.is_response():
+        raise ConfigError("can only emit features for question responses")
+    entries = []
+    for fam, off, _ in encoder.blocks:
+        _ref_block(entries, off, fam, encoder, state, event)
+    vec = SparseVector.from_pairs(entries)
+    if vec.nnz and vec.indices[-1] >= encoder.dim:
+        raise RuntimeError("emitted index outside encoder dimension")
+    return vec
+
+
+def _ref_stack_vectors(vectors, dim):
+    n = len(vectors)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for i, v in enumerate(vectors):
+        indptr[i + 1] = indptr[i] + v.nnz
+    if n:
+        indices = np.concatenate([v.indices for v in vectors])
+        data = np.concatenate([v.values for v in vectors])
+    else:
+        indices = np.zeros(0, dtype=np.int64)
+        data = np.zeros(0, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, dim))
+
+
+def reference_build_matrix(students, encoder, kc_graph=None, squash_map=None):
+    """(X, y, t, events) from one emit per response, students in sorted-id order."""
+    vectors, labels, t_idx, kept = [], [], [], []
+    for sid in sorted(students):
+        for event, state, t in iter_contexts(
+            students[sid], encoder.recipe.tw, kc_graph=kc_graph, squash_map=squash_map
+        ):
+            vectors.append(reference_emit(encoder, state, event))
+            labels.append(1 if event.correct else 0)
+            t_idx.append(t)
+            kept.append(event)
+    return (
+        _ref_stack_vectors(vectors, encoder.dim),
+        np.asarray(labels, dtype=np.float64),
+        np.asarray(t_idx, dtype=np.int64),
+        kept,
+    )

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ktrace.cli import main
+from ktrace.ingest import load_prepared
 
 
 def run_cli(*argv) -> int:
@@ -112,6 +113,22 @@ def test_train_eval_persists_models_and_manifest(prepared, tmp_path):
     run = json.loads((out / "run_manifest.json").read_text())
     assert run["effective_config"]["spec"] == "irt"
     assert run["duration_s"] >= 0
+
+
+def test_train_eval_manifest_counts_extraction(prepared, tmp_path):
+    """Each student is walked once per recipe; every fold is served from those walks."""
+    dataset, folds = load_prepared(prepared)
+    n_students, n_responses = dataset.n_students, dataset.n_responses
+    for argv, recipes in ((("--recipe", "pfa"), 1), (("--combine", "irt+pfa@ri"), 2)):
+        out = tmp_path / str(recipes)
+        assert run_cli("train-eval", "--data", prepared, *argv, "--out", out) == 0
+        counts = json.loads((out / "run_manifest.json").read_text())["extraction"]
+        assert counts["students_walked"] == recipes * n_students
+        assert counts["rows_walked"] == recipes * n_responses
+        # a plain fit extracts the fold's training rows, then its test rows; a
+        # stacked base also fits on the 90% and predicts the meta 10%
+        served = n_responses * (folds.k if recipes == 1 else recipes * (2 * folds.k - 1))
+        assert counts["rows_served"] == served
 
 
 def test_option_precedence_flag_env_config(prepared, tmp_path, monkeypatch):

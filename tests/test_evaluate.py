@@ -208,19 +208,25 @@ def test_cross_validate_never_touches_test_students(monkeypatch):
         return real_fit(students, *a, **kw)
 
     monkeypatch.setattr(features, "fit_encoders", spy_fit)
-    train_sets: list[set] = []
+    extracted: list[set] = []
 
     def spy_build(students, *a, **kw):
-        train_sets.append(set(students))
+        extracted.append(set(students))
         return real_build(students, *a, **kw)
 
     monkeypatch.setattr(features, "build_matrix", spy_build)
     cross_validate(ds, PlainSpec("pfa"), folds=folds, config=TrainConfig(l2=0.1))
     # encoder fitting saw exactly the train students of each fold
+    assert len(seen_per_call) == folds.k
     for i, seen in enumerate(seen_per_call):
         test_ids = set(folds.students_in(i))
         assert not (seen & test_ids)
         assert seen == set(folds.train_students(i))
+    # each fold extracts exactly its training students, then exactly its test students
+    expected = []
+    for i in range(folds.k):
+        expected += [set(folds.train_students(i)), set(folds.students_in(i))]
+    assert extracted == expected
 
 
 def test_metrics_report_roundtrip():

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import response
-from oracle import compare_vector
+from oracle import compare_vector, reference_build_matrix
 
+from ktrace import features
 from ktrace.core import (
     CAPABILITY_FLAGS,
     ConfigError,
@@ -22,6 +26,7 @@ from ktrace.features import (
     F,
     FeatureFamily,
     Recipe,
+    RowStore,
     TWConfig,
     build_matrix,
     elapsed_bins,
@@ -33,6 +38,8 @@ from ktrace.features import (
     smoothed_avg_correct,
     update_state,
 )
+from ktrace.ingest import Dataset, derive_lag_times, squash_multi_kc
+from ktrace.recipes import _FIXED
 FULL = DatasetManifest.full("full")
 MINIMAL = DatasetManifest.minimal("min")
 
@@ -91,6 +98,11 @@ def test_smoothed_avg_correct():
         smoothed_avg_correct(5, 4, 0.5, 5.0)
     with pytest.raises(ValueError):
         smoothed_avg_correct(0, 0, 0.5, 0.0)
+    # elementwise on arrays, with the scalar arithmetic
+    many = smoothed_avg_correct(np.array([0, 3, 7]), np.array([0, 4, 9]), 0.37, 5.0)
+    assert many.tolist() == [(c + 5.0 * 0.37) / (a + 5.0) for c, a in ((0, 0), (3, 4), (7, 9))]
+    with pytest.raises(ValueError):
+        smoothed_avg_correct(np.array([1, 5]), np.array([1, 4]), 0.5, 5.0)
 
 
 def test_pattern_block():
@@ -568,3 +580,219 @@ def test_build_matrix_shapes():
     assert res.X.shape == (4, enc.dim)
     assert res.y.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert res.t.tolist() == [0, 1, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# build_matrix against the per-row reference, and the keyed-row store
+
+
+def _extraction_mismatch(res, ref) -> list[str]:
+    """Differences between an ExtractResult and reference_build_matrix's (X, y, t, events)."""
+    X, y, t, events = ref
+    problems = []
+    if res.X.shape != X.shape:
+        problems.append(f"shape {res.X.shape} != {X.shape}")
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(res.X, name), getattr(X, name)
+        if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+            problems.append(f"X.{name} differs")
+    for name, got, want in (("y", res.y, y), ("t", res.t, t)):
+        if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+            problems.append(f"{name} differs")
+    if len(res.events) != len(events) or any(a is not b for a, b in zip(res.events, events)):
+        problems.append("events differ")
+    return problems
+
+
+def _with_unsorted_kcs(students):
+    """Every third multi-KC response lists its KCs in reverse order."""
+    out = {}
+    for sid, events in students.items():
+        out[sid] = [
+            dataclasses.replace(e, kc_ids=e.kc_ids[::-1])
+            if e.is_response() and len(e.kc_ids) > 1 and i % 3 == 0 else e
+            for i, e in enumerate(events)
+        ]
+    return out
+
+
+def _extraction_cases(rng):
+    """(name, students, recipe, manifest, kc_graph, squash_map) to extract."""
+    students = _with_unsorted_kcs(_random_full_students(rng, n_students=12, max_events=90))
+    graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
+    yield "full", students, full_recipe(), FULL, graph, None
+    squashed = squash_multi_kc(Dataset(manifest=FULL, students=students))
+    ontology = KCGraph.from_ontology({"k1": "k0", "k2": "k0", "k3": "k1"})
+    yield "full-squashed", squashed.students, full_recipe(), FULL, ontology, squashed.squash_map
+    for name, families in _FIXED.items():
+        yield name, students, Recipe(families=families), FULL, None, None
+
+
+@pytest.mark.parametrize("chunk", [1 << 30, 300])
+def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
+    """Same CSR bytes, labels, t and events as one emit per response.
+
+    Encoders are fitted on the first two thirds of the students and
+    applied to all of them, so unseen student, question and KC keys
+    occur; one store serves every rbar/eta variant of a recipe.  Each
+    matrix is placed in one step, then in many small ones.
+    """
+    monkeypatch.setattr(features, "_CHUNK_ENTRIES", chunk)
+    for name, students, recipe, manifest, graph, squash in _extraction_cases(rng):
+        sids = sorted(students)
+        fit_on = {s: students[s] for s in sids[: 2 * len(sids) // 3]}
+        enc = fit_encoders(fit_on, recipe, manifest, kc_graph=graph)
+        store = RowStore()
+        for rbar, eta in ((enc.rbar, recipe.eta), (0.0, 0.5), (1.0, 12.0), (0.37, 3.0)):
+            variant = dataclasses.replace(enc, recipe=dataclasses.replace(recipe, eta=eta), rbar=rbar)
+            res = build_matrix(students, variant, kc_graph=graph, squash_map=squash, store=store)
+            ref = reference_build_matrix(students, variant, kc_graph=graph, squash_map=squash)
+            problems = _extraction_mismatch(res, ref)
+            assert not problems, (name, rbar, eta, problems)
+        assert store.students_walked == len(students), name
+        # an empty selection gives the reference's empty matrix
+        assert not _extraction_mismatch(
+            build_matrix({}, enc, kc_graph=graph, squash_map=squash),
+            reference_build_matrix({}, enc, kc_graph=graph, squash_map=squash),
+        )
+
+
+def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
+    students = _random_full_students(rng, n_students=4, max_events=40)
+    recipe = Recipe(families=(F("bias"), F("counts", "total"), F("counts", "kc")))
+    enc = fit_encoders(students, recipe, MINIMAL)
+    ref = reference_build_matrix(students, enc)
+    assert not _extraction_mismatch(build_matrix(students, enc), ref)
+    right = _KINDS["counts"].emitter
+
+    def swapped(out, b, codes, fam, recipe, state, event):
+        entries = []
+        right(entries, b, codes, fam, recipe, state, event)
+        out.extend((blk, code, slot ^ 1, value) for blk, code, slot, value in entries)
+
+    monkeypatch.setitem(_KINDS, "counts", dataclasses.replace(_KINDS["counts"], emitter=swapped))
+    assert _extraction_mismatch(build_matrix(students, enc), ref)
+
+
+def test_build_matrix_keeps_duplicate_and_dimension_checks():
+    dup = {"s1": [InteractionEvent("s1", 10, EventKind.QUESTION_RESPONSE, "q1", ("k1", "k1"), True)]}
+    enc = fit_encoders(dup, Recipe(families=(F("bias"), F("kc"))), MINIMAL)
+    for extract in (build_matrix, reference_build_matrix):
+        with pytest.raises(ValueError, match="duplicate feature index"):
+            extract(dup, enc)
+    students = {"s1": _events_one_student()}
+    enc = fit_encoders(students, Recipe(families=(F("bias"), F("question"))), MINIMAL)
+    short = dataclasses.replace(enc, dim=enc.dim - 1)
+    for extract in (build_matrix, reference_build_matrix):
+        with pytest.raises(RuntimeError, match="outside encoder dimension"):
+            extract(students, short)
+    with pytest.raises(RuntimeError, match="outside encoder dimension"):
+        emit(short, StudentState(), students["s1"][1])  # q2 sits in the last column
+
+
+def _count_walks(monkeypatch) -> list:
+    walked = []
+    real = features.iter_contexts
+
+    def spy(events, *a, **kw):
+        walked.append(events[0].student_id if events else None)
+        return real(events, *a, **kw)
+
+    monkeypatch.setattr(features, "iter_contexts", spy)
+    return walked
+
+
+def _store_dataset(rng, n_students=8):
+    students = _random_full_students(rng, n_students=n_students, max_events=40)
+    return Dataset(manifest=FULL, students=students)
+
+
+def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
+    ds = _store_dataset(rng)
+    walked = _count_walks(monkeypatch)
+    recipe = Recipe(families=(F("bias"), F("student"), F("counts", "kc"), F("smoothed_avg_correct")))
+    sids = sorted(ds.students)
+    train = {s: ds.students[s] for s in sids[:5]}
+    test = {s: ds.students[s] for s in sids[5:]}
+    enc = fit_encoders(train, recipe, FULL)
+    first = build_matrix(ds.students, enc, store=ds.feature_rows)
+    assert sorted(walked) == sids
+    # other folds, other eta: the same walk serves them
+    other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL)
+    build_matrix(train, other, store=ds.feature_rows)
+    again = build_matrix(ds.students, enc, store=ds.feature_rows)
+    assert sorted(walked) == sids
+    assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
+    n = first.X.shape[0]
+    n_train = sum(1 for s in train for e in ds.students[s] if e.is_response())
+    assert ds.feature_rows.counts() == {
+        "students_walked": len(sids),
+        "rows_walked": n,
+        "rows_served": 2 * n + n_train,
+    }
+    # a recipe with other walk parameters walks again
+    build_matrix(ds.students, fit_encoders(ds.students, dataclasses.replace(recipe, n_recent=3), FULL),
+                 store=ds.feature_rows)
+    assert len(walked) == 2 * len(sids)
+
+
+def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
+    ds = _store_dataset(rng)
+    recipe = Recipe(families=(F("bias"), F("lag_time", "current"), F("counts", "total")))
+    enc = fit_encoders(ds.students, recipe, FULL)
+    build_matrix(ds.students, enc, store=ds.feature_rows)
+    walked = _count_walks(monkeypatch)
+    lagged = derive_lag_times(ds)
+    part = ds.subset(sorted(ds.students)[:3])
+    assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
+    res = build_matrix(lagged.students, enc, store=lagged.feature_rows)
+    assert len(walked) == len(ds.students)
+    assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc))
+    build_matrix(part.students, enc, store=part.feature_rows)
+    assert len(walked) == len(ds.students) + 3
+    assert ds.feature_rows.students_walked == len(ds.students)
+
+
+def test_row_store_rejects_other_events_or_graph(rng):
+    ds = _store_dataset(rng, n_students=3)
+    recipe = Recipe(families=(F("bias"), F("counts", "total")))
+    enc = fit_encoders(ds.students, recipe, FULL)
+    build_matrix(ds.students, enc, store=ds.feature_rows)
+    sid = sorted(ds.students)[0]
+    with pytest.raises(ConfigError, match="events differ"):
+        build_matrix({sid: list(ds.students[sid])}, enc, store=ds.feature_rows)
+    with pytest.raises(ConfigError, match="one KC graph"):
+        build_matrix(ds.students, enc, kc_graph=KCGraph("kc", [("k0", "k1")]), store=ds.feature_rows)
+
+
+def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
+    ds = _store_dataset(rng, n_students=16)
+    recipe = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
+    enc = fit_encoders(ds.students, recipe, FULL)
+    want = reference_build_matrix(ds.students, enc)
+    walked = _count_walks(monkeypatch)
+    results: list = []
+    errors: list = []
+
+    def worker():
+        try:
+            results.append(build_matrix(ds.students, enc, store=ds.feature_rows))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors and len(results) == 4
+    assert sorted(walked) == sorted(ds.students)
+    for res in results:
+        assert not _extraction_mismatch(res, want)
+    assert ds.feature_rows.counts()["rows_served"] == 4 * want[0].shape[0]

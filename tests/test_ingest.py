@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
 
-from ktrace.core import ConfigError, DatasetManifest, EventKind, ParseError, SchemaError
+from ktrace.core import ConfigError, DatasetManifest, EventKind, InteractionEvent, ParseError, SchemaError
 from ktrace.ingest import (
     CANONICAL_COLUMNS,
     Dataset,
@@ -378,6 +380,68 @@ def test_lag_brute_force_oracle(rng):
         else:
             assert after.lag_s == max(before.timestamp - prev_end, 0)
         prev_end = before.timestamp + (before.elapsed_time_s or 0.0)
+
+
+@st.composite
+def _lag_logs(draw):
+    """Students with time-ordered responses and material events; input lag fields are noise."""
+    students = {}
+    for s in range(draw(st.integers(1, 4))):
+        sid = f"s{s}"
+        ts = draw(st.integers(0, 10**9))
+        events = []
+        for _ in range(draw(st.integers(0, 12))):
+            ts += draw(st.integers(0, 5000))
+            if draw(st.booleans()):
+                events.append(InteractionEvent(
+                    student_id=sid, timestamp=ts, kind=EventKind.QUESTION_RESPONSE,
+                    question_id="q1", kc_ids=("k1",), correct=draw(st.booleans()),
+                    elapsed_time_s=draw(st.none() | st.floats(0.0, 1e4, allow_nan=False)),
+                    lag_s=draw(st.none() | st.floats(-1e3, 1e3, allow_nan=False)),
+                    no_lag=draw(st.booleans()),
+                ))
+            else:
+                events.append(InteractionEvent(
+                    student_id=sid, timestamp=ts,
+                    kind=draw(st.sampled_from([EventKind.VIDEO_WATCH, EventKind.READING])),
+                    kc_ids=("k1",),
+                    consumption_minutes=draw(st.none() | st.floats(0.0, 60.0, allow_nan=False)),
+                ))
+        students[sid] = events
+    return students
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(students=_lag_logs(), clamped_before=st.integers(0, 3))
+def test_derive_lag_times_fuzz(students, clamped_before):
+    ds = Dataset(
+        manifest=DatasetManifest.full("f"), students=students,
+        quality={"negative_lag_clamped": clamped_before},
+    )
+    out = derive_lag_times(ds)
+    negative = 0
+    for sid, events in students.items():
+        derived = out.students[sid]
+        assert len(derived) == len(events)
+        prev_end = None
+        for before, after in zip(events, derived):
+            if not before.is_response():
+                assert after == before
+                continue
+            assert dataclasses.replace(after, lag_s=before.lag_s, no_lag=before.no_lag) == before
+            if prev_end is None:
+                assert after.no_lag and after.lag_s is None
+            else:
+                assert not after.no_lag
+                assert math.isfinite(after.lag_s) and after.lag_s >= 0
+                negative += before.timestamp - prev_end < 0
+            prev_end = before.timestamp + (before.elapsed_time_s or 0.0)
+    assert out.quality["negative_lag_clamped"] == clamped_before + negative
+    again = derive_lag_times(out)
+    for sid in students:
+        assert [(e.lag_s, e.no_lag) for e in again.students[sid]] == [
+            (e.lag_s, e.no_lag) for e in out.students[sid]
+        ]
 
 
 def test_lag_ignores_material_events_between_questions():
