@@ -1,8 +1,7 @@
-"""Walk one student's event stream and show which sparse features fire
-for a single prediction, block by block."""
+"""Extract one student's feature rows and show which sparse features
+fire for a single prediction, block by block."""
 
-from ktrace.core import StudentState
-from ktrace.features import FeatureFamily, Recipe, emit, fit_encoders, update_state
+from ktrace.features import FeatureFamily, Recipe, build_matrix, fit_encoders
 from ktrace.synth import GeneratorConfig, generate
 
 dataset, _ = generate(GeneratorConfig(
@@ -25,22 +24,14 @@ print(f"encoder dimension {encoder.dim}, train correct-rate {encoder.rbar:.3f}")
 for fam, offset, size in encoder.blocks:
     print(f"  block {fam.name:22s} offset {offset:4d} size {size}")
 
-# replay one student and dissect the 10th response
+# extract one student's rows and dissect the 10th response (row 9)
 sid = sorted(dataset.students)[0]
-events = dataset.students[sid]
-state = StudentState(recipe.tw.finite_seconds)
-seen = 0
-for event in events:
-    if event.is_response():
-        seen += 1
-        if seen == 10:
-            phi = emit(encoder, state, event)
-            print(f"\n{sid} response #10, question {event.question_id}, "
-                  f"correct={event.correct}")
-            for fam, offset, size in encoder.blocks:
-                active = phi.slice_block(offset, size)
-                if active:
-                    shown = ", ".join(f"[{i}]={v:.4f}" for i, v in active)
-                    print(f"  {fam.name:22s} {shown}")
-            break
-    update_state(state, event)
+ext = build_matrix({sid: dataset.students[sid]}, encoder)
+event, row = ext.events[9], ext.X[9]
+print(f"\n{sid} response #10, question {event.question_id}, "
+      f"correct={event.correct}")
+for fam, offset, size in encoder.blocks:
+    active = [(i - offset, v) for i, v in zip(row.indices, row.data) if offset <= i < offset + size]
+    if active:
+        shown = ", ".join(f"[{i}]={v:.4f}" for i, v in active)
+        print(f"  {fam.name:22s} {shown}")

@@ -10,9 +10,7 @@ from ktrace.core import (
     ParseError,
     SchemaError,
     SequencingError,
-    SparseVector,
     StudentState,
-    dot,
     scale,
 )
 from ktrace.ingest import Dataset
@@ -30,9 +28,7 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "SequencingError",
-    "SparseVector",
     "StudentState",
-    "dot",
     "scale",
     "__version__",
 ]

@@ -5,8 +5,9 @@ squash, fold split), train-eval (cross-validated training with optional
 partitioning, combination and base selection) and stats.
 
 Option precedence is flags > KTRACE_JOBS environment variable (--jobs
-only) > --config JSON file > built-in defaults.  All randomness flows
-from --seed; outputs other than the run manifest (which records
+only) > --config JSON file > built-in defaults; a --config key that the
+subcommand does not read (CONFIG_KEYS) is an error.  All randomness
+flows from --seed; outputs other than the run manifest (which records
 wall-clock times) are byte-identical across reruns and across --jobs
 values.
 """
@@ -32,6 +33,16 @@ from ktrace.features import FeatureFamily
 from ktrace.recipes import RECIPE_NAMES
 
 JOBS_ENV = "KTRACE_JOBS"
+
+# keys each subcommand reads from a --config file, spelled as it reads them
+CONFIG_KEYS = {
+    "generate": (
+        "seed", "students", "questions", "kcs", "responses", "momentum", "regime_step",
+        "prereq_transfer", "modules", "module_scale", "mean_gap_s", "mean_elapsed_s", "name",
+    ),
+    "prepare": ("min-responses", "folds", "seed", "squash-kcs"),
+    "train-eval": ("folds", "seed", "jobs", "l2", "partition", "min-partition", "extras", "combine"),
+}
 
 
 def _sha256_file(path: Path) -> str:
@@ -90,12 +101,18 @@ class RunManifest:
         return path
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, subcommand: str) -> dict:
     if not path:
         return {}
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise ConfigError("--config file must hold a JSON object")
+    unknown = sorted(set(obj) - set(CONFIG_KEYS[subcommand]))
+    if unknown:
+        raise ConfigError(
+            f"unknown {subcommand} --config keys {', '.join(unknown)}; "
+            f"accepted: {', '.join(CONFIG_KEYS[subcommand])}"
+        )
     return obj
 
 
@@ -162,7 +179,7 @@ def save_fitted(fitted, out_dir: Path) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg_file = _load_config_file(args.config)
+    cfg_file = _load_config_file(args.config, "generate")
     fields = {}
     for name, default in (
         ("seed", 0), ("students", 500), ("questions", 50), ("kcs", 5),
@@ -199,7 +216,7 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg_file = _load_config_file(args.config)
+    cfg_file = _load_config_file(args.config, "prepare")
     min_responses = int(_effective(args, cfg_file, "min-responses", 10))
     k = int(_effective(args, cfg_file, "folds", 5))
     seed = int(_effective(args, cfg_file, "seed", 0))
@@ -254,7 +271,7 @@ def _build_spec(args: argparse.Namespace, cfg_file: dict):
 
 
 def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg_file = _load_config_file(args.config)
+    cfg_file = _load_config_file(args.config, "train-eval")
     seed_set = _effective(args, cfg_file, "seed", None)
     k_set = _effective(args, cfg_file, "folds", None)
     # stacking and base selection keep seed 0 unless one is given, whatever the stored split's seed
@@ -326,6 +343,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         run.add_output(Path(args.report))
     if args.roc_csv:
         roc_path = Path(args.roc_csv)
+        roc_path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in report.roc]
         roc_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         run.add_output(roc_path)

@@ -2,10 +2,10 @@
 
 An interaction log is a per-student sequence of timestamped events
 (question responses plus optional study-material events).  Feature
-extraction turns the history before each response into a SparseVector;
-models are dense weight vectors over an encoder's index space.  The
-types here carry no model logic: they define the data contracts that
-ingestion, feature extraction, and training build on.
+extraction turns the history before each response into one sparse row
+of a feature matrix; models are dense weight vectors over an encoder's
+index space.  The types here carry no model logic: they define the data
+contracts that ingestion, feature extraction, and training build on.
 
 All types are immutable after construction except StudentState, which
 is a per-student mutable accumulator and must not be shared across
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 
 class SchemaError(ValueError):
@@ -285,96 +283,6 @@ def scale(x: float) -> float:
     if x < 0:
         raise ValueError(f"scale() requires x >= 0, got {x}")
     return math.log1p(x)
-
-
-class SparseVector:
-    """Sorted sparse feature vector: strictly increasing indices, no zeros."""
-
-    __slots__ = ("indices", "values")
-
-    def __init__(self, indices: np.ndarray, values: np.ndarray, *, _checked: bool = False):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not _checked:
-            if indices.ndim != 1 or values.ndim != 1 or len(indices) != len(values):
-                raise ValueError("indices and values must be 1-d arrays of equal length")
-            if len(indices) and indices[0] < 0:
-                raise ValueError("negative feature index")
-            if len(indices) > 1 and not np.all(np.diff(indices) > 0):
-                raise ValueError("indices must be strictly increasing")
-            if np.any(values == 0.0):
-                raise ValueError("explicit zero entries are not allowed")
-        self.indices = indices
-        self.values = values
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        """Build from (index, value) pairs; sorts and drops exact zeros."""
-        kept = [(int(i), float(v)) for i, v in pairs if v != 0.0]
-        kept.sort(key=lambda p: p[0])
-        idx = np.fromiter((p[0] for p in kept), dtype=np.int64, count=len(kept))
-        val = np.fromiter((p[1] for p in kept), dtype=np.float64, count=len(kept))
-        if len(idx) and idx[0] < 0:
-            raise ValueError("negative feature index")
-        if len(idx) > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("duplicate feature index")
-        return cls(idx, val, _checked=True)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def to_pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
-
-    def dense(self, dim: int) -> np.ndarray:
-        if self.nnz and self.indices[-1] >= dim:
-            raise IndexError(
-                f"index {int(self.indices[-1])} out of range for dimension {dim}"
-            )
-        out = np.zeros(dim, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
-    def slice_block(self, offset: int, size: int) -> list[tuple[int, float]]:
-        """Entries inside [offset, offset+size), re-based to the block."""
-        lo = np.searchsorted(self.indices, offset)
-        hi = np.searchsorted(self.indices, offset + size)
-        return [
-            (int(i) - offset, float(v))
-            for i, v in zip(self.indices[lo:hi], self.values[lo:hi])
-        ]
-
-    def to_json(self) -> dict:
-        return {"version": 1, "entries": [[int(i), float(v)] for i, v in zip(self.indices, self.values)]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "SparseVector":
-        entries = obj["entries"]
-        idx = np.array([e[0] for e in entries], dtype=np.int64)
-        val = np.array([e[1] for e in entries], dtype=np.float64)
-        return cls(idx, val)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseVector({self.to_pairs()!r})"
-
-
-def dot(v: SparseVector, w: np.ndarray) -> float:
-    """Inner product of a sparse vector with a dense weight vector."""
-    if v.nnz == 0:
-        return 0.0
-    if v.indices[-1] >= len(w):
-        raise IndexError(
-            f"feature index {int(v.indices[-1])} out of range for weights of length {len(w)}"
-        )
-    return float(np.dot(w[v.indices], v.values))
 
 
 class ResponseLog:

@@ -23,7 +23,7 @@ arrays.  `build_matrix` remaps them for an encoder with one vectorized
 lookup, column = block offset + vocabulary index * slots + slot,
 dropping keys the fold's vocabulary lacks, and computes the smoothed
 average from stored correct/attempt counts and the fold's rbar and eta.
-`emit` is the same remap applied to one row.
+One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x).  Time-window
 counts use ascending windows whose last entry is infinite; a prior
@@ -52,7 +52,6 @@ from ktrace.core import (
     EventKind,
     InteractionEvent,
     KCGraph,
-    SparseVector,
     StudentState,
     canonical_json,
     scale,
@@ -758,14 +757,6 @@ class _Layout:
         return cls(domains, per, smoothed[0] if smoothed else None)
 
 
-def _plan(recipe: Recipe, codes: dict[str, _Codes]) -> list[tuple]:
-    """(emitter, block, domain codes, family) for each block of a recipe."""
-    return [
-        (_KINDS[fam.kind].emitter, b, None if d is None else codes.setdefault(d, _Codes()), fam)
-        for b, (fam, d) in enumerate(zip(recipe.families, recipe._layout.domains))
-    ]
-
-
 class _Placer:
     """Places keyed entries in an encoder's columns.
 
@@ -825,24 +816,6 @@ class _Placer:
         return np.bincount(rows, minlength=n), col, value
 
 
-def emit(encoder: Encoder, state: StudentState, event: InteractionEvent) -> SparseVector:
-    """Feature vector for predicting the response to `event`.
-
-    Uses only the history already folded into `state`; the event itself
-    supplies the question context (ids, receipt time, current lag and
-    metadata).  Unseen categorical values emit nothing in their block.
-    """
-    if not event.is_response():
-        raise ConfigError("can only emit features for question responses")
-    codes: dict[str, _Codes] = {}
-    out: list[tuple] = []
-    for emitter, b, domain_codes, fam in _plan(encoder.recipe, codes):
-        emitter(out, b, domain_codes, fam, encoder.recipe, state, event)
-    entries = _Entries.of(out, [len(out)], [state.total.corrects], [state.total.attempts])
-    _, indices, values = _Placer(encoder, {d: list(c) for d, c in codes.items()}).place(entries)
-    return SparseVector(indices, values, _checked=True)
-
-
 # ---------------------------------------------------------------------------
 # Extraction driver
 
@@ -883,7 +856,11 @@ def _walk(
     squash_map: Mapping[str, tuple[str, ...]] | None,
     codes: dict[str, _Codes],
 ) -> _StudentRows:
-    plan = _plan(recipe, codes)
+    # (emitter, block, domain codes, family) for each block
+    plan = [
+        (_KINDS[fam.kind].emitter, b, None if d is None else codes.setdefault(d, _Codes()), fam)
+        for b, (fam, d) in enumerate(zip(recipe.families, recipe._layout.domains))
+    ]
     out: list[tuple] = []
     row_len: list[int] = []
     corrects: list[int] = []

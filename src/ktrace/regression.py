@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ktrace.core import ConfigError, SparseVector, canonical_json, dot
+from ktrace.core import ConfigError, canonical_json
 from ktrace.features import Encoder, Recipe
 
 
@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 1")
         if self.tol < 0 or self.initial_step <= 0:
             raise ConfigError("tol must be >= 0 and initial_step > 0")
+        if self.max_halvings < 1:
+            raise ConfigError("max_halvings must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -172,25 +174,6 @@ class Model:
             if encoder.digest() != obj["encoder_digest"]:
                 raise ConfigError("encoder digest does not match the model file")
         return cls(weights=w, config=config, recipe=recipe, encoder=encoder, info=dict(obj.get("info", {})))
-
-
-def predict_logit(model_or_weights, phi: SparseVector) -> float:
-    w = model_or_weights.weights if isinstance(model_or_weights, Model) else model_or_weights
-    return dot(phi, w)
-
-
-def sigmoid(z: float) -> float:
-    """Stable scalar sigmoid: never overflows, saturates to 0.0/1.0 only
-    in the far tails (|z| beyond roughly 37 upward, 745 downward)."""
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
-def predict_proba(model_or_weights, phi: SparseVector) -> float:
-    """Probability of a correct response for one feature vector."""
-    return sigmoid(predict_logit(model_or_weights, phi))
 
 
 def predict_proba_batch(model_or_weights, X) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ktrace import features, regression
-from ktrace.core import ConfigError, InteractionEvent, SparseVector, canonical_json
+from ktrace.core import ConfigError, InteractionEvent, canonical_json
 from ktrace.evaluate import DEFAULT_SPLITPOINTS, FoldPrediction
 from ktrace.features import Encoder, FeatureFamily, Recipe
 from ktrace.ingest import Dataset
@@ -198,12 +198,6 @@ def fit_partitioned(
         single_class=tuple(single_class),
         warnings=warnings,
     )
-
-
-def predict_routed(pm: PartitionedModel, phi: SparseVector, event: InteractionEvent, t: int) -> float:
-    """Route one example to its partition's model (fallback if absent)."""
-    key = assign_partition(pm.scheme, event, t)
-    return regression.predict_proba(pm.model_for(key), phi)
 
 
 def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> np.ndarray:

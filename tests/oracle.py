@@ -1,15 +1,17 @@
 """Brute-force reference computations for feature emission and training.
 
 Everything here recomputes expected feature values from a raw event
-prefix with plain loops (no StudentState, no ResponseLog, no emit), so
-it can serve as an independent check of the incremental extraction
-path.  Layout (offsets, vocab indexing) comes from the encoder under
-test; the values are derived from scratch.
+prefix with plain loops (no StudentState, no ResponseLog, no
+build_matrix), so it can serve as an independent check of the
+incremental extraction path: `compare_vector` checks one CSR row of a
+build_matrix result.  Layout (offsets, vocab indexing) comes from the
+encoder under test; the values are derived from scratch.
 
-`reference_build_matrix` is the per-row extraction loop (one emit,
-from_pairs sort and vector per response, columns written straight from
-the encoder's vocabularies) that the keyed-row store replaced; the
-production build_matrix must reproduce its matrices bit for bit.
+`reference_build_matrix` is the per-row extraction loop (one row per
+response, sorted, zeros dropped and duplicate columns refused, columns
+written straight from the encoder's vocabularies) that the keyed-row
+store replaced; the production build_matrix must reproduce its matrices
+bit for bit.
 
 `reference_fit` is the straightforward gradient-descent trainer that
 recomputes X @ w for the gradient of every accepted step; the production
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ktrace.core import ConfigError, SparseVector, scale
+from ktrace.core import ConfigError, scale
 from ktrace.features import (
     ELAPSED_MAX_S,
     LAG_CATEGORIES_MIN,
@@ -303,11 +305,17 @@ def expected_family(fam, encoder, prefix, event, graph=None, squash_map=None):
     return out
 
 
-def compare_vector(encoder, phi, prefix, event, graph=None, squash_map=None, tol=1e-12):
-    """Assert-style comparison; returns a list of mismatch strings."""
+def compare_vector(encoder, row, prefix, event, graph=None, squash_map=None, tol=1e-12):
+    """Compare one CSR row (its `indices` and `data`, e.g. `X[r]` of a
+    build_matrix result) with the brute-force features of `event` after
+    `prefix`; returns a list of mismatch strings."""
+    indices, data = np.asarray(row.indices), np.asarray(row.data)
+    if np.any(np.diff(indices) <= 0):
+        return [f"row indices not strictly increasing: {indices.tolist()}"]
     problems = []
     for fam, off, size in encoder.blocks:
-        got = dict(phi.slice_block(off, size))
+        lo, hi = np.searchsorted(indices, [off, off + size])
+        got = {int(i) - off: float(v) for i, v in zip(indices[lo:hi], data[lo:hi])}
         want = expected_family(fam, encoder, prefix, event, graph, squash_map)
         if set(got) != set(want):
             problems.append(
@@ -438,7 +446,7 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
 
 
 # ---------------------------------------------------------------------------
-# Reference extraction: the per-row emit -> from_pairs -> stack loop that
+# Reference extraction: the per-row emit -> sort -> stack loop that
 # build_matrix replaced.  Every emitter writes encoder columns directly
 # from the encoder's vocabularies; build_matrix must give the same bytes.
 
@@ -592,25 +600,30 @@ def _ref_block(entries, off, fam, encoder, state, event):
 
 
 def reference_emit(encoder, state, event):
+    """(indices, values) of one row: ordered by column, zeros dropped."""
     if not event.is_response():
         raise ConfigError("can only emit features for question responses")
     entries = []
     for fam, off, _ in encoder.blocks:
         _ref_block(entries, off, fam, encoder, state, event)
-    vec = SparseVector.from_pairs(entries)
-    if vec.nnz and vec.indices[-1] >= encoder.dim:
+    kept = sorted(((int(i), float(v)) for i, v in entries if v != 0.0), key=lambda p: p[0])
+    indices = np.array([i for i, _ in kept], dtype=np.int64)
+    values = np.array([v for _, v in kept], dtype=np.float64)
+    if np.any(np.diff(indices) == 0):
+        raise ValueError("duplicate feature index")
+    if len(indices) and not 0 <= indices[0] <= indices[-1] < encoder.dim:
         raise RuntimeError("emitted index outside encoder dimension")
-    return vec
+    return indices, values
 
 
 def _ref_stack_vectors(vectors, dim):
     n = len(vectors)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + v.nnz
+    for i, (row_indices, _) in enumerate(vectors):
+        indptr[i + 1] = indptr[i] + len(row_indices)
     if n:
-        indices = np.concatenate([v.indices for v in vectors])
-        data = np.concatenate([v.values for v in vectors])
+        indices = np.concatenate([v[0] for v in vectors])
+        data = np.concatenate([v[1] for v in vectors])
     else:
         indices = np.zeros(0, dtype=np.int64)
         data = np.zeros(0, dtype=np.float64)

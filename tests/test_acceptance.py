@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from oracle import compare_vector, pairwise_auc
-from test_features import FULL, full_recipe, _random_full_students
+from oracle import pairwise_auc
+from test_features import FULL, full_recipe, oracle_rows, _random_full_students
 
 from ktrace import features, regression
 from ktrace.cli import main as cli_main
 from ktrace.combine import CombinedSpec
-from ktrace.core import KCGraph, StudentState
+from ktrace.core import KCGraph
 from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import FeatureFamily as F
 from ktrace.features import Recipe
@@ -164,19 +164,12 @@ def test_criterion_3_feature_oracle_full_scale():
     rng = np.random.default_rng(20260803)
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=100, max_events=500)
-    recipe = full_recipe()
-    enc = features.fit_encoders(students, recipe, FULL, kc_graph=graph)
+    enc = features.fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
     t0 = time.perf_counter()
     checked = 0
-    for sid, events in students.items():
-        st = StudentState(recipe.tw.finite_seconds, kc_graph=graph)
-        for i, ev in enumerate(events):
-            if ev.is_response():
-                phi = features.emit(enc, st, ev)
-                problems = compare_vector(enc, phi, events[:i], ev, graph=graph)
-                assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
-                checked += 1
-            features.update_state(st, ev)
+    for sid, i, problems in oracle_rows(students, enc, graph):
+        assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
+        checked += 1
     dt = time.perf_counter() - t0
     _verdict(3, "feature oracle at every prefix", checked > 10_000 and dt < 300,
              f"{len(students)} students, {checked} prefixes, every family exact, {dt:.1f}s")

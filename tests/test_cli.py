@@ -160,6 +160,46 @@ def test_option_precedence_flag_env_config(prepared, tmp_path, monkeypatch):
     assert (got["folds"], got["seed"]) == (2, 9)
 
 
+def _unknown_config_key_error(capsys, tmp_path, cfg, *argv) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(*argv, "--config", path) == 1
+    return capsys.readouterr().err
+
+
+def test_generate_rejects_unknown_config_keys(tmp_path, capsys):
+    out = tmp_path / "raw"
+    err = _unknown_config_key_error(
+        capsys, tmp_path, {"students": 5, "regime-step": 3, "colour": 1}, "generate", "--out", out,
+    )
+    assert "unknown generate --config keys colour, regime-step;" in err
+    assert "accepted: seed, students," in err and "regime_step" in err
+    assert not out.exists()
+
+
+def test_prepare_rejects_unknown_config_keys(prepared, tmp_path, capsys):
+    raw = prepared.parent / "raw"
+    out = tmp_path / "prep"
+    err = _unknown_config_key_error(
+        capsys, tmp_path, {"min_responses": 7}, "prepare", "--input", raw / "events.csv",
+        "--manifest", raw / "manifest.json", "--out", out,
+    )
+    assert "unknown prepare --config keys min_responses;" in err
+    assert "accepted: min-responses, folds, seed, squash-kcs" in err
+    assert not out.exists()
+
+
+def test_train_eval_rejects_unknown_config_keys(prepared, tmp_path, capsys):
+    out = tmp_path / "out"
+    err = _unknown_config_key_error(
+        capsys, tmp_path, {"min_partition": 7}, "train-eval", "--data", prepared,
+        "--recipe", "irt", "--partition", "ri", "--out", out,
+    )
+    assert "unknown train-eval --config keys min_partition;" in err
+    assert "min-partition" in err
+    assert not out.exists()
+
+
 def test_train_eval_unset_folds_or_seed_come_from_stored_split(prepared, tmp_path):
     """`prepared` holds a 4-fold split with seed 3."""
 
@@ -219,7 +259,7 @@ def test_train_eval_bad_partition_fails(prepared, capsys):
 
 
 def test_roc_csv_output(prepared, tmp_path):
-    roc_path = tmp_path / "roc.csv"
+    roc_path = tmp_path / "new" / "roc.csv"  # the missing directory is created
     assert run_cli(
         "train-eval", "--data", prepared, "--recipe", "irt", "--roc-csv", roc_path,
     ) == 0
@@ -254,3 +294,4 @@ def test_stats_raw_input_matches_prepared(prepared, tmp_path, capsys):
     assert from_prep.pop("quality") == {"negative_lag_clamped": 0, "students_filtered": 0}
     from_raw.pop("quality")
     assert from_raw == from_prep
+

@@ -13,8 +13,6 @@ from ktrace.core import (
     KCGraph,
     ResponseLog,
     SchemaError,
-    SparseVector,
-    dot,
     scale,
 )
 
@@ -35,74 +33,6 @@ def test_scale_monotone_and_bounded():
         assert a <= b
     for x, y in zip(xs, ys):
         assert y <= x
-
-
-def test_dot_examples():
-    w = np.arange(10, dtype=np.float64)
-    assert dot(SparseVector.from_pairs([]), w) == 0.0
-    v = SparseVector.from_pairs([(3, 2.0)])
-    assert dot(v, w) == 6.0
-    with pytest.raises(IndexError):
-        dot(SparseVector.from_pairs([(10, 1.0)]), w)
-
-
-def test_dot_against_dense_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        dim = int(rng.integers(10, 400))
-        nnz = int(rng.integers(1, min(dim, 60)))
-        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-        val = rng.normal(size=nnz)
-        val[val == 0.0] = 1.0
-        w = rng.normal(size=dim)
-        v = SparseVector(idx, val)
-        assert abs(dot(v, w) - float(v.dense(dim) @ w)) < 1e-12
-
-
-def test_dot_linearity():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        dim = 64
-        nnz = int(rng.integers(1, 20))
-        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-        val = rng.normal(size=nnz)
-        val[val == 0.0] = 0.5
-        v = SparseVector(idx, val)
-        a, b = rng.normal(size=dim), rng.normal(size=dim)
-        alpha = float(rng.normal())
-        lhs = dot(v, a + alpha * b)
-        rhs = dot(v, a) + alpha * dot(v, b)
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector(np.array([3, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([1, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([-1]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseVector.from_pairs([(2, 1.0), (2, 3.0)])
-    # from_pairs sorts and drops zeros
-    v = SparseVector.from_pairs([(5, 2.0), (1, 0.0), (3, -1.0)])
-    assert v.to_pairs() == [(3, -1.0), (5, 2.0)]
-
-
-def test_sparse_vector_json_roundtrip_bit_exact():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        nnz = int(rng.integers(0, 40))
-        idx = np.sort(rng.choice(10_000, size=nnz, replace=False))
-        val = rng.normal(size=nnz) * rng.uniform(1e-12, 1e12, size=nnz)
-        val[val == 0.0] = 1e-300
-        v = SparseVector(idx, val)
-        text = json.dumps(v.to_json())
-        w = SparseVector.from_json(json.loads(text))
-        assert np.array_equal(v.indices, w.indices)
-        assert v.values.tobytes() == w.values.tobytes()
 
 
 def test_manifest_flags():

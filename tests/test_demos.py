@@ -1,6 +1,7 @@
-"""Smoke test for the feature-anatomy demo, the one demo that calls `emit`
-and walks `encoder.blocks`.  The other demos train many models and take
-tens of seconds each, so they are not run here."""
+"""Smoke test for the feature-anatomy demo, the one demo that prints a
+`build_matrix` row block by block over `encoder.blocks`.  The other
+demos train many models and take tens of seconds each, so they are not
+run here."""
 
 import os
 import re

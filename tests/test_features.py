@@ -30,9 +30,7 @@ from ktrace.features import (
     TWConfig,
     build_matrix,
     elapsed_bins,
-    emit,
     fit_encoders,
-    iter_contexts,
     lag_bins,
     pattern_block,
     smoothed_avg_correct,
@@ -222,16 +220,18 @@ def test_update_state_rejects_out_of_order():
         update_state(st, response("s1", 50, "q2", ["k1"], True))
 
 
+def _row_pairs(ext, r):
+    """(column, value) pairs of row r of a build_matrix result."""
+    row = ext.X[r]
+    return list(zip(row.indices.tolist(), row.data.tolist()))
+
+
 def test_emit_counts_total_example():
     students = {"s1": [response("s1", 60 * i, f"q{i}", ["k1"], i != 3) for i in range(5)]}
     recipe = Recipe(families=(F("bias"), F("counts", "total")))
     enc = fit_encoders(students, recipe, MINIMAL)
-    st = StudentState()
-    for e in students["s1"][:4]:
-        update_state(st, e)
-    phi = emit(enc, st, students["s1"][4])
-    # 3 corrects, 4 attempts so far
-    assert phi.to_pairs() == [(0, 1.0), (1, scale(3)), (2, scale(4))]
+    # the row of the 5th response: 3 corrects, 4 attempts so far
+    assert _row_pairs(build_matrix(students, enc), 4) == [(0, 1.0), (1, scale(3)), (2, scale(4))]
 
 
 def test_emit_tw_counts_ages():
@@ -245,11 +245,7 @@ def test_emit_tw_counts_ages():
         response("s1", now, "q4", ["k1"], True),
     ]
     enc = fit_encoders({"s1": events}, recipe, MINIMAL)
-    st = StudentState(recipe.tw.finite_seconds)
-    for e in events[:3]:
-        update_state(st, e)
-    phi = emit(enc, st, events[3])
-    got = dict(phi.to_pairs())
+    got = dict(_row_pairs(build_matrix({"s1": events}, enc), 3))
     corrects = [got.get(2 * j, 0.0) for j in range(5)]
     assert corrects == [scale(1), scale(1), scale(2), scale(3), scale(3)]
 
@@ -264,20 +260,17 @@ def test_emit_prereq_counts_example():
         response("s1", 400, "q4", ["c"], True),
     ]
     enc = fit_encoders({"s1": events}, recipe, FULL, kc_graph=graph)
-    st = StudentState(kc_graph=graph)
-    for e in events[:3]:
-        update_state(st, e)
-    phi = emit(enc, st, events[3])
+    # a further question on p itself has no prerequisites: empty blocks
+    log = events + [response("s1", 500, "q5", ["p"], True)]
+    ext = build_matrix({"s1": log}, enc, kc_graph=graph)
     nvoc = enc.vocabs["graph_node"]
     ids_off, _ = enc.offset_of("prereq_ids")
     cnt_off, _ = enc.offset_of("prereq_counts")
-    got = dict(phi.to_pairs())
+    got = dict(_row_pairs(ext, 3))
     assert got[ids_off + nvoc["p"]] == 1.0
     assert got[cnt_off + 2 * nvoc["p"]] == scale(2)
     assert got[cnt_off + 2 * nvoc["p"] + 1] == scale(3)
-    # a question on p itself has no prerequisites: empty blocks
-    phi2 = emit(enc, st, response("s1", 500, "q5", ["p"], True))
-    assert phi2.nnz == 0
+    assert _row_pairs(ext, 4) == []
 
 
 def test_emit_postreq_is_reversal():
@@ -285,29 +278,18 @@ def test_emit_postreq_is_reversal():
     recipe = Recipe(families=(F("postreq_ids"),))
     events = [response("s1", 100, "q1", ["p"], True), response("s1", 200, "q2", ["c"], True)]
     enc = fit_encoders({"s1": events}, recipe, FULL, kc_graph=graph)
-    st = StudentState(kc_graph=graph)
-    update_state(st, events[0])
-    phi = emit(enc, st, events[1])
-    assert phi.nnz == 0  # nothing depends on c
-    phi2 = emit(enc, st, response("s1", 300, "q3", ["p"], True))
-    assert phi2.to_pairs() == [(enc.vocabs["graph_node"]["c"], 1.0)]
+    log = events + [response("s1", 300, "q3", ["p"], True)]
+    ext = build_matrix({"s1": log}, enc, kc_graph=graph)
+    assert _row_pairs(ext, 1) == []  # nothing depends on c
+    assert _row_pairs(ext, 2) == [(enc.vocabs["graph_node"]["c"], 1.0)]
 
 
 def test_emit_unseen_categories_empty_blocks():
     students = {"s1": _events_one_student()}
     recipe = Recipe(families=(F("student"), F("question"), F("kc")))
     enc = fit_encoders(students, recipe, MINIMAL)
-    st = StudentState()
-    phi = emit(enc, st, response("s_new", 50, "q_new", ["k_new"], True))
-    assert phi.nnz == 0
-
-
-def test_emit_rejects_material_event():
-    students = {"s1": _events_one_student()}
-    enc = fit_encoders(students, Recipe(families=(F("bias"),)), MINIMAL)
-    ev = InteractionEvent(student_id="s1", timestamp=1, kind=EventKind.READING)
-    with pytest.raises(ConfigError):
-        emit(enc, StudentState(), ev)
+    ext = build_matrix({"s_new": [response("s_new", 50, "q_new", ["k_new"], True)]}, enc)
+    assert ext.X.shape[0] == 1 and ext.X.nnz == 0
 
 
 def test_no_leakage_perturbing_future_events():
@@ -327,40 +309,58 @@ def test_no_leakage_perturbing_future_events():
         n_recent=4,
     )
     enc = fit_encoders({"s1": events}, recipe, MINIMAL)
-
-    def phis(evs, upto):
-        out = []
-        for ev, st, t in iter_contexts(evs, recipe.tw):
-            if t >= upto:
-                break
-            out.append(emit(enc, st, ev))
-        return out
-
     cut = 12
-    baseline = phis(events, cut)
+    baseline = build_matrix({"s1": events}, enc).X[:cut]
     mutated = list(events)
     mutated[cut] = response("s1", events[cut].timestamp, "q0", ["k2"], not events[cut].correct)
-    for a, b in zip(baseline, phis(mutated, cut)):
-        assert a == b
+    perturbed = build_matrix({"s1": mutated}, enc).X[:cut]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(baseline, name), getattr(perturbed, name)), name
+
+
+def oracle_rows(students, enc, graph):
+    """Yield (student, event index, compare_vector problems) for every row
+    of one build_matrix per student; row r is the prefix before the
+    student's r-th response."""
+    for sid, events in students.items():
+        X = build_matrix({sid: events}, enc, kc_graph=graph).X
+        at = [i for i, ev in enumerate(events) if ev.is_response()]
+        assert X.shape[0] == len(at), sid
+        for r, i in enumerate(at):
+            yield sid, i, compare_vector(enc, X[r], events[:i], events[i], graph=graph)
 
 
 def test_incremental_matches_bruteforce_small(rng):
     """Mini version of the full-state oracle: every family, every prefix."""
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=6, max_events=120)
-    recipe = full_recipe()
-    enc = fit_encoders(students, recipe, FULL, kc_graph=graph)
+    enc = fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
     checked = 0
-    for sid, events in students.items():
-        st = StudentState(recipe.tw.finite_seconds, kc_graph=graph)
-        for i, ev in enumerate(events):
-            if ev.is_response():
-                phi = emit(enc, st, ev)
-                problems = compare_vector(enc, phi, events[:i], ev, graph=graph)
-                assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
-                checked += 1
-            update_state(st, ev)
+    for sid, i, problems in oracle_rows(students, enc, graph):
+        assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
+        checked += 1
     assert checked > 100
+
+
+def _swap_counts_slots(monkeypatch):
+    """Mutation: the counts emitter writes attempts in the corrects slot and back."""
+    right = _KINDS["counts"].emitter
+
+    def swapped(out, b, codes, fam, recipe, state, event):
+        entries = []
+        right(entries, b, codes, fam, recipe, state, event)
+        out.extend((blk, code, slot ^ 1, value) for blk, code, slot, value in entries)
+
+    monkeypatch.setitem(_KINDS, "counts", dataclasses.replace(_KINDS["counts"], emitter=swapped))
+
+
+def test_row_oracle_catches_a_wrong_slot(rng, monkeypatch):
+    graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
+    students = _random_full_students(rng, n_students=6, max_events=120)
+    enc = fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
+    _swap_counts_slots(monkeypatch)
+    flagged = [p for _, _, p in oracle_rows(students, enc, graph) if p]
+    assert flagged and any("counts:" in line for p in flagged for line in p)
 
 
 def full_recipe() -> Recipe:
@@ -663,14 +663,7 @@ def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
     enc = fit_encoders(students, recipe, MINIMAL)
     ref = reference_build_matrix(students, enc)
     assert not _extraction_mismatch(build_matrix(students, enc), ref)
-    right = _KINDS["counts"].emitter
-
-    def swapped(out, b, codes, fam, recipe, state, event):
-        entries = []
-        right(entries, b, codes, fam, recipe, state, event)
-        out.extend((blk, code, slot ^ 1, value) for blk, code, slot, value in entries)
-
-    monkeypatch.setitem(_KINDS, "counts", dataclasses.replace(_KINDS["counts"], emitter=swapped))
+    _swap_counts_slots(monkeypatch)
     assert _extraction_mismatch(build_matrix(students, enc), ref)
 
 
@@ -686,8 +679,6 @@ def test_build_matrix_keeps_duplicate_and_dimension_checks():
     for extract in (build_matrix, reference_build_matrix):
         with pytest.raises(RuntimeError, match="outside encoder dimension"):
             extract(students, short)
-    with pytest.raises(RuntimeError, match="outside encoder dimension"):
-        emit(short, StudentState(), students["s1"][1])  # q2 sits in the last column
 
 
 def _count_walks(monkeypatch) -> list:

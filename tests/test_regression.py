@@ -8,7 +8,7 @@ from scipy.special import expit
 from conftest import response
 from oracle import reference_fit
 
-from ktrace.core import ConfigError, DatasetManifest, SparseVector
+from ktrace.core import ConfigError, DatasetManifest
 from ktrace.features import F, Recipe, build_matrix, fit_encoders
 from ktrace.recipes import resolve
 from ktrace.regression import (
@@ -19,30 +19,13 @@ from ktrace.regression import (
     load_model,
     nll,
     nll_and_gradient,
-    predict_proba,
     predict_proba_batch,
     reg_mask_for,
     save_model,
-    sigmoid,
 )
 from ktrace.synth import GeneratorConfig, generate
 
 LN2 = 0.6931471805599453
-
-
-def test_sigmoid_examples():
-    assert sigmoid(0.0) == 0.5
-    assert 0.0 < sigmoid(-40.0) < 1e-17
-    assert sigmoid(30.0) < 1.0
-    # the extreme tails saturate instead of overflowing
-    assert sigmoid(40.0) == 1.0
-    assert sigmoid(-800.0) == 0.0
-
-
-def test_sigmoid_matches_expit(rng):
-    z = rng.normal(scale=10.0, size=200)
-    got = np.array([sigmoid(v) for v in z])
-    assert np.max(np.abs(got - expit(z))) < 1e-15
 
 
 def test_nll_single_example_at_zero():
@@ -128,7 +111,7 @@ def test_fit_intercept_only_recovers_rate():
     y = np.zeros(n)
     y[:700] = 1.0
     model = fit(X, y, TrainConfig(l2=1e-6), reg_mask=np.zeros(1))
-    p = predict_proba(model, SparseVector.from_pairs([(0, 1.0)]))
+    p = predict_proba_batch(model, sp.csr_matrix(np.ones((1, 1))))[0]
     assert abs(p - 0.7) < 1e-3
 
 
@@ -172,20 +155,10 @@ def test_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(initial_step=0.0)
-
-
-def test_predict_scalar_matches_batch(rng):
-    d = 5
-    w = rng.normal(size=d)
-    model = Model(weights=w)
-    rows = []
-    for _ in range(20):
-        idx = sorted(rng.choice(d, size=2, replace=False))
-        rows.append(SparseVector.from_pairs([(int(i), float(rng.normal())) for i in idx]))
-    X = sp.csr_matrix(np.array([r.dense(d) for r in rows]))
-    batch = predict_proba_batch(model, X)
-    single = np.array([predict_proba(model, r) for r in rows])
-    assert np.max(np.abs(batch - single)) < 1e-15
+    with pytest.raises(ConfigError, match="max_halvings"):
+        TrainConfig(max_halvings=0)
+    with pytest.raises(ConfigError, match="max_halvings"):
+        Model.from_json({"dim": 1, "weights": [], "config": {"max_halvings": -1}})
 
 
 def test_model_json_roundtrip(tmp_path, rng):

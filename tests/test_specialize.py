@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from ktrace.specialize import (
     assign_partition,
     fit_partitioned,
     load_partitioned,
-    predict_routed,
     predict_routed_batch,
     save_partitioned,
 )
@@ -107,13 +107,9 @@ def test_empty_and_small_partitions_merge_to_fallback():
     assert any("50-100" in w for w in pm.warnings)
     ev = response("s999", 100, "q1", ["k1"], True)
     ext = build_matrix({"s999": [ev]}, pm.encoder)
-    phi_row = ext.X[0]
-    from ktrace.core import SparseVector
-
-    phi = SparseVector.from_pairs(list(zip(phi_row.indices.tolist(), phi_row.data.tolist())))
-    routed = predict_routed(pm, phi, ev, t=600)
-    fallback = predict_proba_batch(pm.fallback, ext.X)[0]
-    assert routed == pytest.approx(fallback, abs=1e-15)
+    routed = predict_routed_batch(pm, dataclasses.replace(ext, t=np.array([600])))  # empty 500-inf
+    fallback = predict_proba_batch(pm.fallback, ext.X)
+    assert routed.tobytes() == fallback.tobytes()
 
 
 def test_single_class_partition_flagged():
@@ -165,14 +161,8 @@ def test_by_feature_unseen_value_routes_to_fallback():
     assert set(pm.models) == {"a", "b"}
     ev = response("s0", 9999, "q1", ["k1"], True, study_module="never-seen")
     ext = build_matrix({"sX": [ev]}, pm.encoder)
-    from ktrace.core import SparseVector
-
-    phi = SparseVector.from_pairs(
-        list(zip(ext.X[0].indices.tolist(), ext.X[0].data.tolist()))
-    )
-    assert predict_routed(pm, phi, ev, 0) == pytest.approx(
-        predict_proba_batch(pm.fallback, ext.X)[0], abs=1e-15
-    )
+    routed = predict_routed_batch(pm, ext)
+    assert routed.tobytes() == predict_proba_batch(pm.fallback, ext.X).tobytes()
 
 
 def test_partitioned_beats_plain_after_regime_change():
