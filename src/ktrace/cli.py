@@ -163,19 +163,9 @@ def _parse_base_token(token: str, min_partition: int):
                                       min_partition=min_partition)
 
 
-def save_fitted(fitted, out_dir: Path) -> None:
-    """Persist whatever a spec's fit_on returned."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(fitted, specialize.PartitionedModel):
-        specialize.save_partitioned(fitted, out_dir)
-    elif isinstance(fitted, combine.CombinedModel):
-        combine.save_combined(fitted, out_dir)
-    else:
-        encoder, model = fitted
-        (out_dir / "encoder.json").write_text(
-            canonical_json(encoder.to_json()), encoding="utf-8"
-        )
-        regression.save_model(model, out_dir / "model.json")
+def save_fitted(fitted, out_dir: Path, spec) -> None:
+    """Persist what spec.fit_on returned, in that spec's own format."""
+    spec.save(fitted, out_dir)
 
 
 def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
@@ -328,7 +318,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         models_dir = out / "models"
 
         def on_fitted(fold: int, fitted) -> None:
-            save_fitted(fitted, models_dir / f"fold-{fold}")
+            save_fitted(fitted, models_dir / f"fold-{fold}", spec)
 
     report = evaluate.cross_validate(
         dataset, spec, folds=folds, config=config, jobs=jobs,

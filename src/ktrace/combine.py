@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from ktrace import regression, specialize
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
 from ktrace.evaluate import FoldPrediction, PlainSpec, auc
-from ktrace.features import Encoder, FeatureFamily
 from ktrace.ingest import Dataset
 from ktrace.regression import Model, TrainConfig
 
@@ -166,7 +165,8 @@ def predict_combined(cm: CombinedModel, students: Mapping[str, list], dataset: D
 
 @dataclass(frozen=True)
 class CombinedSpec:
-    """Cross-validation spec for a stacked model."""
+    """Cross-validation spec for a stacked model.  Stored as `combined.json`
+    (base specs and directories), `meta.json` and one `base-i/` per base."""
 
     bases: tuple
     seed: int = 0
@@ -187,6 +187,21 @@ class CombinedSpec:
 
     def predict_on(self, fitted: CombinedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         return predict_combined(fitted, students, dataset)
+
+    def to_json(self) -> dict:
+        return {"kind": "combined", "bases": [s.to_json() for s in self.bases],
+                "seed": self.seed, "logit_inputs": self.logit_inputs}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "CombinedSpec":
+        return cls(tuple(_base_spec_from_json(b) for b in obj["bases"]),
+                   int(obj["seed"]), bool(obj["logit_inputs"]))
+
+    def save(self, fitted: CombinedModel, out_dir: str | Path) -> None:
+        save_combined(fitted, out_dir)
+
+    def load(self, out_dir: str | Path) -> CombinedModel:
+        return load_combined(out_dir)
 
 
 @dataclass
@@ -267,30 +282,28 @@ def select_bases(
 # ---------------------------------------------------------------------------
 # Serialization
 
-def save_combined(cm: CombinedModel, out_dir: str | Path) -> Path:
-    """Write the meta model and each base to its own subdirectory.
+# the spec classes a stacked model's bases may have, by their JSON "kind"
+_BASE_SPECS = {"plain": PlainSpec, "partitioned": specialize.PartitionedSpec}
 
-    Bases are stored through their spec's own format: plain specs as
-    encoder + model files, partitioned specs as a partitioned-model
-    directory.
-    """
+
+def _base_spec_from_json(obj: Mapping):
+    kind = obj.get("kind")
+    if kind not in _BASE_SPECS:
+        raise ConfigError(f"unknown base spec kind {kind!r}; expected one of {', '.join(_BASE_SPECS)}")
+    return _BASE_SPECS[kind].from_json(obj)
+
+
+def save_combined(cm: CombinedModel, out_dir: str | Path) -> Path:
+    """Write the meta model, and each base to its own subdirectory in
+    its spec's own format."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     regression.save_model(cm.meta, out / "meta.json")
     entries = []
     for i, (spec, fitted) in enumerate(zip(cm.specs, cm.fitted_bases)):
-        sub = out / f"base-{i}"
-        sub.mkdir(exist_ok=True)
-        if isinstance(fitted, specialize.PartitionedModel):
-            specialize.save_partitioned(fitted, sub)
-            entries.append({"kind": "partitioned", "dir": sub.name, "label": spec.label,
-                            "spec": _spec_json(spec)})
-        else:
-            encoder, model = fitted
-            (sub / "encoder.json").write_text(canonical_json(encoder.to_json()), encoding="utf-8")
-            regression.save_model(model, sub / "model.json")
-            entries.append({"kind": "plain", "dir": sub.name, "label": spec.label,
-                            "spec": _spec_json(spec)})
+        obj = spec.to_json()
+        spec.save(fitted, out / f"base-{i}")
+        entries.append({"kind": obj["kind"], "dir": f"base-{i}", "label": spec.label, "spec": obj})
     manifest = {
         "kind": "combined_model",
         "logit_inputs": cm.logit_inputs,
@@ -303,51 +316,16 @@ def save_combined(cm: CombinedModel, out_dir: str | Path) -> Path:
     return path
 
 
-def _spec_json(spec) -> dict:
-    if isinstance(spec, specialize.PartitionedSpec):
-        return {
-            "kind": "partitioned",
-            "recipe": spec.recipe,
-            "extras": [f.name for f in spec.extras],
-            "scheme": spec.scheme.to_json(),
-            "min_partition": spec.min_partition,
-        }
-    return {"kind": "plain", "recipe": spec.recipe, "extras": [f.name for f in spec.extras]}
-
-
-def _spec_from_json(obj: Mapping):
-    extras = tuple(FeatureFamily.parse(n) for n in obj.get("extras", []))
-    if obj["kind"] == "partitioned":
-        return specialize.PartitionedSpec(
-            recipe=obj["recipe"],
-            extras=extras,
-            scheme=specialize.PartitionScheme.from_json(obj["scheme"]),
-            min_partition=int(obj["min_partition"]),
-        )
-    return PlainSpec(recipe=obj["recipe"], extras=extras)
-
-
 def load_combined(out_dir: str | Path) -> CombinedModel:
     out = Path(out_dir)
     manifest = json.loads((out / "combined.json").read_text(encoding="utf-8"))
     if manifest.get("kind") != "combined_model":
         raise ConfigError(f"{out} does not hold a combined model")
-    meta = regression.load_model(out / manifest["meta"])
-    specs = []
-    fitted = []
-    for entry in manifest["bases"]:
-        spec = _spec_from_json(entry["spec"])
-        specs.append(spec)
-        sub = out / entry["dir"]
-        if entry["kind"] == "partitioned":
-            fitted.append(specialize.load_partitioned(sub))
-        else:
-            encoder = Encoder.from_json(json.loads((sub / "encoder.json").read_text(encoding="utf-8")))
-            fitted.append((encoder, regression.load_model(sub / "model.json", encoder=encoder)))
+    specs = tuple(_base_spec_from_json(entry["spec"]) for entry in manifest["bases"])
     return CombinedModel(
-        specs=tuple(specs),
-        fitted_bases=fitted,
-        meta=meta,
+        specs=specs,
+        fitted_bases=[spec.load(out / entry["dir"]) for spec, entry in zip(specs, manifest["bases"])],
+        meta=regression.load_model(out / manifest["meta"]),
         logit_inputs=bool(manifest["logit_inputs"]),
         info=dict(manifest.get("info", {})),
     )

@@ -11,9 +11,11 @@ fitting and training.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from scipy.stats import rankdata
 
 from ktrace import features, regression
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
-from ktrace.features import FeatureFamily, Recipe
+from ktrace.features import Encoder, FeatureFamily, Recipe
 from ktrace.ingest import Dataset, split_folds
 from ktrace.recipes import resolve
 from ktrace.regression import TrainConfig
@@ -115,9 +117,23 @@ class FoldPrediction:
     t: np.ndarray
 
 
+def extract(students: Mapping[str, list], encoder: Encoder, dataset: Dataset) -> features.ExtractResult:
+    """build_matrix over the dataset's KC graph, squash map and row store."""
+    return features.build_matrix(
+        students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
+        store=dataset.feature_rows,
+    )
+
+
 @dataclass(frozen=True)
 class PlainSpec:
-    """A single logistic-regression model over a named recipe."""
+    """A single logistic-regression model over a named recipe.
+
+    Every spec follows one protocol: `label`, `fit_on` and `predict_on`
+    for cross-validation; `to_json`/`from_json` for the spec itself; and
+    `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned.
+    A plain fit is stored as `encoder.json` + `model.json`.
+    """
 
     recipe: str = "best-lr"
     extras: tuple[FeatureFamily, ...] = ()
@@ -133,22 +149,35 @@ class PlainSpec:
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
         recipe = self.resolve_recipe(dataset)
         encoder = features.fit_encoders(students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
-        ext = features.build_matrix(
-            students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
-            store=dataset.feature_rows,
-        )
+        ext = extract(students, encoder, dataset)
         model = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
         return encoder, model
 
     def predict_on(self, fitted, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         encoder, model = fitted
-        ext = features.build_matrix(
-            students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
-            store=dataset.feature_rows,
-        )
+        ext = extract(students, encoder, dataset)
         return FoldPrediction(
             probs=regression.predict_proba_batch(model, ext.X), labels=ext.y, t=ext.t
         )
+
+    def to_json(self) -> dict:
+        return {"kind": "plain", "recipe": self.recipe, "extras": [f.name for f in self.extras]}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "PlainSpec":
+        return cls(obj["recipe"], tuple(FeatureFamily.parse(n) for n in obj.get("extras", [])))
+
+    def save(self, fitted, out_dir: str | Path) -> None:
+        encoder, model = fitted
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "encoder.json").write_text(canonical_json(encoder.to_json()), encoding="utf-8")
+        regression.save_model(model, out / "model.json")
+
+    def load(self, out_dir: str | Path):
+        out = Path(out_dir)
+        encoder = Encoder.from_json(json.loads((out / "encoder.json").read_text(encoding="utf-8")))
+        return encoder, regression.load_model(out / "model.json", encoder=encoder)
 
 
 @dataclass
@@ -316,9 +345,8 @@ def cross_validate(
     pooled_p = np.concatenate([pr.probs for pr in preds])
     pooled_y = np.concatenate([pr.labels for pr in preds])
     pooled_t = np.concatenate([pr.t for pr in preds])
-    label = spec.label if isinstance(getattr(spec, "label", None), str) else str(spec)
     return MetricsReport(
-        spec=label,
+        spec=spec.label,
         dataset=dataset.manifest.name,
         k=k,
         seed=seed,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -48,6 +48,11 @@ class TrainConfig:
     max_halvings: int = 60
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int,) if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be {'an int' if f.type == 'int' else 'a finite number'}, got {value!r}")
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
         if self.max_epochs < 1:
@@ -58,13 +63,15 @@ class TrainConfig:
             raise ConfigError("max_halvings must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "l2": self.l2,
-            "max_epochs": self.max_epochs,
-            "tol": self.tol,
-            "initial_step": self.initial_step,
-            "max_halvings": self.max_halvings,
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "TrainConfig":
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown train config keys {', '.join(unknown)}; accepted: {', '.join(names)}")
+        return cls(**obj)
 
 
 def _as_csr(X) -> sp.csr_matrix:
@@ -167,8 +174,7 @@ class Model:
         w = np.zeros(int(obj["dim"]), dtype=np.float64)
         for i, v in obj["weights"]:
             w[int(i)] = float(v)
-        cfg = obj.get("config", {})
-        config = TrainConfig(**cfg) if cfg else TrainConfig()
+        config = TrainConfig.from_json(obj.get("config", {}))
         recipe = Recipe.from_json(obj["recipe"]) if "recipe" in obj else None
         if encoder is not None and "encoder_digest" in obj:
             if encoder.digest() != obj["encoder_digest"]:
@@ -176,9 +182,8 @@ class Model:
         return cls(weights=w, config=config, recipe=recipe, encoder=encoder, info=dict(obj.get("info", {})))
 
 
-def predict_proba_batch(model_or_weights, X) -> np.ndarray:
-    w = model_or_weights.weights if isinstance(model_or_weights, Model) else model_or_weights
-    return expit(_as_csr(X) @ w)
+def predict_proba_batch(model: Model, X) -> np.ndarray:
+    return expit(_as_csr(X) @ model.weights)
 
 
 def fit(

@@ -24,10 +24,9 @@ import numpy as np
 
 from ktrace import features, regression
 from ktrace.core import ConfigError, InteractionEvent, canonical_json
-from ktrace.evaluate import DEFAULT_SPLITPOINTS, FoldPrediction
-from ktrace.features import Encoder, FeatureFamily, Recipe
+from ktrace.evaluate import DEFAULT_SPLITPOINTS, FoldPrediction, PlainSpec, extract
+from ktrace.features import Encoder, Recipe
 from ktrace.ingest import Dataset
-from ktrace.recipes import resolve
 from ktrace.regression import Model, TrainConfig
 
 MISSING_KEY = "__missing__"
@@ -99,10 +98,11 @@ class PartitionScheme:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PartitionScheme":
-        if obj["kind"] == "response_index":
-            pts = tuple(math.inf if p == "inf" else float(p) for p in obj["splitpoints"])
+        """The constructor validates, so a malformed scheme fails with a ConfigError."""
+        if obj.get("kind") == "response_index":
+            pts = tuple(math.inf if p == "inf" else float(p) for p in obj.get("splitpoints", ()))
             return cls.response_index(pts)
-        return cls.by_feature(obj["feature"])
+        return cls(kind=obj.get("kind"), feature=obj.get("feature"))
 
 
 def _interval_label(lo: float, hi: float) -> str:
@@ -159,10 +159,7 @@ def fit_partitioned(
     Single-class partitions are trained anyway but flagged.
     """
     encoder = features.fit_encoders(train_students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
-    ext = features.build_matrix(
-        train_students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
-        store=dataset.feature_rows,
-    )
+    ext = extract(train_students, encoder, dataset)
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 
     groups = _rows_by_partition(scheme, ext)
@@ -209,31 +206,42 @@ def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> n
 
 
 @dataclass(frozen=True)
-class PartitionedSpec:
-    """Cross-validation spec for a partitioned model family."""
+class PartitionedSpec(PlainSpec):
+    """Cross-validation spec for a partitioned model family.  Stored as
+    `partitioned.json`, `encoder.json`, `fallback.json` and `part-*.json`."""
 
-    recipe: str = "best-lr"
-    extras: tuple[FeatureFamily, ...] = ()
     scheme: PartitionScheme = PartitionScheme.response_index()
     min_partition: int = 50
 
     @property
     def label(self) -> str:
-        extra = "+" + "+".join(f.name for f in self.extras) if self.extras else ""
-        return f"{self.recipe}{extra}@{self.scheme.label}"
+        return f"{super().label}@{self.scheme.label}"
 
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig) -> PartitionedModel:
-        recipe = resolve(self.recipe, dataset.manifest, extras=self.extras or None).recipe
         return fit_partitioned(
-            students, self.scheme, recipe, dataset, config, min_partition=self.min_partition
+            students, self.scheme, self.resolve_recipe(dataset), dataset, config,
+            min_partition=self.min_partition,
         )
 
     def predict_on(self, fitted: PartitionedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
-        ext = features.build_matrix(
-            students, fitted.encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
-            store=dataset.feature_rows,
-        )
+        ext = extract(students, fitted.encoder, dataset)
         return FoldPrediction(probs=predict_routed_batch(fitted, ext), labels=ext.y, t=ext.t)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "kind": "partitioned", "scheme": self.scheme.to_json(),
+                "min_partition": self.min_partition}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "PartitionedSpec":
+        plain = PlainSpec.from_json(obj)
+        return cls(plain.recipe, plain.extras, PartitionScheme.from_json(obj["scheme"]),
+                   int(obj["min_partition"]))
+
+    def save(self, fitted: PartitionedModel, out_dir: str | Path) -> None:
+        save_partitioned(fitted, out_dir)
+
+    def load(self, out_dir: str | Path) -> PartitionedModel:
+        return load_partitioned(out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -94,13 +94,13 @@ def _tally_pair(d, tally_total, tally_related):
     d.update(out)
 
 
-def expected_family(fam, encoder, prefix, event, graph=None, squash_map=None):
-    """Expected {local_index: value} for one family block."""
+def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=None):
+    """Expected {local_index: value} for one family block; `resp` is
+    `_responses(prefix)`, filtered once per row by the caller."""
     recipe = encoder.recipe
     vocabs = encoder.vocabs
     now = event.timestamp
     kcs = event.kc_ids
-    resp = _responses(prefix)
     out = {}
     kind, variant = fam.kind, fam.variant
 
@@ -313,10 +313,11 @@ def compare_vector(encoder, row, prefix, event, graph=None, squash_map=None, tol
     if np.any(np.diff(indices) <= 0):
         return [f"row indices not strictly increasing: {indices.tolist()}"]
     problems = []
+    resp = _responses(prefix)
     for fam, off, size in encoder.blocks:
         lo, hi = np.searchsorted(indices, [off, off + size])
         got = {int(i) - off: float(v) for i, v in zip(indices[lo:hi], data[lo:hi])}
-        want = expected_family(fam, encoder, prefix, event, graph, squash_map)
+        want = expected_family(fam, encoder, prefix, resp, event, graph, squash_map)
         if set(got) != set(want):
             problems.append(
                 f"{fam.name}: active indices {sorted(got)} != expected {sorted(want)}"

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from ktrace.cli import main
+from ktrace.combine import CombinedSpec
+from ktrace.evaluate import PlainSpec
 from ktrace.ingest import load_prepared
+from ktrace.regression import TrainConfig
+from ktrace.specialize import PartitionedSpec
 
 
 def run_cli(*argv) -> int:
@@ -113,6 +117,25 @@ def test_train_eval_persists_models_and_manifest(prepared, tmp_path):
     run = json.loads((out / "run_manifest.json").read_text())
     assert run["effective_config"]["spec"] == "irt"
     assert run["duration_s"] >= 0
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("--recipe", "irt"), PlainSpec("irt")),
+    (("--recipe", "irt", "--partition", "response-index"), PartitionedSpec("irt")),
+    (("--combine", "irt+pfa@ri"), CombinedSpec((PlainSpec("irt"), PartitionedSpec("pfa")))),
+], ids=["plain", "partitioned", "combined"])
+def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv, spec):
+    """A stored fold model predicts its test students with the bytes of a fresh fit."""
+    out = tmp_path / "run"
+    assert run_cli("train-eval", "--data", prepared, *argv, "--out", out) == 0
+    assert json.loads((out / "report.json").read_text())["spec"] == spec.label
+    dataset, folds = load_prepared(prepared)
+    train = {s: dataset.students[s] for s in folds.train_students(0)}
+    test = {s: dataset.students[s] for s in folds.students_in(0)}
+    loaded = spec.load(out / "models" / "fold-0")
+    fresh = spec.fit_on(train, dataset, TrainConfig(l2=1e-6))
+    assert (spec.predict_on(loaded, test, dataset).probs.tobytes()
+            == spec.predict_on(fresh, test, dataset).probs.tobytes())
 
 
 def test_train_eval_manifest_counts_extraction(prepared, tmp_path):

@@ -1,20 +1,20 @@
 import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from ktrace.cli import save_fitted
 from ktrace.combine import (
     CombinationError,
     CombinedSpec,
     fit_combined,
-    load_combined,
     predict_combined,
-    save_combined,
     select_bases,
 )
-from ktrace.core import ConfigError, FoldAssignment
+from ktrace.core import ConfigError, FoldAssignment, canonical_json
 from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import F
 from ktrace.ingest import split_folds
@@ -247,18 +247,44 @@ def test_select_bases_touches_only_first_fold():
     assert set(tracking.touched) == {0}
 
 
-def test_save_load_roundtrip(tmp_path):
+ROUNDTRIP_SPECS = {
+    "plain": PlainSpec("irt", extras=(F("counts", "total"),)),
+    "partitioned": PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+                                   min_partition=10),
+    "combined": CombinedSpec(
+        (PlainSpec("irt"),
+         PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+                         min_partition=10)),
+        seed=13,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROUNDTRIP_SPECS))
+def test_save_load_roundtrip(kind, tmp_path):
+    """Every spec kind stores its fit through the one protocol and predicts the same bytes."""
+    spec = ROUNDTRIP_SPECS[kind]
+    obj = json.loads(canonical_json(spec.to_json()))
+    assert type(spec).from_json(obj) == spec and obj["kind"] == kind
     ds, folds, train, test = _irt_data(seed=67, n_students=40, per=20)
-    bases = [
-        PlainSpec("irt"),
-        PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 10, math.inf)),
-                        min_partition=10),
-    ]
-    cm = fit_combined(train, bases, ds, CFG, seed=13)
-    save_combined(cm, tmp_path)
-    again = load_combined(tmp_path)
-    a = predict_combined(cm, test, ds)
-    b = predict_combined(again, test, ds)
+    fitted = spec.fit_on(train, ds, CFG)
+    save_fitted(fitted, tmp_path / "m", spec)
+    again = spec.load(tmp_path / "m")
+    a = spec.predict_on(fitted, test, ds)
+    b = spec.predict_on(again, test, ds)
     assert a.probs.tobytes() == b.probs.tobytes()
-    assert again.label == cm.label
-    assert [s.label for s in again.specs] == [s.label for s in cm.specs]
+    if kind == "combined":
+        assert again.label == fitted.label
+        assert again.specs == fitted.specs
+
+
+def test_unknown_base_kind_fails_with_a_config_error(tmp_path):
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    spec = CombinedSpec((PlainSpec("irt"), PlainSpec("pfa")))
+    save_fitted(spec.fit_on(train, ds, CFG), tmp_path, spec)
+    manifest = json.loads((tmp_path / "combined.json").read_text())
+    entry = manifest["bases"][1]
+    entry["kind"] = entry["spec"]["kind"] = "combined"
+    (tmp_path / "combined.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="unknown base spec kind 'combined'"):
+        spec.load(tmp_path)

@@ -1,0 +1,34 @@
+"""The names the benchmark's tracer wraps must exist in the library.
+
+`perfbench/spans.py` replaces each (owner, attribute) of its `targets()`
+with a timing wrapper.  A rename in ktrace would otherwise surface only
+in the benchmark's own smoke test; this reads the target list (without
+changing anything under perfbench) and checks every entry resolves.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+from ktrace import cli
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    for owner, attr, name, _ in _spans_module().targets():
+        # the owner's own definition: wrapping an inherited one would trace the parent's calls
+        assert attr in vars(owner), name
+        assert callable(getattr(owner, attr)), name
+
+
+def test_save_fitted_takes_the_output_directory_second():
+    # the tracer sizes what save_fitted wrote from its second positional argument
+    assert list(inspect.signature(cli.save_fitted).parameters)[1] == "out_dir"

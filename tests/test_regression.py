@@ -161,6 +161,16 @@ def test_config_validation():
         Model.from_json({"dim": 1, "weights": [], "config": {"max_halvings": -1}})
 
 
+@pytest.mark.parametrize("config, problem", [
+    ({"max_halving": 2}, "unknown train config keys max_halving"),
+    ({"max_halvings": 2.5, "max_epochs": 3.7}, "must be an int, got"),
+    ({"l2": "1e-3"}, "l2 must be a finite number, got '1e-3'"),
+], ids=["unknown-key", "fractional-counts", "string-l2"])
+def test_malformed_model_config_fails_with_a_named_config_error(config, problem):
+    with pytest.raises(ConfigError, match=problem):
+        Model.from_json({"dim": 1, "weights": [], "config": config})
+
+
 def test_model_json_roundtrip(tmp_path, rng):
     students = {"s1": [response("s1", 10, "q1", ["k1"], True),
                        response("s1", 20, "q2", ["k1"], False)]}

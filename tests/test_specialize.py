@@ -42,6 +42,11 @@ def test_scheme_validation():
     assert PartitionScheme.from_json(byf.to_json()) == byf
 
 
+def test_unknown_scheme_json_fails_with_a_config_error():
+    with pytest.raises(ConfigError, match="unknown partition kind 'bogus'"):
+        PartitionScheme.from_json({"kind": "bogus"})
+
+
 def test_assign_partition_examples():
     scheme = PartitionScheme.response_index()
     ev = response("s1", 100, "q1", ["k1"], True)
