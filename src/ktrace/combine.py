@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from ktrace import regression, specialize
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
-from ktrace.evaluate import FoldPrediction, PlainSpec, auc
+from ktrace.evaluate import FoldPrediction, PlainSpec, auc, check_saved_spec, save_spec
 from ktrace.ingest import Dataset
 from ktrace.regression import Model, TrainConfig
 
@@ -48,15 +48,8 @@ def _split_meta_students(students: Mapping[str, list], seed: int) -> tuple[list[
     return base, meta
 
 
-def _meta_inputs(columns: Sequence[np.ndarray], logit_inputs: bool) -> sp.csr_matrix:
-    cols = [np.ones_like(columns[0])]
-    for c in columns:
-        if logit_inputs:
-            clipped = np.clip(c, 1e-12, 1.0 - 1e-12)
-            cols.append(np.log(clipped / (1.0 - clipped)))
-        else:
-            cols.append(c)
-    return sp.csr_matrix(np.column_stack(cols))
+def _meta_inputs(columns: Sequence[np.ndarray]) -> sp.csr_matrix:
+    return sp.csr_matrix(np.column_stack([np.ones_like(columns[0]), *columns]))
 
 
 def _base_predictions(
@@ -86,11 +79,10 @@ def _base_predictions(
     return columns, labels
 
 
-def _fit_meta(columns: Sequence[np.ndarray], labels: np.ndarray, config: TrainConfig,
-              logit_inputs: bool) -> Model:
+def _fit_meta(columns: Sequence[np.ndarray], labels: np.ndarray, config: TrainConfig) -> Model:
     """The meta model over base columns; only its bias goes unregularized."""
     return regression.fit(
-        _meta_inputs(columns, logit_inputs),
+        _meta_inputs(columns),
         labels,
         config,
         reg_mask=np.array([0.0] + [1.0] * len(columns)),
@@ -104,7 +96,6 @@ class CombinedModel:
     specs: tuple
     fitted_bases: list
     meta: Model
-    logit_inputs: bool = False
     info: dict = field(default_factory=dict)
 
     @property
@@ -118,7 +109,6 @@ def fit_combined(
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
     seed: int = 0,
-    logit_inputs: bool = False,
 ) -> CombinedModel:
     """Fit bases and the meta model; bases are refit on all of train."""
     if len(specs) < 2:
@@ -128,7 +118,7 @@ def fit_combined(
     meta_students = {s: train_students[s] for s in meta_ids}
 
     columns, labels = _base_predictions(specs, base_students, meta_students, dataset, config)
-    meta = _fit_meta(columns, labels, config, logit_inputs)
+    meta = _fit_meta(columns, labels, config)
 
     fitted_bases = []
     for spec in specs:
@@ -140,7 +130,6 @@ def fit_combined(
         specs=tuple(specs),
         fitted_bases=fitted_bases,
         meta=meta,
-        logit_inputs=logit_inputs,
         info={
             "seed": seed,
             "n_base_students": len(base_ids),
@@ -159,7 +148,7 @@ def predict_combined(cm: CombinedModel, students: Mapping[str, list], dataset: D
         columns.append(pred.probs)
         if labels is None:
             labels, t = pred.labels, pred.t
-    probs = regression.predict_proba_batch(cm.meta, _meta_inputs(columns, cm.logit_inputs))
+    probs = regression.predict_proba_batch(cm.meta, _meta_inputs(columns))
     return FoldPrediction(probs=probs, labels=labels, t=t)
 
 
@@ -170,7 +159,6 @@ class CombinedSpec:
 
     bases: tuple
     seed: int = 0
-    logit_inputs: bool = False
 
     def __post_init__(self) -> None:
         if len(self.bases) < 2:
@@ -181,26 +169,24 @@ class CombinedSpec:
         return "combined(" + "+".join(s.label for s in self.bases) + ")"
 
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig) -> CombinedModel:
-        return fit_combined(
-            students, self.bases, dataset, config, seed=self.seed, logit_inputs=self.logit_inputs
-        )
+        return fit_combined(students, self.bases, dataset, config, seed=self.seed)
 
     def predict_on(self, fitted: CombinedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         return predict_combined(fitted, students, dataset)
 
     def to_json(self) -> dict:
-        return {"kind": "combined", "bases": [s.to_json() for s in self.bases],
-                "seed": self.seed, "logit_inputs": self.logit_inputs}
+        return {"kind": "combined", "bases": [s.to_json() for s in self.bases], "seed": self.seed}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "CombinedSpec":
-        return cls(tuple(_base_spec_from_json(b) for b in obj["bases"]),
-                   int(obj["seed"]), bool(obj["logit_inputs"]))
+        return cls(tuple(_base_spec_from_json(b) for b in obj["bases"]), int(obj["seed"]))
 
     def save(self, fitted: CombinedModel, out_dir: str | Path) -> None:
         save_combined(fitted, out_dir)
+        save_spec(self, out_dir)
 
     def load(self, out_dir: str | Path) -> CombinedModel:
+        check_saved_spec(self, out_dir)
         return load_combined(out_dir)
 
 
@@ -264,10 +250,9 @@ def select_bases(
             if size == 1:
                 probs = test_columns[subset[0]]
             else:
-                meta = _fit_meta([meta_columns[i] for i in subset], meta_labels, config,
-                                 logit_inputs=False)
+                meta = _fit_meta([meta_columns[i] for i in subset], meta_labels, config)
                 probs = regression.predict_proba_batch(
-                    meta, _meta_inputs([test_columns[i] for i in subset], logit_inputs=False)
+                    meta, _meta_inputs([test_columns[i] for i in subset])
                 )
             score = auc(probs, test_labels)
             table.append(
@@ -306,7 +291,6 @@ def save_combined(cm: CombinedModel, out_dir: str | Path) -> Path:
         entries.append({"kind": obj["kind"], "dir": f"base-{i}", "label": spec.label, "spec": obj})
     manifest = {
         "kind": "combined_model",
-        "logit_inputs": cm.logit_inputs,
         "info": {k: cm.info[k] for k in sorted(cm.info)},
         "meta": "meta.json",
         "bases": entries,
@@ -326,6 +310,5 @@ def load_combined(out_dir: str | Path) -> CombinedModel:
         specs=specs,
         fitted_bases=[spec.load(out / entry["dir"]) for spec, entry in zip(specs, manifest["bases"])],
         meta=regression.load_model(out / manifest["meta"]),
-        logit_inputs=bool(manifest["logit_inputs"]),
         info=dict(manifest.get("info", {})),
     )

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class SchemaError(ValueError):
@@ -57,8 +57,8 @@ class InteractionEvent:
 
     Only ``student_id``, ``timestamp`` and ``kind`` are always present.
     Question responses additionally carry ``question_id``, ``kc_ids``
-    and ``correct``; every other field is dataset-dependent and must be
-    declared by the dataset manifest before it may be populated.
+    and ``correct``; every other field is dataset-dependent, and its
+    ``OPTIONAL_FIELDS`` row names the manifest flag it needs.
 
     ``lag_s``/``no_lag`` are not read from input files: they are filled
     in by lag derivation after ingestion (``no_lag`` marks a student's
@@ -136,6 +136,48 @@ CAPABILITY_FLAGS: tuple[str, ...] = (
     "topic",
     "part_area",
 )
+
+
+class OptionalField(NamedTuple):
+    type: type  # cell type: str, float or int
+    flag: str | None  # manifest flag that gates the column; None when its event kind does
+
+
+# The event schema beyond the six fixed CSV columns (student_id,
+# timestamp, event_kind, question_id, kc_ids, correct): every optional
+# InteractionEvent field, in canonical CSV column order.
+OPTIONAL_FIELDS: dict[str, OptionalField] = {
+    "elapsed_time_s": OptionalField(float, "elapsed_lag_time"),
+    "study_module": OptionalField(str, "study_module"),
+    "teacher_group": OptionalField(str, "teacher_group"),
+    "school": OptionalField(str, "school"),
+    "course": OptionalField(str, "course"),
+    "topic": OptionalField(str, "topic"),
+    "bundle": OptionalField(str, "bundle"),
+    "part_area": OptionalField(str, "part_area"),
+    "platform": OptionalField(str, "platform"),
+    "difficulty": OptionalField(str, "difficulty"),
+    "hint_count": OptionalField(int, "hints"),
+    "consumption_minutes": OptionalField(float, None),
+    "age": OptionalField(str, "age_gender"),
+    "gender": OptionalField(str, "age_gender"),
+    "social_support": OptionalField(str, "social_support"),
+}
+
+
+class MaterialKind(NamedTuple):
+    flag: str  # manifest flag the event kind needs
+    count: str  # StudentState tally its count goes to
+    minutes: str | None  # StudentState tally its consumption minutes go to
+
+
+# Every study-material event kind (all kinds but QuestionResponse).
+MATERIAL_KINDS: dict[EventKind, MaterialKind] = {
+    EventKind.VIDEO_WATCH: MaterialKind("videos", "videos_watched", "video_minutes"),
+    EventKind.VIDEO_SKIP: MaterialKind("videos", "videos_skipped", None),
+    EventKind.READING: MaterialKind("reading", "readings", "reading_minutes"),
+    EventKind.HINT_USE: MaterialKind("hints", "hints", "hint_minutes"),
+}
 
 
 @dataclass(frozen=True)

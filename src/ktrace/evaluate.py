@@ -125,14 +125,31 @@ def extract(students: Mapping[str, list], encoder: Encoder, dataset: Dataset) ->
     )
 
 
+def save_spec(spec, out_dir: str | Path) -> None:
+    """Record which spec's fit a model directory holds, as `spec.json`."""
+    (Path(out_dir) / "spec.json").write_text(canonical_json(spec.to_json()), encoding="utf-8")
+
+
+def check_saved_spec(spec, out_dir: str | Path) -> None:
+    """Raise a ConfigError unless the directory holds a fit of this spec."""
+    stored = json.loads((Path(out_dir) / "spec.json").read_text(encoding="utf-8"))
+    if stored != spec.to_json():
+        raise ConfigError(
+            f"{out_dir} holds a fit of spec {canonical_json(stored).strip()}, "
+            f"not of {canonical_json(spec.to_json()).strip()}"
+        )
+
+
 @dataclass(frozen=True)
 class PlainSpec:
     """A single logistic-regression model over a named recipe.
 
     Every spec follows one protocol: `label`, `fit_on` and `predict_on`
     for cross-validation; `to_json`/`from_json` for the spec itself; and
-    `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned.
-    A plain fit is stored as `encoder.json` + `model.json`.
+    `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned,
+    where `save` also writes the spec as `spec.json` and `load` refuses a
+    directory holding another spec's fit.  A plain fit is stored as
+    `encoder.json` + `model.json`.
     """
 
     recipe: str = "best-lr"
@@ -173,8 +190,10 @@ class PlainSpec:
         out.mkdir(parents=True, exist_ok=True)
         (out / "encoder.json").write_text(canonical_json(encoder.to_json()), encoding="utf-8")
         regression.save_model(model, out / "model.json")
+        save_spec(self, out)
 
     def load(self, out_dir: str | Path):
+        check_saved_spec(self, out_dir)
         out = Path(out_dir)
         encoder = Encoder.from_json(json.loads((out / "encoder.json").read_text(encoding="utf-8")))
         return encoder, regression.load_model(out / "model.json", encoder=encoder)
@@ -240,10 +259,9 @@ class MetricsReport:
         )
 
 
-def _bucket_label(lo: float, hi: float) -> str:
-    lo_s = str(int(lo))
-    hi_s = "inf" if math.isinf(hi) else str(int(hi))
-    return f"{lo_s}-{hi_s}"
+def interval_label(lo: float, hi: float) -> str:
+    """Name of the response-index interval [lo, hi), e.g. "10-50" or "500-inf"."""
+    return f"{int(lo)}-{'inf' if math.isinf(hi) else int(hi)}"
 
 
 def bucket_metrics(
@@ -263,7 +281,7 @@ def bucket_metrics(
         n = int(np.sum(mask))
         pos = int(np.sum(labels[mask]))
         entry = {
-            "bucket": _bucket_label(lo, hi),
+            "bucket": interval_label(lo, hi),
             "n": n,
             "positives": pos,
             "acc": accuracy(probs[mask], labels[mask]) if n else None,

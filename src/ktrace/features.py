@@ -52,6 +52,8 @@ from ktrace.core import (
     EventKind,
     InteractionEvent,
     KCGraph,
+    MATERIAL_KINDS,
+    OPTIONAL_FIELDS,
     StudentState,
     canonical_json,
     scale,
@@ -60,20 +62,20 @@ from ktrace.core import (
 # ---------------------------------------------------------------------------
 # Families and recipes
 
-# context variant -> manifest flag it needs
-_CONTEXT_FIELDS = {
-    "teacher_group": "teacher_group",
-    "school": "school",
-    "course": "course",
-    "topic": "topic",
-    "difficulty": "difficulty",
-    "bundle": "bundle",
-    "part_area": "part_area",
-    "platform": "platform",
-    "age": "age_gender",
-    "gender": "age_gender",
-    "social_support": "social_support",
-}
+# context variants: optional event fields, each gated by its OPTIONAL_FIELDS flag
+_CONTEXT_FIELDS = (
+    "teacher_group",
+    "school",
+    "course",
+    "topic",
+    "difficulty",
+    "bundle",
+    "part_area",
+    "platform",
+    "age",
+    "gender",
+    "social_support",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,21 +424,11 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
         state.prior_no_lag = event.no_lag
         state.has_prior_response = True
         return
-    minutes = event.consumption_minutes or 0.0
-    if event.kind is EventKind.VIDEO_WATCH:
-        state.videos_watched.add(kcs, 1.0)
-        if minutes:
-            state.video_minutes.add(kcs, minutes)
-    elif event.kind is EventKind.VIDEO_SKIP:
-        state.videos_skipped.add(kcs, 1.0)
-    elif event.kind is EventKind.READING:
-        state.readings.add(kcs, 1.0)
-        if minutes:
-            state.reading_minutes.add(kcs, minutes)
-    elif event.kind is EventKind.HINT_USE:
-        state.hints.add(kcs, float(event.hint_count if event.hint_count else 1))
-        if minutes:
-            state.hint_minutes.add(kcs, minutes)
+    material = MATERIAL_KINDS[event.kind]
+    count = float(event.hint_count or 1) if event.kind is EventKind.HINT_USE else 1.0
+    getattr(state, material.count).add(kcs, count)
+    if event.consumption_minutes and material.minutes:
+        getattr(state, material.minutes).add(kcs, event.consumption_minutes)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +673,8 @@ _KINDS: dict[str, _Kind] = {
     ),
     "context": _Kind(
         _one_hot(None),
-        tuple(_CONTEXT_FIELDS),
-        flags={v: (flag,) for v, flag in _CONTEXT_FIELDS.items()},
+        _CONTEXT_FIELDS,
+        flags={v: (OPTIONAL_FIELDS[v].flag,) for v in _CONTEXT_FIELDS},
         vocab={v: v for v in _CONTEXT_FIELDS},
     ),
     "part_area_counts": _Kind(_emit_part_area_counts, flags=("part_area",), slots=2),

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from ktrace.core import (
     FoldAssignment,
     InteractionEvent,
     KCGraph,
+    MATERIAL_KINDS,
+    OPTIONAL_FIELDS,
     ParseError,
     SchemaError,
     canonical_json,
@@ -39,47 +42,8 @@ CANONICAL_COLUMNS: tuple[str, ...] = (
     "question_id",
     "kc_ids",
     "correct",
-    "elapsed_time_s",
-    "study_module",
-    "teacher_group",
-    "school",
-    "course",
-    "topic",
-    "bundle",
-    "part_area",
-    "platform",
-    "difficulty",
-    "hint_count",
-    "consumption_minutes",
-    "age",
-    "gender",
-    "social_support",
+    *OPTIONAL_FIELDS,
 )
-
-# Optional CSV columns and the manifest flag each one requires.
-_FIELD_FLAGS = {
-    "elapsed_time_s": "elapsed_lag_time",
-    "study_module": "study_module",
-    "teacher_group": "teacher_group",
-    "school": "school",
-    "course": "course",
-    "topic": "topic",
-    "bundle": "bundle",
-    "part_area": "part_area",
-    "platform": "platform",
-    "difficulty": "difficulty",
-    "hint_count": "hints",
-    "age": "age_gender",
-    "gender": "age_gender",
-    "social_support": "social_support",
-}
-
-_KIND_FLAGS = {
-    EventKind.VIDEO_WATCH: "videos",
-    EventKind.VIDEO_SKIP: "videos",
-    EventKind.READING: "reading",
-    EventKind.HINT_USE: "hints",
-}
 
 
 @dataclass
@@ -91,7 +55,6 @@ class Dataset:
     kc_graph: KCGraph | None = None
     squash_map: dict[str, tuple[str, ...]] | None = None
     quality: dict[str, int] = field(default_factory=dict)
-    lags_derived: bool = False
     # keyed feature rows of these students; `replace` starts a fresh store
     feature_rows: RowStore = field(init=False, default_factory=RowStore, repr=False, compare=False)
 
@@ -109,10 +72,6 @@ class Dataset:
         keep = {s: self.students[s] for s in sorted(student_ids)}
         return replace(self, students=keep)
 
-    def all_events(self) -> Iterator[InteractionEvent]:
-        for sid in self.students:
-            yield from self.students[sid]
-
 
 def _parse_bool(cell: str, line: int) -> bool:
     low = cell.lower()
@@ -121,6 +80,19 @@ def _parse_bool(cell: str, line: int) -> bool:
     if low in ("0", "false"):
         return False
     raise ParseError(f"bad correct flag {cell!r}", line)
+
+
+def _parse_cell(cell: str, typ: type, col: str, line: int):
+    """A non-empty optional cell as its OPTIONAL_FIELDS type."""
+    if typ is str:
+        return cell
+    try:
+        value = typ(cell)
+    except ValueError:
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"bad {'integer' if typ is int else 'number'} {cell!r} in column {col!r}", line)
+    return value
 
 
 def _parse_row(row: Mapping[str, str], line: int, manifest: DatasetManifest) -> InteractionEvent:
@@ -139,68 +111,32 @@ def _parse_row(row: Mapping[str, str], line: int, manifest: DatasetManifest) -> 
     except ValueError:
         raise ParseError(f"unknown event_kind {row['event_kind']!r}", line) from None
 
-    for col, flag in _FIELD_FLAGS.items():
-        if row[col] and not manifest.allows(flag):
+    for col, f in OPTIONAL_FIELDS.items():
+        if row[col] and f.flag and not manifest.allows(f.flag):
             raise SchemaError(
                 f"line {line}: column {col!r} populated but manifest "
-                f"{manifest.name!r} does not declare {flag!r}"
+                f"{manifest.name!r} does not declare {f.flag!r}"
             )
-    kind_flag = _KIND_FLAGS.get(kind)
-    if kind_flag and not manifest.allows(kind_flag):
+    material = MATERIAL_KINDS.get(kind)
+    if material and not manifest.allows(material.flag):
         raise SchemaError(
-            f"line {line}: event kind {kind.value!r} requires manifest flag {kind_flag!r}"
+            f"line {line}: event kind {kind.value!r} requires manifest flag {material.flag!r}"
         )
     if row["consumption_minutes"] and kind is EventKind.QUESTION_RESPONSE:
         raise ParseError("consumption_minutes on a question response", line)
 
-    kcs = tuple(sorted({k for k in row["kc_ids"].split(";") if k}))
-
-    def fnum(col: str) -> float | None:
-        cell = row[col]
-        if not cell:
-            return None
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParseError(f"bad number {cell!r} in column {col!r}", line)
-        return value
-
-    def inum(col: str) -> int | None:
-        cell = row[col]
-        if not cell:
-            return None
-        try:
-            return int(cell)
-        except ValueError:
-            raise ParseError(f"bad integer {cell!r} in column {col!r}", line) from None
-
-    def text(col: str) -> str | None:
-        return row[col] or None
-
+    # positional: InteractionEvent declares its fields in CANONICAL_COLUMNS order
     event = InteractionEvent(
-        student_id=sid,
-        timestamp=ts,
-        kind=kind,
-        question_id=text("question_id"),
-        kc_ids=kcs,
-        correct=_parse_bool(row["correct"], line) if row["correct"] else None,
-        elapsed_time_s=fnum("elapsed_time_s"),
-        study_module=text("study_module"),
-        teacher_group=text("teacher_group"),
-        school=text("school"),
-        course=text("course"),
-        topic=text("topic"),
-        bundle=text("bundle"),
-        part_area=text("part_area"),
-        platform=text("platform"),
-        difficulty=text("difficulty"),
-        hint_count=inum("hint_count"),
-        consumption_minutes=fnum("consumption_minutes"),
-        age=text("age"),
-        gender=text("gender"),
-        social_support=text("social_support"),
+        sid,
+        ts,
+        kind,
+        row["question_id"] or None,
+        tuple(sorted({k for k in row["kc_ids"].split(";") if k})),
+        _parse_bool(row["correct"], line) if row["correct"] else None,
+        *[
+            _parse_cell(cell, f.type, col, line) if (cell := row[col]) else None
+            for col, f in OPTIONAL_FIELDS.items()
+        ],
     )
     try:
         event.validate()
@@ -337,11 +273,7 @@ def derive_lag_times(dataset: Dataset) -> Dataset:
         students[sid] = out
     quality = dict(dataset.quality)
     quality["negative_lag_clamped"] = quality.get("negative_lag_clamped", 0) + negative
-    return replace(dataset, students=students, quality=quality, lags_derived=True)
-
-
-def ensure_lags(dataset: Dataset) -> Dataset:
-    return dataset if dataset.lags_derived else derive_lag_times(dataset)
+    return replace(dataset, students=students, quality=quality)
 
 
 def _fmt(value) -> str:
@@ -354,6 +286,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_optional_cells = operator.attrgetter(*OPTIONAL_FIELDS)
+
+
 def write_events(dataset: Dataset, path: str | Path) -> None:
     """Write the canonical CSV (students in sorted-id order)."""
     path = Path(path)
@@ -362,31 +297,10 @@ def write_events(dataset: Dataset, path: str | Path) -> None:
         writer.writerow(CANONICAL_COLUMNS)
         for sid in sorted(dataset.students):
             for e in dataset.students[sid]:
-                writer.writerow(
-                    [
-                        e.student_id,
-                        e.timestamp,
-                        e.kind.value,
-                        _fmt(e.question_id),
-                        ";".join(e.kc_ids),
-                        _fmt(e.correct),
-                        _fmt(e.elapsed_time_s),
-                        _fmt(e.study_module),
-                        _fmt(e.teacher_group),
-                        _fmt(e.school),
-                        _fmt(e.course),
-                        _fmt(e.topic),
-                        _fmt(e.bundle),
-                        _fmt(e.part_area),
-                        _fmt(e.platform),
-                        _fmt(e.difficulty),
-                        _fmt(e.hint_count),
-                        _fmt(e.consumption_minutes),
-                        _fmt(e.age),
-                        _fmt(e.gender),
-                        _fmt(e.social_support),
-                    ]
-                )
+                writer.writerow([
+                    e.student_id, e.timestamp, e.kind.value, _fmt(e.question_id),
+                    ";".join(e.kc_ids), _fmt(e.correct), *map(_fmt, _optional_cells(e)),
+                ])
 
 
 def read_manifest(path: str | Path) -> tuple[DatasetManifest, KCGraph | None]:
@@ -438,10 +352,14 @@ def write_prepared(dataset: Dataset, assignment: FoldAssignment, out_dir: str | 
 
 
 def load_prepared(dir_path: str | Path) -> tuple[Dataset, FoldAssignment]:
-    """Load a directory produced by write_prepared."""
+    """Load a directory produced by write_prepared.
+
+    events.csv does not store lag times, so they are derived again; the
+    quality tallies come from prepare_meta.json, which already counts
+    the clamped lags."""
     d = Path(dir_path)
     manifest, graph = read_manifest(d / "manifest.json")
-    dataset = load_events(d / "events.csv", manifest)
+    dataset = derive_lag_times(load_events(d / "events.csv", manifest))
     dataset.kc_graph = graph
     meta_path = d / "prepare_meta.json"
     if meta_path.exists():

@@ -24,7 +24,15 @@ import numpy as np
 
 from ktrace import features, regression
 from ktrace.core import ConfigError, InteractionEvent, canonical_json
-from ktrace.evaluate import DEFAULT_SPLITPOINTS, FoldPrediction, PlainSpec, extract
+from ktrace.evaluate import (
+    DEFAULT_SPLITPOINTS,
+    FoldPrediction,
+    PlainSpec,
+    check_saved_spec,
+    extract,
+    interval_label,
+    save_spec,
+)
 from ktrace.features import Encoder, Recipe
 from ktrace.ingest import Dataset
 from ktrace.regression import Model, TrainConfig
@@ -86,7 +94,7 @@ class PartitionScheme:
         """All interval labels, in order (response_index only)."""
         if self.kind != "response_index":
             raise ConfigError("interval_keys only applies to response_index schemes")
-        return [_interval_label(a, b) for a, b in zip(self.splitpoints, self.splitpoints[1:])]
+        return [interval_label(a, b) for a, b in zip(self.splitpoints, self.splitpoints[1:])]
 
     def to_json(self) -> dict:
         if self.kind == "response_index":
@@ -105,16 +113,12 @@ class PartitionScheme:
         return cls(kind=obj.get("kind"), feature=obj.get("feature"))
 
 
-def _interval_label(lo: float, hi: float) -> str:
-    return f"{int(lo)}-{'inf' if math.isinf(hi) else int(hi)}"
-
-
 def assign_partition(scheme: PartitionScheme, event: InteractionEvent, t: int) -> str:
     """Partition key for one example: t is the prior-response count."""
     if scheme.kind == "response_index":
         pts = scheme.splitpoints
         i = bisect_right(pts, t) - 1
-        return _interval_label(pts[i], pts[i + 1])
+        return interval_label(pts[i], pts[i + 1])
     value = getattr(event, scheme.feature)
     return MISSING_KEY if value is None else str(value)
 
@@ -239,8 +243,10 @@ class PartitionedSpec(PlainSpec):
 
     def save(self, fitted: PartitionedModel, out_dir: str | Path) -> None:
         save_partitioned(fitted, out_dir)
+        save_spec(self, out_dir)
 
     def load(self, out_dir: str | Path) -> PartitionedModel:
+        check_saved_spec(self, out_dir)
         return load_partitioned(out_dir)
 
 

@@ -278,6 +278,24 @@ def test_save_load_roundtrip(kind, tmp_path):
         assert again.specs == fitted.specs
 
 
+def test_plain_load_refuses_another_recipes_fit(tmp_path):
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    save_fitted(PlainSpec("pfa").fit_on(train, ds, CFG), tmp_path, PlainSpec("pfa"))
+    with pytest.raises(ConfigError, match=r'fit of spec .*"recipe":"pfa".*not of .*"recipe":"irt"'):
+        PlainSpec("irt").load(tmp_path)
+
+
+def test_partitioned_load_refuses_other_splitpoints(tmp_path):
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    stored = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 5, math.inf)),
+                             min_partition=10)
+    save_fitted(stored.fit_on(train, ds, CFG), tmp_path, stored)
+    wanted = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+                             min_partition=10)
+    with pytest.raises(ConfigError, match=r'fit of spec .*\[0,5,"inf"\].*not of .*\[0,10,"inf"\]'):
+        wanted.load(tmp_path)
+
+
 def test_unknown_base_kind_fails_with_a_config_error(tmp_path):
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
     spec = CombinedSpec((PlainSpec("irt"), PlainSpec("pfa")))

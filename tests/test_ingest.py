@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
 
-from ktrace.core import ConfigError, DatasetManifest, EventKind, InteractionEvent, ParseError, SchemaError
+from ktrace.core import (
+    MATERIAL_KINDS,
+    OPTIONAL_FIELDS,
+    ConfigError,
+    DatasetManifest,
+    EventKind,
+    InteractionEvent,
+    ParseError,
+    SchemaError,
+)
 from ktrace.ingest import (
     CANONICAL_COLUMNS,
     Dataset,
@@ -167,24 +176,41 @@ def test_load_header_mismatch(tmp_path):
         load_events(path, MINIMAL)
 
 
-def test_load_rejects_undeclared_fields(tmp_path):
+# a well-formed cell of each OPTIONAL_FIELDS type
+SAMPLE_CELLS = {str: "m1", float: "2.5", int: "3"}
+
+
+@pytest.mark.parametrize("col", [c for c, f in OPTIONAL_FIELDS.items() if f.flag])
+def test_load_rejects_undeclared_fields(tmp_path, col):
+    typ, flag = OPTIONAL_FIELDS[col]
     lines = [
         csv_line(
             student_id="s1", timestamp=1, event_kind="QuestionResponse",
-            question_id="q1", kc_ids="k1", correct=1, study_module="m1",
+            question_id="q1", kc_ids="k1", correct=1, **{col: SAMPLE_CELLS[typ]},
         )
     ]
-    with pytest.raises(SchemaError, match="study_module"):
+    with pytest.raises(SchemaError, match=f"column '{col}' populated .* does not declare '{flag}'"):
         load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
-    ok = DatasetManifest(name="t", capabilities=frozenset({"study_module"}))
+    ok = DatasetManifest(name="t", capabilities=frozenset({flag}))
     ds = load_events(write_csv(tmp_path / "e2.csv", lines), ok)
-    assert ds.students["s1"][0].study_module == "m1"
+    assert getattr(ds.students["s1"][0], col) == typ(SAMPLE_CELLS[typ])
 
 
-def test_load_rejects_undeclared_event_kinds(tmp_path):
-    lines = [csv_line(student_id="s1", timestamp=1, event_kind="VideoWatch", kc_ids="k1")]
-    with pytest.raises(SchemaError, match="videos"):
+@pytest.mark.parametrize("kind", list(MATERIAL_KINDS), ids=lambda k: k.value)
+def test_load_rejects_undeclared_event_kinds(tmp_path, kind):
+    flag = MATERIAL_KINDS[kind].flag
+    lines = [csv_line(student_id="s1", timestamp=1, event_kind=kind.value, kc_ids="k1")]
+    with pytest.raises(SchemaError, match=f"event kind '{kind.value}' requires manifest flag '{flag}'"):
         load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+    ok = DatasetManifest(name="t", capabilities=frozenset({flag}))
+    assert load_events(write_csv(tmp_path / "e.csv", lines), ok).students["s1"][0].kind is kind
+
+
+def test_canonical_columns_are_the_event_fields():
+    """A field added to InteractionEvent without an OPTIONAL_FIELDS row fails here."""
+    names = [f.name for f in dataclasses.fields(InteractionEvent)]
+    assert names[-2:] == ["lag_s", "no_lag"]  # derived after ingestion, never stored
+    assert ["event_kind" if n == "kind" else n for n in names[:-2]] == list(CANONICAL_COLUMNS)
 
 
 def test_readme_event_kinds_parse(tmp_path):
@@ -475,3 +501,27 @@ def test_prepared_roundtrip(tmp_path):
         s: [e.question_id for e in v] for s, v in ds.students.items()
     }
     assert again.students["s1"][0].elapsed_time_s == 12.5
+
+
+def test_prepared_roundtrip_keeps_every_field_and_lag(tmp_path):
+    """load_prepared gives prepare's events, lag fields included, and its quality tallies."""
+    cells = {col: typ(SAMPLE_CELLS[typ]) for col, (typ, _) in OPTIONAL_FIELDS.items()}
+    per_response = {col: v for col, v in cells.items() if col != "consumption_minutes"}
+    students = {
+        sid: [
+            response(sid, 0, "q1", ["k1", "k2"], True, **{**per_response, "elapsed_time_s": 30.0}),
+            *(
+                InteractionEvent(sid, 5 + i, kind, kc_ids=("k1",), **cells)
+                for i, kind in enumerate(MATERIAL_KINDS)
+            ),
+            response(sid, 20, "q2", ["k1"], False, **per_response),  # before q1 ended: clamped
+            response(sid, 100, "q1", ["k2"], True, **per_response),
+        ]
+        for sid in ("s1", "s2")
+    }
+    ds = derive_lag_times(Dataset(manifest=DatasetManifest.full("t"), students=students))
+    assert ds.quality == {"negative_lag_clamped": 2}
+    write_prepared(ds, split_folds(ds, k=2, seed=1), tmp_path / "prep")
+    again, _ = load_prepared(tmp_path / "prep")
+    assert again.students == derive_lag_times(ds).students
+    assert again.quality == ds.quality
