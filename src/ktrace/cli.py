@@ -243,7 +243,7 @@ def cmd_prepare(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _build_spec(args: argparse.Namespace, cfg_file: dict):
-    min_partition = int(_effective(args, cfg_file, "min-partition", 50))
+    min_partition = int(_effective(args, cfg_file, "min-partition", specialize.PartitionedSpec.min_partition))
     extras = _parse_extras(_effective(args, cfg_file, "extras", None))
     combo = _effective(args, cfg_file, "combine", "none")
     partition = _effective(args, cfg_file, "partition", "none")
@@ -267,7 +267,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     # stacking and base selection keep seed 0 unless one is given, whatever the stored split's seed
     seed = int(seed_set) if seed_set is not None else 0
     jobs = int(_effective(args, cfg_file, "jobs", 1, env=JOBS_ENV))
-    l2 = float(_effective(args, cfg_file, "l2", 1e-6))
+    l2 = float(_effective(args, cfg_file, "l2", regression.TrainConfig.l2))
     if args.recipe not in RECIPE_NAMES:
         raise ConfigError(f"--recipe must be one of {', '.join(RECIPE_NAMES)}")
 

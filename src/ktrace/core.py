@@ -58,11 +58,9 @@ class InteractionEvent:
     Only ``student_id``, ``timestamp`` and ``kind`` are always present.
     Question responses additionally carry ``question_id``, ``kc_ids``
     and ``correct``; every other field is dataset-dependent, and its
-    ``OPTIONAL_FIELDS`` row names the manifest flag it needs.
-
-    ``lag_s``/``no_lag`` are not read from input files: they are filled
-    in by lag derivation after ingestion (``no_lag`` marks a student's
-    first response, for which no lag can be computed).
+    ``OPTIONAL_FIELDS`` row names the manifest flag it needs.  The
+    fields are the canonical CSV columns, one to one; lag times are not
+    stored but computed from the responses (``lag_since``).
     """
 
     student_id: str
@@ -86,8 +84,6 @@ class InteractionEvent:
     age: str | None = None
     gender: str | None = None
     social_support: str | None = None
-    lag_s: float | None = None
-    no_lag: bool = False
 
     def is_response(self) -> bool:
         return self.kind is EventKind.QUESTION_RESPONSE
@@ -327,6 +323,20 @@ def scale(x: float) -> float:
     return math.log1p(x)
 
 
+def response_end(event: InteractionEvent) -> float:
+    """When a response ended: its receipt timestamp plus its elapsed time (0 without one)."""
+    return event.timestamp + (event.elapsed_time_s or 0.0)
+
+
+def lag_since(prior_end: float | None, timestamp: int) -> tuple[float | None, bool]:
+    """Seconds from the previous response's end (None: there is none) to the
+    receipt at `timestamp`, and whether a negative gap was clamped to 0.0."""
+    if prior_end is None:
+        return None, False
+    gap = timestamp - prior_end
+    return (gap, False) if gap >= 0 else (0.0, True)
+
+
 class ResponseLog:
     """Append-only correctness log for one scope (student / KC / question).
 
@@ -426,10 +436,10 @@ class StudentState:
         self.reading_minutes = Tally()
         self.hints = Tally()
         self.hint_minutes = Tally()
+        # the latest response: its elapsed time, lag time and end (response_end)
         self.prior_elapsed_s: float | None = None
         self.prior_lag_s: float | None = None
-        self.prior_no_lag: bool = False
-        self.has_prior_response: bool = False
+        self.prior_end: float | None = None
         self.last_timestamp: int | None = None
 
     def kc_log(self, kc: str) -> ResponseLog:

@@ -9,11 +9,11 @@ features using only events strictly before the question.
 
 Everything known about a family kind sits in its one row of the
 `_KINDS` table: the variants it takes, the manifest capability it needs
-(a flag, the context field's flag, or either graph flag), the
-vocabulary its block is indexed by, the block width, and the emitter
-that writes the block.  Family validation, capability gating, encoder
-fitting and emission all read that row, so a new family is one row plus
-one emitter.
+(its event field's or material tally's flag in the `core` schema
+tables, or either graph flag), the vocabulary its block is indexed by,
+the block width, and the emitter that writes the block.  Family
+validation, capability gating, encoder fitting and emission all read
+that row, so a new family is one row plus one emitter.
 
 Emitters write keyed rows, which no fold changes: per entry the block,
 the vocabulary key's code (or none), the slot within the key's columns
@@ -28,7 +28,8 @@ One prediction's features are a row of a one-student `build_matrix`.
 Counts and time values pass through scale() = ln(1+x).  Time-window
 counts use ascending windows whose last entry is infinite; a prior
 response falls into a finite window when its age is strictly less than
-the window length.
+the window length.  Lag time is a value of the walk, not of the event:
+`core.lag_since` from the state's latest response end.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from ktrace.core import (
     OPTIONAL_FIELDS,
     StudentState,
     canonical_json,
+    lag_since,
+    response_end,
     scale,
 )
 
@@ -381,9 +384,9 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
     Events must arrive in non-decreasing timestamp order.  Question
     responses update correctness logs (total, per KC, per question),
     module/part counters, graph-node tallies, the recent-response bits
-    and the prior elapsed/lag snapshot.  Material events update the
-    corresponding tallies; hint counts attached to responses count
-    toward the hint tally as well.
+    and the latest response's elapsed time, lag time and end.  Material
+    events update the corresponding tallies; hint counts attached to
+    responses count toward the hint tally as well.
     """
     state.check_order(event.timestamp)
     kcs = event.kc_ids
@@ -420,9 +423,8 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
         if event.hint_count:
             state.hints.add(kcs, float(event.hint_count))
         state.prior_elapsed_s = event.elapsed_time_s
-        state.prior_lag_s = event.lag_s
-        state.prior_no_lag = event.no_lag
-        state.has_prior_response = True
+        state.prior_lag_s, _ = lag_since(state.prior_end, ts)
+        state.prior_end = response_end(event)
         return
     material = MATERIAL_KINDS[event.kind]
     count = float(event.hint_count or 1) if event.kind is EventKind.HINT_USE else 1.0
@@ -527,18 +529,20 @@ def _emit_elapsed_time(out, b, codes, fam, recipe, state, event) -> None:
 
 
 def _emit_lag_time(out, b, codes, fam, recipe, state, event) -> None:
+    # the described response (this one or the latest) and the responses before it
     if fam.variant == "current":
-        lag_s, flag = event.lag_s, event.no_lag
+        lag_s, _ = lag_since(state.prior_end, event.timestamp)
+        before = state.total.attempts
     else:
-        lag_s, flag = state.prior_lag_s, state.prior_no_lag
+        lag_s, before = state.prior_lag_s, state.total.attempts - 1
     n_cat = len(LAG_CATEGORIES_MIN)
-    if flag:
-        out.append((b, -1, n_cat + 1, 1.0))
-    elif lag_s is not None:
+    if lag_s is not None:
         cat, scaled = lag_bins(lag_s / 60.0)
         out.append((b, -1, cat, 1.0))
         if scaled:
             out.append((b, -1, n_cat, scaled))
+    elif before == 0:  # a student's first response has no lag
+        out.append((b, -1, n_cat + 1, 1.0))
 
 
 # datetime variant -> (block width, column of a UTC datetime)
@@ -588,16 +592,6 @@ def _graph(step: str, counts: bool):
     return emit_graph
 
 
-def _tally(attr: str):
-    """Emitter for a material tally of StudentState: (total, related to the event's KCs)."""
-
-    def emit_tally(out, b, codes, fam, recipe, state, event) -> None:
-        tally = getattr(state, attr)
-        _push_pair(out, b, -1, 0, tally.total, tally.for_kcs(event.kc_ids))
-
-    return emit_tally
-
-
 def _emit_smoothed_avg_correct(out, b, codes, fam, recipe, state, event) -> None:
     # the value depends on the fold's rbar: _Placer computes it from the
     # row's stored correct/attempt counts
@@ -644,9 +638,24 @@ class _Kind:
         return per if domain is None else per * len(vocabs[domain])
 
 
+def _material(attr: str) -> _Kind:
+    """Row of a family emitting a StudentState material tally (total, related to the
+    event's KCs), gated by the flag of the MATERIAL_KINDS row that fills the tally."""
+
+    def emit_tally(out, b, codes, fam, recipe, state, event) -> None:
+        tally = getattr(state, attr)
+        _push_pair(out, b, -1, 0, tally.total, tally.for_kcs(event.kc_ids))
+
+    flag = next(m.flag for m in MATERIAL_KINDS.values() if attr in (m.count, m.minutes))
+    return _Kind(emit_tally, flags=(flag,), slots=2)
+
+
+# each optional event field's flags, for the families reading it
+_FIELD_FLAGS = {name: (f.flag,) for name, f in OPTIONAL_FIELDS.items()}
 _SCOPES = ("total", "kc", "question")
 _NOW_OR_PRIOR = ("current", "prior")
 _GRAPH = ("prereq_graph", "kc_hierarchy")  # an explicit graph or an ontology-derived one
+_ELAPSED = _FIELD_FLAGS["elapsed_time_s"]  # lag time too: a response ends after its elapsed time
 
 _KINDS: dict[str, _Kind] = {
     "bias": _Kind(_emit_bias),
@@ -658,37 +667,33 @@ _KINDS: dict[str, _Kind] = {
         _emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=lambda fam, recipe: 2 * recipe.tw.count
     ),
     # categories, then the scaled value (and the no-lag flag for lag time)
-    "elapsed_time": _Kind(
-        _emit_elapsed_time, _NOW_OR_PRIOR, flags=("elapsed_lag_time",), slots=ELAPSED_MAX_S + 2
-    ),
-    "lag_time": _Kind(
-        _emit_lag_time, _NOW_OR_PRIOR, flags=("elapsed_lag_time",), slots=len(LAG_CATEGORIES_MIN) + 2
-    ),
+    "elapsed_time": _Kind(_emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2),
+    "lag_time": _Kind(_emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2),
     "datetime": _Kind(
         _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]
     ),
-    "study_module": _Kind(_one_hot("study_module"), flags=("study_module",), vocab="study_module"),
+    "study_module": _Kind(_one_hot("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
     "study_module_counts": _Kind(
-        _emit_study_module_counts, flags=("study_module",), vocab="study_module", slots=2
+        _emit_study_module_counts, flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2
     ),
     "context": _Kind(
         _one_hot(None),
         _CONTEXT_FIELDS,
-        flags={v: (OPTIONAL_FIELDS[v].flag,) for v in _CONTEXT_FIELDS},
+        flags={v: _FIELD_FLAGS[v] for v in _CONTEXT_FIELDS},
         vocab={v: v for v in _CONTEXT_FIELDS},
     ),
-    "part_area_counts": _Kind(_emit_part_area_counts, flags=("part_area",), slots=2),
+    "part_area_counts": _Kind(_emit_part_area_counts, flags=_FIELD_FLAGS["part_area"], slots=2),
     "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node"),
     "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
     "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node"),
     "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
-    "video_watched_counts": _Kind(_tally("videos_watched"), flags=("videos",), slots=2),
-    "video_skipped_counts": _Kind(_tally("videos_skipped"), flags=("videos",), slots=2),
-    "video_watched_time": _Kind(_tally("video_minutes"), flags=("videos",), slots=2),
-    "reading_counts": _Kind(_tally("readings"), flags=("reading",), slots=2),
-    "reading_time": _Kind(_tally("reading_minutes"), flags=("reading",), slots=2),
-    "hint_counts": _Kind(_tally("hints"), flags=("hints",), slots=2),
-    "hint_time": _Kind(_tally("hint_minutes"), flags=("hints",), slots=2),
+    "video_watched_counts": _material("videos_watched"),
+    "video_skipped_counts": _material("videos_skipped"),
+    "video_watched_time": _material("video_minutes"),
+    "reading_counts": _material("readings"),
+    "reading_time": _material("reading_minutes"),
+    "hint_counts": _material("hints"),
+    "hint_time": _material("hint_minutes"),
     "smoothed_avg_correct": _Kind(_emit_smoothed_avg_correct),
     "response_pattern": _Kind(_emit_response_pattern, slots=lambda fam, recipe: 1 << recipe.n_recent),
 }

@@ -5,7 +5,8 @@ fixed header; converters from raw platform exports are expected to
 produce this format plus a JSON manifest of capability flags (and an
 optional prerequisite graph).  Preprocessing squashes multi-KC sets to
 artificial single KCs, drops students with too few responses, assigns
-student-level cross-validation folds, and derives lag times.
+student-level cross-validation folds, and tallies the lag times that
+extraction will clamp to zero.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from ktrace.core import (
     ParseError,
     SchemaError,
     canonical_json,
+    lag_since,
+    response_end,
 )
 from ktrace.features import RowStore
 
@@ -244,36 +247,18 @@ def split_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> FoldAssignment:
 
 
 def derive_lag_times(dataset: Dataset) -> Dataset:
-    """Annotate each response with the lag since the previous question.
-
-    Lag is the gap between the moment the previous question was
-    completed (its receipt timestamp plus elapsed time, when elapsed
-    time is available) and the moment the current question is received.
-    A student's first response gets the no-lag flag instead.  Negative
-    raw lags clamp to zero and are tallied under
-    quality["negative_lag_clamped"].
-    """
+    """Add the responses whose lag time extraction clamps to zero (`lag_since`)
+    to quality["negative_lag_clamped"]; no event changes."""
     negative = 0
-    students: dict[str, list[InteractionEvent]] = {}
-    for sid, events in dataset.students.items():
-        out: list[InteractionEvent] = []
-        prev_end: float | None = None
+    for events in dataset.students.values():
+        prior_end = None
         for e in events:
             if e.is_response():
-                if prev_end is None:
-                    e = replace(e, no_lag=True, lag_s=None)
-                else:
-                    raw = e.timestamp - prev_end
-                    if raw < 0:
-                        negative += 1
-                        raw = 0.0
-                    e = replace(e, lag_s=float(raw), no_lag=False)
-                prev_end = e.timestamp + (e.elapsed_time_s or 0.0)
-            out.append(e)
-        students[sid] = out
+                negative += lag_since(prior_end, e.timestamp)[1]
+                prior_end = response_end(e)
     quality = dict(dataset.quality)
     quality["negative_lag_clamped"] = quality.get("negative_lag_clamped", 0) + negative
-    return replace(dataset, students=students, quality=quality)
+    return replace(dataset, quality=quality)
 
 
 def _fmt(value) -> str:
@@ -354,12 +339,10 @@ def write_prepared(dataset: Dataset, assignment: FoldAssignment, out_dir: str | 
 def load_prepared(dir_path: str | Path) -> tuple[Dataset, FoldAssignment]:
     """Load a directory produced by write_prepared.
 
-    events.csv does not store lag times, so they are derived again; the
-    quality tallies come from prepare_meta.json, which already counts
-    the clamped lags."""
+    The quality tallies come from prepare_meta.json (none without it)."""
     d = Path(dir_path)
     manifest, graph = read_manifest(d / "manifest.json")
-    dataset = derive_lag_times(load_events(d / "events.csv", manifest))
+    dataset = load_events(d / "events.csv", manifest)
     dataset.kc_graph = graph
     meta_path = d / "prepare_meta.json"
     if meta_path.exists():

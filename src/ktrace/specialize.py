@@ -154,7 +154,8 @@ def fit_partitioned(
     recipe: Recipe,
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
-    min_partition: int = 50,
+    *,
+    min_partition: int,
 ) -> PartitionedModel:
     """Train the fallback on everything, one model per viable partition.
 

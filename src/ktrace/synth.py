@@ -15,7 +15,7 @@ with everything after the first term optional.  Each question carries
 one KC; KCs form a prerequisite chain kc0 -> kc1 -> ... when the
 transfer term is enabled.  Inter-arrival times are exponential and
 every elapsed time is capped at half the gap to the next event, so
-derived lag times are never negative.
+no lag time needs clamping.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ktrace.core import (
     canonical_json,
 )
 from ktrace.evaluate import auc
-from ktrace.ingest import Dataset, derive_lag_times, write_events, write_manifest
+from ktrace.ingest import Dataset, write_events, write_manifest
 
 _MAX_LOGIT = 30.0
 
@@ -220,7 +220,6 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         caps.add("prereq_graph")
     manifest = DatasetManifest(name=config.name, capabilities=frozenset(caps))
     dataset = Dataset(manifest=manifest, students=students, kc_graph=graph)
-    dataset = derive_lag_times(dataset)
     truth = GroundTruth(
         config=config,
         abilities={k: float(v) for k, v in abilities.items()},

@@ -49,6 +49,13 @@ def _responses(prefix):
     return [e for e in prefix if e.kind.value == "QuestionResponse"]
 
 
+def _brute_lag(previous, response):
+    """Seconds from the end of `previous` (receipt plus elapsed time) to the
+    receipt of `response`, clamped at zero."""
+    end = previous.timestamp + (previous.elapsed_time_s or 0.0)
+    return max(response.timestamp - end, 0.0)
+
+
 def _orig_kcs(kcs, squash_map):
     if not squash_map:
         return list(kcs)
@@ -168,10 +175,13 @@ def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=No
             if secs > 0:
                 out[ELAPSED_CAP + 1] = ln1p(secs)
     elif kind == "lag_time":
+        # the described response (this one or the latest) and the responses before it
         if variant == "current":
-            lag_s, flag = event.lag_s, event.no_lag
+            described, before = event, resp
         else:
-            lag_s, flag = (resp[-1].lag_s, resp[-1].no_lag) if resp else (None, False)
+            described, before = (resp[-1] if resp else None), resp[:-1]
+        flag = described is not None and not before
+        lag_s = _brute_lag(before[-1], described) if before else None
         if flag:
             out[len(LAG_CATS) + 1] = 1.0
         elif lag_s is not None:
@@ -543,9 +553,10 @@ def _ref_block(entries, off, fam, encoder, state, event):
                 entries.append((off + ELAPSED_MAX_S + 1, scaled))
     elif kind == "lag_time":
         if variant == "current":
-            lag_s, flag = event.lag_s, event.no_lag
+            flag = state.total.attempts == 0
+            lag_s = None if flag else max(event.timestamp - state.prior_end, 0.0)
         else:
-            lag_s, flag = state.prior_lag_s, state.prior_no_lag
+            flag, lag_s = state.total.attempts == 1, state.prior_lag_s
         n_cat = len(LAG_CATEGORIES_MIN)
         if flag:
             entries.append((off + n_cat + 1, 1.0))

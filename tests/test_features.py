@@ -423,7 +423,6 @@ def _random_full_students(rng, n_students=6, max_events=120):
         sid = f"s{s:02d}"
         ts = 1_600_000_000 + int(rng.integers(0, 10**6))
         events = []
-        prev_end = None
         n = int(rng.integers(20, max_events))
         for i in range(n):
             ts += int(rng.integers(30, 3 * 86400))
@@ -432,10 +431,6 @@ def _random_full_students(rng, n_students=6, max_events=120):
                 q = str(rng.choice(questions))
                 q_kcs = sorted(rng.choice(kcs, size=int(rng.integers(1, 3)), replace=False))
                 elapsed = float(rng.integers(0, 400)) if rng.random() < 0.8 else None
-                if prev_end is None:
-                    lag_s, no_lag = None, True
-                else:
-                    lag_s, no_lag = float(max(ts - prev_end, 0)), False
                 events.append(
                     response(
                         sid,
@@ -457,11 +452,8 @@ def _random_full_students(rng, n_students=6, max_events=120):
                         gender=["f", "m", "o", "na"][int(rng.integers(4))],
                         social_support=["low", "mid", "high"][int(rng.integers(3))],
                         hint_count=int(rng.integers(0, 3)) or None,
-                        lag_s=lag_s,
-                        no_lag=no_lag,
                     )
                 )
-                prev_end = ts + (elapsed or 0.0)
             else:
                 kind = [
                     EventKind.VIDEO_WATCH,

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_line, response, toy_dataset, write_csv
+from conftest import csv_line, response, toy_dataset, walk_lags, write_csv
 
+from ktrace import cli
 from ktrace.core import (
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
@@ -22,6 +23,7 @@ from ktrace.core import (
     ParseError,
     SchemaError,
 )
+from ktrace.features import LAG_CATEGORIES_MIN, F, Recipe, build_matrix, fit_encoders
 from ktrace.ingest import (
     CANONICAL_COLUMNS,
     Dataset,
@@ -31,6 +33,8 @@ from ktrace.ingest import (
     load_prepared,
     split_folds,
     squash_multi_kc,
+    write_events,
+    write_manifest,
     write_prepared,
 )
 
@@ -209,8 +213,7 @@ def test_load_rejects_undeclared_event_kinds(tmp_path, kind):
 def test_canonical_columns_are_the_event_fields():
     """A field added to InteractionEvent without an OPTIONAL_FIELDS row fails here."""
     names = [f.name for f in dataclasses.fields(InteractionEvent)]
-    assert names[-2:] == ["lag_s", "no_lag"]  # derived after ingestion, never stored
-    assert ["event_kind" if n == "kind" else n for n in names[:-2]] == list(CANONICAL_COLUMNS)
+    assert ["event_kind" if n == "kind" else n for n in names] == list(CANONICAL_COLUMNS)
 
 
 def test_readme_event_kinds_parse(tmp_path):
@@ -352,26 +355,33 @@ def test_split_folds_insertion_order_independent():
     assert split_folds(ds1, 5, 11).folds == split_folds(ds2, 5, 11).folds
 
 
+LAG_RECIPE = Recipe(families=(F("lag_time", "current"), F("lag_time", "prior")))
+NO_LAG = len(LAG_CATEGORIES_MIN) + 1  # a lag_time block's column for "first response, no lag"
+
+
+def _lag_blocks(events):
+    """The walk's lag_time:current and lag_time:prior blocks, one dense row per response."""
+    students = {events[0].student_id: events}
+    X = build_matrix(students, fit_encoders(students, LAG_RECIPE, DatasetManifest.full("t"))).X.toarray()
+    width = X.shape[1] // 2
+    return X[:, :width], X[:, width:]
+
+
 def test_lag_first_response_flagged():
-    ds = toy_dataset({"s1": _student("s1", 3)})
-    out = derive_lag_times(ds)
-    evs = out.students["s1"]
-    assert evs[0].no_lag and evs[0].lag_s is None
-    assert not evs[1].no_lag
+    current, prior = _lag_blocks(_student("s1", 3))
+    assert current[0].nonzero()[0].tolist() == [NO_LAG]
+    assert current[1].any() and not current[1, NO_LAG]
+    assert not prior[0].any()
+    assert prior[1].nonzero()[0].tolist() == [NO_LAG]
+    assert prior[2].any() and not prior[2, NO_LAG]
 
 
 def test_lag_subtracts_prior_elapsed():
-    ds = toy_dataset(
-        {
-            "s1": [
-                response("s1", 1000, "q1", ["k1"], True, elapsed_time_s=20.0),
-                response("s1", 1120, "q2", ["k1"], False),
-            ]
-        },
-        capabilities={"elapsed_lag_time"},
-    )
-    out = derive_lag_times(ds)
-    assert out.students["s1"][1].lag_s == 100.0
+    events = [
+        response("s1", 1000, "q1", ["k1"], True, elapsed_time_s=20.0),
+        response("s1", 1120, "q2", ["k1"], False),
+    ]
+    assert walk_lags(events) == [None, 100.0]
 
 
 def test_lag_negative_clamped_and_tallied():
@@ -384,9 +394,10 @@ def test_lag_negative_clamped_and_tallied():
         },
         capabilities={"elapsed_lag_time"},
     )
+    assert walk_lags(ds.students["s1"]) == [None, 0.0]
     out = derive_lag_times(ds)
-    assert out.students["s1"][1].lag_s == 0.0
     assert out.quality["negative_lag_clamped"] == 1
+    assert out.students == ds.students
 
 
 def test_lag_brute_force_oracle(rng):
@@ -396,21 +407,19 @@ def test_lag_brute_force_oracle(rng):
         ts += int(rng.integers(1, 4000))
         elapsed = float(rng.integers(0, 120)) if rng.random() < 0.8 else None
         events.append(response("s1", ts, f"q{i%7}", ["k1"], bool(rng.integers(2)), elapsed_time_s=elapsed))
-    ds = toy_dataset({"s1": events}, capabilities={"elapsed_lag_time"})
-    out = derive_lag_times(ds)
     # oracle: recompute from scratch with plain arithmetic
     prev_end = None
-    for before, after in zip(events, out.students["s1"]):
+    for event, lag in zip(events, walk_lags(events), strict=True):
         if prev_end is None:
-            assert after.no_lag
+            assert lag is None
         else:
-            assert after.lag_s == max(before.timestamp - prev_end, 0)
-        prev_end = before.timestamp + (before.elapsed_time_s or 0.0)
+            assert lag == max(event.timestamp - prev_end, 0)
+        prev_end = event.timestamp + (event.elapsed_time_s or 0.0)
 
 
 @st.composite
 def _lag_logs(draw):
-    """Students with time-ordered responses and material events; input lag fields are noise."""
+    """Students with time-ordered responses and material events."""
     students = {}
     for s in range(draw(st.integers(1, 4))):
         sid = f"s{s}"
@@ -423,8 +432,6 @@ def _lag_logs(draw):
                     student_id=sid, timestamp=ts, kind=EventKind.QUESTION_RESPONSE,
                     question_id="q1", kc_ids=("k1",), correct=draw(st.booleans()),
                     elapsed_time_s=draw(st.none() | st.floats(0.0, 1e4, allow_nan=False)),
-                    lag_s=draw(st.none() | st.floats(-1e3, 1e3, allow_nan=False)),
-                    no_lag=draw(st.booleans()),
                 ))
             else:
                 events.append(InteractionEvent(
@@ -445,42 +452,63 @@ def test_derive_lag_times_fuzz(students, clamped_before):
         quality={"negative_lag_clamped": clamped_before},
     )
     out = derive_lag_times(ds)
+    assert out.students == students
     negative = 0
-    for sid, events in students.items():
-        derived = out.students[sid]
-        assert len(derived) == len(events)
+    for events in students.values():
+        responses = [e for e in events if e.is_response()]
+        lags = walk_lags(events)
+        assert len(lags) == len(responses)
         prev_end = None
-        for before, after in zip(events, derived):
-            if not before.is_response():
-                assert after == before
-                continue
-            assert dataclasses.replace(after, lag_s=before.lag_s, no_lag=before.no_lag) == before
+        for response_, lag in zip(responses, lags):
             if prev_end is None:
-                assert after.no_lag and after.lag_s is None
+                assert lag is None
             else:
-                assert not after.no_lag
-                assert math.isfinite(after.lag_s) and after.lag_s >= 0
-                negative += before.timestamp - prev_end < 0
-            prev_end = before.timestamp + (before.elapsed_time_s or 0.0)
+                assert math.isfinite(lag) and lag >= 0
+                assert lag == max(response_.timestamp - prev_end, 0.0)
+                negative += response_.timestamp - prev_end < 0
+            prev_end = response_.timestamp + (response_.elapsed_time_s or 0.0)
     assert out.quality["negative_lag_clamped"] == clamped_before + negative
     again = derive_lag_times(out)
-    for sid in students:
-        assert [(e.lag_s, e.no_lag) for e in again.students[sid]] == [
-            (e.lag_s, e.no_lag) for e in out.students[sid]
-        ]
+    assert again.students == students
+    assert again.quality["negative_lag_clamped"] == clamped_before + 2 * negative
 
 
 def test_lag_ignores_material_events_between_questions():
     events = [
         response("s1", 100, "q1", ["k1"], True, elapsed_time_s=10.0),
-        response("s1", 100, "q0", ["k1"], True).__class__(
-            student_id="s1", timestamp=150, kind=EventKind.VIDEO_WATCH, kc_ids=("k1",)
-        ),
+        InteractionEvent(student_id="s1", timestamp=150, kind=EventKind.VIDEO_WATCH, kc_ids=("k1",)),
         response("s1", 300, "q2", ["k1"], False),
     ]
-    ds = toy_dataset({"s1": events}, capabilities={"videos", "elapsed_lag_time"})
-    out = derive_lag_times(ds)
-    assert out.students["s1"][2].lag_s == 190.0
+    assert walk_lags(events) == [None, 190.0]
+
+
+def test_lag_features_from_raw_load_match_prepared(tmp_path):
+    """Lag features come from the walk: load_events output that never went
+    through prepare gets the lag_time rows load_prepared's output gets."""
+    manifest = DatasetManifest(name="t", capabilities=frozenset({"elapsed_lag_time"}))
+    students = {
+        sid: [  # 100 s apart, elapsed up to 120 s: some lags clamp
+            response(sid, 100 * i + 7 * n, f"q{i % 3}", ["k1"], i % 2 == 0, elapsed_time_s=40.0 * (i % 4))
+            for i in range(8)
+        ]
+        for n, sid in enumerate(("s1", "s2", "s3"))
+    }
+    write_events(Dataset(manifest=manifest, students=students), tmp_path / "events.csv")
+    write_manifest(manifest, tmp_path / "manifest.json")
+    raw = load_events(tmp_path / "events.csv", manifest)
+    assert cli.main([
+        "prepare", "--input", str(tmp_path / "events.csv"), "--manifest", str(tmp_path / "manifest.json"),
+        "--out", str(tmp_path / "prep"), "--folds", "2", "--min-responses", "1",
+    ]) == 0
+    prepared, _ = load_prepared(tmp_path / "prep")
+    assert prepared.quality["negative_lag_clamped"] == 3  # one per student, at i = 4
+
+    enc = fit_encoders(raw.students, LAG_RECIPE, manifest)
+    from_raw = build_matrix(raw.students, enc).X
+    from_prepared = build_matrix(prepared.students, enc).X
+    assert from_raw.shape == (24, enc.dim)
+    assert np.all(np.diff(from_raw.indptr) > 0)  # every row has a lag (or the no-lag flag)
+    assert from_raw.shape == from_prepared.shape and (from_raw != from_prepared).nnz == 0
 
 
 def test_prepared_roundtrip(tmp_path):
@@ -504,7 +532,7 @@ def test_prepared_roundtrip(tmp_path):
 
 
 def test_prepared_roundtrip_keeps_every_field_and_lag(tmp_path):
-    """load_prepared gives prepare's events, lag fields included, and its quality tallies."""
+    """load_prepared gives prepare's events, so the walk's lags, and its quality tallies."""
     cells = {col: typ(SAMPLE_CELLS[typ]) for col, (typ, _) in OPTIONAL_FIELDS.items()}
     per_response = {col: v for col, v in cells.items() if col != "consumption_minutes"}
     students = {
@@ -523,5 +551,7 @@ def test_prepared_roundtrip_keeps_every_field_and_lag(tmp_path):
     assert ds.quality == {"negative_lag_clamped": 2}
     write_prepared(ds, split_folds(ds, k=2, seed=1), tmp_path / "prep")
     again, _ = load_prepared(tmp_path / "prep")
-    assert again.students == derive_lag_times(ds).students
+    assert again.students == ds.students
     assert again.quality == ds.quality
+    for sid in students:
+        assert walk_lags(again.students[sid]) == [None, 0.0, 77.5]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import walk_lags
+
 from ktrace.core import ConfigError, DatasetManifest, EventKind, InteractionEvent
 from ktrace.evaluate import PlainSpec, cross_validate
 from ktrace.ingest import (
@@ -85,19 +87,20 @@ def test_output_passes_ingest_cleanly(tmp_path):
     loaded = derive_lag_times(loaded)
     assert loaded.n_students == 25
     assert all(v == 0 for v in loaded.quality.values()), loaded.quality
-    # derived lags equal the generator's construction
+    # the walk's lags over the loaded events equal those over the generator's
     for sid in loaded.students:
-        got = [e.lag_s for e in loaded.students[sid]]
-        want = [e.lag_s for e in ds.students[sid]]
-        assert got == want
+        assert walk_lags(loaded.students[sid]) == walk_lags(ds.students[sid])
 
 
 def test_lag_never_negative_by_construction():
     ds, _ = generate(GeneratorConfig(seed=13, n_students=40, mean_gap_s=90.0, mean_elapsed_s=600.0))
+    assert derive_lag_times(ds).quality["negative_lag_clamped"] == 0
     for events in ds.students.values():
-        assert events[0].no_lag
-        for e in events[1:]:
-            assert e.lag_s is not None and e.lag_s >= 0.0
+        lags = walk_lags(events)
+        assert lags[0] is None
+        for e, prev, lag in zip(events[1:], events, lags[1:]):
+            assert lag is not None and lag >= 0.0
+            assert lag == e.timestamp - (prev.timestamp + prev.elapsed_time_s)  # not clamped
 
 
 def test_momentum_raises_post_success_rate():
