@@ -12,7 +12,7 @@ dataset, _ = generate(GeneratorConfig(
     responses_per_student=40, momentum=1.0, momentum_cap=2,
 ))
 folds = split_folds(dataset, k=5, seed=3)
-config = TrainConfig(l2=0.01, max_epochs=2000)
+config = TrainConfig()
 
 print(f"{'model':12s} {'acc':>7s} {'auc':>7s} {'auc var':>9s}")
 for name in ("irt", "pfa", "das3h", "best-lr", "best-lr+"):

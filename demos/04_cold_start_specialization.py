@@ -14,7 +14,7 @@ dataset, _ = generate(GeneratorConfig(
     responses_per_student=100,
 ))
 folds = split_folds(dataset, k=5, seed=7)
-config = TrainConfig(l2=0.01, max_epochs=2000)
+config = TrainConfig()
 
 plain = cross_validate(dataset, PlainSpec("irt"), folds=folds, config=config, jobs=5)
 part = cross_validate(dataset, PartitionedSpec("irt"), folds=folds, config=config, jobs=5)

@@ -14,7 +14,7 @@ dataset, _ = generate(GeneratorConfig(
     responses_per_student=40,
 ))
 folds = split_folds(dataset, k=5, seed=5)
-config = TrainConfig(l2=0.01, max_epochs=2000)
+config = TrainConfig()
 
 sees_difficulty = PlainSpec("irt")
 sees_recency = PlainSpec("pfa", extras=(FeatureFamily("response_pattern"),))

@@ -282,10 +282,15 @@ def write_events(dataset: Dataset, path: str | Path) -> None:
         writer.writerow(CANONICAL_COLUMNS)
         for sid in sorted(dataset.students):
             for e in dataset.students[sid]:
-                writer.writerow([
+                row = [
                     e.student_id, e.timestamp, e.kind.value, _fmt(e.question_id),
-                    ";".join(e.kc_ids), _fmt(e.correct), *map(_fmt, _optional_cells(e)),
-                ])
+                    ";".join(e.kc_ids), _fmt(e.correct),
+                ]
+                # a Python loop, not map(_fmt, ...): CPython does not specialize calls
+                # made from C, and most optional cells are empty, which skips the call
+                for value in _optional_cells(e):
+                    row.append("" if value is None else _fmt(value))
+                writer.writerow(row)
 
 
 def read_manifest(path: str | Path) -> tuple[DatasetManifest, KCGraph | None]:

@@ -13,9 +13,9 @@ written straight from the encoder's vocabularies) that the keyed-row
 store replaced; the production build_matrix must reproduce its matrices
 bit for bit.
 
-`reference_fit` is the straightforward gradient-descent trainer that
-recomputes X @ w for the gradient of every accepted step; the production
-trainer must reproduce its weights bit for bit.
+`reference_fit` is a straightforward gradient-descent trainer (step
+halving, recomputing X @ w for the gradient of every accepted step); the
+production trainer minimizes the same objective, so it must end no higher.
 """
 
 import math
@@ -395,8 +395,17 @@ def _reference_nll_and_gradient(weights, X, y, l2=0.0, reg_mask=None):
     return value, np.asarray(grad, dtype=np.float64)
 
 
+GD_TOL = 1e-7
+GD_INITIAL_STEP = 1.0
+GD_MAX_HALVINGS = 60
+
+
 def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=None):
-    """Full-batch gradient descent with step-halving: (weights, info)."""
+    """Full-batch gradient descent with step-halving: (weights, info).
+
+    Uses `config.l2` and at most `config.max_epochs` accepted steps; stops
+    when the relative improvement drops below GD_TOL or no halving helps.
+    """
     X = _as_csr(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != len(y):
@@ -417,13 +426,13 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
             f"non-finite loss at initialization (loss={value!r}, max|w|={np.max(np.abs(w))!r})"
         )
     trace = [value]
-    step = config.initial_step
+    step = GD_INITIAL_STEP
     epochs = 0
     converged = False
     for _ in range(config.max_epochs):
         accepted = False
         s = step
-        for _ in range(config.max_halvings):
+        for _ in range(GD_MAX_HALVINGS):
             w_try = w - s * grad
             v_try = _reference_nll(w_try, X, y, config.l2, reg_mask)
             if math.isfinite(v_try) and v_try < value:
@@ -444,7 +453,7 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
             )
         _, grad = _reference_nll_and_gradient(w, X, y, config.l2, reg_mask)
         step = s * 2.0
-        if rel < config.tol:
+        if rel < GD_TOL:
             converged = True
             break
     info = {

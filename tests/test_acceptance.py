@@ -33,7 +33,7 @@ from ktrace.synth import GeneratorConfig, generate
 BAYES_FOLDMEAN_SEED7 = 0.770395972281027
 MARGINAL_BAYES_FOLDMEAN_SEED7 = 0.6552602280519731
 
-CV_CONFIG = TrainConfig(l2=0.01, max_epochs=2000)
+CV_CONFIG = TrainConfig()
 
 
 def _verdict(num, name, ok, detail):

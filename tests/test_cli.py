@@ -133,7 +133,7 @@ def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv
     train = {s: dataset.students[s] for s in folds.train_students(0)}
     test = {s: dataset.students[s] for s in folds.students_in(0)}
     loaded = spec.load(out / "models" / "fold-0")
-    fresh = spec.fit_on(train, dataset, TrainConfig(l2=1e-6))
+    fresh = spec.fit_on(train, dataset, TrainConfig())
     assert (spec.predict_on(loaded, test, dataset).probs.tobytes()
             == spec.predict_on(fresh, test, dataset).probs.tobytes())
 

@@ -333,13 +333,18 @@ def oracle_rows(students, enc, graph):
 def test_incremental_matches_bruteforce_small(rng):
     """Mini version of the full-state oracle: every family, every prefix."""
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
-    students = _random_full_students(rng, n_students=6, max_events=120)
+    students = _random_full_students(rng, n_students=6, max_events=120, short_gaps=True)
     enc = fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
     checked = 0
     for sid, i, problems in oracle_rows(students, enc, graph):
         assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
         checked += 1
     assert checked > 100
+    # the lag clamp must fire often enough for a missing clamp to show
+    responses = [[e for e in events if e.is_response()] for events in students.values()]
+    clamped = sum(b.timestamp < a.timestamp + (a.elapsed_time_s or 0.0)
+                  for rs in responses for a, b in zip(rs, rs[1:]))
+    assert clamped >= 0.03 * sum(map(len, responses))
 
 
 def _swap_counts_slots(monkeypatch):
@@ -414,8 +419,13 @@ def full_recipe() -> Recipe:
     return Recipe(families=tuple(fams), n_recent=6)
 
 
-def _random_full_students(rng, n_students=6, max_events=120):
-    """Students whose logs exercise every optional field and event kind."""
+def _random_full_students(rng, n_students=6, max_events=120, short_gaps=False):
+    """Students whose logs exercise every optional field and event kind.
+
+    With `short_gaps`, the odd gaps are cut below 10 minutes, so responses
+    often arrive before the previous one's elapsed time is over and their
+    lag is clamped to 0; the same numbers are drawn either way.
+    """
     kcs = ["k0", "k1", "k2", "k3"]
     questions = [f"q{i}" for i in range(8)]
     students = {}
@@ -425,7 +435,8 @@ def _random_full_students(rng, n_students=6, max_events=120):
         events = []
         n = int(rng.integers(20, max_events))
         for i in range(n):
-            ts += int(rng.integers(30, 3 * 86400))
+            gap = int(rng.integers(30, 3 * 86400))
+            ts += gap % 600 if short_gaps and gap % 2 else gap
             kind_draw = rng.random()
             if kind_draw < 0.72:
                 q = str(rng.choice(questions))
