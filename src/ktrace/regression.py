@@ -7,20 +7,24 @@ excludes bias weights:
     z_i = x_i . w
 
 with gradient  X^T (p - y) + l2 * w_reg,  p = sigma(z), and Hessian-vector
-product  X^T (D (X v)) + l2 * mask * v,  D = p (1 - p).  Training runs the
-trust-region Newton-CG method (scipy's ``trust-ncg``; Lin, Weng and
-Keerthi, JMLR 9, 2008) to convergence: each iteration solves the Newton
-system by conjugate gradients inside a trust region, and the fit stops
-once the gradient's 2-norm is below ``gtol`` (so |g|_inf <= gtol too) or
-after ``max_epochs`` iterations.  Since the fit reaches the minimizer of
+product  X^T (D (X v)) + l2 * mask * v,  D = p (1 - p).  Training runs
+LIBLINEAR's trust-region Newton method, TRON (Lin, Weng and Keerthi,
+JMLR 9, 2008), without a preconditioner: each trial step minimizes the
+quadratic model by truncated conjugate gradients inside the trust
+region, and is accepted when J falls by enough of the predicted amount.
+When the predicted reduction is within J's float error (1e-12 |J|), the
+trial is accepted iff it lowers |g| instead.  The fit has two stops:
+the gradient's 2-norm is at most ``gtol`` (so |g|_inf <= gtol too;
+``gtol`` is absolute), or ``max_epochs`` trial steps, accepted or
+rejected, have been taken.  Since the fit reaches the minimizer of
 J, ``l2`` alone regularizes it; the default (5) was picked by a sweep
 scored on an inner split of the training students.  Weights start at
 zero unless an init is given and nothing is random, so a fit is a pure
 function of the training matrix, labels and config.
 
-Cost: one X w and one X^T r per objective evaluation, and one X v plus
-one X^T u per Hessian-vector product, which reuses D from the objective
-call at the same weights.  X^T is built once per fit.
+Cost: one X w per trial step, one X^T r per accepted step, and one X v
+plus one X^T u per Hessian-vector product, which reuses D from the
+accepted point.  X^T is built once per fit.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from ktrace.core import ConfigError, canonical_json
@@ -48,7 +51,7 @@ class TrainingDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     l2: float = 5.0
-    # cap on solver iterations
+    # cap on trust-region trial steps, accepted or rejected
     max_epochs: int = 500
     gtol: float = 1e-4
 
@@ -189,35 +192,135 @@ def predict_proba_batch(model: Model, X) -> np.ndarray:
     return expit(_as_csr(X) @ model.weights)
 
 
-class _Problem:
-    """J, its gradient and Hessian-vector products on one training set.
+# LIBLINEAR's TRON: a trial step is accepted when the actual reduction in J
+# exceeds ETA0 times the predicted one; ETA1 and ETA2 grade the ratio for
+# the region update, which scales by the SIGMAs.
+_ETA0, _ETA1, _ETA2 = 1e-4, 0.25, 0.75
+_SIGMA1, _SIGMA2, _SIGMA3 = 0.25, 0.5, 4.0
+# conjugate gradients stop once the residual is this fraction of |g|
+_CG_RTOL = 0.1
+# a predicted reduction at or below this fraction of |J| is within J's float
+# error (J sums one rounded term per row), so the ratio is noise
+_FLOAT_FLOOR = 1e-12
 
-    The objective call keeps D = p (1 - p) with the weights it was computed
-    at, so a product at those weights costs X v and X^T u only.
+
+def _hessian_product(X: sp.csr_matrix, Xt: sp.csr_matrix, d: np.ndarray, penalty: np.ndarray,
+                     v: np.ndarray) -> np.ndarray:
+    """H v = X^T (D (X v)) + penalty * v, with D = p (1 - p) at the weights
+    H is taken at and `penalty` = l2 * mask; `Xt` is X^T."""
+    return Xt @ (d * (X @ v)) + penalty * v
+
+
+def _to_boundary(s: np.ndarray, d: np.ndarray, delta: float) -> float:
+    """tau >= 0 with |s + tau d| = delta, for |s| <= delta."""
+    sd, ss, dd = float(s @ d), float(s @ s), float(d @ d)
+    room = delta * delta - ss
+    if room <= 0:
+        # s already on the boundary, or a region shrunk to nothing by rejected trials
+        return 0.0
+    rad = math.sqrt(sd * sd + dd * room)
+    if sd < 0:
+        return (rad - sd) / dd
+    # the form without cancellation for s.d >= 0; 0/0 only when dd * room underflows
+    return room / (sd + rad) if sd + rad > 0 else 0.0
+
+
+def _truncated_cg(hessp, g: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Steihaug's conjugate gradients for min g.s + s.H s / 2 over |s| <= delta.
+
+    Returns the step s, the residual r = -g - H s and whether s lies on the
+    boundary.  A direction of zero or negative curvature (d.H d <= 0, as when
+    D underflows and l2 is 0) goes to the boundary.
     """
+    s = np.zeros_like(g)
+    r = -g
+    d = r.copy()
+    rr = float(r @ r)
+    tol = _CG_RTOL * math.sqrt(rr)
+    for _ in range(len(g)):
+        if math.sqrt(rr) <= tol:
+            break
+        hd = hessp(d)
+        dhd = float(d @ hd)
+        if dhd > 0:
+            alpha = rr / dhd
+            s_next = s + alpha * d
+            if np.linalg.norm(s_next) <= delta:
+                s = s_next
+                r = r - alpha * hd
+                rr, rr_old = float(r @ r), rr
+                d = r + (rr / rr_old) * d
+                continue
+        tau = _to_boundary(s, d, delta)
+        return s + tau * d, r - tau * hd, True
+    return s, r, False
 
-    def __init__(self, X: sp.csr_matrix, y: np.ndarray, l2: float, reg_mask: np.ndarray | None) -> None:
-        self.X, self.Xt, self.y = X, X.T.tocsr(), y
-        self.l2, self.reg_mask = l2, reg_mask
-        self.penalty = l2 * (np.ones(X.shape[1]) if reg_mask is None else reg_mask)
-        self.w: np.ndarray | None = None
-        self.d: np.ndarray | None = None
 
-    def value_and_gradient(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        value, z, w_reg = _objective(w, self.X, self.y, self.l2, self.reg_mask)
-        if not math.isfinite(value):
-            # an overflowing trial step: the trust region rejects it and shrinks
-            return math.inf, np.zeros_like(w)
+def _trust_region_newton(
+    X: sp.csr_matrix, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None
+) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """TRON (Lin, Weng and Keerthi 2008) from `w`: (weights, J, gradient, trials).
+
+    Every trial step, accepted or rejected, counts against `max_epochs`.  A
+    trial whose J is not finite is rejected.  When the predicted reduction
+    is within J's float error, the trial is accepted iff it lowers |g|.
+    """
+    Xt = X.T.tocsr()
+    l2 = config.l2
+    penalty = l2 * (np.ones(len(w)) if reg_mask is None else reg_mask)
+
+    def gradient_and_curvature(z: np.ndarray, w_reg: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         p = expit(z)
-        self.w, self.d = w.copy(), p * (1.0 - p)
-        return value, _gradient(self.Xt, self.y, p, w_reg, self.l2)
+        return _gradient(Xt, y, p, w_reg, l2), p * (1.0 - p)
 
-    def hessp(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if not np.array_equal(w, self.w):
-            # the last objective call was at a rejected trial point
-            p = expit(self.X @ w)
-            self.w, self.d = w.copy(), p * (1.0 - p)
-        return self.Xt @ (self.d * (self.X @ v)) + self.penalty * v
+    f, z, w_reg = _objective(w, X, y, l2, reg_mask)
+    if not math.isfinite(f):
+        raise TrainingDivergenceError(
+            f"non-finite loss at initialization (loss={f!r}, max|w|={np.max(np.abs(w))!r})"
+        )
+    g, curvature = gradient_and_curvature(z, w_reg)
+    g_norm = float(np.linalg.norm(g))
+    delta = g_norm
+    trials = 0
+    while g_norm > config.gtol and trials < config.max_epochs:
+        trials += 1
+        s, r, on_boundary = _truncated_cg(lambda v: _hessian_product(X, Xt, curvature, penalty, v), g, delta)
+        s_norm = float(np.linalg.norm(s))
+        if trials == 1:
+            # |g| only starts the region; the first step's length sets its scale
+            delta = min(delta, s_norm)
+        w_new = w + s
+        f_new, z_new, w_reg_new = _objective(w_new, X, y, l2, reg_mask)
+        gs = float(g @ s)
+        predicted = -0.5 * (gs - float(s @ r))
+        at_trial = None
+        if not math.isfinite(f_new):
+            f_new, ratio = math.inf, -math.inf
+        elif predicted <= _FLOAT_FLOOR * abs(f):
+            at_trial = gradient_and_curvature(z_new, w_reg_new)
+            ratio = 1.0 if np.linalg.norm(at_trial[0]) < g_norm else 0.0
+        else:
+            ratio = (f - f_new) / predicted
+
+        # step-length estimate from the quadratic interpolating f, f_new and g.s
+        excess = f_new - f - gs
+        alpha = _SIGMA3 if excess <= 0 else max(_SIGMA1, -0.5 * gs / excess)
+        if ratio < _ETA0:
+            delta = min(alpha * s_norm, _SIGMA2 * delta)
+        elif ratio < _ETA1:
+            delta = max(_SIGMA1 * delta, min(alpha * s_norm, _SIGMA2 * delta))
+        elif ratio < _ETA2:
+            delta = max(_SIGMA1 * delta, min(alpha * s_norm, _SIGMA3 * delta))
+        elif on_boundary:
+            delta = _SIGMA3 * delta
+        else:
+            delta = max(delta, min(alpha * s_norm, _SIGMA3 * delta))
+
+        if ratio > _ETA0:
+            w, f = w_new, f_new
+            g, curvature = at_trial if at_trial is not None else gradient_and_curvature(z_new, w_reg_new)
+            g_norm = float(np.linalg.norm(g))
+    return w, f, g, trials
 
 
 def fit(
@@ -231,10 +334,10 @@ def fit(
 ) -> Model:
     """Minimize J by trust-region Newton-CG, stopping at `config.gtol`.
 
-    `info` records the solver iterations (`epochs`), whether the gradient
-    norm reached `gtol` (`converged`), the final |g|_inf (`grad_norm`) and
-    J there (`final_nll`).  When the encoder is given and no mask is
-    passed, its bias block is excluded from regularization.
+    `info` records the trial steps (`epochs`), whether the gradient norm
+    reached `gtol` (`converged`), the final |g|_inf (`grad_norm`) and J
+    there (`final_nll`).  When the encoder is given and no mask is passed,
+    its bias block is excluded from regularization.
     """
     X = _as_csr(X)
     y = np.asarray(y, dtype=np.float64)
@@ -250,26 +353,17 @@ def fit(
     if len(w) != dim:
         raise ConfigError(f"init has length {len(w)}, expected {dim}")
 
-    problem = _Problem(X, y, config.l2, reg_mask)
     # overflow to inf/nan is caught by the isfinite checks, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _objective(w, X, y, config.l2, reg_mask)[0]
-        if not math.isfinite(value):
-            raise TrainingDivergenceError(
-                f"non-finite loss at initialization (loss={value!r}, max|w|={np.max(np.abs(w))!r})"
-            )
-        res = minimize(
-            problem.value_and_gradient, w, method="trust-ncg", jac=True, hessp=problem.hessp,
-            options={"gtol": config.gtol, "maxiter": config.max_epochs},
-        )
+        w, value, grad, trials = _trust_region_newton(X, y, w, config, reg_mask)
     info = {
-        "epochs": int(res.nit),
-        "converged": bool(res.success),
-        "grad_norm": float(np.max(np.abs(res.jac))),
-        "final_nll": float(res.fun),
+        "epochs": trials,
+        "converged": bool(np.linalg.norm(grad) <= config.gtol),
+        "grad_norm": float(np.max(np.abs(grad))),
+        "final_nll": float(value),
         "n_examples": int(X.shape[0]),
     }
-    return Model(weights=res.x, config=config, recipe=recipe, encoder=encoder, info=info)
+    return Model(weights=w, config=config, recipe=recipe, encoder=encoder, info=info)
 
 
 def save_model(model: Model, path: str | Path) -> str:

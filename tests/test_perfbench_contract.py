@@ -10,7 +10,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from ktrace import cli
+import numpy as np
+import scipy.sparse as sp
+
+from ktrace import cli, regression
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,3 +35,12 @@ def test_every_traced_name_resolves():
 def test_save_fitted_takes_the_output_directory_second():
     # the tracer sizes what save_fitted wrote from its second positional argument
     assert list(inspect.signature(cli.save_fitted).parameters)[1] == "out_dir"
+
+
+def test_fit_info_has_what_the_tracer_counts():
+    # spans._fit_counts reads these keys from every regression.fit result
+    X = sp.csr_matrix(np.ones((4, 1)))
+    info = regression.fit(X, np.array([1.0, 1.0, 0.0, 1.0])).info
+    for key, kind in (("n_examples", int), ("epochs", int), ("converged", bool)):
+        assert type(info[key]) is kind, (key, info[key])
+    assert info["n_examples"] == 4 and info["epochs"] > 0 and info["converged"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ from oracle import reference_fit
 
 from ktrace.core import ConfigError, DatasetManifest
 from ktrace.features import F, Recipe, build_matrix, fit_encoders
+from ktrace import regression
 from ktrace.recipes import resolve
 from ktrace.regression import (
     Model,
@@ -58,6 +60,26 @@ def test_gradient_matches_central_differences(rng):
         fd = (nll(w + e, X, y, 0.01, mask) - nll(w - e, X, y, 0.01, mask)) / (2 * h)
         rel = abs(fd - grad[j]) / max(abs(grad[j]), 1e-12)
         assert rel < 1e-6, (j, fd, grad[j])
+
+
+@pytest.mark.parametrize("l2, masked", [(0.5, True), (0.5, False), (0.0, False)],
+                         ids=["masked", "unmasked", "no-penalty"])
+def test_hessian_product_matches_central_differences_of_gradient(rng, l2, masked):
+    n, d = 60, 7
+    X = sp.csr_matrix(rng.normal(size=(n, d)))
+    y = (rng.random(n) < 0.5).astype(float)
+    w = rng.normal(size=d)
+    mask = np.ones(d)
+    if masked:
+        mask[0] = 0.0
+    p = expit(X @ w)
+    h = 1e-6
+    for v in (rng.normal(size=d), np.eye(d)[0]):
+        hv = regression._hessian_product(X, X.T.tocsr(), p * (1 - p), l2 * mask, v)
+        up = nll_and_gradient(w + h * v, X, y, l2, mask)[1]
+        down = nll_and_gradient(w - h * v, X, y, l2, mask)[1]
+        fd = (up - down) / (2 * h)
+        assert np.max(np.abs(fd - hv)) < 1e-6 * np.max(np.abs(hv)), (fd, hv)
 
 
 def test_penalty_excludes_masked_weights():
@@ -269,6 +291,103 @@ def test_fit_stops_at_max_epochs_and_at_gtol(rng):
         assert model.info["converged"] and model.info["epochs"] < model.config.max_epochs
         assert model.info["grad_norm"] <= model.config.gtol
     assert done.info["epochs"] < tight.info["epochs"]
+
+
+def _many_rows(rng, n=20_000, d=100):
+    """A bias column, one one-hot column and three log-count columns per row."""
+    cols = np.column_stack([np.zeros(n, dtype=int), rng.integers(1, d // 2, size=n),
+                            rng.integers(d // 2, d, size=(n, 3))])
+    vals = np.column_stack([np.ones((n, 2)), np.log1p(rng.integers(1, 6, size=(n, 3)))])
+    X = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 5)), shape=(n, d))
+    y = (rng.random(n) < expit(0.5 * (X @ rng.normal(size=d)))).astype(float)
+    return X, y
+
+
+def test_tight_gtol_converges_on_many_rows(rng):
+    """Near the optimum the predicted reduction falls below the float error of
+    a 20k-term J; the fit must still drive |g| under an absolute gtol."""
+    X, y = _many_rows(rng)
+    config = TrainConfig(gtol=1e-8)
+    model = fit(X, y, config)
+    _, grad = nll_and_gradient(model.weights, X, y, config.l2)
+    assert model.info["converged"] and model.info["epochs"] < config.max_epochs
+    assert np.max(np.abs(grad)) <= config.gtol
+
+
+def _recording_cg(monkeypatch):
+    """Record (delta, |s|, on_boundary) of every trust-region subproblem."""
+    calls = []
+    real = regression._truncated_cg
+
+    def cg(hessp, g, delta):
+        s, r, on_boundary = real(hessp, g, delta)
+        calls.append((delta, float(np.linalg.norm(s)), on_boundary))
+        return s, r, on_boundary
+
+    monkeypatch.setattr(regression, "_truncated_cg", cg)
+    return calls
+
+
+def _overflow_at_trials(monkeypatch, trials, value=math.inf):
+    """Make J come out non-finite (`value`) at the given trial steps (1-based)."""
+    real = regression._objective
+    calls = itertools.count()
+
+    def objective(*args):
+        j, z, w_reg = real(*args)
+        return (value if next(calls) in trials else j), z, w_reg
+
+    monkeypatch.setattr(regression, "_objective", objective)
+
+
+def test_first_step_on_the_boundary(monkeypatch):
+    """The Newton step -0.5 / 0.75 is longer than the first region, |g| = 0.5."""
+    calls = _recording_cg(monkeypatch)
+    X = sp.csr_matrix(np.ones((3, 1)))
+    model = fit(X, np.array([1.0, 0.0, 0.0]), TrainConfig(l2=0.0, gtol=1e-10))
+    delta, step, on_boundary = calls[0]
+    assert on_boundary and delta == 0.5 and abs(step - delta) < 1e-15
+    assert model.info["converged"]
+    assert abs(model.weights[0] - math.log(0.5)) < 1e-9
+
+
+def test_zero_curvature_steps_to_the_boundary(monkeypatch):
+    """Started where every p rounds to 1, D = 0 and l2 = 0 make H = 0."""
+    g = np.array([3.0, -4.0])
+    s, r, on_boundary = regression._truncated_cg(np.zeros_like, g, 2.0)
+    assert on_boundary and np.allclose(s, -0.4 * g) and np.array_equal(r, -g)
+
+    calls = _recording_cg(monkeypatch)
+    X = sp.csr_matrix(np.ones((4, 1)))
+    model = fit(X, np.array([1.0, 1.0, 0.0, 0.0]), TrainConfig(l2=0.0), init=np.array([50.0]))
+    delta, step, on_boundary = calls[0]
+    assert on_boundary and delta == 2.0 and step == delta
+    assert model.info["converged"] and abs(model.weights[0]) < 1e-4
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_trial_is_rejected_and_the_fit_converges(rng, monkeypatch, bad):
+    X, y = _sparse_counts(rng, n=200, d=12)
+    config = TrainConfig(l2=1.0, gtol=1e-8)
+    clean = fit(X, y, config)
+    calls = _recording_cg(monkeypatch)
+    _overflow_at_trials(monkeypatch, {1}, bad)
+    model = fit(X, y, config)
+    assert model.info["converged"] and model.info["grad_norm"] <= config.gtol
+    assert calls[1][0] <= 0.5 * calls[0][1]  # the region shrank below the rejected step
+    assert abs(model.info["final_nll"] - clean.info["final_nll"]) < 1e-9 * clean.info["final_nll"]
+    assert np.max(np.abs(model.weights - clean.weights)) < 1e-6
+
+
+def test_max_epochs_counts_rejected_trials(rng, monkeypatch):
+    X, y = _sparse_counts(rng, n=200, d=12)
+    init = rng.normal(size=X.shape[1])
+    for cap in (1, 2):
+        with monkeypatch.context() as patch:
+            _overflow_at_trials(patch, {1, 2})
+            model = fit(X, y, TrainConfig(max_epochs=cap), init=init)
+        assert model.info["epochs"] == cap and not model.info["converged"]
+        assert model.weights.tobytes() == init.tobytes()
 
 
 def test_fit_matches_reference_when_line_search_fails(rng):
