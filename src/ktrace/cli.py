@@ -134,33 +134,22 @@ def _parse_extras(text: str | None) -> tuple[FeatureFamily, ...]:
     return tuple(FeatureFamily.parse(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_partition(text: str) -> specialize.PartitionScheme | None:
-    if text == "none":
-        return None
-    if text in ("response-index", "ri"):
-        return specialize.PartitionScheme.response_index()
-    if text.startswith("by-feature:"):
-        return specialize.PartitionScheme.by_feature(text.split(":", 1)[1])
-    raise ConfigError(
-        f"--partition must be none, response-index or by-feature:FIELD, got {text!r}"
-    )
+def _parse_scheme(text: str) -> specialize.Scheme:
+    """A partition scheme: ri or response-index, f:FIELD or by-feature:FIELD."""
+    if text in ("ri", "response-index"):
+        return specialize.ResponseIndex()
+    prefix, colon, name = text.partition(":")
+    if colon and prefix in ("f", "by-feature"):
+        return specialize.ByField(name)
+    raise ConfigError(f"partition scheme must be ri, response-index, f:FIELD or by-feature:FIELD, got {text!r}")
 
 
 def _parse_base_token(token: str, min_partition: int):
-    """A base spec: RECIPE, RECIPE@ri, or RECIPE@f:FIELD."""
-    name, _, suffix = token.partition("@")
-    extras_split = name.split("+")
-    recipe, extras = extras_split[0], _parse_extras(",".join(extras_split[1:]))
-    if not suffix:
-        return evaluate.PlainSpec(recipe, extras=extras)
-    if suffix == "ri":
-        scheme = specialize.PartitionScheme.response_index()
-    elif suffix.startswith("f:"):
-        scheme = specialize.PartitionScheme.by_feature(suffix[2:])
-    else:
-        raise ConfigError(f"unknown base suffix {suffix!r} in {token!r}")
-    return specialize.PartitionedSpec(recipe, extras=extras, scheme=scheme,
-                                      min_partition=min_partition)
+    """A base spec: RECIPE or RECIPE@SCHEME."""
+    recipe, at, scheme = token.partition("@")
+    if not at:
+        return evaluate.PlainSpec(recipe)
+    return specialize.PartitionedSpec(recipe, scheme=_parse_scheme(scheme), min_partition=min_partition)
 
 
 def save_fitted(fitted, out_dir: Path, spec) -> None:
@@ -252,11 +241,10 @@ def _build_spec(args: argparse.Namespace, cfg_file: dict):
             raise ConfigError("--partition applies to bases via @ suffixes when --combine is used")
         bases = tuple(_parse_base_token(tok, min_partition) for tok in combo.split("+") if tok)
         return bases, None, min_partition
-    scheme = _parse_partition(partition)
-    if scheme is None:
+    if partition == "none":
         return None, evaluate.PlainSpec(args.recipe, extras=extras), min_partition
     return None, specialize.PartitionedSpec(
-        args.recipe, extras=extras, scheme=scheme, min_partition=min_partition
+        args.recipe, extras=extras, scheme=_parse_scheme(partition), min_partition=min_partition
     ), min_partition
 
 
@@ -411,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("--seed", type=int)
     te.add_argument("--jobs", type=int)
     te.add_argument("--l2", type=float)
-    te.add_argument("--partition", help="none | response-index | by-feature:FIELD")
+    te.add_argument("--partition", help="none | ri | response-index | f:FIELD | by-feature:FIELD")
     te.add_argument("--min-partition", type=int)
     te.add_argument("--combine", help="base specs joined by +, e.g. irt+best-lr@ri")
     te.add_argument("--select-bases", action="store_true",

@@ -1,29 +1,33 @@
 """Partitioned (specialized) models over response-index or context splits.
 
-A partition scheme maps every training example to exactly one key:
-either the interval of the student's prior-response count t (time
-specialization) or a categorical event field (context specialization).
-One model is trained per sufficiently large partition on that
-partition's examples only; a fallback model trained on everything
-covers merged, empty and unseen partitions.  All partition models share
-the fallback's encoder, so with the single partition [0, inf) routing
-reproduces the plain model bit for bit.
+A partition scheme maps every training example to exactly one label:
+`ResponseIndex` by the interval of the student's prior-response count t
+(time specialization), `ByField` by a categorical event field (context
+specialization: `question_id` or any `str` row of `core.OPTIONAL_FIELDS`,
+whose manifest flag the dataset must declare).  Each scheme's `keys`
+labels a whole extracted matrix at once.  One model is trained per
+sufficiently large partition on that partition's examples only; a
+fallback model trained on everything covers merged, empty and unseen
+partitions.  All partition models share the fallback's encoder, so with
+the single partition [0, inf) routing reproduces the plain model bit
+for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ktrace import features, regression
-from ktrace.core import ConfigError, InteractionEvent, canonical_json
+from ktrace.core import OPTIONAL_FIELDS, ConfigError, canonical_json
 from ktrace.evaluate import (
     DEFAULT_SPLITPOINTS,
     FoldPrediction,
@@ -39,103 +43,106 @@ from ktrace.regression import Model, TrainConfig
 
 MISSING_KEY = "__missing__"
 
-# event fields usable for context specialization
-BY_FEATURE_FIELDS = (
-    "question_id",
-    "study_module",
-    "teacher_group",
-    "school",
-    "course",
-    "topic",
-    "bundle",
-    "part_area",
-    "platform",
-)
+
+@dataclass(frozen=True)
+class ResponseIndex:
+    """Partition by the interval [lo, hi) of splitpoints holding t."""
+
+    splitpoints: tuple[float, ...] = DEFAULT_SPLITPOINTS
+    kind = "response_index"
+    label = "response-index"
+    flag = None  # t is always known
+
+    def __post_init__(self) -> None:
+        pts = self.splitpoints
+        if not all(isinstance(p, numbers.Real) and (p == math.inf or p >= 0 and float(p).is_integer())
+                   for p in pts):
+            raise ConfigError(f"splitpoints must be integers >= 0 or inf, got {list(pts)!r}")
+        if len(pts) < 2 or pts[0] != 0 or pts[-1] != math.inf:
+            raise ConfigError("splitpoints must start at 0 and end at inf")
+        if any(a >= b for a, b in zip(pts, pts[1:])):
+            raise ConfigError("splitpoints must be strictly increasing")
+
+    def keys(self, ext: features.ExtractResult) -> tuple[list[str], np.ndarray]:
+        """Every interval label, in order, and each row's interval index."""
+        pts = self.splitpoints
+        codes = np.searchsorted(np.asarray(pts, dtype=np.float64), ext.t, side="right") - 1
+        return [interval_label(a, b) for a, b in zip(pts, pts[1:])], codes
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "splitpoints": ["inf" if p == math.inf else p for p in self.splitpoints]}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "ResponseIndex":
+        return cls(tuple(math.inf if p == "inf" else p for p in obj.get("splitpoints", ())))
+
+
+# fields usable for context specialization, with the manifest flag each needs
+_FIELD_FLAGS: dict[str, str | None] = {
+    "question_id": None,
+    **{name: f.flag for name, f in OPTIONAL_FIELDS.items() if f.type is str},
+}
 
 
 @dataclass(frozen=True)
-class PartitionScheme:
-    """Either ResponseIndex(splitpoints) or ByFeature(field)."""
+class ByField:
+    """Partition by the value of a categorical event field."""
 
-    kind: str
-    splitpoints: tuple[float, ...] = DEFAULT_SPLITPOINTS
-    feature: str | None = None
+    field: str
+    kind = "by_feature"
 
     def __post_init__(self) -> None:
-        if self.kind == "response_index":
-            pts = self.splitpoints
-            if len(pts) < 2 or pts[0] != 0 or not math.isinf(pts[-1]):
-                raise ConfigError("splitpoints must start at 0 and end at inf")
-            if any(a >= b for a, b in zip(pts, pts[1:])):
-                raise ConfigError("splitpoints must be strictly increasing")
-        elif self.kind == "by_feature":
-            if self.feature not in BY_FEATURE_FIELDS:
-                raise ConfigError(
-                    f"by_feature field must be one of {BY_FEATURE_FIELDS}, got {self.feature!r}"
-                )
-        else:
-            raise ConfigError(f"unknown partition kind {self.kind!r}")
-
-    @classmethod
-    def response_index(cls, splitpoints: Sequence[float] = DEFAULT_SPLITPOINTS) -> "PartitionScheme":
-        return cls(kind="response_index", splitpoints=tuple(splitpoints))
-
-    @classmethod
-    def by_feature(cls, feature: str) -> "PartitionScheme":
-        return cls(kind="by_feature", feature=feature)
+        if self.field not in _FIELD_FLAGS:
+            raise ConfigError(f"by_feature field must be one of {tuple(_FIELD_FLAGS)}, got {self.field!r}")
 
     @property
     def label(self) -> str:
-        if self.kind == "response_index":
-            return "response-index"
-        return f"by-feature:{self.feature}"
+        return f"by-feature:{self.field}"
 
-    def interval_keys(self) -> list[str]:
-        """All interval labels, in order (response_index only)."""
-        if self.kind != "response_index":
-            raise ConfigError("interval_keys only applies to response_index schemes")
-        return [interval_label(a, b) for a, b in zip(self.splitpoints, self.splitpoints[1:])]
+    @property
+    def flag(self) -> str | None:
+        return _FIELD_FLAGS[self.field]
+
+    def keys(self, ext: features.ExtractResult) -> tuple[list[str], np.ndarray]:
+        """The field's values present, in sorted order, and each row's value index."""
+        values = [MISSING_KEY if v is None else str(v) for v in map(attrgetter(self.field), ext.events)]
+        labels, codes = np.unique(np.asarray(values, dtype=str), return_inverse=True)
+        return labels.tolist(), codes
 
     def to_json(self) -> dict:
-        if self.kind == "response_index":
-            return {
-                "kind": self.kind,
-                "splitpoints": ["inf" if math.isinf(p) else p for p in self.splitpoints],
-            }
-        return {"kind": self.kind, "feature": self.feature}
+        return {"kind": self.kind, "feature": self.field}
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "PartitionScheme":
-        """The constructor validates, so a malformed scheme fails with a ConfigError."""
-        if obj.get("kind") == "response_index":
-            pts = tuple(math.inf if p == "inf" else float(p) for p in obj.get("splitpoints", ()))
-            return cls.response_index(pts)
-        return cls(kind=obj.get("kind"), feature=obj.get("feature"))
+    def from_json(cls, obj: Mapping) -> "ByField":
+        return cls(obj.get("feature"))
 
 
-def assign_partition(scheme: PartitionScheme, event: InteractionEvent, t: int) -> str:
-    """Partition key for one example: t is the prior-response count."""
-    if scheme.kind == "response_index":
-        pts = scheme.splitpoints
-        i = bisect_right(pts, t) - 1
-        return interval_label(pts[i], pts[i + 1])
-    value = getattr(event, scheme.feature)
-    return MISSING_KEY if value is None else str(value)
+Scheme = ResponseIndex | ByField
+_SCHEMES = {cls.kind: cls for cls in (ResponseIndex, ByField)}
 
 
-def _rows_by_partition(scheme: PartitionScheme, ext: features.ExtractResult) -> dict[str, np.ndarray]:
-    """Row indices of an extracted matrix grouped by partition key, in sorted key order."""
-    groups: dict[str, list[int]] = {}
-    for i, (event, t) in enumerate(zip(ext.events, ext.t)):
-        groups.setdefault(assign_partition(scheme, event, int(t)), []).append(i)
-    return {key: np.asarray(groups[key], dtype=np.int64) for key in sorted(groups)}
+def scheme_from_json(obj: Mapping) -> Scheme:
+    """The constructors validate, so a malformed scheme fails with a ConfigError."""
+    kind = obj.get("kind")
+    if kind not in _SCHEMES:
+        raise ConfigError(f"unknown partition kind {kind!r}")
+    return _SCHEMES[kind].from_json(obj)
+
+
+def _rows_by_partition(labels: Sequence[str], codes: np.ndarray) -> dict[str, np.ndarray]:
+    """Row indices per label of a scheme's `keys`, in sorted label order;
+    labels with no rows are left out."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(len(labels) + 1))
+    groups = {labels[c]: order[lo:hi] for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi}
+    return {key: groups[key] for key in sorted(groups)}
 
 
 @dataclass
 class PartitionedModel:
     """Per-partition models sharing one encoder, plus the fallback."""
 
-    scheme: PartitionScheme
+    scheme: Scheme
     encoder: Encoder
     models: dict[str, Model]
     fallback: Model
@@ -150,7 +157,7 @@ class PartitionedModel:
 
 def fit_partitioned(
     train_students: Mapping[str, list],
-    scheme: PartitionScheme,
+    scheme: Scheme,
     recipe: Recipe,
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
@@ -161,20 +168,22 @@ def fit_partitioned(
 
     Partitions with fewer than min_partition examples are merged into
     the fallback; empty response-index intervals produce a warning.
-    Single-class partitions are trained anyway but flagged.
+    Single-class partitions are trained anyway but flagged.  A scheme
+    whose manifest flag the dataset does not declare is a ConfigError.
     """
+    if scheme.flag is not None and not dataset.manifest.allows(scheme.flag):
+        raise ConfigError(
+            f"partition {scheme.label} needs the manifest flag {scheme.flag!r}, "
+            f"which dataset {dataset.manifest.name!r} does not declare"
+        )
     encoder = features.fit_encoders(train_students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
     ext = extract(train_students, encoder, dataset)
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 
-    groups = _rows_by_partition(scheme, ext)
-    assert sum(rows.size for rows in groups.values()) == len(ext.events)
-
-    warnings: list[str] = []
-    if scheme.kind == "response_index":
-        for key in scheme.interval_keys():
-            if key not in groups:
-                warnings.append(f"partition {key}: no training examples, routed to fallback")
+    labels, codes = scheme.keys(ext)
+    groups = _rows_by_partition(labels, codes)
+    warnings = [f"partition {key}: no training examples, routed to fallback"
+                for key in labels if key not in groups]
 
     models: dict[str, Model] = {}
     merged: list[str] = []
@@ -205,7 +214,7 @@ def fit_partitioned(
 def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> np.ndarray:
     """Routed probabilities for an extracted matrix, in row order."""
     out = np.zeros(len(ext.events), dtype=np.float64)
-    for key, rows in _rows_by_partition(pm.scheme, ext).items():
+    for key, rows in _rows_by_partition(*pm.scheme.keys(ext)).items():
         out[rows] = regression.predict_proba_batch(pm.model_for(key), ext.X[rows])
     return out
 
@@ -215,7 +224,7 @@ class PartitionedSpec(PlainSpec):
     """Cross-validation spec for a partitioned model family.  Stored as
     `partitioned.json`, `encoder.json`, `fallback.json` and `part-*.json`."""
 
-    scheme: PartitionScheme = PartitionScheme.response_index()
+    scheme: Scheme = ResponseIndex()
     min_partition: int = 50
 
     @property
@@ -239,7 +248,7 @@ class PartitionedSpec(PlainSpec):
     @classmethod
     def from_json(cls, obj: Mapping) -> "PartitionedSpec":
         plain = PlainSpec.from_json(obj)
-        return cls(plain.recipe, plain.extras, PartitionScheme.from_json(obj["scheme"]),
+        return cls(plain.recipe, plain.extras, scheme_from_json(obj["scheme"]),
                    int(obj["min_partition"]))
 
     def save(self, fitted: PartitionedModel, out_dir: str | Path) -> None:
@@ -308,7 +317,7 @@ def load_partitioned(out_dir: str | Path) -> PartitionedModel:
         for key, name in manifest["partitions"].items()
     }
     return PartitionedModel(
-        scheme=PartitionScheme.from_json(manifest["scheme"]),
+        scheme=scheme_from_json(manifest["scheme"]),
         encoder=encoder,
         models=models,
         fallback=fallback,

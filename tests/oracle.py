@@ -16,10 +16,15 @@ bit for bit.
 `reference_fit` is a straightforward gradient-descent trainer (step
 halving, recomputing X @ w for the gradient of every accepted step); the
 production trainer minimizes the same objective, so it must end no higher.
+
+`assign_partition` is the per-row partition label that the schemes'
+vectorized `keys` replaced; grouping rows by it must give the groups
+`specialize._rows_by_partition` builds from `keys`.
 """
 
 import math
 import time
+from bisect import bisect_right
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -27,6 +32,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from ktrace.core import ConfigError, scale
+from ktrace.evaluate import interval_label
 from ktrace.features import (
     ELAPSED_MAX_S,
     LAG_CATEGORIES_MIN,
@@ -36,6 +42,7 @@ from ktrace.features import (
     pattern_block,
 )
 from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
+from ktrace.specialize import MISSING_KEY, ResponseIndex
 
 ELAPSED_CAP = 300
 LAG_CATS = list(range(6)) + list(range(10, 1441, 10))
@@ -668,3 +675,13 @@ def reference_build_matrix(students, encoder, kc_graph=None, squash_map=None):
         np.asarray(t_idx, dtype=np.int64),
         kept,
     )
+
+
+def assign_partition(scheme, event, t):
+    """Partition label of one example: t is its prior-response count."""
+    if isinstance(scheme, ResponseIndex):
+        pts = scheme.splitpoints
+        i = bisect_right(pts, t) - 1
+        return interval_label(pts[i], pts[i + 1])
+    value = getattr(event, scheme.field)
+    return MISSING_KEY if value is None else str(value)

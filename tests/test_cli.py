@@ -11,7 +11,7 @@ from ktrace.combine import CombinedSpec
 from ktrace.evaluate import PlainSpec
 from ktrace.ingest import load_prepared
 from ktrace.regression import TrainConfig
-from ktrace.specialize import PartitionedSpec
+from ktrace.specialize import ByField, PartitionedSpec
 
 
 def run_cli(*argv) -> int:
@@ -123,7 +123,9 @@ def test_train_eval_persists_models_and_manifest(prepared, tmp_path):
     (("--recipe", "irt"), PlainSpec("irt")),
     (("--recipe", "irt", "--partition", "response-index"), PartitionedSpec("irt")),
     (("--combine", "irt+pfa@ri"), CombinedSpec((PlainSpec("irt"), PartitionedSpec("pfa")))),
-], ids=["plain", "partitioned", "combined"])
+    (("--combine", "irt+pfa@f:question_id"),
+     CombinedSpec((PlainSpec("irt"), PartitionedSpec("pfa", scheme=ByField("question_id"))))),
+], ids=["plain", "partitioned", "combined", "combined-by-field"])
 def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv, spec):
     """A stored fold model predicts its test students with the bytes of a fresh fit."""
     out = tmp_path / "run"
@@ -279,6 +281,16 @@ def test_train_eval_bad_partition_fails(prepared, capsys):
         "train-eval", "--data", prepared, "--recipe", "irt", "--partition", "sideways",
     ) == 1
     assert "sideways" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--recipe", "irt", "--partition", "by-feature:school"),
+    ("--combine", "irt+pfa@f:school"),
+], ids=["partition", "combine"])
+def test_train_eval_undeclared_partition_field_fails(prepared, tmp_path, capsys, argv):
+    """The generated manifest has no school column, so a school partition would only copy the fallback."""
+    assert run_cli("train-eval", "--data", prepared, *argv, "--out", tmp_path / "run") == 1
+    assert "by-feature:school needs the manifest flag 'school'" in capsys.readouterr().err
 
 
 def test_roc_csv_output(prepared, tmp_path):

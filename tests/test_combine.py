@@ -19,7 +19,7 @@ from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import F
 from ktrace.ingest import split_folds
 from ktrace.regression import TrainConfig
-from ktrace.specialize import PartitionScheme, PartitionedSpec
+from ktrace.specialize import PartitionedSpec, ResponseIndex
 from ktrace.synth import GeneratorConfig, generate
 
 CFG = TrainConfig(l2=1e-4)
@@ -212,7 +212,7 @@ def test_select_bases_matches_fitting_every_subset():
     ds, folds, _, _ = _irt_data(seed=71, n_students=48, per=20)
     cands = [
         PlainSpec("irt"),
-        PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 8, math.inf)),
+        PartitionedSpec("pfa", scheme=ResponseIndex((0, 8, math.inf)),
                         min_partition=10),
         PlainSpec("pfa"),
         NoiseSpec(3),
@@ -249,11 +249,11 @@ def test_select_bases_touches_only_first_fold():
 
 ROUNDTRIP_SPECS = {
     "plain": PlainSpec("irt", extras=(F("counts", "total"),)),
-    "partitioned": PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+    "partitioned": PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf)),
                                    min_partition=10),
     "combined": CombinedSpec(
         (PlainSpec("irt"),
-         PartitionedSpec("pfa", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+         PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf)),
                          min_partition=10)),
         seed=13,
     ),
@@ -287,10 +287,10 @@ def test_plain_load_refuses_another_recipes_fit(tmp_path):
 
 def test_partitioned_load_refuses_other_splitpoints(tmp_path):
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
-    stored = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 5, math.inf)),
+    stored = PartitionedSpec("irt", scheme=ResponseIndex((0, 5, math.inf)),
                              min_partition=10)
     save_fitted(stored.fit_on(train, ds, CFG), tmp_path, stored)
-    wanted = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+    wanted = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)),
                              min_partition=10)
     with pytest.raises(ConfigError, match=r'fit of spec .*\[0,5,"inf"\].*not of .*\[0,10,"inf"\]'):
         wanted.load(tmp_path)

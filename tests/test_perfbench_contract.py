@@ -10,10 +10,15 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from collections.abc import Mapping
+
 import numpy as np
 import scipy.sparse as sp
 
-from ktrace import cli, regression
+from conftest import response, toy_dataset
+
+from ktrace import cli, regression, specialize
+from ktrace.recipes import resolve
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -35,6 +40,18 @@ def test_every_traced_name_resolves():
 def test_save_fitted_takes_the_output_directory_second():
     # the tracer sizes what save_fitted wrote from its second positional argument
     assert list(inspect.signature(cli.save_fitted).parameters)[1] == "out_dir"
+
+
+def test_partition_functions_have_what_the_tracer_reads():
+    # spans._partition_counts reads len(result.models) from every fit_partitioned result
+    students = {f"s{i}": [response(f"s{i}", 60 * j, f"q{j % 3}", ["k1"], (i + j) % 2 == 0)
+                          for j in range(8)] for i in range(4)}
+    ds = toy_dataset(students)
+    result = specialize.fit_partitioned(ds.students, specialize.ResponseIndex(),
+                                        resolve("irt", ds.manifest).recipe, ds, min_partition=5)
+    assert isinstance(result.models, Mapping) and len(result.models) == 1
+    assert list(inspect.signature(specialize.predict_routed_batch).parameters)[1] == "ext"
+    assert list(inspect.signature(specialize.save_partitioned).parameters)[1] == "out_dir"
 
 
 def test_fit_info_has_what_the_tracer_counts():

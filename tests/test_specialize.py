@@ -3,72 +3,120 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import response, toy_dataset
+from oracle import assign_partition
 
 from ktrace.core import ConfigError
 from ktrace.evaluate import PlainSpec, auc, cross_validate
-from ktrace.features import build_matrix
+from ktrace.features import ExtractResult, build_matrix
 from ktrace.ingest import split_folds
 from ktrace.recipes import resolve
 from ktrace.regression import TrainConfig, nll, predict_proba_batch
 from ktrace.specialize import (
     MISSING_KEY,
-    PartitionScheme,
+    ByField,
     PartitionedSpec,
-    assign_partition,
+    ResponseIndex,
+    _rows_by_partition,
     fit_partitioned,
     load_partitioned,
     predict_routed_batch,
     save_partitioned,
+    scheme_from_json,
 )
 from ktrace.synth import GeneratorConfig, generate
 
 
+def _ext(events, ts) -> ExtractResult:
+    """An extract with no feature columns: schemes read only events and t."""
+    n = len(events)
+    return ExtractResult(X=sp.csr_matrix((n, 0)), y=np.zeros(n), t=np.asarray(ts, dtype=np.int64),
+                         events=list(events))
+
+
+def _row_labels(scheme, events, ts) -> list[str]:
+    labels, codes = scheme.keys(_ext(events, ts))
+    return [labels[c] for c in codes]
+
+
 def test_scheme_validation():
     with pytest.raises(ConfigError):
-        PartitionScheme.response_index((0, 10, 50))  # must end at inf
+        ResponseIndex((0, 10, 50))  # must end at inf
     with pytest.raises(ConfigError):
-        PartitionScheme.response_index((10, 50, math.inf))  # must start at 0
+        ResponseIndex((10, 50, math.inf))  # must start at 0
     with pytest.raises(ConfigError):
-        PartitionScheme.response_index((0, 50, 10, math.inf))
+        ResponseIndex((0, 50, 10, math.inf))
+    with pytest.raises(ConfigError, match="integers >= 0"):
+        ResponseIndex((0, 5.5, math.inf))  # t is a count
+    with pytest.raises(ConfigError, match="integers >= 0"):
+        scheme_from_json({"kind": "response_index", "splitpoints": [0, "ten", "inf"]})
+    with pytest.raises(ConfigError, match="integers >= 0"):
+        scheme_from_json({"kind": "response_index", "splitpoints": [0, "nan", "inf"]})
+    with pytest.raises(ConfigError, match="integers >= 0"):
+        ResponseIndex((0, math.nan, math.inf))
     with pytest.raises(ConfigError):
-        PartitionScheme.by_feature("correct")
+        ByField("correct")
     with pytest.raises(ConfigError):
-        PartitionScheme(kind="nope")
-    scheme = PartitionScheme.response_index()
-    assert PartitionScheme.from_json(scheme.to_json()) == scheme
-    byf = PartitionScheme.by_feature("study_module")
-    assert PartitionScheme.from_json(byf.to_json()) == byf
+        ByField("hint_count")  # not a categorical field
+    for name in ("question_id", "study_module", "difficulty", "age", "gender", "social_support"):
+        assert ByField(name).label == f"by-feature:{name}"
+    assert ResponseIndex((0, 10.0, math.inf)) == ResponseIndex((0, 10, math.inf))
+    scheme = ResponseIndex()
+    assert scheme.to_json() == {"kind": "response_index",
+                                "splitpoints": [0, 10, 50, 100, 250, 500, "inf"]}
+    assert scheme_from_json(scheme.to_json()) == scheme
+    byf = ByField("study_module")
+    assert byf.to_json() == {"kind": "by_feature", "feature": "study_module"}
+    assert scheme_from_json(byf.to_json()) == byf
 
 
 def test_unknown_scheme_json_fails_with_a_config_error():
     with pytest.raises(ConfigError, match="unknown partition kind 'bogus'"):
-        PartitionScheme.from_json({"kind": "bogus"})
+        scheme_from_json({"kind": "bogus"})
 
 
 def test_assign_partition_examples():
-    scheme = PartitionScheme.response_index()
+    scheme = ResponseIndex()
     ev = response("s1", 100, "q1", ["k1"], True)
-    assert assign_partition(scheme, ev, 9) == "0-10"
-    assert assign_partition(scheme, ev, 10) == "10-50"
-    assert assign_partition(scheme, ev, 600) == "500-inf"
-    assert scheme.interval_keys() == ["0-10", "10-50", "50-100", "100-250", "250-500", "500-inf"]
+    assert _row_labels(scheme, [ev] * 3, [9, 10, 600]) == ["0-10", "10-50", "500-inf"]
+    assert scheme.keys(_ext([], []))[0] == ["0-10", "10-50", "50-100", "100-250", "250-500", "500-inf"]
 
-    byf = PartitionScheme.by_feature("study_module")
+    byf = ByField("study_module")
     ev2 = response("s1", 100, "q1", ["k1"], True, study_module="pre-test")
-    assert assign_partition(byf, ev2, 0) == "pre-test"
-    assert assign_partition(byf, ev, 0) == MISSING_KEY
+    assert _row_labels(byf, [ev2, ev], [0, 0]) == ["pre-test", MISSING_KEY]
 
 
 def test_assignment_covers_everything():
-    scheme = PartitionScheme.response_index((0, 3, math.inf))
-    counts = {}
+    scheme = ResponseIndex((0, 3, math.inf))
     ev = response("s1", 1, "q1", ["k1"], True)
-    for t in range(200):
-        counts[assign_partition(scheme, ev, t)] = counts.get(assign_partition(scheme, ev, t), 0) + 1
-    assert sum(counts.values()) == 200
-    assert counts == {"0-3": 3, "3-inf": 197}
+    groups = _rows_by_partition(*scheme.keys(_ext([ev] * 200, range(200))))
+    assert sum(rows.size for rows in groups.values()) == 200
+    assert {key: rows.size for key, rows in groups.items()} == {"0-3": 3, "3-inf": 197}
+
+
+def test_array_routing_matches_per_row_reference():
+    rng = np.random.default_rng(4242)
+    for trial in range(30):
+        n = int(rng.integers(0, 120))
+        events = [
+            response("s1", j, f"q{rng.integers(5)}", ["k1"], True,
+                     study_module=None if rng.random() < 0.3 else f"m{rng.integers(4)}")
+            for j in range(n)
+        ]
+        ts = rng.integers(0, 60, size=n)
+        # inner points up to 90 leave some intervals empty
+        inner = sorted(int(x) for x in rng.choice(np.arange(1, 90), size=rng.integers(0, 6), replace=False))
+        for scheme in (ResponseIndex((0, *inner, math.inf)), ByField("study_module"), ByField("question_id")):
+            labels, codes = scheme.keys(_ext(events, ts))
+            expected = {}
+            for i, (ev, t) in enumerate(zip(events, ts)):
+                expected.setdefault(assign_partition(scheme, ev, int(t)), []).append(i)
+            got = _rows_by_partition(labels, codes)
+            assert list(got) == sorted(expected), (trial, scheme)
+            assert {k: v.tolist() for k, v in got.items()} == expected, (trial, scheme)
+            assert set(labels) >= set(expected)
 
 
 def _two_regime_students(n_students=40, per=30, flip=10):
@@ -87,7 +135,7 @@ def _two_regime_students(n_students=40, per=30, flip=10):
 
 def test_fit_partitioned_beats_fallback_per_partition():
     ds = _two_regime_students()
-    scheme = PartitionScheme.response_index((0, 10, math.inf))
+    scheme = ResponseIndex((0, 10, math.inf))
     recipe = resolve("irt", ds.manifest).recipe
     cfg = TrainConfig(l2=1e-6)
     pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg, min_partition=10)
@@ -102,7 +150,7 @@ def test_fit_partitioned_beats_fallback_per_partition():
 
 def test_empty_and_small_partitions_merge_to_fallback():
     ds = _two_regime_students(n_students=8, per=12, flip=6)
-    scheme = PartitionScheme.response_index()
+    scheme = ResponseIndex()
     recipe = resolve("pfa", ds.manifest).recipe
     pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=50)
     # 8 students x 12 responses: 0-10 has 80 rows, 10-50 only 16 (below the
@@ -127,7 +175,7 @@ def test_single_class_partition_flagged():
             for j in range(10)
         ]
     ds = toy_dataset(students, name="oneclass")
-    scheme = PartitionScheme.response_index((0, 5, math.inf))
+    scheme = ResponseIndex((0, 5, math.inf))
     recipe = resolve("pfa", ds.manifest).recipe
     pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
     assert "0-5" in pm.single_class
@@ -136,7 +184,7 @@ def test_single_class_partition_flagged():
 
 def test_single_partition_equals_plain_model():
     ds = _two_regime_students(n_students=10, per=10, flip=5)
-    scheme = PartitionScheme.response_index((0, math.inf))
+    scheme = ResponseIndex((0, math.inf))
     recipe = resolve("best-lr", ds.manifest).recipe
     cfg = TrainConfig(l2=1e-4)
     pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg, min_partition=1)
@@ -150,7 +198,8 @@ def test_single_partition_equals_plain_model():
     assert pm.models["0-inf"].weights.tobytes() == pm.fallback.weights.tobytes()
 
 
-def test_by_feature_unseen_value_routes_to_fallback():
+def _module_students(capabilities=("study_module",)):
+    """Responses alternate between study modules a and b."""
     students = {
         f"s{i}": [
             response(f"s{i}", 60 * j, f"q{j % 4}", ["k1"], (i + j) % 2 == 0,
@@ -159,8 +208,12 @@ def test_by_feature_unseen_value_routes_to_fallback():
         ]
         for i in range(10)
     }
-    ds = toy_dataset(students, name="mods", capabilities=("study_module",))
-    scheme = PartitionScheme.by_feature("study_module")
+    return toy_dataset(students, name="mods", capabilities=capabilities)
+
+
+def test_by_feature_unseen_value_routes_to_fallback():
+    ds = _module_students()
+    scheme = ByField("study_module")
     recipe = resolve("pfa", ds.manifest).recipe
     pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
     assert set(pm.models) == {"a", "b"}
@@ -168,6 +221,15 @@ def test_by_feature_unseen_value_routes_to_fallback():
     ext = build_matrix({"sX": [ev]}, pm.encoder)
     routed = predict_routed_batch(pm, ext)
     assert routed.tobytes() == predict_proba_batch(pm.fallback, ext.X).tobytes()
+
+
+def test_undeclared_field_is_refused():
+    ds = _module_students(capabilities=())
+    recipe = resolve("pfa", ds.manifest).recipe
+    with pytest.raises(ConfigError, match="by-feature:study_module needs the manifest flag 'study_module'"):
+        fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig(), min_partition=5)
+    with pytest.raises(ConfigError, match="'age_gender'"):
+        PartitionedSpec("pfa", scheme=ByField("gender")).fit_on(ds.students, ds, TrainConfig())
 
 
 def test_partitioned_beats_plain_after_regime_change():
@@ -181,7 +243,7 @@ def test_partitioned_beats_plain_after_regime_change():
 
     plain = PlainSpec("irt")
     pp = plain.predict_on(plain.fit_on(train, ds, tc), test, ds)
-    part = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 50, math.inf)))
+    part = PartitionedSpec("irt", scheme=ResponseIndex((0, 50, math.inf)))
     rp = part.predict_on(part.fit_on(train, ds, tc), test, ds)
 
     late = pp.t >= 50
@@ -190,7 +252,7 @@ def test_partitioned_beats_plain_after_regime_change():
 
 def test_partitioned_spec_in_cross_validation():
     ds, _ = generate(GeneratorConfig(seed=37, n_students=40, responses_per_student=25, n_questions=12))
-    spec = PartitionedSpec("irt", scheme=PartitionScheme.response_index((0, 10, math.inf)),
+    spec = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)),
                            min_partition=20)
     report = cross_validate(ds, spec, k=4, seed=37, config=TrainConfig(l2=0.01))
     assert report.spec == "irt@response-index"
@@ -198,14 +260,15 @@ def test_partitioned_spec_in_cross_validation():
 
 
 def test_save_load_roundtrip(tmp_path):
-    ds = _two_regime_students(n_students=12, per=14, flip=7)
-    scheme = PartitionScheme.response_index((0, 7, math.inf))
-    recipe = resolve("best-lr", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
-    save_partitioned(pm, tmp_path)
-    again = load_partitioned(tmp_path)
-    assert again.scheme == pm.scheme
-    assert set(again.models) == set(pm.models)
-    ext = build_matrix(ds.students, pm.encoder)
-    assert predict_routed_batch(again, ext).tobytes() == predict_routed_batch(pm, ext).tobytes()
-    assert again.warnings == pm.warnings
+    for ds, scheme in ((_two_regime_students(n_students=12, per=14, flip=7), ResponseIndex((0, 7, math.inf))),
+                       (_module_students(), ByField("study_module"))):
+        recipe = resolve("best-lr", ds.manifest).recipe
+        pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
+        out = tmp_path / scheme.kind
+        save_partitioned(pm, out)
+        again = load_partitioned(out)
+        assert again.scheme == pm.scheme
+        assert set(again.models) == set(pm.models)
+        ext = build_matrix(ds.students, pm.encoder)
+        assert predict_routed_batch(again, ext).tobytes() == predict_routed_batch(pm, ext).tobytes()
+        assert again.warnings == pm.warnings
