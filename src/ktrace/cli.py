@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -239,7 +240,10 @@ def _build_spec(args: argparse.Namespace, cfg_file: dict):
     if combo != "none":
         if partition != "none":
             raise ConfigError("--partition applies to bases via @ suffixes when --combine is used")
-        bases = tuple(_parse_base_token(tok, min_partition) for tok in combo.split("+") if tok)
+        if extras:
+            raise ConfigError("--extras applies to --recipe only, not to --combine bases")
+        # a + followed by another +, an @ or the end belongs to a recipe name (best-lr+)
+        bases = tuple(_parse_base_token(tok, min_partition) for tok in re.split(r"\+(?=[^+@])", combo) if tok)
         return bases, None, min_partition
     if partition == "none":
         return None, evaluate.PlainSpec(args.recipe, extras=extras), min_partition
@@ -325,7 +329,6 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         lines = ["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in report.roc]
         roc_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         run.add_output(roc_path)
-        report.roc = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(text, encoding="utf-8")

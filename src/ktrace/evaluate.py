@@ -165,7 +165,9 @@ class PlainSpec:
 
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
         recipe = self.resolve_recipe(dataset)
-        encoder = features.fit_encoders(students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
+        encoder = features.fit_encoders(
+            students, recipe, dataset.manifest, dataset.kc_graph, dataset.squash_map, dataset.feature_rows
+        )
         ext = extract(students, encoder, dataset)
         model = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
         return encoder, model

@@ -19,10 +19,13 @@ Emitters write keyed rows, which no fold changes: per entry the block,
 the vocabulary key's code (or none), the slot within the key's columns
 and the value.  A RowStore, one per dataset, walks each student once
 per recipe (families, n_recent, windows) and keeps the entries as flat
-arrays.  `build_matrix` remaps them for an encoder with one vectorized
-lookup, column = block offset + vocabulary index * slots + slot,
-dropping keys the fold's vocabulary lacks, and computes the smoothed
-average from stored correct/attempt counts and the fold's rbar and eta.
+arrays; that one walk serves a fold's encoder and all its matrices.
+`fit_encoders` takes each vocabulary from the keys its blocks use in the
+training rows and rbar from their labels.  `build_matrix` remaps the
+entries for an encoder with one vectorized lookup, column = block
+offset + vocabulary index * slots + slot, dropping keys the fold's
+vocabulary lacks, and computes the smoothed average from stored
+correct/attempt counts and the fold's rbar and eta.
 One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x).  Time-window
@@ -64,22 +67,6 @@ from ktrace.core import (
 
 # ---------------------------------------------------------------------------
 # Families and recipes
-
-# context variants: optional event fields, each gated by its OPTIONAL_FIELDS flag
-_CONTEXT_FIELDS = (
-    "teacher_group",
-    "school",
-    "course",
-    "topic",
-    "difficulty",
-    "bundle",
-    "part_area",
-    "platform",
-    "age",
-    "gender",
-    "social_support",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class FeatureFamily:
@@ -172,9 +159,6 @@ class Recipe:
     def _layout(self) -> "_Layout":
         """Vocabulary domain and columns per key of each block (see _Placer)."""
         return _Layout.of(self)
-
-    def has(self, kind: str, variant: str | None = None) -> bool:
-        return any(f.kind == kind and (variant is None or f.variant == variant) for f in self.families)
 
     def to_json(self) -> dict:
         return {
@@ -318,45 +302,30 @@ def fit_encoders(
     recipe: Recipe,
     manifest: DatasetManifest,
     kc_graph: KCGraph | None = None,
+    squash_map: Mapping[str, tuple[str, ...]] | None = None,
+    store: RowStore | None = None,
 ) -> Encoder:
-    """Build the encoder for a recipe from training-fold events only.
+    """Build the encoder for a recipe from the training fold's keyed rows.
 
-    Vocabularies are collected from question responses and indexed in
-    sorted order, so the result is independent of event iteration order.
+    The rows come from `store` (a dataset's `feature_rows`; a throwaway
+    store when None), so one walk per (recipe, student) serves the
+    encoder and every matrix built from the same store.  A domain's
+    vocabulary is the keys its blocks use in those rows, indexed in
+    sorted order; `graph_node` takes the graph's nodes.  A domain read
+    only by keyed counts blocks thus lacks keys no training row counts,
+    whose columns could only hold zero weight.  rbar is the rows' mean
+    label.
     """
     check_recipe_supported(recipe, manifest, kc_graph)
-
-    needed = {_KINDS[f.kind].domain(f.variant) for f in recipe.families} - {None}
-    seen: dict[str, set[str]] = {d: set() for d in needed if d != "graph_node"}
-    corrects = 0
-    attempts = 0
-    for events in train_students.values():
-        for e in events:
-            if not e.is_response():
-                continue
-            attempts += 1
-            if e.correct:
-                corrects += 1
-            if "student" in seen:
-                seen["student"].add(e.student_id)
-            if "question" in seen:
-                seen["question"].add(e.question_id)  # type: ignore[arg-type]
-            if "kc" in seen:
-                seen["kc"].update(e.kc_ids)
-            if "study_module" in seen and e.study_module is not None:
-                seen["study_module"].add(e.study_module)
-            for ctx in _CONTEXT_FIELDS:
-                if ctx in seen:
-                    value = getattr(e, ctx)
-                    if value is not None:
-                        seen[ctx].add(value)
+    store = RowStore() if store is None else store
+    parts, keys = store.rows(train_students, recipe, kc_graph, squash_map)
+    attempts = sum(len(p.responses) for p in parts)
     if attempts == 0:
         raise ConfigError("cannot fit encoders: no question responses in training data")
 
-    vocabs: dict[str, dict[str, int]] = {
-        d: {v: i for i, v in enumerate(sorted(values))} for d, values in seen.items()
-    }
-    if "graph_node" in needed:
+    used = _used_keys(parts, recipe._layout.domains, keys)
+    vocabs = {d: {k: i for i, k in enumerate(sorted(ks))} for d, ks in used.items()}
+    if "graph_node" in vocabs:
         assert kc_graph is not None
         vocabs["graph_node"] = {n: i for i, n in enumerate(kc_graph.nodes)}
 
@@ -371,7 +340,7 @@ def fit_encoders(
         vocabs=vocabs,
         blocks=tuple(blocks),
         dim=offset,
-        rbar=corrects / attempts,
+        rbar=float(sum(p.y.sum() for p in parts)) / attempts,
     )
 
 
@@ -652,6 +621,8 @@ def _material(attr: str) -> _Kind:
 
 # each optional event field's flags, for the families reading it
 _FIELD_FLAGS = {name: (f.flag,) for name, f in OPTIONAL_FIELDS.items()}
+# context variants: the str event fields but study_module, which has its own families
+_CONTEXT_FIELDS = tuple(n for n, f in OPTIONAL_FIELDS.items() if f.type is str and n != "study_module")
 _SCOPES = ("total", "kc", "question")
 _NOW_OR_PRIOR = ("current", "prior")
 _GRAPH = ("prereq_graph", "kc_hierarchy")  # an explicit graph or an ontology-derived one
@@ -754,6 +725,16 @@ class _Layout:
         return cls(domains, per, smoothed[0] if smoothed else None)
 
 
+def _key_starts(
+    domains: Sequence[str | None], keys: Mapping[str, Sequence[str]]
+) -> tuple[dict[str, int], np.ndarray]:
+    """Where each domain's keys start when all domains' keys are laid end to end
+    in code order, and that start for each block (0 without a vocabulary)."""
+    spans = {d: len(keys.get(d, ())) for d in domains if d is not None}
+    starts = dict(zip(spans, np.cumsum([0, *spans.values()]).tolist()))
+    return starts, np.array([starts.get(d, 0) for d in domains], dtype=np.int64)
+
+
 class _Placer:
     """Places keyed entries in an encoder's columns.
 
@@ -765,18 +746,14 @@ class _Placer:
 
     def __init__(self, encoder: Encoder, keys: Mapping[str, Sequence[str]]):
         layout = encoder.recipe._layout
-        luts: list[np.ndarray] = []
-        lut_base: dict[str | None, int] = {}
-        size = 0
-        for domain in dict.fromkeys(d for d in layout.domains if d is not None):
-            vocab, ks = encoder.vocabs[domain], keys.get(domain, ())
-            lut_base[domain] = size
-            luts.append(np.fromiter((vocab.get(k, -1) for k in ks), dtype=np.int64, count=len(ks)))
-            size += len(ks)
+        starts, self.base = _key_starts(layout.domains, keys)
+        luts = [
+            np.fromiter((encoder.vocabs[d].get(k, -1) for k in keys.get(d, ())), dtype=np.int64)
+            for d in starts
+        ]
         self.encoder = encoder
         self.lut = np.concatenate(luts) if luts else np.zeros(0, dtype=np.int64)
         self.off = np.array([o for _, o, _ in encoder.blocks], dtype=np.int64)
-        self.base = np.array([lut_base.get(d, 0) for d in layout.domains], dtype=np.int64)
         self.per = layout.per
         self.smoothed = layout.smoothed
 
@@ -953,6 +930,20 @@ def _chunks(parts: Sequence[_StudentRows]) -> Iterator[list[_StudentRows]]:
             chunk, size = [], 0
     if chunk:
         yield chunk
+
+
+def _used_keys(
+    parts: Sequence[_StudentRows], domains: Sequence[str | None], keys: Mapping[str, Sequence[str]]
+) -> dict[str, list[str]]:
+    """Per vocabulary domain of a recipe's blocks, the keys those blocks use in the rows."""
+    starts, base = _key_starts(domains, keys)
+    used = np.zeros(sum(len(keys[d]) for d in starts), dtype=bool)
+    for chunk in _chunks(parts):
+        block = np.concatenate([p.entries.block for p in chunk])
+        code = np.concatenate([p.entries.code for p in chunk])
+        keyed = code >= 0
+        used[base[block[keyed]] + code[keyed]] = True
+    return {d: [keys[d][i] for i in np.flatnonzero(used[s : s + len(keys[d])])] for d, s in starts.items()}
 
 
 @dataclass

@@ -176,7 +176,9 @@ def fit_partitioned(
             f"partition {scheme.label} needs the manifest flag {scheme.flag!r}, "
             f"which dataset {dataset.manifest.name!r} does not declare"
         )
-    encoder = features.fit_encoders(train_students, recipe, dataset.manifest, kc_graph=dataset.kc_graph)
+    encoder = features.fit_encoders(
+        train_students, recipe, dataset.manifest, dataset.kc_graph, dataset.squash_map, dataset.feature_rows
+    )
     ext = extract(train_students, encoder, dataset)
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ktrace.cli import main
-from ktrace.combine import CombinedSpec
+from ktrace.combine import CombinedSpec, _split_meta_students
 from ktrace.evaluate import PlainSpec
 from ktrace.ingest import load_prepared
 from ktrace.regression import TrainConfig
@@ -125,7 +125,10 @@ def test_train_eval_persists_models_and_manifest(prepared, tmp_path):
     (("--combine", "irt+pfa@ri"), CombinedSpec((PlainSpec("irt"), PartitionedSpec("pfa")))),
     (("--combine", "irt+pfa@f:question_id"),
      CombinedSpec((PlainSpec("irt"), PartitionedSpec("pfa", scheme=ByField("question_id"))))),
-], ids=["plain", "partitioned", "combined", "combined-by-field"])
+    (("--combine", "irt+best-lr+"), CombinedSpec((PlainSpec("irt"), PlainSpec("best-lr+")))),
+    (("--combine", "best-lr+@ri+irt"), CombinedSpec((PartitionedSpec("best-lr+"), PlainSpec("irt")))),
+], ids=["plain", "partitioned", "combined", "combined-by-field", "combined-plus-last",
+        "combined-plus-first"])
 def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv, spec):
     """A stored fold model predicts its test students with the bytes of a fresh fit."""
     out = tmp_path / "run"
@@ -143,16 +146,27 @@ def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv
 def test_train_eval_manifest_counts_extraction(prepared, tmp_path):
     """Each student is walked once per recipe; every fold is served from those walks."""
     dataset, folds = load_prepared(prepared)
-    n_students, n_responses = dataset.n_students, dataset.n_responses
+    n_students, n_responses, k = dataset.n_students, dataset.n_responses, folds.k
+    meta_responses = sum(  # responses of each fold's held-out 10% that trains the meta model
+        sum(e.is_response() for e in dataset.students[s])
+        for f in range(k)
+        for s in _split_meta_students(dict.fromkeys(folds.train_students(f)), 0)[1]
+    )
     for argv, recipes in ((("--recipe", "pfa"), 1), (("--combine", "irt+pfa@ri"), 2)):
         out = tmp_path / str(recipes)
         assert run_cli("train-eval", "--data", prepared, *argv, "--out", out) == 0
         counts = json.loads((out / "run_manifest.json").read_text())["extraction"]
         assert counts["students_walked"] == recipes * n_students
         assert counts["rows_walked"] == recipes * n_responses
-        # a plain fit extracts the fold's training rows, then its test rows; a
-        # stacked base also fits on the 90% and predicts the meta 10%
-        served = n_responses * (folds.k if recipes == 1 else recipes * (2 * folds.k - 1))
+        # a fit is served its training rows twice (encoder, then matrix), a prediction
+        # its rows once.  Over the folds, a plain fit and its test rows give
+        # 2(k-1)N + N; a stacked base fits on the 90% and predicts the meta 10%,
+        # then fits on all training rows and predicts the test rows:
+        # 2((k-1)N - M) + M + 2(k-1)N + N, with M the meta rows summed over folds
+        if recipes == 1:
+            served = (2 * k - 1) * n_responses
+        else:
+            served = recipes * ((4 * k - 3) * n_responses - meta_responses)
         assert counts["rows_served"] == served
 
 
@@ -293,12 +307,23 @@ def test_train_eval_undeclared_partition_field_fails(prepared, tmp_path, capsys,
     assert "by-feature:school needs the manifest flag 'school'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--partition", "ri"), ("--extras", "response_pattern")])
+def test_train_eval_combine_refuses_recipe_only_flags(prepared, capsys, flag, value):
+    assert run_cli("train-eval", "--data", prepared, "--combine", "irt+pfa", flag, value) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "--combine" in err
+
+
 def test_roc_csv_output(prepared, tmp_path):
     roc_path = tmp_path / "new" / "roc.csv"  # the missing directory is created
+    report_path = tmp_path / "report.json"
     assert run_cli(
         "train-eval", "--data", prepared, "--recipe", "irt", "--roc-csv", roc_path,
+        "--report", report_path,
     ) == 0
     lines = roc_path.read_text().splitlines()
+    points = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert json.loads(report_path.read_text())["roc"] == points  # the report keeps them too
     assert lines[0] == "fpr,tpr"
     assert lines[1] == "0.0,0.0"
     last = [float(x) for x in lines[-1].split(",")]

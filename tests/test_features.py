@@ -9,7 +9,7 @@ import pytest
 from conftest import response
 from oracle import compare_vector, reference_build_matrix
 
-from ktrace import features
+from ktrace import features, regression
 from ktrace.core import (
     CAPABILITY_FLAGS,
     ConfigError,
@@ -150,6 +150,52 @@ def test_fit_encoders_order_independent():
     a = fit_encoders(students, recipe, MINIMAL)
     b = fit_encoders(dict(reversed(list(students.items()))), recipe, MINIMAL)
     assert a.digest() == b.digest()
+
+
+def test_fit_encoders_one_hot_vocabularies_hold_every_training_value(rng):
+    """A domain with a one-hot block gets every value its event field takes in training responses."""
+    students = _random_full_students(rng)
+    one_hots = [F("student"), F("question"), F("kc"), F("study_module")]
+    one_hots += [F("context", v) for v in _KINDS["context"].variants]
+    recipe = Recipe(families=(F("bias"), *one_hots, F("counts", "kc"), F("study_module_counts")))
+    enc = fit_encoders(students, recipe, FULL)
+    responses = [e for events in students.values() for e in events if e.is_response()]
+    fields = {"student": "student_id", "question": "question_id"}
+    for domain, vocab in enc.vocabs.items():
+        if domain == "kc":
+            values = {k for e in responses for k in e.kc_ids}
+        else:
+            values = {getattr(e, fields.get(domain, domain)) for e in responses} - {None}
+        assert vocab == {v: i for i, v in enumerate(sorted(values))}, domain
+    assert len(enc.vocabs) == len(one_hots)
+    assert enc.rbar == sum(1 for e in responses if e.correct) / len(responses)
+
+
+def test_fit_encoders_drops_keys_no_training_row_counts():
+    """counts:kc without a kc block: a KC no training student answers twice gets no columns,
+    and test predictions equal those of a fit that keeps its (zero-weight) columns."""
+    train = {
+        "s1": [response("s1", 10, "q1", ["k0"], True), response("s1", 20, "q2", ["k0"], False),
+               response("s1", 30, "q3", ["k1"], True)],
+        "s2": [response("s2", 10, "q3", ["k1"], False), response("s2", 20, "q1", ["k0"], False),
+               response("s2", 30, "q1", ["k0"], True), response("s2", 40, "q2", ["k0"], True)],
+    }
+    test = {"s3": [response("s3", 10, "q3", ["k1"], True), response("s3", 20, "q3", ["k1"], False),
+                   response("s3", 30, "q1", ["k0"], True), response("s3", 40, "q3", ["k1"], True)]}
+    recipe = Recipe(families=(F("bias"), F("counts", "kc")))
+    enc = fit_encoders(train, recipe, MINIMAL)
+    assert enc.vocabs == {"kc": {"k0": 0}} and enc.dim == 3
+    kept = dataclasses.replace(
+        enc, vocabs={"kc": {"k0": 0, "k1": 1}},
+        blocks=((F("bias"), 0, 1), (F("counts", "kc"), 1, 4)), dim=5,
+    )
+    probs = []
+    for e in (enc, kept):
+        ext = build_matrix(train, e)
+        model = regression.fit(ext.X, ext.y, regression.TrainConfig(), encoder=e, recipe=recipe)
+        probs.append(regression.predict_proba_batch(model, build_matrix(test, e).X))
+    assert build_matrix(test, kept).X[:, 3:].nnz > 0  # the dropped columns fire at test time
+    np.testing.assert_allclose(probs[0], probs[1], rtol=0, atol=1e-12)
 
 
 def test_fit_encoders_rejects_unsupported_families():
@@ -708,24 +754,27 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
     sids = sorted(ds.students)
     train = {s: ds.students[s] for s in sids[:5]}
     test = {s: ds.students[s] for s in sids[5:]}
-    enc = fit_encoders(train, recipe, FULL)
+    enc = fit_encoders(train, recipe, FULL, store=ds.feature_rows)
+    assert sorted(walked) == sids[:5]
     first = build_matrix(ds.students, enc, store=ds.feature_rows)
     assert sorted(walked) == sids
-    # other folds, other eta: the same walk serves them
-    other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL)
+    # other folds, other eta: the same walk serves their encoders and matrices
+    other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, store=ds.feature_rows)
     build_matrix(train, other, store=ds.feature_rows)
     again = build_matrix(ds.students, enc, store=ds.feature_rows)
     assert sorted(walked) == sids
     assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
     n = first.X.shape[0]
     n_train = sum(1 for s in train for e in ds.students[s] if e.is_response())
+    # served: train (enc), all, test (other), train, all
     assert ds.feature_rows.counts() == {
         "students_walked": len(sids),
         "rows_walked": n,
-        "rows_served": 2 * n + n_train,
+        "rows_served": 3 * n + n_train,
     }
     # a recipe with other walk parameters walks again
-    build_matrix(ds.students, fit_encoders(ds.students, dataclasses.replace(recipe, n_recent=3), FULL),
+    other_walk = dataclasses.replace(recipe, n_recent=3)
+    build_matrix(ds.students, fit_encoders(ds.students, other_walk, FULL, store=ds.feature_rows),
                  store=ds.feature_rows)
     assert len(walked) == 2 * len(sids)
 
