@@ -148,6 +148,10 @@ def _parse_scheme(text: str) -> specialize.Scheme:
 def _parse_base_token(token: str, min_partition: int):
     """A base spec: RECIPE or RECIPE@SCHEME."""
     recipe, at, scheme = token.partition("@")
+    if recipe.strip().lower() not in RECIPE_NAMES:
+        raise ConfigError(
+            f"--combine base {token!r}: unknown recipe {recipe!r}; expected one of {', '.join(RECIPE_NAMES)}"
+        )
     if not at:
         return evaluate.PlainSpec(recipe)
     return specialize.PartitionedSpec(recipe, scheme=_parse_scheme(scheme), min_partition=min_partition)
@@ -262,6 +266,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     l2 = float(_effective(args, cfg_file, "l2", regression.TrainConfig.l2))
     if args.recipe not in RECIPE_NAMES:
         raise ConfigError(f"--recipe must be one of {', '.join(RECIPE_NAMES)}")
+    bases, spec, min_partition = _build_spec(args, cfg_file)
 
     data_dir = Path(args.data)
     dataset, stored_folds = ingest.load_prepared(data_dir)
@@ -273,7 +278,6 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         folds = ingest.split_folds(dataset, k=k, seed=fold_seed)
 
     config = regression.TrainConfig(l2=l2)
-    bases, spec, min_partition = _build_spec(args, cfg_file)
     extra: dict = {}
     if bases is not None:
         if args.select_bases:

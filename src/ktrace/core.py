@@ -337,55 +337,6 @@ def lag_since(prior_end: float | None, timestamp: int) -> tuple[float | None, bo
     return (gap, False) if gap >= 0 else (0.0, True)
 
 
-class ResponseLog:
-    """Append-only correctness log for one scope (student / KC / question).
-
-    Keeps timestamps with a running prefix sum of corrects, plus one
-    advancing start pointer per finite time window, so that window
-    counts at a query time cost amortized O(#windows) per response.
-    Query times must be non-decreasing.
-    """
-
-    __slots__ = ("window_seconds", "ts", "cumc", "widx")
-
-    def __init__(self, window_seconds: Sequence[float] = ()):
-        self.window_seconds = tuple(window_seconds)
-        self.ts: list[int] = []
-        self.cumc: list[int] = []
-        self.widx = [0] * len(self.window_seconds)
-
-    def add(self, timestamp: int, correct: bool) -> None:
-        prev = self.cumc[-1] if self.cumc else 0
-        self.ts.append(timestamp)
-        self.cumc.append(prev + (1 if correct else 0))
-
-    @property
-    def attempts(self) -> int:
-        return len(self.ts)
-
-    @property
-    def corrects(self) -> int:
-        return self.cumc[-1] if self.cumc else 0
-
-    def window_counts(self, now: int) -> list[tuple[int, int]]:
-        """(corrects, attempts) per finite window; a response is inside a
-        window when now - ts < window length."""
-        out = []
-        ts = self.ts
-        cumc = self.cumc
-        n = len(ts)
-        for j, wsec in enumerate(self.window_seconds):
-            i = self.widx[j]
-            cutoff = now - wsec
-            while i < n and ts[i] <= cutoff:
-                i += 1
-            self.widx[j] = i
-            attempts = n - i
-            corrects = (cumc[-1] - (cumc[i - 1] if i else 0)) if attempts else 0
-            out.append((corrects, attempts))
-        return out
-
-
 class Tally:
     """Total plus per-KC accumulator for material interactions."""
 
@@ -407,25 +358,23 @@ class Tally:
 class StudentState:
     """Running per-student aggregates over the events seen so far.
 
-    Construction binds the time-window lengths, an optional KC graph
-    (for prerequisite tallies) and an optional KC squash map so that
-    graph nodes defined over original KC ids keep accumulating after
-    multi-KC sets were squashed to artificial ids.
+    It holds what the per-response feature families read: module, part
+    and graph-node tallies, material tallies and the latest response's
+    times.  Correct/attempt counts per scope, time windows and recent
+    answers are prefix functions of the responses, computed for many
+    students at once by the feature walk instead.  Construction binds
+    an optional KC graph (for prerequisite tallies) and an optional KC
+    squash map so that graph nodes defined over original KC ids keep
+    accumulating after multi-KC sets were squashed to artificial ids.
     """
 
     def __init__(
         self,
-        window_seconds: Sequence[float] = (),
         kc_graph: KCGraph | None = None,
         squash_map: Mapping[str, tuple[str, ...]] | None = None,
     ):
-        self.window_seconds = tuple(window_seconds)
-        self.total = ResponseLog(self.window_seconds)
-        self.by_kc: dict[str, ResponseLog] = {}
-        self.by_question: dict[str, ResponseLog] = {}
         self.by_module: dict[str, list[int]] = {}
         self.by_part: dict[str, list[int]] = {}
-        self.recent_bits: list[int] = []
         self.graph_nodes: dict[str, list[int]] = {}
         self.kc_graph = kc_graph
         self.squash_map = dict(squash_map) if squash_map else None
@@ -441,18 +390,6 @@ class StudentState:
         self.prior_lag_s: float | None = None
         self.prior_end: float | None = None
         self.last_timestamp: int | None = None
-
-    def kc_log(self, kc: str) -> ResponseLog:
-        log = self.by_kc.get(kc)
-        if log is None:
-            log = self.by_kc[kc] = ResponseLog(self.window_seconds)
-        return log
-
-    def question_log(self, qid: str) -> ResponseLog:
-        log = self.by_question.get(qid)
-        if log is None:
-            log = self.by_question[qid] = ResponseLog(self.window_seconds)
-        return log
 
     def original_kcs(self, kc_ids: Sequence[str]) -> tuple[str, ...]:
         """Pre-squash KC ids for graph-node resolution."""

@@ -17,9 +17,20 @@ that row, so a new family is one row plus one emitter.
 
 Emitters write keyed rows, which no fold changes: per entry the block,
 the vocabulary key's code (or none), the slot within the key's columns
-and the value.  A RowStore, one per dataset, walks each student once
-per recipe (families, n_recent, windows) and keeps the entries as flat
-arrays; that one walk serves a fold's encoder and all its matrices.
+and the value.  Most families are prefix functions of one student's
+responses: bias, the event-field one-hots, counts, time-window counts,
+the smoothed average's counts and the response pattern.  Their array
+emitters write a block for a whole batch of students at once, from
+grouped cumulative sums over (student), (student, question) and
+(student, KC), `np.searchsorted` on (group, timestamp) keys for the
+windows, and shifted labels for the pattern.  The other families (lag
+and elapsed time, datetime, module and part counts, material tallies,
+graph families) have state emitters, which read a StudentState walked
+one response at a time; a recipe walks that way only if it holds one.
+A RowStore, one per dataset, walks each student once per recipe
+(families, n_recent, windows), the students one call lacks in one
+batch, and keeps the entries as flat arrays; that one walk serves a
+fold's encoder and all its matrices.
 `fit_encoders` takes each vocabulary from the keys its blocks use in the
 training rows and rbar from their labels.  `build_matrix` remaps the
 entries for an encoder with one vectorized lookup, column = block
@@ -28,11 +39,13 @@ vocabulary lacks, and computes the smoothed average from stored
 correct/attempt counts and the fold's rbar and eta.
 One prediction's features are a row of a one-student `build_matrix`.
 
-Counts and time values pass through scale() = ln(1+x).  Time-window
-counts use ascending windows whose last entry is infinite; a prior
-response falls into a finite window when its age is strictly less than
-the window length.  Lag time is a value of the walk, not of the event:
-`core.lag_since` from the state's latest response end.
+Counts and time values pass through scale() = ln(1+x), array counts
+through a table that scale() fills.  Time-window counts use ascending
+windows whose last entry is infinite; a prior response falls into a
+finite window when its age is strictly less than the window length
+(its timestamp exceeds the float64 now - seconds).  Lag time is a value
+of the walk, not of the event: `core.lag_since` from the state's latest
+response end.
 """
 
 from __future__ import annotations
@@ -44,8 +57,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +72,7 @@ from ktrace.core import (
     KCGraph,
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
+    SequencingError,
     StudentState,
     canonical_json,
     lag_since,
@@ -225,20 +240,6 @@ def smoothed_avg_correct(corrects, attempts, rbar: float, eta: float):
     return (corrects + eta * rbar) / denom
 
 
-def pattern_block(bits: Sequence[int], n: int) -> int | None:
-    """One-hot index of the last n responses (most recent = low bit).
-
-    Returns None when fewer than n prior responses exist.
-    """
-    if len(bits) < n:
-        return None
-    idx = 0
-    for i in range(1, n + 1):
-        if bits[-i]:
-            idx |= 1 << (i - 1)
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Encoder
 
@@ -351,22 +352,14 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
     """Fold one event into the student's running aggregates.
 
     Events must arrive in non-decreasing timestamp order.  Question
-    responses update correctness logs (total, per KC, per question),
-    module/part counters, graph-node tallies, the recent-response bits
-    and the latest response's elapsed time, lag time and end.  Material
-    events update the corresponding tallies; hint counts attached to
-    responses count toward the hint tally as well.
+    responses update module/part counters, graph-node tallies and the
+    latest response's elapsed time, lag time and end.  Material events update the corresponding tallies; hint
+    counts attached to responses count toward the hint tally as well.
     """
     state.check_order(event.timestamp)
     kcs = event.kc_ids
     if event.is_response():
-        correct = bool(event.correct)
-        ts = event.timestamp
-        state.total.add(ts, correct)
-        for k in kcs:
-            state.kc_log(k).add(ts, correct)
-        state.question_log(event.question_id).add(ts, correct)  # type: ignore[arg-type]
-        inc = 1 if correct else 0
+        inc = 1 if event.correct else 0
         if event.study_module is not None:
             cell = state.by_module.setdefault(event.study_module, [0, 0])
             cell[0] += inc
@@ -388,11 +381,10 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
                 cell = state.graph_nodes.setdefault(node, [0, 0])
                 cell[0] += inc
                 cell[1] += 1
-        state.recent_bits.append(inc)
         if event.hint_count:
             state.hints.add(kcs, float(event.hint_count))
         state.prior_elapsed_s = event.elapsed_time_s
-        state.prior_lag_s, _ = lag_since(state.prior_end, ts)
+        state.prior_lag_s, _ = lag_since(state.prior_end, event.timestamp)
         state.prior_end = response_end(event)
         return
     material = MATERIAL_KINDS[event.kind]
@@ -405,13 +397,18 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
 # ---------------------------------------------------------------------------
 # Emission: keyed entries
 #
-# An emitter appends one block's entries for one response as
-# (block, key code, slot, value) tuples.  Blocks indexed by a vocabulary
-# (student, question, KC, ...) give the key's code in that domain's
-# _Codes and the slot within the key's group of columns; other blocks
-# give code -1 and the column within the block.  Nothing an emitter
+# A block's entries are (row, key code, slot, value).  Blocks indexed by a
+# vocabulary (student, question, KC, ...) give the key's code in that
+# domain's _Codes and the slot within the key's group of columns; other
+# blocks give code -1 and the column within the block.  Nothing an emitter
 # writes depends on a fold: _Placer puts the entries in an encoder's
 # columns.
+#
+# Each family kind has one emitter of one of two sorts.  An array emitter
+# writes its block for every response of a batch of students at once,
+# from the prefix arrays of a _Batch.  A state emitter appends its block's
+# entries for one response, reading the StudentState of a per-student
+# iter_contexts walk, which runs only for recipes holding such a family.
 
 class _Codes(dict):
     """Dense integer codes for one vocabulary domain's keys, in first-seen order."""
@@ -422,70 +419,221 @@ class _Codes(dict):
             c = self[key] = len(self)
         return c
 
+    def codes_of(self, keys: Sequence[str | None]) -> np.ndarray:
+        """The codes of many keys (-1 for None), coding new ones in order."""
+        for key in dict.fromkeys(keys):
+            if key is not None and key not in self:
+                self[key] = len(self)
+        return np.fromiter(map(self.get, keys, repeat(-1)), np.int64, len(keys))
+
+
+class _Block(NamedTuple):
+    """Entries of one block: per entry the row in its batch, key code, slot and value."""
+
+    row: np.ndarray
+    code: np.ndarray
+    slot: np.ndarray
+    value: np.ndarray
+
+
+def _ones(rows: np.ndarray, code=-1, slot=0) -> _Block:
+    """Entries of value 1.0 at `rows`; code and slot are one value or one per row."""
+    shape = rows.shape
+    return _Block(rows, np.broadcast_to(code, shape), np.broadcast_to(slot, shape), np.ones(shape))
+
+
+def _check_order(walks: Sequence[Sequence[InteractionEvent]]) -> None:
+    """Raise update_state's SequencingError at a student's first event that goes back in time."""
+    ts = np.fromiter(map(attrgetter("timestamp"), chain.from_iterable(walks)), np.int64)
+    back = ts[1:] < ts[:-1]
+    ends = np.cumsum([len(events) for events in walks], dtype=np.int64)
+    back[ends[(ends > 0) & (ends < len(ts))] - 1] = False  # one student's last event, the next one's first
+    if back.any():
+        i = int(np.argmax(back))
+        raise SequencingError(f"event at {ts[i + 1]} arrived after state reached {ts[i]}")
+
+
+class _Scope:
+    """Correct and attempt counts before each (row, key) pair of one scope.
+
+    A group is one student's pairs on one key: all their responses (total
+    scope), one question's, or one KC's.  Pairs are sorted by group,
+    stably, so each group keeps walk order; the pairs counted before a
+    pair are its group's pairs in earlier rows, so a response listing a
+    KC twice counts twice on it.
+    """
+
+    def __init__(self, group: np.ndarray, row: np.ndarray, code: np.ndarray, ts: np.ndarray, y: np.ndarray):
+        if np.any(group[1:] < group[:-1]):
+            order = np.argsort(group, kind="stable")
+            group, row, code, ts, y = group[order], row[order], code[order], ts[order], y[order]
+        at = np.arange(len(group))
+        new_group = np.ones(len(group), dtype=bool)
+        new_group[1:] = group[1:] != group[:-1]
+        new_row = new_group.copy()
+        new_row[1:] |= row[1:] != row[:-1]
+        start = np.maximum.accumulate(np.where(new_group, at, 0))  # the group's first pair
+        self.first = np.maximum.accumulate(np.where(new_row, at, 0))  # the row's first pair in the group
+        self.rank = np.cumsum(new_group) - 1  # dense group number
+        self.cum = np.zeros(len(group) + 1, dtype=np.int64)  # corrects of the pairs before each index
+        np.cumsum(y, out=self.cum[1:])
+        self.row, self.code, self.ts = row, code, ts
+        # (corrects, attempts) before each pair, all time
+        self.totals = np.column_stack((self.cum[self.first] - self.cum[start], self.first - start))
+
+    def windows(self, seconds: Sequence[float]) -> np.ndarray:
+        """(corrects, attempts) before each pair within each finite window, in columns.
+
+        A prior response is inside when its age is strictly less than the
+        window: its integer timestamp exceeds the cutoff now - seconds,
+        a float64 difference, that is, exceeds floor(cutoff).  Searching
+        (group, timestamp) keys for that counts the group's responses
+        outside; the keys are sorted because _check_order holds every
+        student's events in time order.
+        """
+        out = np.zeros((len(self.ts), 2 * len(seconds)), dtype=np.int64)
+        if not len(self.ts):
+            return out
+        ts, first = self.ts, self.first
+        before = self.cum[first]
+        t0 = int(ts.min())
+        span = int(ts.max()) - t0 + 2
+        if (int(self.rank[-1]) + 1) * span >= 1 << 62:  # the keys would overflow int64
+            raise ValueError("timestamps span too wide for time-window counts")
+        base = self.rank * span
+        keys = base + (ts - t0 + 1)
+        now = ts.astype(np.float64)
+        for j, wsec in enumerate(seconds):
+            cutoff = np.floor(now - wsec).astype(np.int64)
+            inside = np.searchsorted(keys, base + np.maximum(cutoff - t0 + 1, 0), side="right")
+            out[:, 2 * j] = before - self.cum[inside]
+            out[:, 2 * j + 1] = first - inside
+        return out
+
+
+class _Batch:
+    """The responses of several students' walks laid end to end, as arrays.
+
+    Row r is the batch's r-th response: students in the given order, each
+    student's responses in walk order.  Key codes come from the store's
+    per-domain _Codes, so every block and scope of a domain shares them.
+    """
+
+    def __init__(self, walks: Sequence[Sequence[InteractionEvent]], codes: dict[str, _Codes]):
+        _check_order(walks)
+        self.per_student = [[e for e in events if e.kind is EventKind.QUESTION_RESPONSE] for events in walks]
+        self.responses = responses = list(chain.from_iterable(self.per_student))
+        self.n = n = len(responses)
+        lens = np.array([len(r) for r in self.per_student], dtype=np.int64)
+        self.bounds = np.zeros(len(lens) + 1, dtype=np.int64)  # each student's first row, then n
+        np.cumsum(lens, out=self.bounds[1:])
+        self.student = np.repeat(np.arange(len(lens)), lens)
+        self.prior = np.arange(n) - self.bounds[self.student]  # the student's responses before the row
+        self.ts = np.fromiter(map(attrgetter("timestamp"), responses), np.int64, n)
+        self.y = np.fromiter(map(attrgetter("correct"), responses), bool, n).astype(np.int64)
+        self.codes = codes
+        self._coded: dict[tuple[str, str], np.ndarray] = {}
+        self._scopes: dict[str, _Scope] = {}
+        self._log1p = np.zeros(0)
+
+    def coded(self, domain: str, attr: str) -> np.ndarray:
+        """Each row's code of its `attr` field's value in `domain` (-1 for None)."""
+        got = self._coded.get((domain, attr))
+        if got is None:
+            values = list(map(attrgetter(attr), self.responses))
+            got = self._coded[domain, attr] = self.codes.setdefault(domain, _Codes()).codes_of(values)
+        return got
+
+    @cached_property
+    def kc_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and KC code of each (response, listed KC) pair."""
+        kcs = list(map(attrgetter("kc_ids"), self.responses))
+        row = np.repeat(np.arange(self.n), np.fromiter(map(len, kcs), np.int64, self.n))
+        return row, self.codes.setdefault("kc", _Codes()).codes_of(list(chain.from_iterable(kcs)))
+
+    def scope(self, variant: str) -> _Scope:
+        """Counts before each row ("total", "question") or (row, KC) pair ("kc")."""
+        got = self._scopes.get(variant)
+        if got is None:
+            if variant == "kc":
+                row, code = self.kc_pairs
+                group = self.student[row] * len(self.codes["kc"]) + code
+            else:
+                row, code = np.arange(self.n), np.full(self.n, -1)
+                group = self.student
+                if variant == "question":
+                    question = self.coded("question", "question_id")
+                    group = group * len(self.codes["question"]) + question
+            got = self._scopes[variant] = _Scope(group, row, code, self.ts[row], self.y[row])
+        return got
+
+    def count_entries(self, scope: _Scope, counts: np.ndarray) -> _Block:
+        """Entries of each pair's nonzero counts: slot = column, value = scale(count).
+
+        scale's values come from a table filled by scale itself
+        (math.log1p), since np.log1p may differ in the last bit.
+        """
+        i, slot = np.nonzero(counts)
+        counts = counts[i, slot]
+        top = int(counts.max(initial=0))
+        if top >= len(self._log1p):
+            self._log1p = np.array([scale(c) for c in range(top + 1)])
+        return _Block(scope.row[i], scope.code[i], slot, self._log1p[counts])
+
+
+# Array emitters: (batch, domain, fam, recipe) -> _Block, the entries of
+# the family's block for every row of the batch; domain is the block's
+# vocabulary domain (None if it has none).
+
+def _emit_bias(batch, domain, fam, recipe) -> _Block:
+    return _ones(np.arange(batch.n))
+
+
+def _one_hot(attr: str | None):
+    """Array emitter for the one-hot of an event field (None: the field the variant names)."""
+
+    def emit_one_hot(batch, domain, fam, recipe) -> _Block:
+        code = batch.coded(domain, attr or fam.variant)
+        rows = np.flatnonzero(code >= 0)
+        return _ones(rows, code[rows])
+
+    return emit_one_hot
+
+
+def _emit_kc(batch, domain, fam, recipe) -> _Block:
+    return _ones(*batch.kc_pairs)
+
+
+def _emit_counts(batch, domain, fam, recipe) -> _Block:
+    scope = batch.scope(fam.variant)
+    return batch.count_entries(scope, scope.totals)
+
+
+def _emit_tw_counts(batch, domain, fam, recipe) -> _Block:
+    # the finite windows in ascending order, then the infinite one
+    scope = batch.scope(fam.variant)
+    return batch.count_entries(scope, np.hstack((scope.windows(recipe.tw.finite_seconds), scope.totals)))
+
+
+def _emit_response_pattern(batch, domain, fam, recipe) -> _Block:
+    # once n_recent prior answers exist, their labels with the most recent in the low bit
+    n = recipe.n_recent
+    pattern = np.zeros(batch.n, dtype=np.int64)
+    for i in range(1, n + 1):
+        pattern[i:] |= batch.y[:-i] << (i - 1)
+    rows = np.flatnonzero(batch.prior >= n)
+    return _ones(rows, slot=pattern[rows])
+
+
+# State emitters: (out, b, codes, fam, recipe, state, event) -> None,
+# appending the (block, key code, slot, value) entries of block b for one
+# response; codes is the block's domain (None if it has no vocabulary).
 
 def _push_pair(out: list, b: int, code: int, slot: int, corrects: float, attempts: float) -> None:
     if corrects:
         out.append((b, code, slot, scale(corrects)))
     if attempts:
         out.append((b, code, slot + 1, scale(attempts)))
-
-
-def _scope_log(fam: FeatureFamily, state: StudentState, event: InteractionEvent):
-    """Response log of a total- or question-scoped counts family (None if unseen)."""
-    return state.total if fam.variant == "total" else state.by_question.get(event.question_id)
-
-
-# Emitters: (out, b, codes, fam, recipe, state, event) -> None, appending
-# the keyed entries of block b; codes is the block's domain (None if it
-# has no vocabulary).
-
-def _emit_bias(out, b, codes, fam, recipe, state, event) -> None:
-    out.append((b, -1, 0, 1.0))
-
-
-def _one_hot(attr: str | None):
-    """Emitter for the one-hot of an event field (None: the field the variant names)."""
-
-    def emit_one_hot(out, b, codes, fam, recipe, state, event) -> None:
-        value = getattr(event, attr or fam.variant)
-        if value is not None:
-            out.append((b, codes.code(value), 0, 1.0))
-
-    return emit_one_hot
-
-
-def _emit_kc(out, b, codes, fam, recipe, state, event) -> None:
-    for k in event.kc_ids:
-        out.append((b, codes.code(k), 0, 1.0))
-
-
-def _emit_counts(out, b, codes, fam, recipe, state, event) -> None:
-    if fam.variant != "kc":
-        log = _scope_log(fam, state, event)
-        if log is not None:
-            _push_pair(out, b, -1, 0, log.corrects, log.attempts)
-        return
-    for k in event.kc_ids:
-        log = state.by_kc.get(k)
-        if log is not None:
-            _push_pair(out, b, codes.code(k), 0, log.corrects, log.attempts)
-
-
-def _push_windows(out: list, b: int, code: int, log, now: int) -> None:
-    if log is None or not log.ts:
-        return
-    win = log.window_counts(now)
-    win.append((log.corrects, log.attempts))
-    for j, (c, a) in enumerate(win):
-        _push_pair(out, b, code, 2 * j, c, a)
-
-
-def _emit_tw_counts(out, b, codes, fam, recipe, state, event) -> None:
-    if fam.variant != "kc":
-        _push_windows(out, b, -1, _scope_log(fam, state, event), event.timestamp)
-        return
-    for k in event.kc_ids:
-        _push_windows(out, b, codes.code(k), state.by_kc.get(k), event.timestamp)
 
 
 def _emit_elapsed_time(out, b, codes, fam, recipe, state, event) -> None:
@@ -498,19 +646,20 @@ def _emit_elapsed_time(out, b, codes, fam, recipe, state, event) -> None:
 
 
 def _emit_lag_time(out, b, codes, fam, recipe, state, event) -> None:
-    # the described response (this one or the latest) and the responses before it
+    # the described response (this one or the latest, if any) lacks a lag
+    # only when it is the student's first
     if fam.variant == "current":
         lag_s, _ = lag_since(state.prior_end, event.timestamp)
-        before = state.total.attempts
+        described = True
     else:
-        lag_s, before = state.prior_lag_s, state.total.attempts - 1
+        lag_s, described = state.prior_lag_s, state.prior_end is not None
     n_cat = len(LAG_CATEGORIES_MIN)
     if lag_s is not None:
         cat, scaled = lag_bins(lag_s / 60.0)
         out.append((b, -1, cat, 1.0))
         if scaled:
             out.append((b, -1, n_cat, scaled))
-    elif before == 0:  # a student's first response has no lag
+    elif described:
         out.append((b, -1, n_cat + 1, 1.0))
 
 
@@ -541,8 +690,8 @@ def _emit_part_area_counts(out, b, codes, fam, recipe, state, event) -> None:
 
 
 def _graph(step: str, counts: bool):
-    """Emitter for the nodes one `step` ("prereqs_of" or "postreqs_of") away
-    from the event's graph nodes: one-hots, or correct/attempt tallies."""
+    """State emitter for the nodes one `step` ("prereqs_of" or "postreqs_of")
+    away from the event's graph nodes: one-hots, or correct/attempt tallies."""
 
     def emit_graph(out, b, codes, fam, recipe, state, event) -> None:
         graph = state.kc_graph
@@ -561,18 +710,6 @@ def _graph(step: str, counts: bool):
     return emit_graph
 
 
-def _emit_smoothed_avg_correct(out, b, codes, fam, recipe, state, event) -> None:
-    # the value depends on the fold's rbar: _Placer computes it from the
-    # row's stored correct/attempt counts
-    out.append((b, -1, 0, 1.0))
-
-
-def _emit_response_pattern(out, b, codes, fam, recipe, state, event) -> None:
-    idx = pattern_block(state.recent_bits, recipe.n_recent)
-    if idx is not None:
-        out.append((b, -1, idx, 1.0))
-
-
 def _per_variant(value, variant: str | None):
     return value.get(variant) if isinstance(value, Mapping) else value
 
@@ -581,16 +718,18 @@ def _per_variant(value, variant: str | None):
 class _Kind:
     """Everything this module knows about one family kind.
 
-    `flags` and `vocab` hold one value for every variant, or a dict keyed
-    by variant.  A block has `slots` columns per entry of its vocabulary,
-    or `slots` columns in all when it has none.
+    `emitter` is an array emitter, or a state emitter when `state` is
+    set.  `flags` and `vocab` hold one value for every variant, or a dict
+    keyed by variant.  A block has `slots` columns per entry of its
+    vocabulary, or `slots` columns in all when it has none.
     """
 
-    emitter: Callable[..., None]
+    emitter: Callable[..., _Block | None]
     variants: tuple[str, ...] | None = None
     flags: tuple[str, ...] | Mapping[str, tuple[str, ...]] = ()  # any one suffices
     vocab: str | Mapping[str, str] | None = None
     slots: int | Callable[[FeatureFamily, Recipe], int] = 1
+    state: bool = False
 
     def needs(self, variant: str | None) -> tuple[str, ...]:
         return _per_variant(self.flags, variant)
@@ -616,7 +755,7 @@ def _material(attr: str) -> _Kind:
         _push_pair(out, b, -1, 0, tally.total, tally.for_kcs(event.kc_ids))
 
     flag = next(m.flag for m in MATERIAL_KINDS.values() if attr in (m.count, m.minutes))
-    return _Kind(emit_tally, flags=(flag,), slots=2)
+    return _Kind(emit_tally, flags=(flag,), slots=2, state=True)
 
 
 # each optional event field's flags, for the families reading it
@@ -638,14 +777,18 @@ _KINDS: dict[str, _Kind] = {
         _emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=lambda fam, recipe: 2 * recipe.tw.count
     ),
     # categories, then the scaled value (and the no-lag flag for lag time)
-    "elapsed_time": _Kind(_emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2),
-    "lag_time": _Kind(_emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2),
+    "elapsed_time": _Kind(
+        _emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2, state=True
+    ),
+    "lag_time": _Kind(
+        _emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2, state=True
+    ),
     "datetime": _Kind(
-        _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]
+        _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0], state=True
     ),
     "study_module": _Kind(_one_hot("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
     "study_module_counts": _Kind(
-        _emit_study_module_counts, flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2
+        _emit_study_module_counts, flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2, state=True
     ),
     "context": _Kind(
         _one_hot(None),
@@ -653,11 +796,11 @@ _KINDS: dict[str, _Kind] = {
         flags={v: _FIELD_FLAGS[v] for v in _CONTEXT_FIELDS},
         vocab={v: v for v in _CONTEXT_FIELDS},
     ),
-    "part_area_counts": _Kind(_emit_part_area_counts, flags=_FIELD_FLAGS["part_area"], slots=2),
-    "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node"),
-    "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
-    "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node"),
-    "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
+    "part_area_counts": _Kind(_emit_part_area_counts, flags=_FIELD_FLAGS["part_area"], slots=2, state=True),
+    "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node", state=True),
+    "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2, state=True),
+    "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node", state=True),
+    "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2, state=True),
     "video_watched_counts": _material("videos_watched"),
     "video_skipped_counts": _material("videos_skipped"),
     "video_watched_time": _material("video_minutes"),
@@ -665,7 +808,9 @@ _KINDS: dict[str, _Kind] = {
     "reading_time": _material("reading_minutes"),
     "hint_counts": _material("hints"),
     "hint_time": _material("hint_minutes"),
-    "smoothed_avg_correct": _Kind(_emit_smoothed_avg_correct),
+    # a placeholder 1.0 per row: the value depends on the fold's rbar, and
+    # _Placer computes it from the row's stored correct/attempt counts
+    "smoothed_avg_correct": _Kind(_emit_bias),
     "response_pattern": _Kind(_emit_response_pattern, slots=lambda fam, recipe: 1 << recipe.n_recent),
 }
 
@@ -686,19 +831,6 @@ class _Entries:
     row_len: np.ndarray  # int64
     corrects: np.ndarray  # int64
     attempts: np.ndarray  # int64
-
-    @classmethod
-    def of(cls, out: list, row_len: list, corrects: list, attempts: list) -> "_Entries":
-        flat = np.fromiter(chain.from_iterable(out), dtype=np.float64, count=4 * len(out)).reshape(-1, 4)
-        return cls(
-            block=flat[:, 0].astype(np.int16),
-            code=flat[:, 1].astype(np.int32),
-            slot=flat[:, 2].astype(np.int32),
-            value=flat[:, 3].copy(),
-            row_len=np.array(row_len, dtype=np.int64),
-            corrects=np.array(corrects, dtype=np.int64),
-            attempts=np.array(attempts, dtype=np.int64),
-        )
 
     @classmethod
     def concat(cls, parts: Sequence["_Entries"]) -> "_Entries":
@@ -795,7 +927,6 @@ class _Placer:
 
 def iter_contexts(
     events: Sequence[InteractionEvent],
-    tw: TWConfig = TWConfig(),
     kc_graph: KCGraph | None = None,
     squash_map: Mapping[str, tuple[str, ...]] | None = None,
 ) -> Iterator[tuple[InteractionEvent, StudentState, int]]:
@@ -804,7 +935,7 @@ def iter_contexts(
     The yielded index is the number of prior responses; the state has
     absorbed only events strictly before the yielded response.
     """
-    state = StudentState(tw.finite_seconds, kc_graph=kc_graph, squash_map=squash_map)
+    state = StudentState(kc_graph=kc_graph, squash_map=squash_map)
     t = 0
     for e in events:
         if e.is_response():
@@ -823,37 +954,77 @@ class _StudentRows:
     entries: _Entries
 
 
+def _state_entries(
+    walks: Sequence[Sequence[InteractionEvent]],
+    plan: Sequence[tuple],
+    recipe: Recipe,
+    kc_graph: KCGraph | None,
+    squash_map: Mapping[str, tuple[str, ...]] | None,
+) -> tuple[np.ndarray, _Block]:
+    """Block numbers and entries of the state families in `plan`, from one
+    iter_contexts walk per student; rows count on across the students."""
+    out: list[tuple] = []
+    row_len: list[int] = []
+    for events in walks:
+        for event, state, _ in iter_contexts(events, kc_graph=kc_graph, squash_map=squash_map):
+            start = len(out)
+            for emitter, b, domain_codes, fam in plan:
+                emitter(out, b, domain_codes, fam, recipe, state, event)
+            row_len.append(len(out) - start)
+    flat = np.fromiter(chain.from_iterable(out), dtype=np.float64, count=4 * len(out)).reshape(-1, 4)
+    rows = np.repeat(np.arange(len(row_len)), row_len)
+    entries = _Block(rows, flat[:, 1].astype(np.int64), flat[:, 2].astype(np.int64), flat[:, 3])
+    return flat[:, 0].astype(np.int16), entries
+
+
 def _walk(
-    events: Sequence[InteractionEvent],
+    walks: Mapping[str, Sequence[InteractionEvent]],
     recipe: Recipe,
     kc_graph: KCGraph | None,
     squash_map: Mapping[str, tuple[str, ...]] | None,
     codes: dict[str, _Codes],
-) -> _StudentRows:
-    # (emitter, block, domain codes, family) for each block
-    plan = [
-        (_KINDS[fam.kind].emitter, b, None if d is None else codes.setdefault(d, _Codes()), fam)
-        for b, (fam, d) in enumerate(zip(recipe.families, recipe._layout.domains))
-    ]
-    out: list[tuple] = []
-    row_len: list[int] = []
-    corrects: list[int] = []
-    attempts: list[int] = []
-    responses: list[InteractionEvent] = []
-    for event, state, _ in iter_contexts(events, recipe.tw, kc_graph=kc_graph, squash_map=squash_map):
-        start = len(out)
-        for emitter, b, domain_codes, fam in plan:
-            emitter(out, b, domain_codes, fam, recipe, state, event)
-        row_len.append(len(out) - start)
-        corrects.append(state.total.corrects)
-        attempts.append(state.total.attempts)
-        responses.append(event)
-    return _StudentRows(
-        events=events,
-        responses=responses,
-        y=np.array([1.0 if e.correct else 0.0 for e in responses], dtype=np.float64),
-        entries=_Entries.of(out, row_len, corrects, attempts),
-    )
+) -> list[_StudentRows]:
+    """The rows of several students (id -> events) under one recipe, in the given order.
+
+    The array emitters write their blocks for all the students at once;
+    when the recipe holds a state family, iter_contexts walks each
+    student for the state emitters.  A stable sort on row merges the
+    blocks, and the result is split back per student.
+    """
+    batch = _Batch(list(walks.values()), codes)
+    blocks: list[tuple[np.ndarray, _Block]] = []
+    plan = []  # (emitter, block, domain codes, family) of each state family
+    for b, (fam, domain) in enumerate(zip(recipe.families, recipe._layout.domains)):
+        kind = _KINDS[fam.kind]
+        if kind.state:
+            plan.append((kind.emitter, b, None if domain is None else codes.setdefault(domain, _Codes()), fam))
+        else:
+            entries = kind.emitter(batch, domain, fam, recipe)
+            blocks.append((np.full(len(entries.row), b, dtype=np.int16), entries))
+    if plan:
+        blocks.append(_state_entries(list(walks.values()), plan, recipe, kc_graph, squash_map))
+
+    row = np.concatenate([e.row for _, e in blocks])
+    order = np.argsort(row, kind="stable")
+    block = np.concatenate([numbers for numbers, _ in blocks])[order]
+    code = np.concatenate([e.code for _, e in blocks])[order].astype(np.int32)
+    slot = np.concatenate([e.slot for _, e in blocks])[order].astype(np.int32)
+    value = np.concatenate([e.value for _, e in blocks])[order]
+    row_len = np.bincount(row, minlength=batch.n)
+    ends = np.zeros(batch.n + 1, dtype=np.int64)  # each row's first entry, then the total
+    np.cumsum(row_len, out=ends[1:])
+    corrects, attempts = batch.scope("total").totals.T
+    y = batch.y.astype(np.float64)
+    parts = []
+    for s, events in enumerate(walks.values()):
+        r0, r1 = batch.bounds[s], batch.bounds[s + 1]
+        e0, e1 = ends[r0], ends[r1]
+        entries = _Entries(
+            block[e0:e1], code[e0:e1], slot[e0:e1], value[e0:e1],
+            row_len[r0:r1], corrects[r0:r1], attempts[r0:r1],
+        )
+        parts.append(_StudentRows(events, batch.per_student[s], y[r0:r1], entries))
+    return parts
 
 
 class RowStore:
@@ -863,7 +1034,8 @@ class RowStore:
     the recipe's walk parameters (families, n_recent, windows), never on
     a fold, so every fold, partition, base and stacking split of a
     dataset shares them.  Filling is lazy and under a lock, so folds
-    running in threads walk each student once.  One store serves one
+    running in threads walk each student once; the students one call
+    misses are walked together, in one batch.  One store serves one
     dataset's KC graph and squash map.
     """
 
@@ -898,17 +1070,20 @@ class RowStore:
             elif self._context[0] is not kc_graph or self._context[1] is not squash_map:
                 raise ConfigError("a row store serves one KC graph and squash map")
             by_student = self._rows.setdefault((recipe.families, recipe.n_recent, recipe.tw), {})
-            parts = []
-            for sid in sorted(students):
-                events = students[sid]
+            sids = sorted(students)
+            missing = {}
+            for sid in sids:
                 part = by_student.get(sid)
                 if part is None:
-                    part = by_student[sid] = _walk(events, recipe, kc_graph, squash_map, self._codes)
-                    self.students_walked += 1
-                    self.rows_walked += len(part.responses)
-                elif part.events is not events:
+                    missing[sid] = students[sid]
+                elif part.events is not students[sid]:
                     raise ConfigError(f"student {sid!r}: events differ from the ones this store walked")
-                parts.append(part)
+            if missing:
+                walked = _walk(missing, recipe, kc_graph, squash_map, self._codes)
+                by_student.update(zip(missing, walked))
+                self.students_walked += len(walked)
+                self.rows_walked += sum(len(p.responses) for p in walked)
+            parts = [by_student[sid] for sid in sids]
             self.rows_served += sum(len(p.responses) for p in parts)
             return parts, {d: list(c) for d, c in self._codes.items()}
 

@@ -11,7 +11,9 @@ encoder under test; the values are derived from scratch.
 response, sorted, zeros dropped and duplicate columns refused, columns
 written straight from the encoder's vocabularies) that the keyed-row
 store replaced; the production build_matrix must reproduce its matrices
-bit for bit.
+bit for bit.  It keeps its own per-response logs (`ResponseLog`,
+`ReferenceLogs`) for the families build_matrix computes from prefix
+arrays.
 
 `reference_fit` is a straightforward gradient-descent trainer (step
 halving, recomputing X @ w for the gradient of every accepted step); the
@@ -39,7 +41,6 @@ from ktrace.features import (
     elapsed_bins,
     iter_contexts,
     lag_bins,
-    pattern_block,
 )
 from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
 from ktrace.specialize import MISSING_KEY, ResponseIndex
@@ -476,6 +477,95 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
 # Reference extraction: the per-row emit -> sort -> stack loop that
 # build_matrix replaced.  Every emitter writes encoder columns directly
 # from the encoder's vocabularies; build_matrix must give the same bytes.
+# The state families read the StudentState of features.iter_contexts; the
+# prefix families (counts, time windows, the smoothed average, the response
+# pattern, the lag flag's response count) read the reference's own logs
+# below, kept one response at a time, not build_matrix's prefix arrays.
+
+class ResponseLog:
+    """Append-only correctness log for one scope (student / KC / question).
+
+    Keeps timestamps with a running prefix sum of corrects, plus one
+    advancing start pointer per finite time window, so that window
+    counts at a query time cost amortized O(#windows) per response.
+    Query times must be non-decreasing.
+    """
+
+    __slots__ = ("window_seconds", "ts", "cumc", "widx")
+
+    def __init__(self, window_seconds=()):
+        self.window_seconds = tuple(window_seconds)
+        self.ts = []
+        self.cumc = []
+        self.widx = [0] * len(self.window_seconds)
+
+    def add(self, timestamp, correct):
+        prev = self.cumc[-1] if self.cumc else 0
+        self.ts.append(timestamp)
+        self.cumc.append(prev + (1 if correct else 0))
+
+    @property
+    def attempts(self):
+        return len(self.ts)
+
+    @property
+    def corrects(self):
+        return self.cumc[-1] if self.cumc else 0
+
+    def window_counts(self, now):
+        """(corrects, attempts) per finite window; a response is inside a
+        window when now - ts < window length."""
+        out = []
+        ts = self.ts
+        cumc = self.cumc
+        n = len(ts)
+        for j, wsec in enumerate(self.window_seconds):
+            i = self.widx[j]
+            cutoff = now - wsec
+            while i < n and ts[i] <= cutoff:
+                i += 1
+            self.widx[j] = i
+            attempts = n - i
+            corrects = (cumc[-1] - (cumc[i - 1] if i else 0)) if attempts else 0
+            out.append((corrects, attempts))
+        return out
+
+
+class ReferenceLogs:
+    """One student's response logs: in total, per KC and per question, and the labels."""
+
+    def __init__(self, window_seconds=()):
+        self.window_seconds = tuple(window_seconds)
+        self.total = ResponseLog(self.window_seconds)
+        self.by_kc = {}
+        self.by_question = {}
+        self.recent_bits = []
+
+    def add(self, event):
+        """Absorb one question response (after its row was emitted)."""
+        correct = bool(event.correct)
+        self.total.add(event.timestamp, correct)
+        for k in event.kc_ids:
+            self.by_kc.setdefault(k, ResponseLog(self.window_seconds)).add(event.timestamp, correct)
+        self.by_question.setdefault(event.question_id, ResponseLog(self.window_seconds)).add(
+            event.timestamp, correct
+        )
+        self.recent_bits.append(1 if correct else 0)
+
+
+def pattern_block(bits, n):
+    """One-hot index of the last n responses (most recent = low bit).
+
+    Returns None when fewer than n prior responses exist.
+    """
+    if len(bits) < n:
+        return None
+    idx = 0
+    for i in range(1, n + 1):
+        if bits[-i]:
+            idx |= 1 << (i - 1)
+    return idx
+
 
 def _ref_push_pair(entries, off, corrects, attempts):
     if corrects:
@@ -484,8 +574,8 @@ def _ref_push_pair(entries, off, corrects, attempts):
         entries.append((off + 1, scale(attempts)))
 
 
-def _ref_scope_log(fam, state, event):
-    return state.total if fam.variant == "total" else state.by_question.get(event.question_id)
+def _ref_scope_log(fam, logs, event):
+    return logs.total if fam.variant == "total" else logs.by_question.get(event.question_id)
 
 
 def _ref_one_hot(entries, off, vocab, value):
@@ -525,7 +615,7 @@ _REF_TALLIES = {
 }
 
 
-def _ref_block(entries, off, fam, encoder, state, event):
+def _ref_block(entries, off, fam, encoder, state, logs, event):
     kind, variant, vocabs = fam.kind, fam.variant, encoder.vocabs
     if kind == "bias":
         entries.append((off, 1.0))
@@ -542,24 +632,24 @@ def _ref_block(entries, off, fam, encoder, state, event):
             _ref_one_hot(entries, off, vocabs["kc"], k)
     elif kind == "counts":
         if variant != "kc":
-            log = _ref_scope_log(fam, state, event)
+            log = _ref_scope_log(fam, logs, event)
             if log is not None:
                 _ref_push_pair(entries, off, log.corrects, log.attempts)
             return
         for k in event.kc_ids:
             idx = vocabs["kc"].get(k)
-            log = state.by_kc.get(k)
+            log = logs.by_kc.get(k)
             if idx is not None and log is not None:
                 _ref_push_pair(entries, off + 2 * idx, log.corrects, log.attempts)
     elif kind == "tw_counts":
         if variant != "kc":
-            _ref_push_windows(entries, off, _ref_scope_log(fam, state, event), event.timestamp)
+            _ref_push_windows(entries, off, _ref_scope_log(fam, logs, event), event.timestamp)
             return
         per_kc = 2 * encoder.recipe.tw.count
         for k in event.kc_ids:
             idx = vocabs["kc"].get(k)
             if idx is not None:
-                _ref_push_windows(entries, off + idx * per_kc, state.by_kc.get(k), event.timestamp)
+                _ref_push_windows(entries, off + idx * per_kc, logs.by_kc.get(k), event.timestamp)
     elif kind == "elapsed_time":
         secs = event.elapsed_time_s if variant == "current" else state.prior_elapsed_s
         if secs is not None:
@@ -569,10 +659,10 @@ def _ref_block(entries, off, fam, encoder, state, event):
                 entries.append((off + ELAPSED_MAX_S + 1, scaled))
     elif kind == "lag_time":
         if variant == "current":
-            flag = state.total.attempts == 0
+            flag = logs.total.attempts == 0
             lag_s = None if flag else max(event.timestamp - state.prior_end, 0.0)
         else:
-            flag, lag_s = state.total.attempts == 1, state.prior_lag_s
+            flag, lag_s = logs.total.attempts == 1, state.prior_lag_s
         n_cat = len(LAG_CATEGORIES_MIN)
         if flag:
             entries.append((off + n_cat + 1, 1.0))
@@ -616,24 +706,24 @@ def _ref_block(entries, off, fam, encoder, state, event):
         tally = getattr(state, _REF_TALLIES[kind])
         _ref_push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
     elif kind == "smoothed_avg_correct":
-        value = _ref_smoothed(state.total.corrects, state.total.attempts, encoder.rbar, encoder.recipe.eta)
+        value = _ref_smoothed(logs.total.corrects, logs.total.attempts, encoder.rbar, encoder.recipe.eta)
         if value:
             entries.append((off, value))
     elif kind == "response_pattern":
-        idx = pattern_block(state.recent_bits, encoder.recipe.n_recent)
+        idx = pattern_block(logs.recent_bits, encoder.recipe.n_recent)
         if idx is not None:
             entries.append((off + idx, 1.0))
     else:
         raise AssertionError(f"reference does not know family {fam.name}")
 
 
-def reference_emit(encoder, state, event):
+def reference_emit(encoder, state, logs, event):
     """(indices, values) of one row: ordered by column, zeros dropped."""
     if not event.is_response():
         raise ConfigError("can only emit features for question responses")
     entries = []
     for fam, off, _ in encoder.blocks:
-        _ref_block(entries, off, fam, encoder, state, event)
+        _ref_block(entries, off, fam, encoder, state, logs, event)
     kept = sorted(((int(i), float(v)) for i, v in entries if v != 0.0), key=lambda p: p[0])
     indices = np.array([i for i, _ in kept], dtype=np.int64)
     values = np.array([v for _, v in kept], dtype=np.float64)
@@ -662,10 +752,10 @@ def reference_build_matrix(students, encoder, kc_graph=None, squash_map=None):
     """(X, y, t, events) from one emit per response, students in sorted-id order."""
     vectors, labels, t_idx, kept = [], [], [], []
     for sid in sorted(students):
-        for event, state, t in iter_contexts(
-            students[sid], encoder.recipe.tw, kc_graph=kc_graph, squash_map=squash_map
-        ):
-            vectors.append(reference_emit(encoder, state, event))
+        logs = ReferenceLogs(encoder.recipe.tw.finite_seconds)
+        for event, state, t in iter_contexts(students[sid], kc_graph=kc_graph, squash_map=squash_map):
+            vectors.append(reference_emit(encoder, state, logs, event))
+            logs.add(event)
             labels.append(1 if event.correct else 0)
             t_idx.append(t)
             kept.append(event)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ktrace import regression
 from ktrace.cli import main
 from ktrace.combine import CombinedSpec, _split_meta_students
 from ktrace.evaluate import PlainSpec
@@ -312,6 +313,17 @@ def test_train_eval_combine_refuses_recipe_only_flags(prepared, capsys, flag, va
     assert run_cli("train-eval", "--data", prepared, "--combine", "irt+pfa", flag, value) == 1
     err = capsys.readouterr().err
     assert flag in err and "--combine" in err
+
+
+def test_train_eval_unknown_combine_base_fails_before_fitting(prepared, capsys, monkeypatch):
+    fits = []
+    real = regression.fit
+    monkeypatch.setattr(regression, "fit", lambda *a, **kw: fits.append(1) or real(*a, **kw))
+    argv = ("train-eval", "--data", prepared, "--combine", "irt+pfa+mystery", "--select-bases")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "'mystery'" in err and "best-lr+" in err
+    assert fits == []
 
 
 def test_roc_csv_output(prepared, tmp_path):

@@ -11,7 +11,6 @@ from ktrace.core import (
     FoldAssignment,
     InteractionEvent,
     KCGraph,
-    ResponseLog,
     SchemaError,
     scale,
 )
@@ -89,24 +88,6 @@ def test_kc_graph_from_ontology():
     again = KCGraph.from_json(g.to_json())
     assert again.edges == g.edges
     assert again.members_of == g.members_of
-
-
-def test_response_log_window_counts():
-    # windows: 1h, 1d (in seconds); responses at ages 0.5h, 2h, 25h
-    log = ResponseLog((3600.0, 86400.0))
-    now = 100 * 3600
-    log.add(now - 25 * 3600, True)
-    log.add(now - 2 * 3600, False)
-    log.add(now - 1800, True)
-    assert log.window_counts(now) == [(1, 1), (1, 2)]
-    assert (log.corrects, log.attempts) == (2, 3)
-    # boundary: a response exactly one window old is outside the window
-    log2 = ResponseLog((3600.0,))
-    log2.add(0, True)
-    assert log2.window_counts(3600) == [(0, 0)]
-    log3 = ResponseLog((3601.0,))
-    log3.add(0, True)
-    assert log3.window_counts(3600) == [(1, 1)]
 
 
 def test_fold_assignment_roundtrip():

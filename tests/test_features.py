@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import response
-from oracle import compare_vector, reference_build_matrix
+from oracle import ResponseLog, compare_vector, pattern_block, reference_build_matrix
 
 from ktrace import features, regression
 from ktrace.core import (
@@ -23,6 +23,7 @@ from ktrace.core import (
 )
 from ktrace.features import (
     _KINDS,
+    _SCOPES,
     F,
     FeatureFamily,
     Recipe,
@@ -32,7 +33,6 @@ from ktrace.features import (
     elapsed_bins,
     fit_encoders,
     lag_bins,
-    pattern_block,
     smoothed_avg_correct,
     update_state,
 )
@@ -219,14 +219,12 @@ def test_encoder_json_roundtrip():
 
 def test_update_state_counts():
     st = StudentState()
-    update_state(st, response("s1", 100, "q1", ["k1", "k2"], True))
-    assert st.total.attempts == 1 and st.total.corrects == 1
-    assert st.by_kc["k1"].attempts == 1
-    assert st.by_question["q1"].corrects == 1
-    assert st.recent_bits == [1]
-    update_state(st, response("s1", 200, "q2", ["k2"], False))
-    assert st.total.attempts == 2 and st.total.corrects == 1
-    assert st.recent_bits == [1, 0]
+    update_state(st, response("s1", 100, "q1", ["k1", "k2"], True, study_module="m", elapsed_time_s=5.0))
+    assert st.by_module == {"m": [1, 1]} and st.by_part == {}
+    assert (st.prior_elapsed_s, st.prior_lag_s, st.prior_end) == (5.0, None, 105.0)
+    update_state(st, response("s1", 200, "q2", ["k2"], False, study_module="m", part_area="p"))
+    assert st.by_module == {"m": [1, 2]} and st.by_part == {"p": [0, 1]}
+    assert (st.prior_elapsed_s, st.prior_lag_s, st.prior_end) == (None, 95.0, 200.0)
 
 
 def test_update_state_materials():
@@ -397,21 +395,28 @@ def _swap_counts_slots(monkeypatch):
     """Mutation: the counts emitter writes attempts in the corrects slot and back."""
     right = _KINDS["counts"].emitter
 
-    def swapped(out, b, codes, fam, recipe, state, event):
-        entries = []
-        right(entries, b, codes, fam, recipe, state, event)
-        out.extend((blk, code, slot ^ 1, value) for blk, code, slot, value in entries)
+    def swapped(*args):
+        entries = right(*args)
+        return entries._replace(slot=entries.slot ^ 1)
 
     monkeypatch.setitem(_KINDS, "counts", dataclasses.replace(_KINDS["counts"], emitter=swapped))
+
+
+# an array-only recipe, and one whose walk also runs iter_contexts for state families
+_COUNTS_ONLY = Recipe(families=(F("bias"), F("counts", "total"), F("counts", "kc"), F("counts", "question")))
+_COUNTS_AND_STATE = Recipe(families=_COUNTS_ONLY.families + (F("lag_time", "current"), F("datetime", "hour")))
 
 
 def test_row_oracle_catches_a_wrong_slot(rng, monkeypatch):
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=6, max_events=120)
-    enc = fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
+    encoders = [fit_encoders(students, r, FULL, kc_graph=graph) for r in (full_recipe(), _COUNTS_ONLY)]
+    for enc in encoders:
+        assert not any(p for _, _, p in oracle_rows(students, enc, graph))
     _swap_counts_slots(monkeypatch)
-    flagged = [p for _, _, p in oracle_rows(students, enc, graph) if p]
-    assert flagged and any("counts:" in line for p in flagged for line in p)
+    for enc in encoders:
+        flagged = [p for _, _, p in oracle_rows(students, enc, graph) if p]
+        assert flagged and any("counts:" in line for p in flagged for line in p), enc.recipe
 
 
 def full_recipe() -> Recipe:
@@ -708,12 +713,141 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
 
 def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
     students = _random_full_students(rng, n_students=4, max_events=40)
-    recipe = Recipe(families=(F("bias"), F("counts", "total"), F("counts", "kc")))
-    enc = fit_encoders(students, recipe, MINIMAL)
-    ref = reference_build_matrix(students, enc)
-    assert not _extraction_mismatch(build_matrix(students, enc), ref)
+    encoders = [fit_encoders(students, r, FULL) for r in (_COUNTS_ONLY, _COUNTS_AND_STATE)]
+    refs = [reference_build_matrix(students, enc) for enc in encoders]
+    for enc, ref in zip(encoders, refs):
+        assert not _extraction_mismatch(build_matrix(students, enc), ref)
     _swap_counts_slots(monkeypatch)
-    assert _extraction_mismatch(build_matrix(students, enc), ref)
+    for enc, ref in zip(encoders, refs):
+        assert _extraction_mismatch(build_matrix(students, enc), ref), enc.recipe
+
+
+def test_response_log_window_counts():
+    """The reference's window log, which the array walk's window counts must match."""
+    # windows: 1h, 1d (in seconds); responses at ages 0.5h, 2h, 25h
+    log = ResponseLog((3600.0, 86400.0))
+    now = 100 * 3600
+    log.add(now - 25 * 3600, True)
+    log.add(now - 2 * 3600, False)
+    log.add(now - 1800, True)
+    assert log.window_counts(now) == [(1, 1), (1, 2)]
+    assert (log.corrects, log.attempts) == (2, 3)
+    # boundary: a response exactly one window old is outside the window
+    log2 = ResponseLog((3600.0,))
+    log2.add(0, True)
+    assert log2.window_counts(3600) == [(0, 0)]
+    log3 = ResponseLog((3601.0,))
+    log3.add(0, True)
+    assert log3.window_counts(3600) == [(1, 1)]
+
+
+def _video(sid, ts, kcs):
+    return InteractionEvent(sid, ts, EventKind.VIDEO_WATCH, kc_ids=tuple(kcs), consumption_minutes=2.0)
+
+
+def _block_values(ext, enc, r, name, key=None):
+    """{slot: value} of block `name` in row r (of `key`'s columns for a keyed block)."""
+    off, size = enc.offset_of(name)
+    if key is not None:
+        per = size // len(enc.vocabs["kc"])
+        off, size = off + enc.vocabs["kc"][key] * per, per
+    return {c - off: v for c, v in _row_pairs(ext, r) if off <= c < off + size}
+
+
+def test_array_walk_edge_cases():
+    """Window boundaries, shared timestamps, multi-KC responses, material events
+    between responses and short or empty histories: the array walk gives the
+    reference's bytes and the values worked out by hand."""
+    tw = TWConfig((1 / 24, 0.37, 1.1, math.inf))  # 3600 s, 31968 s, 95040.00000000001 s
+    t0 = 1000
+    students = {
+        "a": [
+            response("a", t0, "q1", ["k1"], True),
+            _video("a", t0 + 500, ["k1"]),
+            response("a", t0 + 3600, "q2", ["k1", "k2"], False),  # the first is exactly 1 h old
+            response("a", t0 + 3600, "q1", ["k2"], True),  # same timestamp
+            response("a", t0 + 31968, "q1", ["k1"], True),  # the first is exactly 0.37 d old
+            response("a", t0 + 95040, "q3", ["k1", "k2"], False),  # and now 1.1 d
+        ],
+        "b": [response("b", 10, "q1", ["k1"], True), response("b", 20, "q2", ["k2"], False)],
+        "c": [_video("c", 5, ["k1"])],
+    }
+    array_only = Recipe(
+        families=(F("bias"), F("kc"), *(F(k, scope) for k in ("counts", "tw_counts") for scope in _SCOPES),
+                  F("smoothed_avg_correct"), F("response_pattern")),
+        n_recent=3,
+        tw=tw,
+    )
+    with_state = dataclasses.replace(
+        array_only, families=array_only.families + (F("video_watched_counts"), F("lag_time", "current"))
+    )
+    for recipe in (array_only, with_state):
+        enc = fit_encoders(students, recipe, FULL)
+        ext = build_matrix(students, enc)
+        assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
+        assert ext.X.shape[0] == 7 and ext.t.tolist() == [0, 1, 2, 3, 4, 0, 1]
+
+        def windows(*pairs):
+            return {s: scale(c) for s, c in enumerate(x for pair in pairs for x in pair) if c}
+
+        # rows of a: windows 1 h, 0.37 d, 1.1 d, all time
+        total = [_block_values(ext, enc, r, "tw_counts:total") for r in range(5)]
+        assert total[0] == {}
+        assert total[1] == windows((0, 0), (1, 1), (1, 1), (1, 1))
+        assert total[2] == windows((0, 1), (1, 2), (1, 2), (1, 2))
+        assert total[3] == windows((0, 0), (1, 2), (2, 3), (2, 3))
+        # 96040 - 95040.00000000001 < 1000: the first response is inside the 1.1 d window
+        assert total[4] == windows((0, 0), (0, 0), (3, 4), (3, 4))
+        assert _block_values(ext, enc, 4, "counts:kc", "k1") == {0: scale(2), 1: scale(3)}
+        assert _block_values(ext, enc, 4, "counts:kc", "k2") == {0: scale(1), 1: scale(2)}
+        assert _block_values(ext, enc, 4, "tw_counts:kc", "k2") == windows((0, 0), (0, 0), (1, 2), (1, 2))
+        assert _block_values(ext, enc, 2, "counts:question") == {0: scale(1), 1: scale(1)}
+        assert _block_values(ext, enc, 3, "counts:question") == {0: scale(2), 1: scale(2)}
+        # the last three answers, the most recent in the low bit; none before three, none for b
+        patterns = [_block_values(ext, enc, r, "response_pattern") for r in range(7)]
+        assert patterns == [{}, {}, {}, {0b101: 1.0}, {0b011: 1.0}, {}, {}]
+        smoothed = [_block_values(ext, enc, r, "smoothed_avg_correct")[0] for r in range(7)]
+        eta, rbar = recipe.eta, enc.rbar
+        assert smoothed == [(c + eta * rbar) / (a + eta) for c, a in ((0, 0), (1, 1), (1, 2), (2, 3), (3, 4),
+                                                                      (0, 0), (1, 1))]
+
+
+def test_array_walk_counts_a_repeated_kc_twice():
+    """A response listing a KC twice adds two to that KC's counts, as one log update per listed KC did."""
+    students = {"d": [response("d", 10, "q1", ["k1", "k1"], True), response("d", 20, "q2", ["k1"], False),
+                      response("d", 30, "q2", ["k1"], True)]}
+    recipe = Recipe(families=(F("counts", "kc"), F("tw_counts", "kc")))
+    enc = fit_encoders(students, recipe, MINIMAL)
+    ext = build_matrix(students, enc)
+    assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
+    counts = [_block_values(ext, enc, r, "counts:kc", "k1") for r in range(3)]
+    assert counts == [{}, {0: scale(2), 1: scale(2)}, {0: scale(2), 1: scale(3)}]
+
+
+def test_array_walk_refuses_window_keys_that_overflow():
+    """(group, timestamp) search keys must fit in int64; a wider span fails instead of miscounting."""
+    recipe = Recipe(families=(F("bias"), F("tw_counts", "total")))
+    students = {"a": [response("a", 0, "q1", ["k1"], True)], "b": [response("b", 1 << 61, "q1", ["k1"], True)]}
+    enc = fit_encoders({"a": students["a"]}, recipe, MINIMAL)
+    with pytest.raises(ValueError, match="span too wide"):
+        build_matrix(students, enc)
+    assert build_matrix({"b": students["b"]}, enc).X.shape == (1, enc.dim)
+
+
+def test_array_walk_keeps_the_order_check():
+    """A recipe of prefix families only still refuses events that go back in time."""
+    recipe = Recipe(families=_FIXED["best-lr"])
+    ok = {"a": [response("a", 100, "q1", ["k1"], True), response("a", 200, "q2", ["k1"], False)],
+          "b": [response("b", 50, "q1", ["k1"], True)]}  # earlier than a's last: another student
+    enc = fit_encoders(ok, recipe, MINIMAL)
+    late_response = {"a": [response("a", 100, "q1", ["k1"], True), response("a", 50, "q2", ["k1"], False)]}
+    late_material = {"a": [response("a", 100, "q1", ["k1"], True), _video("a", 90, ["k1"]),
+                           response("a", 200, "q2", ["k1"], False)]}
+    for students, (late, reached) in ((late_response, (50, 100)), (late_material, (90, 100))):
+        message = f"event at {late} arrived after state reached {reached}"
+        for extract in (build_matrix, reference_build_matrix):
+            with pytest.raises(SequencingError, match=message):
+                extract({**ok, **students}, enc)
 
 
 def test_build_matrix_keeps_duplicate_and_dimension_checks():
@@ -730,16 +864,34 @@ def test_build_matrix_keeps_duplicate_and_dimension_checks():
             extract(students, short)
 
 
-def _count_walks(monkeypatch) -> list:
-    walked = []
-    real = features.iter_contexts
+class _Walks:
+    """Spies on the store's walks: the student ids of each batch `_walk` is given,
+    and the students `iter_contexts` walks for state families."""
 
-    def spy(events, *a, **kw):
-        walked.append(events[0].student_id if events else None)
-        return real(events, *a, **kw)
+    def __init__(self, monkeypatch):
+        self.batches: list[list[str]] = []
+        self.contexts: list[str] = []
+        walk, contexts = features._walk, features.iter_contexts
 
-    monkeypatch.setattr(features, "iter_contexts", spy)
-    return walked
+        def walk_spy(walks, *a, **kw):
+            self.batches.append(list(walks))
+            return walk(walks, *a, **kw)
+
+        def contexts_spy(events, *a, **kw):
+            self.contexts.append(events[0].student_id)
+            return contexts(events, *a, **kw)
+
+        monkeypatch.setattr(features, "_walk", walk_spy)
+        monkeypatch.setattr(features, "iter_contexts", contexts_spy)
+
+    @property
+    def students(self) -> list[str]:
+        return sorted(sid for batch in self.batches for sid in batch)
+
+    def check_contexts(self, recipe: Recipe) -> None:
+        """iter_contexts walked each walked student once, or none for an array-only recipe."""
+        with_state = any(_KINDS[f.kind].state for f in recipe.families)
+        assert sorted(self.contexts) == (self.students if with_state else [])
 
 
 def _store_dataset(rng, n_students=8):
@@ -747,53 +899,67 @@ def _store_dataset(rng, n_students=8):
     return Dataset(manifest=FULL, students=students)
 
 
+def _walk_recipes(monkeypatch, array_only: Recipe):
+    """(recipe, fresh walk spies) for an array-only recipe, then for it plus a state family."""
+    with_state = dataclasses.replace(array_only, families=array_only.families + (F("elapsed_time", "prior"),))
+    for recipe in (array_only, with_state):
+        with monkeypatch.context() as m:
+            yield recipe, _Walks(m)
+
+
 def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
-    ds = _store_dataset(rng)
-    walked = _count_walks(monkeypatch)
-    recipe = Recipe(families=(F("bias"), F("student"), F("counts", "kc"), F("smoothed_avg_correct")))
-    sids = sorted(ds.students)
-    train = {s: ds.students[s] for s in sids[:5]}
-    test = {s: ds.students[s] for s in sids[5:]}
-    enc = fit_encoders(train, recipe, FULL, store=ds.feature_rows)
-    assert sorted(walked) == sids[:5]
-    first = build_matrix(ds.students, enc, store=ds.feature_rows)
-    assert sorted(walked) == sids
-    # other folds, other eta: the same walk serves their encoders and matrices
-    other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, store=ds.feature_rows)
-    build_matrix(train, other, store=ds.feature_rows)
-    again = build_matrix(ds.students, enc, store=ds.feature_rows)
-    assert sorted(walked) == sids
-    assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
-    n = first.X.shape[0]
-    n_train = sum(1 for s in train for e in ds.students[s] if e.is_response())
-    # served: train (enc), all, test (other), train, all
-    assert ds.feature_rows.counts() == {
-        "students_walked": len(sids),
-        "rows_walked": n,
-        "rows_served": 3 * n + n_train,
-    }
-    # a recipe with other walk parameters walks again
-    other_walk = dataclasses.replace(recipe, n_recent=3)
-    build_matrix(ds.students, fit_encoders(ds.students, other_walk, FULL, store=ds.feature_rows),
-                 store=ds.feature_rows)
-    assert len(walked) == 2 * len(sids)
+    array_only = Recipe(families=(F("bias"), F("student"), F("counts", "kc"), F("smoothed_avg_correct")))
+    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+        ds = _store_dataset(rng)
+        sids = sorted(ds.students)
+        train = {s: ds.students[s] for s in sids[:5]}
+        test = {s: ds.students[s] for s in sids[5:]}
+        enc = fit_encoders(train, recipe, FULL, store=ds.feature_rows)
+        assert walks.batches == [sids[:5]]
+        first = build_matrix(ds.students, enc, store=ds.feature_rows)
+        assert walks.batches == [sids[:5], sids[5:]]  # one batch per call, of the students it lacks
+        # other folds, other eta: the same walk serves their encoders and matrices
+        other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, store=ds.feature_rows)
+        build_matrix(train, other, store=ds.feature_rows)
+        again = build_matrix(ds.students, enc, store=ds.feature_rows)
+        assert walks.students == sids and len(walks.batches) == 2
+        walks.check_contexts(recipe)
+        assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
+        assert not _extraction_mismatch(first, reference_build_matrix(ds.students, enc))
+        n = first.X.shape[0]
+        n_train = sum(1 for s in train for e in ds.students[s] if e.is_response())
+        # served: train (enc), all, test (other), train, all
+        assert ds.feature_rows.counts() == {
+            "students_walked": len(sids),
+            "rows_walked": n,
+            "rows_served": 3 * n + n_train,
+        }
+        # a recipe with other walk parameters walks again
+        other_walk = dataclasses.replace(recipe, n_recent=3)
+        build_matrix(ds.students, fit_encoders(ds.students, other_walk, FULL, store=ds.feature_rows),
+                     store=ds.feature_rows)
+        assert walks.students == sorted(2 * sids) and len(walks.batches) == 3
+        walks.check_contexts(recipe)
 
 
 def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
-    ds = _store_dataset(rng)
-    recipe = Recipe(families=(F("bias"), F("lag_time", "current"), F("counts", "total")))
-    enc = fit_encoders(ds.students, recipe, FULL)
-    build_matrix(ds.students, enc, store=ds.feature_rows)
-    walked = _count_walks(monkeypatch)
-    lagged = derive_lag_times(ds)
-    part = ds.subset(sorted(ds.students)[:3])
-    assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
-    res = build_matrix(lagged.students, enc, store=lagged.feature_rows)
-    assert len(walked) == len(ds.students)
-    assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc))
-    build_matrix(part.students, enc, store=part.feature_rows)
-    assert len(walked) == len(ds.students) + 3
-    assert ds.feature_rows.students_walked == len(ds.students)
+    array_only = Recipe(families=(F("bias"), F("counts", "total")))
+    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+        ds = _store_dataset(rng)
+        enc = fit_encoders(ds.students, recipe, FULL)
+        build_matrix(ds.students, enc, store=ds.feature_rows)
+        walks.batches.clear()
+        walks.contexts.clear()
+        lagged = derive_lag_times(ds)
+        part = ds.subset(sorted(ds.students)[:3])
+        assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
+        res = build_matrix(lagged.students, enc, store=lagged.feature_rows)
+        assert walks.students == sorted(ds.students)
+        assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc))
+        build_matrix(part.students, enc, store=part.feature_rows)
+        assert walks.students == sorted(list(ds.students) + sorted(ds.students)[:3])
+        walks.check_contexts(recipe)
+        assert ds.feature_rows.students_walked == len(ds.students)
 
 
 def test_row_store_rejects_other_events_or_graph(rng):
@@ -809,33 +975,36 @@ def test_row_store_rejects_other_events_or_graph(rng):
 
 
 def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
-    ds = _store_dataset(rng, n_students=16)
-    recipe = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
-    enc = fit_encoders(ds.students, recipe, FULL)
-    want = reference_build_matrix(ds.students, enc)
-    walked = _count_walks(monkeypatch)
-    results: list = []
-    errors: list = []
+    array_only = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
+    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+        ds = _store_dataset(rng, n_students=16)
+        enc = fit_encoders(ds.students, recipe, FULL)
+        want = reference_build_matrix(ds.students, enc)
+        walks.batches.clear()
+        walks.contexts.clear()
+        results: list = []
+        errors: list = []
 
-    def worker():
+        def worker():
+            try:
+                results.append(build_matrix(ds.students, enc, store=ds.feature_rows))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            results.append(build_matrix(ds.students, enc, store=ds.feature_rows))
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not errors and len(results) == 4
-    assert sorted(walked) == sorted(ds.students)
-    for res in results:
-        assert not _extraction_mismatch(res, want)
-    assert ds.feature_rows.counts()["rows_served"] == 4 * want[0].shape[0]
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors and len(results) == 4
+        assert walks.batches == [sorted(ds.students)]
+        walks.check_contexts(recipe)
+        for res in results:
+            assert not _extraction_mismatch(res, want)
+        assert ds.feature_rows.counts()["rows_served"] == 4 * want[0].shape[0]
