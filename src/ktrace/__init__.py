@@ -10,7 +10,6 @@ from ktrace.core import (
     ParseError,
     SchemaError,
     SequencingError,
-    StudentState,
     scale,
 )
 from ktrace.ingest import Dataset
@@ -28,7 +27,6 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "SequencingError",
-    "StudentState",
     "scale",
     "__version__",
 ]

@@ -6,10 +6,7 @@ extraction turns the history before each response into one sparse row
 of a feature matrix; models are dense weight vectors over an encoder's
 index space.  The types here carry no model logic: they define the data
 contracts that ingestion, feature extraction, and training build on.
-
-All types are immutable after construction except StudentState, which
-is a per-student mutable accumulator and must not be shared across
-threads.
+All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,7 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class SchemaError(ValueError):
@@ -60,7 +61,7 @@ class InteractionEvent:
     and ``correct``; every other field is dataset-dependent, and its
     ``OPTIONAL_FIELDS`` row names the manifest flag it needs.  The
     fields are the canonical CSV columns, one to one; lag times are not
-    stored but computed from the responses (``lag_since``).
+    stored but computed from the responses (``response_lags``).
     """
 
     student_id: str
@@ -163,8 +164,8 @@ OPTIONAL_FIELDS: dict[str, OptionalField] = {
 
 class MaterialKind(NamedTuple):
     flag: str  # manifest flag the event kind needs
-    count: str  # StudentState tally its count goes to
-    minutes: str | None  # StudentState tally its consumption minutes go to
+    count: str  # the material tally its events count toward
+    minutes: str | None  # the material tally its consumption minutes add to
 
 
 # Every study-material event kind (all kinds but QuestionResponse).
@@ -323,89 +324,27 @@ def scale(x: float) -> float:
     return math.log1p(x)
 
 
-def response_end(event: InteractionEvent) -> float:
-    """When a response ended: its receipt timestamp plus its elapsed time (0 without one)."""
-    return event.timestamp + (event.elapsed_time_s or 0.0)
+def response_lags(students: Iterable[Sequence[InteractionEvent]]) -> tuple[np.ndarray, np.ndarray]:
+    """The lag time of every response of the given students' time-ordered
+    events, one student after another, and whether it was clamped.
 
-
-def lag_since(prior_end: float | None, timestamp: int) -> tuple[float | None, bool]:
-    """Seconds from the previous response's end (None: there is none) to the
-    receipt at `timestamp`, and whether a negative gap was clamped to 0.0."""
-    if prior_end is None:
-        return None, False
-    gap = timestamp - prior_end
-    return (gap, False) if gap >= 0 else (0.0, True)
-
-
-class Tally:
-    """Total plus per-KC accumulator for material interactions."""
-
-    __slots__ = ("total", "by_kc")
-
-    def __init__(self):
-        self.total: float = 0.0
-        self.by_kc: dict[str, float] = {}
-
-    def add(self, kc_ids: Sequence[str], amount: float = 1.0) -> None:
-        self.total += amount
-        for k in kc_ids:
-            self.by_kc[k] = self.by_kc.get(k, 0.0) + amount
-
-    def for_kcs(self, kc_ids: Sequence[str]) -> float:
-        return sum(self.by_kc.get(k, 0.0) for k in kc_ids)
-
-
-class StudentState:
-    """Running per-student aggregates over the events seen so far.
-
-    It holds what the per-response feature families read: module, part
-    and graph-node tallies, material tallies and the latest response's
-    times.  Correct/attempt counts per scope, time windows and recent
-    answers are prefix functions of the responses, computed for many
-    students at once by the feature walk instead.  Construction binds
-    an optional KC graph (for prerequisite tallies) and an optional KC
-    squash map so that graph nodes defined over original KC ids keep
-    accumulating after multi-KC sets were squashed to artificial ids.
+    A response's lag is the seconds from the end of the student's previous
+    response (its receipt timestamp plus its elapsed time, 0 without one)
+    to its own receipt; material events do not move it.  A negative gap
+    is clamped to 0.0.  A student's first response has no lag (NaN).
     """
-
-    def __init__(
-        self,
-        kc_graph: KCGraph | None = None,
-        squash_map: Mapping[str, tuple[str, ...]] | None = None,
-    ):
-        self.by_module: dict[str, list[int]] = {}
-        self.by_part: dict[str, list[int]] = {}
-        self.graph_nodes: dict[str, list[int]] = {}
-        self.kc_graph = kc_graph
-        self.squash_map = dict(squash_map) if squash_map else None
-        self.videos_watched = Tally()
-        self.videos_skipped = Tally()
-        self.video_minutes = Tally()
-        self.readings = Tally()
-        self.reading_minutes = Tally()
-        self.hints = Tally()
-        self.hint_minutes = Tally()
-        # the latest response: its elapsed time, lag time and end (response_end)
-        self.prior_elapsed_s: float | None = None
-        self.prior_lag_s: float | None = None
-        self.prior_end: float | None = None
-        self.last_timestamp: int | None = None
-
-    def original_kcs(self, kc_ids: Sequence[str]) -> tuple[str, ...]:
-        """Pre-squash KC ids for graph-node resolution."""
-        if self.squash_map is None:
-            return tuple(kc_ids)
-        out: list[str] = []
-        for k in kc_ids:
-            out.extend(self.squash_map.get(k, (k,)))
-        return tuple(dict.fromkeys(out))
-
-    def check_order(self, timestamp: int) -> None:
-        if self.last_timestamp is not None and timestamp < self.last_timestamp:
-            raise SequencingError(
-                f"event at {timestamp} arrived after state reached {self.last_timestamp}"
-            )
-        self.last_timestamp = timestamp
+    responses = [[e for e in events if e.is_response()] for events in students]
+    lens = np.fromiter(map(len, responses), np.int64, len(responses))
+    flat = list(chain.from_iterable(responses))
+    ts = np.fromiter(map(attrgetter("timestamp"), flat), np.int64, len(flat))
+    elapsed = np.array(list(map(attrgetter("elapsed_time_s"), flat)), dtype=np.float64)  # None: NaN
+    end = ts + np.where(np.isnan(elapsed), 0.0, elapsed)
+    lag = np.full(len(flat), np.nan)
+    lag[1:] = ts[1:] - end[:-1]
+    lag[(np.cumsum(lens) - lens)[lens > 0]] = np.nan
+    clamped = lag < 0
+    lag[clamped] = 0.0
+    return lag, clamped
 
 
 @dataclass(frozen=True)

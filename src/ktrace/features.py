@@ -1,4 +1,4 @@
-"""Feature extraction: recipes, encoders, state updates and emission.
+"""Feature extraction: recipes, encoders and emission.
 
 A Recipe is an ordered list of feature families plus extraction
 parameters.  An Encoder binds a recipe to a training fold: it fixes the
@@ -17,20 +17,19 @@ that row, so a new family is one row plus one emitter.
 
 Emitters write keyed rows, which no fold changes: per entry the block,
 the vocabulary key's code (or none), the slot within the key's columns
-and the value.  Most families are prefix functions of one student's
-responses: bias, the event-field one-hots, counts, time-window counts,
-the smoothed average's counts and the response pattern.  Their array
-emitters write a block for a whole batch of students at once, from
-grouped cumulative sums over (student), (student, question) and
-(student, KC), `np.searchsorted` on (group, timestamp) keys for the
-windows, and shifted labels for the pattern.  The other families (lag
-and elapsed time, datetime, module and part counts, material tallies,
-graph families) have state emitters, which read a StudentState walked
-one response at a time; a recipe walks that way only if it holds one.
-A RowStore, one per dataset, walks each student once per recipe
-(families, n_recent, windows), the students one call lacks in one
-batch, and keeps the entries as flat arrays; that one walk serves a
-fold's encoder and all its matrices.
+and the value.  Every family is a prefix function of one student's
+events, and its emitter writes its block for a whole batch of students
+at once, from arrays over the batch's responses: grouped cumulative
+sums over (student), (student, question), (student, KC) and (student,
+module or part) for the counts, `np.searchsorted` on (group, timestamp)
+keys for the windows, shifted labels for the pattern, shifted elapsed
+times and response ends for elapsed and lag time, the UTC date of each
+timestamp for datetime, and running sums, in event order, of the
+increments a group's earlier events made for the graph-node counts and
+the material tallies.  A RowStore, one per dataset, walks each student
+once per recipe (families, n_recent, windows), the students one call
+lacks in one batch, and keeps the entries as flat arrays; that one walk
+serves a fold's encoder and all its matrices.
 `fit_encoders` takes each vocabulary from the keys its blocks use in the
 training rows and rbar from their labels.  `build_matrix` remaps the
 entries for an encoder with one vectorized lookup, column = block
@@ -44,8 +43,8 @@ through a table that scale() fills.  Time-window counts use ascending
 windows whose last entry is infinite; a prior response falls into a
 finite window when its age is strictly less than the window length
 (its timestamp exceeds the float64 now - seconds).  Lag time is a value
-of the walk, not of the event: `core.lag_since` from the state's latest
-response end.
+of the walk, not of the event: `core.response_lags` of the student's
+responses.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
@@ -73,10 +71,8 @@ from ktrace.core import (
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
     SequencingError,
-    StudentState,
     canonical_json,
-    lag_since,
-    response_end,
+    response_lags,
     scale,
 )
 
@@ -202,25 +198,32 @@ ELAPSED_MAX_S = 300
 LAG_CATEGORIES_MIN: tuple[int, ...] = tuple(range(6)) + tuple(range(10, 1441, 10))
 
 
-def elapsed_bins(seconds: float) -> tuple[int, float]:
-    """Elapsed-time category (whole seconds, capped at 300) and scaled value."""
-    if seconds < 0:
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """scale() of each value: math.log1p, since np.log1p may differ in the last bit."""
+    return np.fromiter(map(scale, x.tolist()), np.float64, len(x))
+
+
+def elapsed_bins(seconds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elapsed-time categories (whole seconds, capped at 300) and scaled
+    values of an array of seconds."""
+    seconds = np.asarray(seconds, dtype=np.float64)
+    if np.any(seconds < 0):
         raise ValueError("elapsed time must be >= 0")
-    return min(int(math.floor(seconds)), ELAPSED_MAX_S), scale(seconds)
+    return np.minimum(np.floor(seconds), ELAPSED_MAX_S).astype(np.int64), _scaled(seconds)
 
 
-def lag_bins(minutes: float) -> tuple[int, float]:
-    """Lag-time category index and scaled value.
+def lag_bins(minutes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-time category indices and scaled values of an array of minutes.
 
     Minutes are rounded half-up to an integer, then mapped to the
     largest listed category value not exceeding them; values above 1440
     fall into the final category.
     """
-    if minutes < 0:
+    minutes = np.asarray(minutes, dtype=np.float64)
+    if np.any(minutes < 0):
         raise ValueError("lag time must be >= 0")
-    whole = int(math.floor(minutes + 0.5))
-    pos = bisect_right(LAG_CATEGORIES_MIN, whole) - 1
-    return min(pos, len(LAG_CATEGORIES_MIN) - 1), scale(minutes)
+    whole = np.floor(minutes + 0.5)
+    return np.searchsorted(LAG_CATEGORIES_MIN, whole, side="right") - 1, _scaled(minutes)
 
 
 def smoothed_avg_correct(corrects, attempts, rbar: float, eta: float):
@@ -289,13 +292,15 @@ def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: 
         raise ConfigError(
             f"dataset {manifest.name!r} does not support feature families: {', '.join(gaps)}"
         )
-    needs_graph = [
-        f.name for f in recipe.families if _KINDS[f.kind].domain(f.variant) == "graph_node"
-    ]
+    needs_graph = _graph_families(recipe)
     if needs_graph and kc_graph is None:
         raise ConfigError(
             f"families {', '.join(needs_graph)} need a prerequisite graph, none was provided"
         )
+
+
+def _graph_families(recipe: Recipe) -> list[str]:
+    return [f.name for f in recipe.families if _KINDS[f.kind].domain(f.variant) == "graph_node"]
 
 
 def fit_encoders(
@@ -346,55 +351,6 @@ def fit_encoders(
 
 
 # ---------------------------------------------------------------------------
-# State updates
-
-def update_state(state: StudentState, event: InteractionEvent) -> None:
-    """Fold one event into the student's running aggregates.
-
-    Events must arrive in non-decreasing timestamp order.  Question
-    responses update module/part counters, graph-node tallies and the
-    latest response's elapsed time, lag time and end.  Material events update the corresponding tallies; hint
-    counts attached to responses count toward the hint tally as well.
-    """
-    state.check_order(event.timestamp)
-    kcs = event.kc_ids
-    if event.is_response():
-        inc = 1 if event.correct else 0
-        if event.study_module is not None:
-            cell = state.by_module.setdefault(event.study_module, [0, 0])
-            cell[0] += inc
-            cell[1] += 1
-        if event.part_area is not None:
-            cell = state.by_part.setdefault(event.part_area, [0, 0])
-            cell[0] += inc
-            cell[1] += 1
-        if state.kc_graph is not None:
-            graph = state.kc_graph
-            if graph.node_kind == "question":
-                keys: tuple[str, ...] = (event.question_id,)  # type: ignore[assignment]
-            else:
-                keys = state.original_kcs(kcs)
-            touched: set[str] = set()
-            for key in keys:
-                touched.update(graph.nodes_counting.get(key, ()))
-            for node in touched:  # once per response, even with several matching KCs
-                cell = state.graph_nodes.setdefault(node, [0, 0])
-                cell[0] += inc
-                cell[1] += 1
-        if event.hint_count:
-            state.hints.add(kcs, float(event.hint_count))
-        state.prior_elapsed_s = event.elapsed_time_s
-        state.prior_lag_s, _ = lag_since(state.prior_end, event.timestamp)
-        state.prior_end = response_end(event)
-        return
-    material = MATERIAL_KINDS[event.kind]
-    count = float(event.hint_count or 1) if event.kind is EventKind.HINT_USE else 1.0
-    getattr(state, material.count).add(kcs, count)
-    if event.consumption_minutes and material.minutes:
-        getattr(state, material.minutes).add(kcs, event.consumption_minutes)
-
-
-# ---------------------------------------------------------------------------
 # Emission: keyed entries
 #
 # A block's entries are (row, key code, slot, value).  Blocks indexed by a
@@ -404,20 +360,13 @@ def update_state(state: StudentState, event: InteractionEvent) -> None:
 # writes depends on a fold: _Placer puts the entries in an encoder's
 # columns.
 #
-# Each family kind has one emitter of one of two sorts.  An array emitter
-# writes its block for every response of a batch of students at once,
-# from the prefix arrays of a _Batch.  A state emitter appends its block's
-# entries for one response, reading the StudentState of a per-student
-# iter_contexts walk, which runs only for recipes holding such a family.
+# Each family kind has one emitter, which writes its block for every
+# response of a batch of students at once from the arrays of a _Batch.
+# Arrays only some families read (elapsed and lag times, dates, the
+# merged event stream, graph nodes) are made the first time one asks.
 
 class _Codes(dict):
     """Dense integer codes for one vocabulary domain's keys, in first-seen order."""
-
-    def code(self, key: str) -> int:
-        c = self.get(key)
-        if c is None:
-            c = self[key] = len(self)
-        return c
 
     def codes_of(self, keys: Sequence[str | None]) -> np.ndarray:
         """The codes of many keys (-1 for None), coding new ones in order."""
@@ -436,14 +385,19 @@ class _Block(NamedTuple):
     value: np.ndarray
 
 
-def _ones(rows: np.ndarray, code=-1, slot=0) -> _Block:
-    """Entries of value 1.0 at `rows`; code and slot are one value or one per row."""
+def _block(rows: np.ndarray, code=-1, slot=0, value=1.0) -> _Block:
+    """Entries at `rows`; code, slot and value are one value or one per row."""
     shape = rows.shape
-    return _Block(rows, np.broadcast_to(code, shape), np.broadcast_to(slot, shape), np.ones(shape))
+    return _Block(rows, np.broadcast_to(code, shape), np.broadcast_to(slot, shape), np.broadcast_to(value, shape))
+
+
+def _join(*blocks: _Block) -> _Block:
+    """The entries of several blocks as one."""
+    return _Block(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
 def _check_order(walks: Sequence[Sequence[InteractionEvent]]) -> None:
-    """Raise update_state's SequencingError at a student's first event that goes back in time."""
+    """Raise a SequencingError at a student's first event that goes back in time."""
     ts = np.fromiter(map(attrgetter("timestamp"), chain.from_iterable(walks)), np.int64)
     back = ts[1:] < ts[:-1]
     ends = np.cumsum([len(events) for events in walks], dtype=np.int64)
@@ -511,6 +465,77 @@ class _Scope:
         return out
 
 
+def _running_sums(value: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running sums of `value` (along its first axis) that restart wherever
+    `first` is set.  Each sum adds one value to the sum before it, in order,
+    as a loop would: a global cumulative sum minus a group's start differs
+    in the last bit (0.1 + 0.2 then 0.3 gives 0.30000000000000004 for the
+    third value's group alone).  One step per position within the longest
+    group, over all groups at once.
+    """
+    at = np.arange(len(value))
+    rank = at - np.maximum.accumulate(np.where(first, at, 0))
+    out = value.astype(np.float64)
+    by_rank = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in zip(ends, ends[1:]):
+        i = by_rank[lo:hi]
+        out[i] += out[i - 1]
+    return out
+
+
+def _sums_before(group, at, amount, q_group, q_at) -> np.ndarray:
+    """Per query (group, position), the sum of the amounts that its group's
+    increments (group, position, amount) have at earlier positions, added
+    in position order from 0.0.  An increment at a query's own position
+    does not count.  `amount` may have columns, summed separately."""
+    n_inc = len(group)
+    is_increment = np.arange(n_inc + len(q_group)) < n_inc
+    g = np.concatenate((group, q_group))
+    order = np.lexsort((is_increment, np.concatenate((at, q_at)), g))  # queries first at a position
+    value = np.zeros((len(g),) + amount.shape[1:])
+    value[:n_inc] = amount
+    g = g[order]
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    sums = _running_sums(value[order], first)  # a query adds 0.0, which changes no sum
+    out = np.empty((len(q_group),) + amount.shape[1:])
+    query = ~is_increment[order]
+    out[order[query] - n_inc] = sums[query]
+    return out
+
+
+def _nodes(graph: KCGraph, which: str, squash_map: Mapping, question_id: str | None, kc_ids: tuple) -> list[str]:
+    """Graph nodes of a response, by its pre-squash KCs: those it counts
+    toward ("counted", each once), or the sorted nodes one `which` step
+    ("prereqs_of" or "postreqs_of") away from its own nodes."""
+    kcs = tuple(dict.fromkeys(chain.from_iterable(squash_map.get(k, (k,)) for k in kc_ids)))
+    if which == "counted":
+        keys = (question_id,) if graph.node_kind == "question" else kcs
+        return list(dict.fromkeys(chain.from_iterable(graph.nodes_counting.get(k, ()) for k in keys)))
+    step = getattr(graph, which)
+    return sorted(set(chain.from_iterable(map(step, graph.nodes_for_event(question_id, kcs)))))
+
+
+_EVENT_CODES = {kind: i for i, kind in enumerate(EventKind)}
+_EPOCH = date(1970, 1, 1)
+
+
+class _Stream(NamedTuple):
+    """A batch's events, responses and material ones, end to end in walk order."""
+
+    student: np.ndarray  # per event
+    amounts: dict[str, np.ndarray]  # per material tally, what each event adds to it
+    kc_event: np.ndarray  # per (event, listed KC) pair, the event
+    kc_code: np.ndarray  # and the KC's code
+    row_at: np.ndarray  # per row, its response's event
+
+
+def _floats(objects: Sequence, attr: str) -> np.ndarray:
+    """Each object's `attr` as float64, NaN for None."""
+    return np.array(list(map(attrgetter(attr), objects)), dtype=np.float64)
+
+
 class _Batch:
     """The responses of several students' walks laid end to end, as arrays.
 
@@ -519,8 +544,10 @@ class _Batch:
     per-domain _Codes, so every block and scope of a domain shares them.
     """
 
-    def __init__(self, walks: Sequence[Sequence[InteractionEvent]], codes: dict[str, _Codes]):
+    def __init__(self, walks: Sequence[Sequence[InteractionEvent]], codes: dict[str, _Codes],
+                 kc_graph: KCGraph | None, squash_map: Mapping[str, tuple[str, ...]] | None):
         _check_order(walks)
+        self.walks = walks
         self.per_student = [[e for e in events if e.kind is EventKind.QUESTION_RESPONSE] for events in walks]
         self.responses = responses = list(chain.from_iterable(self.per_student))
         self.n = n = len(responses)
@@ -532,8 +559,11 @@ class _Batch:
         self.ts = np.fromiter(map(attrgetter("timestamp"), responses), np.int64, n)
         self.y = np.fromiter(map(attrgetter("correct"), responses), bool, n).astype(np.int64)
         self.codes = codes
+        self.kc_graph = kc_graph
+        self.squash_map = squash_map or {}
         self._coded: dict[tuple[str, str], np.ndarray] = {}
         self._scopes: dict[str, _Scope] = {}
+        self._graph_nodes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._log1p = np.zeros(0)
 
     def coded(self, domain: str, attr: str) -> np.ndarray:
@@ -551,24 +581,27 @@ class _Batch:
         row = np.repeat(np.arange(self.n), np.fromiter(map(len, kcs), np.int64, self.n))
         return row, self.codes.setdefault("kc", _Codes()).codes_of(list(chain.from_iterable(kcs)))
 
-    def scope(self, variant: str) -> _Scope:
-        """Counts before each row ("total", "question") or (row, KC) pair ("kc")."""
-        got = self._scopes.get(variant)
+    def scope(self, key: str) -> _Scope:
+        """Counts before each row ("total"), each (row, KC) pair ("kc"), or
+        each row on its value of the event field a domain names ("question",
+        "study_module", "part_area"); a row whose field is None has no pair."""
+        got = self._scopes.get(key)
         if got is None:
-            if variant == "kc":
+            if key == "total":
+                row, code = np.arange(self.n), np.zeros(self.n, dtype=np.int64)
+            elif key == "kc":
                 row, code = self.kc_pairs
-                group = self.student[row] * len(self.codes["kc"]) + code
             else:
-                row, code = np.arange(self.n), np.full(self.n, -1)
-                group = self.student
-                if variant == "question":
-                    question = self.coded("question", "question_id")
-                    group = group * len(self.codes["question"]) + question
-            got = self._scopes[variant] = _Scope(group, row, code, self.ts[row], self.y[row])
+                code = self.coded(key, "question_id" if key == "question" else key)
+                row = np.flatnonzero(code >= 0)
+                code = code[row]
+            group = self.student[row] * (int(code.max(initial=0)) + 1) + code
+            got = self._scopes[key] = _Scope(group, row, code, self.ts[row], self.y[row])
         return got
 
-    def count_entries(self, scope: _Scope, counts: np.ndarray) -> _Block:
-        """Entries of each pair's nonzero counts: slot = column, value = scale(count).
+    def count_entries(self, row: np.ndarray, code: np.ndarray, counts: np.ndarray) -> _Block:
+        """Entries of the nonzero counts of each (row, code) pair: slot =
+        column, value = scale(count).
 
         scale's values come from a table filled by scale itself
         (math.log1p), since np.log1p may differ in the last bit.
@@ -578,41 +611,110 @@ class _Batch:
         top = int(counts.max(initial=0))
         if top >= len(self._log1p):
             self._log1p = np.array([scale(c) for c in range(top + 1)])
-        return _Block(scope.row[i], scope.code[i], slot, self._log1p[counts])
+        return _Block(row[i], code[i], slot, self._log1p[counts])
+
+    @cached_property
+    def elapsed(self) -> np.ndarray:
+        """Each row's elapsed seconds, NaN without."""
+        return _floats(self.responses, "elapsed_time_s")
+
+    @cached_property
+    def lags(self) -> np.ndarray:
+        """Each row's lag time in seconds, NaN for a student's first response."""
+        return response_lags(self.per_student)[0]
+
+    def on_dates(self, column: Callable[[date], int]) -> np.ndarray:
+        """Each row's `column` of the UTC date of its timestamp, one call per distinct date."""
+        days, index = np.unique(self.ts // 86400, return_inverse=True)
+        return np.array([column(_EPOCH + timedelta(days=d)) for d in days.tolist()], dtype=np.int64)[index]
+
+    @cached_property
+    def stream(self) -> _Stream:
+        events = list(chain.from_iterable(self.walks))
+        m = len(events)
+        lens = np.fromiter(map(len, self.walks), np.int64, len(self.walks))
+        kind = np.fromiter(map(_EVENT_CODES.__getitem__, map(attrgetter("kind"), events)), np.int64, m)
+        hints, minutes = (np.nan_to_num(_floats(events, a)) for a in ("hint_count", "consumption_minutes"))
+        # an event of a material kind adds 1.0 (a HintUse its hint_count or 1) to the tally its
+        # count goes to and its minutes to its minutes tally; a response adds its hint_count to
+        # the tally HintUse counts toward
+        amounts: dict[str, np.ndarray] = {}
+        for kind_, material in MATERIAL_KINDS.items():
+            at = kind == _EVENT_CODES[kind_]
+            count = np.where(hints[at] != 0, hints[at], 1.0) if kind_ is EventKind.HINT_USE else 1.0
+            amounts.setdefault(material.count, np.zeros(m))[at] = count
+            if material.minutes:
+                amounts.setdefault(material.minutes, np.zeros(m))[at] = minutes[at]
+        row_at = np.flatnonzero(kind == _EVENT_CODES[EventKind.QUESTION_RESPONSE])
+        amounts[MATERIAL_KINDS[EventKind.HINT_USE].count][row_at] = hints[row_at]
+        kcs = list(map(attrgetter("kc_ids"), events))
+        kc_event = np.repeat(np.arange(m), np.fromiter(map(len, kcs), np.int64, m))
+        kc_code = self.codes.setdefault("kc", _Codes()).codes_of(list(chain.from_iterable(kcs)))
+        return _Stream(np.repeat(np.arange(len(lens)), lens), amounts, kc_event, kc_code, row_at)
+
+    @cached_property
+    def graph_keys(self) -> tuple[_Codes, np.ndarray]:
+        """The rows' distinct (question_id, kc_ids), coded in first-seen order, and each row's code."""
+        keys = _Codes()
+        return keys, keys.codes_of(list(map(attrgetter("question_id", "kc_ids"), self.responses)))
+
+    def graph_nodes(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """(row, graph-node code) pairs of each row's `_nodes(graph, which, ...)`,
+        worked out once per distinct (question_id, kc_ids) of the batch."""
+        got = self._graph_nodes.get(which)
+        if got is None:
+            keys, index = self.graph_keys
+            codes = self.codes.setdefault("graph_node", _Codes())
+            per_key = [codes.codes_of(_nodes(self.kc_graph, which, self.squash_map, *key)) for key in keys]
+            lens = np.fromiter(map(len, per_key), np.int64, len(per_key))
+            n = lens[index]
+            row = np.repeat(np.arange(self.n), n)
+            # row r's nodes are per_key[index[r]], laid end to end
+            at = np.arange(len(row)) + np.repeat((np.cumsum(lens) - lens)[index] - (np.cumsum(n) - n), n)
+            flat = np.concatenate(per_key) if per_key else np.zeros(0, dtype=np.int64)
+            got = self._graph_nodes[which] = (row, flat[at])
+        return got
 
 
-# Array emitters: (batch, domain, fam, recipe) -> _Block, the entries of
-# the family's block for every row of the batch; domain is the block's
+# Emitters: (batch, domain, fam, recipe) -> _Block, the entries of the
+# family's block for every row of the batch; domain is the block's
 # vocabulary domain (None if it has none).
 
 def _emit_bias(batch, domain, fam, recipe) -> _Block:
-    return _ones(np.arange(batch.n))
+    return _block(np.arange(batch.n))
 
 
 def _one_hot(attr: str | None):
-    """Array emitter for the one-hot of an event field (None: the field the variant names)."""
+    """Emitter for the one-hot of an event field (None: the field the variant names)."""
 
     def emit_one_hot(batch, domain, fam, recipe) -> _Block:
         code = batch.coded(domain, attr or fam.variant)
         rows = np.flatnonzero(code >= 0)
-        return _ones(rows, code[rows])
+        return _block(rows, code[rows])
 
     return emit_one_hot
 
 
 def _emit_kc(batch, domain, fam, recipe) -> _Block:
-    return _ones(*batch.kc_pairs)
+    return _block(*batch.kc_pairs)
 
 
-def _emit_counts(batch, domain, fam, recipe) -> _Block:
-    scope = batch.scope(fam.variant)
-    return batch.count_entries(scope, scope.totals)
+def _counts(key: str | None = None):
+    """Emitter of the correct/attempt counts before each pair of the batch's
+    scope `key` (None: the scope the variant names)."""
+
+    def emit_counts(batch, domain, fam, recipe) -> _Block:
+        scope = batch.scope(key or fam.variant)
+        return batch.count_entries(scope.row, scope.code, scope.totals)
+
+    return emit_counts
 
 
 def _emit_tw_counts(batch, domain, fam, recipe) -> _Block:
     # the finite windows in ascending order, then the infinite one
     scope = batch.scope(fam.variant)
-    return batch.count_entries(scope, np.hstack((scope.windows(recipe.tw.finite_seconds), scope.totals)))
+    counts = np.hstack((scope.windows(recipe.tw.finite_seconds), scope.totals))
+    return batch.count_entries(scope.row, scope.code, counts)
 
 
 def _emit_response_pattern(batch, domain, fam, recipe) -> _Block:
@@ -622,90 +724,69 @@ def _emit_response_pattern(batch, domain, fam, recipe) -> _Block:
     for i in range(1, n + 1):
         pattern[i:] |= batch.y[:-i] << (i - 1)
     rows = np.flatnonzero(batch.prior >= n)
-    return _ones(rows, slot=pattern[rows])
+    return _block(rows, slot=pattern[rows])
 
 
-# State emitters: (out, b, codes, fam, recipe, state, event) -> None,
-# appending the (block, key code, slot, value) entries of block b for one
-# response; codes is the block's domain (None if it has no vocabulary).
-
-def _push_pair(out: list, b: int, code: int, slot: int, corrects: float, attempts: float) -> None:
-    if corrects:
-        out.append((b, code, slot, scale(corrects)))
-    if attempts:
-        out.append((b, code, slot + 1, scale(attempts)))
+def _described(batch, fam) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose variant describes a response, and that response's row:
+    the row's own ("current") or the student's previous one ("prior")."""
+    shift = int(fam.variant == "prior")
+    rows = np.flatnonzero(batch.prior >= shift)
+    return rows, rows - shift
 
 
-def _emit_elapsed_time(out, b, codes, fam, recipe, state, event) -> None:
-    secs = event.elapsed_time_s if fam.variant == "current" else state.prior_elapsed_s
-    if secs is not None:
-        cat, scaled = elapsed_bins(secs)
-        out.append((b, -1, cat, 1.0))
-        if scaled:
-            out.append((b, -1, ELAPSED_MAX_S + 1, scaled))
+def _binned(rows: np.ndarray, cat: np.ndarray, scaled: np.ndarray, value_slot: int) -> _Block:
+    """A category one-hot per row, and the scaled value in `value_slot` where it is nonzero."""
+    nonzero = np.flatnonzero(scaled)
+    return _join(_block(rows, slot=cat), _block(rows[nonzero], slot=value_slot, value=scaled[nonzero]))
 
 
-def _emit_lag_time(out, b, codes, fam, recipe, state, event) -> None:
-    # the described response (this one or the latest, if any) lacks a lag
-    # only when it is the student's first
-    if fam.variant == "current":
-        lag_s, _ = lag_since(state.prior_end, event.timestamp)
-        described = True
-    else:
-        lag_s, described = state.prior_lag_s, state.prior_end is not None
+def _emit_elapsed_time(batch, domain, fam, recipe) -> _Block:
+    rows, described = _described(batch, fam)
+    secs = batch.elapsed[described]
+    known = ~np.isnan(secs)
+    return _binned(rows[known], *elapsed_bins(secs[known]), ELAPSED_MAX_S + 1)
+
+
+def _emit_lag_time(batch, domain, fam, recipe) -> _Block:
+    # the described response lacks a lag only when it is the student's first: the no-lag flag
+    rows, described = _described(batch, fam)
+    lag = batch.lags[described]
+    first = np.isnan(lag)
     n_cat = len(LAG_CATEGORIES_MIN)
-    if lag_s is not None:
-        cat, scaled = lag_bins(lag_s / 60.0)
-        out.append((b, -1, cat, 1.0))
-        if scaled:
-            out.append((b, -1, n_cat, scaled))
-    elif described:
-        out.append((b, -1, n_cat + 1, 1.0))
+    return _join(_block(rows[first], slot=n_cat + 1), _binned(rows[~first], *lag_bins(lag[~first] / 60.0), n_cat))
 
 
-# datetime variant -> (block width, column of a UTC datetime)
-_DATETIME: dict[str, tuple[int, Callable[[datetime], int]]] = {
-    "month": (12, lambda dt: dt.month - 1),
-    "week": (53, lambda dt: dt.isocalendar().week - 1),
-    "day": (7, datetime.weekday),
-    "hour": (24, lambda dt: dt.hour),
+# datetime variant -> (block width, each row's column from its UTC timestamp)
+_DATETIME: dict[str, tuple[int, Callable[[_Batch], np.ndarray]]] = {
+    "month": (12, lambda batch: batch.on_dates(lambda d: d.month - 1)),
+    "week": (53, lambda batch: batch.on_dates(lambda d: d.isocalendar().week - 1)),  # ISO, not %W or %U
+    "day": (7, lambda batch: batch.on_dates(date.weekday)),
+    "hour": (24, lambda batch: batch.ts // 3600 % 24),
 }
 
 
-def _emit_datetime(out, b, codes, fam, recipe, state, event) -> None:
-    dt = datetime.fromtimestamp(event.timestamp, tz=timezone.utc)
-    out.append((b, -1, _DATETIME[fam.variant][1](dt), 1.0))
-
-
-def _emit_study_module_counts(out, b, codes, fam, recipe, state, event) -> None:
-    cell = state.by_module.get(event.study_module)
-    if cell is not None:
-        _push_pair(out, b, codes.code(event.study_module), 0, cell[0], cell[1])
-
-
-def _emit_part_area_counts(out, b, codes, fam, recipe, state, event) -> None:
-    cell = state.by_part.get(event.part_area)
-    if cell is not None:
-        _push_pair(out, b, -1, 0, cell[0], cell[1])
+def _emit_datetime(batch, domain, fam, recipe) -> _Block:
+    return _block(np.arange(batch.n), slot=_DATETIME[fam.variant][1](batch))
 
 
 def _graph(step: str, counts: bool):
-    """State emitter for the nodes one `step` ("prereqs_of" or "postreqs_of")
-    away from the event's graph nodes: one-hots, or correct/attempt tallies."""
+    """Emitter for the nodes one `step` ("prereqs_of" or "postreqs_of") away
+    from each response's graph nodes: one-hots, or the student's correct and
+    attempt counts on each node before the response."""
 
-    def emit_graph(out, b, codes, fam, recipe, state, event) -> None:
-        graph = state.kc_graph
-        if graph is None:
-            raise ConfigError(f"family {fam.name} requires a prerequisite graph")
-        nodes = graph.nodes_for_event(event.question_id, state.original_kcs(event.kc_ids))
-        related: set[str] = set()
-        for node in nodes:
-            related.update(getattr(graph, step)(node))
-        for p in sorted(related):
-            if not counts:
-                out.append((b, codes.code(p), 0, 1.0))
-            elif (cell := state.graph_nodes.get(p)) is not None:
-                _push_pair(out, b, codes.code(p), 0, cell[0], cell[1])
+    def emit_graph(batch, domain, fam, recipe) -> _Block:
+        row, node = batch.graph_nodes(step)
+        if not counts:
+            return _block(row, node)
+        inc_row, inc_node = batch.graph_nodes("counted")
+        width = len(batch.codes["graph_node"])
+        before = _sums_before(
+            batch.student[inc_row] * width + inc_node, inc_row,
+            np.column_stack((batch.y[inc_row], np.ones(len(inc_row)))),
+            batch.student[row] * width + node, row,
+        )
+        return batch.count_entries(row, node, before.astype(np.int64))
 
     return emit_graph
 
@@ -718,18 +799,16 @@ def _per_variant(value, variant: str | None):
 class _Kind:
     """Everything this module knows about one family kind.
 
-    `emitter` is an array emitter, or a state emitter when `state` is
-    set.  `flags` and `vocab` hold one value for every variant, or a dict
-    keyed by variant.  A block has `slots` columns per entry of its
-    vocabulary, or `slots` columns in all when it has none.
+    `flags` and `vocab` hold one value for every variant, or a dict keyed
+    by variant.  A block has `slots` columns per entry of its vocabulary,
+    or `slots` columns in all when it has none.
     """
 
-    emitter: Callable[..., _Block | None]
+    emitter: Callable[..., _Block]
     variants: tuple[str, ...] | None = None
     flags: tuple[str, ...] | Mapping[str, tuple[str, ...]] = ()  # any one suffices
     vocab: str | Mapping[str, str] | None = None
     slots: int | Callable[[FeatureFamily, Recipe], int] = 1
-    state: bool = False
 
     def needs(self, variant: str | None) -> tuple[str, ...]:
         return _per_variant(self.flags, variant)
@@ -746,16 +825,39 @@ class _Kind:
         return per if domain is None else per * len(vocabs[domain])
 
 
-def _material(attr: str) -> _Kind:
-    """Row of a family emitting a StudentState material tally (total, related to the
-    event's KCs), gated by the flag of the MATERIAL_KINDS row that fills the tally."""
+def _material(tally: str) -> _Kind:
+    """Row of a family writing a material tally before each response, in
+    total and summed over the response's listed KCs, gated by the flag of
+    the MATERIAL_KINDS row that fills the tally."""
 
-    def emit_tally(out, b, codes, fam, recipe, state, event) -> None:
-        tally = getattr(state, attr)
-        _push_pair(out, b, -1, 0, tally.total, tally.for_kcs(event.kc_ids))
+    def emit_tally(batch, domain, fam, recipe) -> _Block:
+        stream = batch.stream
+        amount = stream.amounts[tally]
+        event = np.flatnonzero(amount)
+        total = _sums_before(stream.student[event], event, amount[event], batch.student, stream.row_at)
+        # per (student, KC), read at each listed KC of the response, duplicates too
+        row, code = batch.kc_pairs
+        pair = np.flatnonzero(amount[stream.kc_event])
+        event = stream.kc_event[pair]
+        width = len(batch.codes["kc"])
+        per_kc = _sums_before(
+            stream.student[event] * width + stream.kc_code[pair], event, amount[event],
+            batch.student[row] * width + code, stream.row_at[row],
+        )
+        # summed over the response's KCs in listed order, as sum() adds them
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        last = np.flatnonzero(np.append(first[1:], True)[: len(row)])  # none when no response lists a KC
+        related = np.zeros(batch.n)
+        related[row[last]] = _running_sums(per_kc, first)[last]
+        blocks = []
+        for slot, sums in enumerate((total, related)):
+            rows = np.flatnonzero(sums)
+            blocks.append(_block(rows, slot=slot, value=_scaled(sums[rows])))
+        return _join(*blocks)
 
-    flag = next(m.flag for m in MATERIAL_KINDS.values() if attr in (m.count, m.minutes))
-    return _Kind(emit_tally, flags=(flag,), slots=2, state=True)
+    flag = next(m.flag for m in MATERIAL_KINDS.values() if tally in (m.count, m.minutes))
+    return _Kind(emit_tally, flags=(flag,), slots=2)
 
 
 # each optional event field's flags, for the families reading it
@@ -772,23 +874,17 @@ _KINDS: dict[str, _Kind] = {
     "student": _Kind(_one_hot("student_id"), vocab="student"),
     "question": _Kind(_one_hot("question_id"), vocab="question"),
     "kc": _Kind(_emit_kc, vocab="kc"),
-    "counts": _Kind(_emit_counts, _SCOPES, vocab={"kc": "kc"}, slots=2),
+    "counts": _Kind(_counts(), _SCOPES, vocab={"kc": "kc"}, slots=2),
     "tw_counts": _Kind(
         _emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=lambda fam, recipe: 2 * recipe.tw.count
     ),
     # categories, then the scaled value (and the no-lag flag for lag time)
-    "elapsed_time": _Kind(
-        _emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2, state=True
-    ),
-    "lag_time": _Kind(
-        _emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2, state=True
-    ),
-    "datetime": _Kind(
-        _emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0], state=True
-    ),
+    "elapsed_time": _Kind(_emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2),
+    "lag_time": _Kind(_emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2),
+    "datetime": _Kind(_emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]),
     "study_module": _Kind(_one_hot("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
     "study_module_counts": _Kind(
-        _emit_study_module_counts, flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2, state=True
+        _counts("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2
     ),
     "context": _Kind(
         _one_hot(None),
@@ -796,11 +892,11 @@ _KINDS: dict[str, _Kind] = {
         flags={v: _FIELD_FLAGS[v] for v in _CONTEXT_FIELDS},
         vocab={v: v for v in _CONTEXT_FIELDS},
     ),
-    "part_area_counts": _Kind(_emit_part_area_counts, flags=_FIELD_FLAGS["part_area"], slots=2, state=True),
-    "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node", state=True),
-    "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2, state=True),
-    "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node", state=True),
-    "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2, state=True),
+    "part_area_counts": _Kind(_counts("part_area"), flags=_FIELD_FLAGS["part_area"], slots=2),
+    "prereq_ids": _Kind(_graph("prereqs_of", False), flags=_GRAPH, vocab="graph_node"),
+    "prereq_counts": _Kind(_graph("prereqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
+    "postreq_ids": _Kind(_graph("postreqs_of", False), flags=_GRAPH, vocab="graph_node"),
+    "postreq_counts": _Kind(_graph("postreqs_of", True), flags=_GRAPH, vocab="graph_node", slots=2),
     "video_watched_counts": _material("videos_watched"),
     "video_skipped_counts": _material("videos_skipped"),
     "video_watched_time": _material("video_minutes"),
@@ -925,25 +1021,6 @@ class _Placer:
 # ---------------------------------------------------------------------------
 # Extraction driver
 
-def iter_contexts(
-    events: Sequence[InteractionEvent],
-    kc_graph: KCGraph | None = None,
-    squash_map: Mapping[str, tuple[str, ...]] | None = None,
-) -> Iterator[tuple[InteractionEvent, StudentState, int]]:
-    """Walk one student's events, yielding (response, state-before, index).
-
-    The yielded index is the number of prior responses; the state has
-    absorbed only events strictly before the yielded response.
-    """
-    state = StudentState(kc_graph=kc_graph, squash_map=squash_map)
-    t = 0
-    for e in events:
-        if e.is_response():
-            yield e, state, t
-            t += 1
-        update_state(state, e)
-
-
 @dataclass(frozen=True)
 class _StudentRows:
     """One student's walk under one recipe: keyed entries plus labels."""
@@ -952,29 +1029,6 @@ class _StudentRows:
     responses: list[InteractionEvent]
     y: np.ndarray
     entries: _Entries
-
-
-def _state_entries(
-    walks: Sequence[Sequence[InteractionEvent]],
-    plan: Sequence[tuple],
-    recipe: Recipe,
-    kc_graph: KCGraph | None,
-    squash_map: Mapping[str, tuple[str, ...]] | None,
-) -> tuple[np.ndarray, _Block]:
-    """Block numbers and entries of the state families in `plan`, from one
-    iter_contexts walk per student; rows count on across the students."""
-    out: list[tuple] = []
-    row_len: list[int] = []
-    for events in walks:
-        for event, state, _ in iter_contexts(events, kc_graph=kc_graph, squash_map=squash_map):
-            start = len(out)
-            for emitter, b, domain_codes, fam in plan:
-                emitter(out, b, domain_codes, fam, recipe, state, event)
-            row_len.append(len(out) - start)
-    flat = np.fromiter(chain.from_iterable(out), dtype=np.float64, count=4 * len(out)).reshape(-1, 4)
-    rows = np.repeat(np.arange(len(row_len)), row_len)
-    entries = _Block(rows, flat[:, 1].astype(np.int64), flat[:, 2].astype(np.int64), flat[:, 3])
-    return flat[:, 0].astype(np.int16), entries
 
 
 def _walk(
@@ -986,23 +1040,17 @@ def _walk(
 ) -> list[_StudentRows]:
     """The rows of several students (id -> events) under one recipe, in the given order.
 
-    The array emitters write their blocks for all the students at once;
-    when the recipe holds a state family, iter_contexts walks each
-    student for the state emitters.  A stable sort on row merges the
-    blocks, and the result is split back per student.
+    Each family's emitter writes its block for all the students at once;
+    a stable sort on row merges the blocks, and the result is split back
+    per student.
     """
-    batch = _Batch(list(walks.values()), codes)
+    batch = _Batch(list(walks.values()), codes, kc_graph, squash_map)
     blocks: list[tuple[np.ndarray, _Block]] = []
-    plan = []  # (emitter, block, domain codes, family) of each state family
     for b, (fam, domain) in enumerate(zip(recipe.families, recipe._layout.domains)):
-        kind = _KINDS[fam.kind]
-        if kind.state:
-            plan.append((kind.emitter, b, None if domain is None else codes.setdefault(domain, _Codes()), fam))
-        else:
-            entries = kind.emitter(batch, domain, fam, recipe)
-            blocks.append((np.full(len(entries.row), b, dtype=np.int16), entries))
-    if plan:
-        blocks.append(_state_entries(list(walks.values()), plan, recipe, kc_graph, squash_map))
+        entries = _KINDS[fam.kind].emitter(batch, domain, fam, recipe)
+        if domain is None:  # a block without a vocabulary has no key codes
+            entries = entries._replace(code=np.broadcast_to(-1, entries.row.shape))
+        blocks.append((np.full(len(entries.row), b, dtype=np.int16), entries))
 
     row = np.concatenate([e.row for _, e in blocks])
     order = np.argsort(row, kind="stable")
@@ -1064,6 +1112,8 @@ class RowStore:
     ) -> tuple[list[_StudentRows], dict[str, list[str]]]:
         """Rows of the given students in sorted-id order, walking the missing
         ones, plus each domain's keys in code order."""
+        if kc_graph is None and (needs_graph := _graph_families(recipe)):
+            raise ConfigError(f"family {needs_graph[0]} requires a prerequisite graph")
         with self._lock:
             if self._context is None:
                 self._context = (kc_graph, squash_map)

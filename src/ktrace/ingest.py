@@ -33,8 +33,7 @@ from ktrace.core import (
     ParseError,
     SchemaError,
     canonical_json,
-    lag_since,
-    response_end,
+    response_lags,
 )
 from ktrace.features import RowStore
 
@@ -247,15 +246,9 @@ def split_folds(dataset: Dataset, k: int = 5, seed: int = 0) -> FoldAssignment:
 
 
 def derive_lag_times(dataset: Dataset) -> Dataset:
-    """Add the responses whose lag time extraction clamps to zero (`lag_since`)
+    """Add the responses whose lag time extraction clamps to zero (`response_lags`)
     to quality["negative_lag_clamped"]; no event changes."""
-    negative = 0
-    for events in dataset.students.values():
-        prior_end = None
-        for e in events:
-            if e.is_response():
-                negative += lag_since(prior_end, e.timestamp)[1]
-                prior_end = response_end(e)
+    negative = int(response_lags(dataset.students.values())[1].sum())
     quality = dict(dataset.quality)
     quality["negative_lag_clamped"] = quality.get("negative_lag_clamped", 0) + negative
     return replace(dataset, quality=quality)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ktrace.core import DatasetManifest, EventKind, InteractionEvent, StudentState
-from ktrace.features import update_state
+from ktrace.core import DatasetManifest, EventKind, InteractionEvent
 from ktrace.ingest import CANONICAL_COLUMNS, Dataset
 
 
@@ -36,17 +35,6 @@ def toy_dataset(per_student, name="toy", capabilities=()) -> Dataset:
     """per_student: dict sid -> list of events (already ordered)."""
     manifest = DatasetManifest(name=name, capabilities=frozenset(capabilities))
     return Dataset(manifest=manifest, students={s: list(v) for s, v in sorted(per_student.items())})
-
-
-def walk_lags(events):
-    """The lag time update_state records for each response (None for a student's first)."""
-    state = StudentState()
-    lags = []
-    for e in events:
-        update_state(state, e)
-        if e.is_response():
-            lags.append(state.prior_lag_s)
-    return lags
 
 
 @pytest.fixture

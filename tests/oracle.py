@@ -1,9 +1,9 @@
 """Brute-force reference computations for feature emission and training.
 
 Everything here recomputes expected feature values from a raw event
-prefix with plain loops (no StudentState, no ResponseLog, no
+prefix with plain loops (no ReferenceState, no ResponseLog, no
 build_matrix), so it can serve as an independent check of the
-incremental extraction path: `compare_vector` checks one CSR row of a
+array extraction path: `compare_vector` checks one CSR row of a
 build_matrix result.  Layout (offsets, vocab indexing) comes from the
 encoder under test; the values are derived from scratch.
 
@@ -11,9 +11,10 @@ encoder under test; the values are derived from scratch.
 response, sorted, zeros dropped and duplicate columns refused, columns
 written straight from the encoder's vocabularies) that the keyed-row
 store replaced; the production build_matrix must reproduce its matrices
-bit for bit.  It keeps its own per-response logs (`ResponseLog`,
-`ReferenceLogs`) for the families build_matrix computes from prefix
-arrays.
+bit for bit.  It walks each student one event at a time with its own
+state (`ReferenceState`, `reference_update`) and per-response logs
+(`ResponseLog`, `ReferenceLogs`), and imports nothing from
+`ktrace.features`.
 
 `reference_fit` is a straightforward gradient-descent trainer (step
 halving, recomputing X @ w for the gradient of every accepted step); the
@@ -33,15 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ktrace.core import ConfigError, scale
+from ktrace.core import ConfigError, SequencingError, scale
 from ktrace.evaluate import interval_label
-from ktrace.features import (
-    ELAPSED_MAX_S,
-    LAG_CATEGORIES_MIN,
-    elapsed_bins,
-    iter_contexts,
-    lag_bins,
-)
 from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
 from ktrace.specialize import MISSING_KEY, ResponseIndex
 
@@ -62,6 +56,13 @@ def _brute_lag(previous, response):
     receipt of `response`, clamped at zero."""
     end = previous.timestamp + (previous.elapsed_time_s or 0.0)
     return max(response.timestamp - end, 0.0)
+
+
+def brute_lags(events):
+    """`_brute_lag` of each response of one student's events from the one
+    before it (None for the first)."""
+    responses = _responses(events)
+    return [None if i == 0 else _brute_lag(responses[i - 1], e) for i, e in enumerate(responses)]
 
 
 def _orig_kcs(kcs, squash_map):
@@ -477,10 +478,106 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
 # Reference extraction: the per-row emit -> sort -> stack loop that
 # build_matrix replaced.  Every emitter writes encoder columns directly
 # from the encoder's vocabularies; build_matrix must give the same bytes.
-# The state families read the StudentState of features.iter_contexts; the
-# prefix families (counts, time windows, the smoothed average, the response
-# pattern, the lag flag's response count) read the reference's own logs
-# below, kept one response at a time, not build_matrix's prefix arrays.
+# The reference walks each student one event at a time: the elapsed and
+# lag times, module, part and graph-node counts and material tallies read
+# a ReferenceState, the prefix families (counts, time windows, the smoothed
+# average, the response pattern, the lag flag's response count) the
+# ReferenceLogs, both kept below, not build_matrix's prefix arrays.
+
+# material event kind -> (tally its count goes to, tally its minutes go to)
+_REF_MATERIAL = {
+    "VideoWatch": ("videos_watched", "video_minutes"),
+    "VideoSkip": ("videos_skipped", None),
+    "Reading": ("readings", "reading_minutes"),
+    "HintUse": ("hints", "hint_minutes"),
+}
+
+
+class ReferenceTally:
+    """Total plus per-KC accumulator of one material tally."""
+
+    def __init__(self):
+        self.total = 0.0
+        self.by_kc = {}
+
+    def add(self, kc_ids, amount):
+        self.total += amount
+        for k in kc_ids:
+            self.by_kc[k] = self.by_kc.get(k, 0.0) + amount
+
+    def for_kcs(self, kc_ids):
+        return sum(self.by_kc.get(k, 0.0) for k in kc_ids)
+
+
+class ReferenceState:
+    """One student's running aggregates over the events seen so far."""
+
+    def __init__(self, kc_graph=None, squash_map=None):
+        self.kc_graph = kc_graph
+        self.squash_map = squash_map
+        self.by_module = {}
+        self.by_part = {}
+        self.graph_nodes = {}
+        self.tallies = {t: ReferenceTally() for pair in _REF_MATERIAL.values() for t in pair if t}
+        self.previous = None  # the latest response
+        self.prior_lag_s = None  # its lag time
+        self.last_timestamp = None
+
+
+def _ref_cell(table, key, correct):
+    cell = table.setdefault(key, [0, 0])
+    cell[0] += 1 if correct else 0
+    cell[1] += 1
+
+
+def reference_update(state, event):
+    """Fold one event into the state; events must come in timestamp order."""
+    if state.last_timestamp is not None and event.timestamp < state.last_timestamp:
+        raise SequencingError(f"event at {event.timestamp} arrived after state reached {state.last_timestamp}")
+    state.last_timestamp = event.timestamp
+    if event.kind.value != "QuestionResponse":
+        count_tally, minutes_tally = _REF_MATERIAL[event.kind.value]
+        amount = float(event.hint_count or 1) if event.kind.value == "HintUse" else 1.0
+        state.tallies[count_tally].add(event.kc_ids, amount)
+        if event.consumption_minutes and minutes_tally:
+            state.tallies[minutes_tally].add(event.kc_ids, event.consumption_minutes)
+        return
+    if event.study_module is not None:
+        _ref_cell(state.by_module, event.study_module, event.correct)
+    if event.part_area is not None:
+        _ref_cell(state.by_part, event.part_area, event.correct)
+    if state.kc_graph is not None:
+        graph = state.kc_graph
+        keys = [event.question_id] if graph.node_kind == "question" else _orig_kcs(event.kc_ids, state.squash_map)
+        touched = set()
+        for key in keys:
+            touched.update(graph.nodes_counting.get(key, ()))
+        for node in touched:  # once per response, even with several matching KCs
+            _ref_cell(state.graph_nodes, node, event.correct)
+    if event.hint_count:
+        state.tallies["hints"].add(event.kc_ids, float(event.hint_count))
+    state.prior_lag_s = None if state.previous is None else _brute_lag(state.previous, event)
+    state.previous = event
+
+
+def reference_walk(events, kc_graph=None, squash_map=None):
+    """Yield (response, state before it, number of prior responses) for one student's events."""
+    state = ReferenceState(kc_graph, squash_map)
+    t = 0
+    for event in events:
+        if event.is_response():
+            yield event, state, t
+            t += 1
+        reference_update(state, event)
+
+
+def _ref_elapsed_bins(seconds):
+    return min(int(math.floor(seconds)), ELAPSED_CAP), scale(seconds)
+
+
+def _ref_lag_bins(minutes):
+    whole = int(math.floor(minutes + 0.5))
+    return bisect_right(LAG_CATS, whole) - 1, scale(minutes)
 
 class ResponseLog:
     """Append-only correctness log for one scope (student / KC / question).
@@ -651,23 +748,26 @@ def _ref_block(entries, off, fam, encoder, state, logs, event):
             if idx is not None:
                 _ref_push_windows(entries, off + idx * per_kc, logs.by_kc.get(k), event.timestamp)
     elif kind == "elapsed_time":
-        secs = event.elapsed_time_s if variant == "current" else state.prior_elapsed_s
+        if variant == "current":
+            secs = event.elapsed_time_s
+        else:
+            secs = None if state.previous is None else state.previous.elapsed_time_s
         if secs is not None:
-            cat, scaled = elapsed_bins(secs)
+            cat, scaled = _ref_elapsed_bins(secs)
             entries.append((off + cat, 1.0))
             if scaled:
-                entries.append((off + ELAPSED_MAX_S + 1, scaled))
+                entries.append((off + ELAPSED_CAP + 1, scaled))
     elif kind == "lag_time":
         if variant == "current":
             flag = logs.total.attempts == 0
-            lag_s = None if flag else max(event.timestamp - state.prior_end, 0.0)
+            lag_s = None if flag else _brute_lag(state.previous, event)
         else:
             flag, lag_s = logs.total.attempts == 1, state.prior_lag_s
-        n_cat = len(LAG_CATEGORIES_MIN)
+        n_cat = len(LAG_CATS)
         if flag:
             entries.append((off + n_cat + 1, 1.0))
         elif lag_s is not None:
-            cat, scaled = lag_bins(lag_s / 60.0)
+            cat, scaled = _ref_lag_bins(lag_s / 60.0)
             entries.append((off + cat, 1.0))
             if scaled:
                 entries.append((off + n_cat, scaled))
@@ -690,7 +790,7 @@ def _ref_block(entries, off, fam, encoder, state, logs, event):
         if graph is None:
             raise ConfigError(f"family {fam.name} requires a prerequisite graph")
         step = graph.prereqs_of if kind.startswith("prereq") else graph.postreqs_of
-        nodes = graph.nodes_for_event(event.question_id, state.original_kcs(event.kc_ids))
+        nodes = graph.nodes_for_event(event.question_id, _orig_kcs(event.kc_ids, state.squash_map))
         related = set()
         for node in nodes:
             related.update(step(node))
@@ -703,7 +803,7 @@ def _ref_block(entries, off, fam, encoder, state, logs, event):
             elif (cell := state.graph_nodes.get(p)) is not None:
                 _ref_push_pair(entries, off + 2 * idx, cell[0], cell[1])
     elif kind in _REF_TALLIES:
-        tally = getattr(state, _REF_TALLIES[kind])
+        tally = state.tallies[_REF_TALLIES[kind]]
         _ref_push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
     elif kind == "smoothed_avg_correct":
         value = _ref_smoothed(logs.total.corrects, logs.total.attempts, encoder.rbar, encoder.recipe.eta)
@@ -753,7 +853,7 @@ def reference_build_matrix(students, encoder, kc_graph=None, squash_map=None):
     vectors, labels, t_idx, kept = [], [], [], []
     for sid in sorted(students):
         logs = ReferenceLogs(encoder.recipe.tw.finite_seconds)
-        for event, state, t in iter_contexts(students[sid], kc_graph=kc_graph, squash_map=squash_map):
+        for event, state, t in reference_walk(students[sid], kc_graph, squash_map):
             vectors.append(reference_emit(encoder, state, logs, event))
             logs.add(event)
             labels.append(1 if event.correct else 0)

@@ -18,7 +18,6 @@ from ktrace.core import (
     InteractionEvent,
     KCGraph,
     SequencingError,
-    StudentState,
     scale,
 )
 from ktrace.features import (
@@ -34,7 +33,6 @@ from ktrace.features import (
     fit_encoders,
     lag_bins,
     smoothed_avg_correct,
-    update_state,
 )
 from ktrace.ingest import Dataset, derive_lag_times, squash_multi_kc
 from ktrace.recipes import _FIXED
@@ -67,26 +65,26 @@ def test_recipe_validation():
 
 
 def test_elapsed_bins():
-    assert elapsed_bins(12.7)[0] == 12
-    assert elapsed_bins(500.0)[0] == 300
-    assert elapsed_bins(0.0) == (0, 0.0)
-    assert abs(elapsed_bins(99.0)[1] - math.log(100.0)) < 1e-12
+    cat, scaled = elapsed_bins(np.array([12.7, 500.0, 0.0, 99.0]))
+    assert cat.tolist() == [12, 300, 0, 99]
+    assert scaled[2] == 0.0
+    assert abs(scaled[3] - math.log(100.0)) < 1e-12
     with pytest.raises(ValueError):
-        elapsed_bins(-1.0)
+        elapsed_bins(np.array([1.0, -1.0]))
 
 
 def test_lag_bins():
     from ktrace.features import LAG_CATEGORIES_MIN
 
     assert len(LAG_CATEGORIES_MIN) == 150
-    assert lag_bins(0.0)[0] == 0
-    assert lag_bins(7.0)[0] == LAG_CATEGORIES_MIN.index(5)
-    assert lag_bins(10.0)[0] == LAG_CATEGORIES_MIN.index(10)
-    assert lag_bins(2000.0)[0] == len(LAG_CATEGORIES_MIN) - 1
-    assert lag_bins(1440.0)[0] == len(LAG_CATEGORIES_MIN) - 1
+    last = len(LAG_CATEGORIES_MIN) - 1
+    cat, _ = lag_bins(np.array([0.0, 7.0, 10.0, 2000.0, 1440.0]))
+    assert cat.tolist() == [0, LAG_CATEGORIES_MIN.index(5), LAG_CATEGORIES_MIN.index(10), last, last]
     # rounding half-up to whole minutes happens before categorizing
-    assert lag_bins(4.5)[0] == LAG_CATEGORIES_MIN.index(5)
-    assert lag_bins(4.4)[0] == LAG_CATEGORIES_MIN.index(4)
+    cat, _ = lag_bins(np.array([4.5, 4.4]))
+    assert cat.tolist() == [LAG_CATEGORIES_MIN.index(5), LAG_CATEGORIES_MIN.index(4)]
+    with pytest.raises(ValueError):
+        lag_bins(np.array([-0.5]))
 
 
 def test_smoothed_avg_correct():
@@ -215,53 +213,6 @@ def test_encoder_json_roundtrip():
     again = Encoder.from_json(enc.to_json())
     assert again.digest() == enc.digest()
     assert again.dim == enc.dim
-
-
-def test_update_state_counts():
-    st = StudentState()
-    update_state(st, response("s1", 100, "q1", ["k1", "k2"], True, study_module="m", elapsed_time_s=5.0))
-    assert st.by_module == {"m": [1, 1]} and st.by_part == {}
-    assert (st.prior_elapsed_s, st.prior_lag_s, st.prior_end) == (5.0, None, 105.0)
-    update_state(st, response("s1", 200, "q2", ["k2"], False, study_module="m", part_area="p"))
-    assert st.by_module == {"m": [1, 2]} and st.by_part == {"p": [0, 1]}
-    assert (st.prior_elapsed_s, st.prior_lag_s, st.prior_end) == (None, 95.0, 200.0)
-
-
-def test_update_state_materials():
-    st = StudentState()
-    update_state(
-        st,
-        InteractionEvent(
-            student_id="s1", timestamp=10, kind=EventKind.VIDEO_SKIP, kc_ids=("k1",)
-        ),
-    )
-    update_state(
-        st,
-        InteractionEvent(
-            student_id="s1",
-            timestamp=20,
-            kind=EventKind.VIDEO_WATCH,
-            kc_ids=("k1",),
-            consumption_minutes=3.5,
-        ),
-    )
-    assert st.videos_skipped.total == 1.0
-    assert st.videos_watched.for_kcs(("k1",)) == 1.0
-    assert st.video_minutes.total == 3.5
-    update_state(
-        st,
-        InteractionEvent(
-            student_id="s1", timestamp=30, kind=EventKind.HINT_USE, kc_ids=("k1",), hint_count=2
-        ),
-    )
-    assert st.hints.total == 2.0
-
-
-def test_update_state_rejects_out_of_order():
-    st = StudentState()
-    update_state(st, response("s1", 100, "q1", ["k1"], True))
-    with pytest.raises(SequencingError):
-        update_state(st, response("s1", 50, "q2", ["k1"], True))
 
 
 def _row_pairs(ext, r):
@@ -402,9 +353,9 @@ def _swap_counts_slots(monkeypatch):
     monkeypatch.setitem(_KINDS, "counts", dataclasses.replace(_KINDS["counts"], emitter=swapped))
 
 
-# an array-only recipe, and one whose walk also runs iter_contexts for state families
+# a recipe of counts only, and one with lag and datetime families too
 _COUNTS_ONLY = Recipe(families=(F("bias"), F("counts", "total"), F("counts", "kc"), F("counts", "question")))
-_COUNTS_AND_STATE = Recipe(families=_COUNTS_ONLY.families + (F("lag_time", "current"), F("datetime", "hour")))
+_COUNTS_AND_TIMES = Recipe(families=_COUNTS_ONLY.families + (F("lag_time", "current"), F("datetime", "hour")))
 
 
 def test_row_oracle_catches_a_wrong_slot(rng, monkeypatch):
@@ -530,7 +481,7 @@ def _random_full_students(rng, n_students=6, max_events=120, short_gaps=False):
                         timestamp=ts,
                         kind=kind,
                         kc_ids=m_kcs,
-                        consumption_minutes=float(rng.integers(1, 30)) if rng.random() < 0.7 else None,
+                        consumption_minutes=float(rng.integers(1, 30)) / 7 if rng.random() < 0.7 else None,
                         hint_count=int(rng.integers(1, 3)) if kind is EventKind.HINT_USE else None,
                     )
                 )
@@ -713,7 +664,7 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
 
 def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
     students = _random_full_students(rng, n_students=4, max_events=40)
-    encoders = [fit_encoders(students, r, FULL) for r in (_COUNTS_ONLY, _COUNTS_AND_STATE)]
+    encoders = [fit_encoders(students, r, FULL) for r in (_COUNTS_ONLY, _COUNTS_AND_TIMES)]
     refs = [reference_build_matrix(students, enc) for enc in encoders]
     for enc, ref in zip(encoders, refs):
         assert not _extraction_mismatch(build_matrix(students, enc), ref)
@@ -772,16 +723,16 @@ def test_array_walk_edge_cases():
         "b": [response("b", 10, "q1", ["k1"], True), response("b", 20, "q2", ["k2"], False)],
         "c": [_video("c", 5, ["k1"])],
     }
-    array_only = Recipe(
+    prefix_only = Recipe(
         families=(F("bias"), F("kc"), *(F(k, scope) for k in ("counts", "tw_counts") for scope in _SCOPES),
                   F("smoothed_avg_correct"), F("response_pattern")),
         n_recent=3,
         tw=tw,
     )
     with_state = dataclasses.replace(
-        array_only, families=array_only.families + (F("video_watched_counts"), F("lag_time", "current"))
+        prefix_only, families=prefix_only.families + (F("video_watched_counts"), F("lag_time", "current"))
     )
-    for recipe in (array_only, with_state):
+    for recipe in (prefix_only, with_state):
         enc = fit_encoders(students, recipe, FULL)
         ext = build_matrix(students, enc)
         assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
@@ -824,6 +775,159 @@ def test_array_walk_counts_a_repeated_kc_twice():
     assert counts == [{}, {0: scale(2), 1: scale(2)}, {0: scale(2), 1: scale(3)}]
 
 
+def _material(ts, kind, kcs=("k1",), **cells):
+    return InteractionEvent("s1", ts, kind, kc_ids=tuple(kcs), **cells)
+
+
+def _hand_rows(events, families, manifest=FULL):
+    """(row -> {slot: value} of a block) for one student's build_matrix rows,
+    after checking them against the reference extraction."""
+    students = {"s1": events}
+    enc = fit_encoders(students, Recipe(families=families), manifest)
+    ext = build_matrix(students, enc)
+    assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
+    return lambda name: [_block_values(ext, enc, r, name) for r in range(ext.X.shape[0])]
+
+
+def test_module_part_elapsed_and_lag_by_hand():
+    """Module and part counts, prior elapsed time and lag times before each response."""
+    events = [
+        response("s1", 100, "q1", ["k1", "k2"], True, study_module="m", elapsed_time_s=5.0),
+        response("s1", 200, "q2", ["k2"], False, study_module="m", part_area="p"),
+        response("s1", 500, "q3", ["k1"], True, study_module="m", part_area="p"),
+    ]
+    rows = _hand_rows(events, (F("study_module_counts"), F("part_area_counts"), F("elapsed_time", "prior"),
+                               F("lag_time", "current"), F("lag_time", "prior")))
+    assert rows("study_module_counts") == [{}, {0: scale(1), 1: scale(1)}, {0: scale(1), 1: scale(2)}]
+    assert rows("part_area_counts") == [{}, {}, {1: scale(1)}]
+    assert rows("elapsed_time:prior") == [{}, {5: 1.0, 301: scale(5.0)}, {}]
+    # lags: 200 - (100 + 5.0) = 95 s, then 500 - 200 = 300 s; 150 categories, the value, the no-lag flag
+    first, after_95, after_300 = {151: 1.0}, {2: 1.0, 150: scale(95 / 60)}, {5: 1.0, 150: scale(5.0)}
+    assert rows("lag_time:current") == [first, after_95, after_300]
+    assert rows("lag_time:prior") == [{}, first, after_95]
+
+
+def test_material_tallies_by_hand():
+    """Video skips and watches, minutes 3.5, a HintUse's hint_count and a response's
+    hint_count, which counts from the next response on."""
+    events = [
+        _material(10, EventKind.VIDEO_SKIP),
+        _material(20, EventKind.VIDEO_WATCH, consumption_minutes=3.5),
+        _material(30, EventKind.HINT_USE, hint_count=2),
+        response("s1", 40, "q1", ["k1"], True, hint_count=3),
+        response("s1", 50, "q2", ["k2"], False),
+    ]
+    rows = _hand_rows(events, (F("video_skipped_counts"), F("video_watched_counts"), F("video_watched_time"),
+                               F("hint_counts")))
+    assert rows("video_skipped_counts") == [{0: scale(1.0), 1: scale(1.0)}, {0: scale(1.0)}]
+    assert rows("video_watched_counts") == [{0: scale(1.0), 1: scale(1.0)}, {0: scale(1.0)}]
+    assert rows("video_watched_time") == [{0: scale(3.5), 1: scale(3.5)}, {0: scale(3.5)}]
+    assert rows("hint_counts") == [{0: scale(2.0), 1: scale(2.0)}, {0: scale(5.0)}]
+
+
+def test_update_state_rejects_out_of_order():
+    """A student's running state, whether prefix counts or module and lag tallies,
+    takes no event earlier than the one before it."""
+    first = response("s1", 100, "q1", ["k1"], True)
+    for families in ((F("counts", "total"),), (F("study_module_counts"), F("lag_time", "current"))):
+        enc = fit_encoders({"s1": [first]}, Recipe(families=families), FULL)
+        with pytest.raises(SequencingError, match="event at 50 arrived after state reached 100"):
+            build_matrix({"s1": [first, response("s1", 50, "q2", ["k1"], True)]}, enc)
+
+
+def test_material_events_count_by_list_position():
+    """A material event listed just before a response at the same timestamp counts
+    for it; one listed just after does not."""
+    events = [
+        response("s1", 100, "q1", ["k1"], True),
+        _material(200, EventKind.VIDEO_WATCH),
+        response("s1", 200, "q2", ["k1"], False),
+        _material(200, EventKind.VIDEO_WATCH),
+        response("s1", 300, "q3", ["k1"], True),
+    ]
+    rows = _hand_rows(events, (F("video_watched_counts"),))
+    assert rows("video_watched_counts") == [{}, {0: scale(1.0), 1: scale(1.0)}, {0: scale(2.0), 1: scale(2.0)}]
+
+
+def test_material_minutes_sum_in_event_order_per_kc():
+    """Minutes 0.1 and 0.2 on k1, then 0.3 on k2: k2's tally is exactly 0.3, where a
+    cumulative sum over both KCs minus k2's start gives 0.30000000000000004.  A row
+    shows only scale() of a tally, which rounds that difference away, so the rows
+    take 0.2 on k2 instead (0.19999999999999996 the wrong way)."""
+    # groups k1, k1, k2 at positions 0, 1, 2; read k2 and k1 at position 3
+    tallies = features._sums_before(
+        np.array([0, 0, 1]), np.arange(3), np.array([0.1, 0.2, 0.3]), np.array([1, 0]), np.array([3, 3])
+    )
+    assert tallies.tolist() == [0.3, 0.1 + 0.2]
+    events = [
+        _material(10, EventKind.VIDEO_WATCH, consumption_minutes=0.1),
+        _material(20, EventKind.VIDEO_WATCH, consumption_minutes=0.2),
+        _material(30, EventKind.VIDEO_WATCH, ["k2"], consumption_minutes=0.2),
+        response("s1", 40, "q1", ["k2"], True),
+        response("s1", 50, "q2", ["k1"], True),
+    ]
+    total = scale(0.1 + 0.2 + 0.2)
+    rows = _hand_rows(events, (F("video_watched_time"),))
+    assert rows("video_watched_time") == [{0: total, 1: scale(0.2)}, {0: total, 1: scale(0.1 + 0.2)}]
+
+
+def test_material_event_on_a_kc_listed_twice():
+    """An event listing a KC twice adds to it twice, and a response listing it twice reads it twice."""
+    events = [
+        _material(10, EventKind.VIDEO_WATCH, ["k1", "k1"], consumption_minutes=1.5),
+        response("s1", 20, "q1", ["k1"], True),
+        InteractionEvent("s1", 30, EventKind.QUESTION_RESPONSE, "q2", ("k1", "k1"), False),
+    ]
+    rows = _hand_rows(events, (F("video_watched_counts"), F("video_watched_time")))
+    assert rows("video_watched_counts") == [{0: scale(1.0), 1: scale(2.0)}, {0: scale(1.0), 1: scale(4.0)}]
+    assert rows("video_watched_time") == [{0: scale(1.5), 1: scale(3.0)}, {0: scale(1.5), 1: scale(6.0)}]
+
+
+def test_material_tallies_when_no_response_lists_a_kc():
+    """Responses without KCs still get the total tallies, and so does a walk whose
+    one student has only a video: every family gives the reference's bytes."""
+    students = {
+        "s1": [
+            _material(10, EventKind.VIDEO_WATCH, (), consumption_minutes=1.5),
+            response("s1", 20, "q1", [], True, hint_count=2),
+            _material(30, EventKind.READING, (), consumption_minutes=0.5),
+            response("s1", 40, "q2", [], False),
+        ],
+        "s2": [InteractionEvent("s2", 5, EventKind.VIDEO_WATCH, kc_ids=("k1",), consumption_minutes=2.0)],
+    }
+    graph = KCGraph("kc", [("k0", "k1")])
+    store = RowStore()
+    enc = fit_encoders({"s1": students["s1"]}, full_recipe(), FULL, kc_graph=graph, store=store)
+    ext = build_matrix(students, enc, kc_graph=graph, store=store)  # walks s2 alone
+    assert store.students_walked == 2
+    assert not _extraction_mismatch(ext, reference_build_matrix(students, enc, kc_graph=graph))
+    assert ext.X.shape[0] == 2
+
+    def rows(name):
+        return [_block_values(ext, enc, r, name) for r in range(2)]
+
+    assert rows("video_watched_counts") == [{0: scale(1.0)}, {0: scale(1.0)}]
+    assert rows("video_watched_time") == [{0: scale(1.5)}, {0: scale(1.5)}]
+    assert rows("reading_time") == [{}, {0: scale(0.5)}]
+    assert rows("hint_counts") == [{}, {0: scale(2.0)}]
+
+
+def test_datetime_on_iso_week_edges():
+    """At 12:00 UTC on 2020-12-31, 2021-01-03, 2021-01-04, 2024-12-30 and 2027-01-01,
+    where strftime's %W and %U both disagree with the ISO week."""
+    stamps = [1609416000, 1609675200, 1609761600, 1735560000, 1798804800]
+    events = [response("s1", ts, f"q{i}", ["k1"], True) for i, ts in enumerate(stamps)]
+    rows = _hand_rows(events, tuple(F("datetime", v) for v in ("month", "week", "day", "hour")), MINIMAL)
+
+    def one_hots(*slots):
+        return [{slot: 1.0} for slot in slots]
+
+    assert rows("datetime:week") == one_hots(52, 52, 0, 0, 52)  # ISO weeks 53, 53, 1, 1, 53
+    assert rows("datetime:month") == one_hots(11, 0, 0, 11, 0)
+    assert rows("datetime:day") == one_hots(3, 6, 0, 0, 4)  # Thursday, Sunday, Monday, Monday, Friday
+    assert rows("datetime:hour") == one_hots(12, 12, 12, 12, 12)
+
+
 def test_array_walk_refuses_window_keys_that_overflow():
     """(group, timestamp) search keys must fit in int64; a wider span fails instead of miscounting."""
     recipe = Recipe(families=(F("bias"), F("tw_counts", "total")))
@@ -835,19 +939,23 @@ def test_array_walk_refuses_window_keys_that_overflow():
 
 
 def test_array_walk_keeps_the_order_check():
-    """A recipe of prefix families only still refuses events that go back in time."""
-    recipe = Recipe(families=_FIXED["best-lr"])
+    """A recipe of prefix families, or of lag, module-count and material families,
+    refuses events that go back in time."""
     ok = {"a": [response("a", 100, "q1", ["k1"], True), response("a", 200, "q2", ["k1"], False)],
           "b": [response("b", 50, "q1", ["k1"], True)]}  # earlier than a's last: another student
-    enc = fit_encoders(ok, recipe, MINIMAL)
     late_response = {"a": [response("a", 100, "q1", ["k1"], True), response("a", 50, "q2", ["k1"], False)]}
     late_material = {"a": [response("a", 100, "q1", ["k1"], True), _video("a", 90, ["k1"]),
                            response("a", 200, "q2", ["k1"], False)]}
-    for students, (late, reached) in ((late_response, (50, 100)), (late_material, (90, 100))):
-        message = f"event at {late} arrived after state reached {reached}"
-        for extract in (build_matrix, reference_build_matrix):
-            with pytest.raises(SequencingError, match=message):
-                extract({**ok, **students}, enc)
+    for families in (
+        _FIXED["best-lr"],
+        (F("bias"), F("lag_time", "current"), F("study_module_counts"), F("video_watched_counts")),
+    ):
+        enc = fit_encoders(ok, Recipe(families=families), FULL)
+        for students, (late, reached) in ((late_response, (50, 100)), (late_material, (90, 100))):
+            message = f"event at {late} arrived after state reached {reached}"
+            for extract in (build_matrix, reference_build_matrix):
+                with pytest.raises(SequencingError, match=message):
+                    extract({**ok, **students}, enc)
 
 
 def test_build_matrix_keeps_duplicate_and_dimension_checks():
@@ -865,33 +973,34 @@ def test_build_matrix_keeps_duplicate_and_dimension_checks():
 
 
 class _Walks:
-    """Spies on the store's walks: the student ids of each batch `_walk` is given,
-    and the students `iter_contexts` walks for state families."""
+    """Spies on the store's walks: the student ids of each batch `_walk` is given."""
 
     def __init__(self, monkeypatch):
         self.batches: list[list[str]] = []
-        self.contexts: list[str] = []
-        walk, contexts = features._walk, features.iter_contexts
+        walk = features._walk
 
         def walk_spy(walks, *a, **kw):
             self.batches.append(list(walks))
             return walk(walks, *a, **kw)
 
-        def contexts_spy(events, *a, **kw):
-            self.contexts.append(events[0].student_id)
-            return contexts(events, *a, **kw)
-
         monkeypatch.setattr(features, "_walk", walk_spy)
-        monkeypatch.setattr(features, "iter_contexts", contexts_spy)
 
     @property
     def students(self) -> list[str]:
         return sorted(sid for batch in self.batches for sid in batch)
 
-    def check_contexts(self, recipe: Recipe) -> None:
-        """iter_contexts walked each walked student once, or none for an array-only recipe."""
-        with_state = any(_KINDS[f.kind].state for f in recipe.families)
-        assert sorted(self.contexts) == (self.students if with_state else [])
+
+def test_graph_families_need_the_graph_before_any_walk(monkeypatch):
+    """build_matrix refuses a graph-family encoder without a graph before it walks anyone."""
+    graph = KCGraph("kc", [("p", "c")])
+    students = {"s1": [response("s1", 100, "q1", ["p"], True), response("s1", 200, "q2", ["c"], True)]}
+    recipe = Recipe(families=(F("bias"), F("prereq_ids"), F("postreq_counts")))
+    enc = fit_encoders(students, recipe, FULL, kc_graph=graph)
+    walks = _Walks(monkeypatch)
+    for selection in (students, {}):
+        with pytest.raises(ConfigError, match="^family prereq_ids requires a prerequisite graph$"):
+            build_matrix(selection, enc)
+    assert walks.batches == []
 
 
 def _store_dataset(rng, n_students=8):
@@ -899,33 +1008,37 @@ def _store_dataset(rng, n_students=8):
     return Dataset(manifest=FULL, students=students)
 
 
-def _walk_recipes(monkeypatch, array_only: Recipe):
-    """(recipe, fresh walk spies) for an array-only recipe, then for it plus a state family."""
-    with_state = dataclasses.replace(array_only, families=array_only.families + (F("elapsed_time", "prior"),))
-    for recipe in (array_only, with_state):
+# the graph the row-store tests extract with, for their graph-family recipe
+_STORE_GRAPH = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
+
+
+def _walk_recipes(monkeypatch, prefix_only: Recipe):
+    """(recipe, fresh walk spies) for a recipe of prefix families, then for it plus
+    an elapsed-time family, a material family and a graph family in turn."""
+    for extra in ((), (F("elapsed_time", "prior"),), (F("video_watched_time"),), (F("prereq_counts"),)):
         with monkeypatch.context() as m:
-            yield recipe, _Walks(m)
+            yield dataclasses.replace(prefix_only, families=prefix_only.families + extra), _Walks(m)
 
 
 def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
-    array_only = Recipe(families=(F("bias"), F("student"), F("counts", "kc"), F("smoothed_avg_correct")))
-    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+    prefix_only = Recipe(families=(F("bias"), F("student"), F("counts", "kc"), F("smoothed_avg_correct")))
+    for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng)
         sids = sorted(ds.students)
         train = {s: ds.students[s] for s in sids[:5]}
         test = {s: ds.students[s] for s in sids[5:]}
-        enc = fit_encoders(train, recipe, FULL, store=ds.feature_rows)
+        enc = fit_encoders(train, recipe, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         assert walks.batches == [sids[:5]]
-        first = build_matrix(ds.students, enc, store=ds.feature_rows)
+        first = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         assert walks.batches == [sids[:5], sids[5:]]  # one batch per call, of the students it lacks
         # other folds, other eta: the same walk serves their encoders and matrices
-        other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, store=ds.feature_rows)
-        build_matrix(train, other, store=ds.feature_rows)
-        again = build_matrix(ds.students, enc, store=ds.feature_rows)
+        other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, kc_graph=_STORE_GRAPH,
+                             store=ds.feature_rows)
+        build_matrix(train, other, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        again = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         assert walks.students == sids and len(walks.batches) == 2
-        walks.check_contexts(recipe)
         assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
-        assert not _extraction_mismatch(first, reference_build_matrix(ds.students, enc))
+        assert not _extraction_mismatch(first, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
         n = first.X.shape[0]
         n_train = sum(1 for s in train for e in ds.students[s] if e.is_response())
         # served: train (enc), all, test (other), train, all
@@ -936,29 +1049,26 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
         }
         # a recipe with other walk parameters walks again
         other_walk = dataclasses.replace(recipe, n_recent=3)
-        build_matrix(ds.students, fit_encoders(ds.students, other_walk, FULL, store=ds.feature_rows),
-                     store=ds.feature_rows)
+        other_enc = fit_encoders(ds.students, other_walk, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        build_matrix(ds.students, other_enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         assert walks.students == sorted(2 * sids) and len(walks.batches) == 3
-        walks.check_contexts(recipe)
 
 
 def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
-    array_only = Recipe(families=(F("bias"), F("counts", "total")))
-    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+    prefix_only = Recipe(families=(F("bias"), F("counts", "total")))
+    for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng)
-        enc = fit_encoders(ds.students, recipe, FULL)
-        build_matrix(ds.students, enc, store=ds.feature_rows)
+        enc = fit_encoders(ds.students, recipe, FULL, kc_graph=_STORE_GRAPH)
+        build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         walks.batches.clear()
-        walks.contexts.clear()
         lagged = derive_lag_times(ds)
         part = ds.subset(sorted(ds.students)[:3])
         assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
-        res = build_matrix(lagged.students, enc, store=lagged.feature_rows)
+        res = build_matrix(lagged.students, enc, kc_graph=_STORE_GRAPH, store=lagged.feature_rows)
         assert walks.students == sorted(ds.students)
-        assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc))
-        build_matrix(part.students, enc, store=part.feature_rows)
+        assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc, kc_graph=_STORE_GRAPH))
+        build_matrix(part.students, enc, kc_graph=_STORE_GRAPH, store=part.feature_rows)
         assert walks.students == sorted(list(ds.students) + sorted(ds.students)[:3])
-        walks.check_contexts(recipe)
         assert ds.feature_rows.students_walked == len(ds.students)
 
 
@@ -975,19 +1085,18 @@ def test_row_store_rejects_other_events_or_graph(rng):
 
 
 def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
-    array_only = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
-    for recipe, walks in _walk_recipes(monkeypatch, array_only):
+    prefix_only = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
+    for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng, n_students=16)
-        enc = fit_encoders(ds.students, recipe, FULL)
-        want = reference_build_matrix(ds.students, enc)
+        enc = fit_encoders(ds.students, recipe, FULL, kc_graph=_STORE_GRAPH)
+        want = reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH)
         walks.batches.clear()
-        walks.contexts.clear()
         results: list = []
         errors: list = []
 
         def worker():
             try:
-                results.append(build_matrix(ds.students, enc, store=ds.feature_rows))
+                results.append(build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -1004,7 +1113,6 @@ def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
         assert not any(th.is_alive() for th in threads)
         assert not errors and len(results) == 4
         assert walks.batches == [sorted(ds.students)]
-        walks.check_contexts(recipe)
         for res in results:
             assert not _extraction_mismatch(res, want)
         assert ds.feature_rows.counts()["rows_served"] == 4 * want[0].shape[0]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_line, response, toy_dataset, walk_lags, write_csv
+from conftest import csv_line, response, toy_dataset, write_csv
 
 from ktrace import cli
 from ktrace.core import (
@@ -22,6 +22,7 @@ from ktrace.core import (
     InteractionEvent,
     ParseError,
     SchemaError,
+    response_lags,
 )
 from ktrace.features import LAG_CATEGORIES_MIN, F, Recipe, build_matrix, fit_encoders
 from ktrace.ingest import (
@@ -376,12 +377,18 @@ def test_lag_first_response_flagged():
     assert prior[2].any() and not prior[2, NO_LAG]
 
 
+def _lags(events):
+    """The lag `response_lags` gives each of one student's responses (None for the first)."""
+    lag, _ = response_lags([events])
+    return [None if math.isnan(x) else x for x in lag.tolist()]
+
+
 def test_lag_subtracts_prior_elapsed():
     events = [
         response("s1", 1000, "q1", ["k1"], True, elapsed_time_s=20.0),
         response("s1", 1120, "q2", ["k1"], False),
     ]
-    assert walk_lags(events) == [None, 100.0]
+    assert _lags(events) == [None, 100.0]
 
 
 def test_lag_negative_clamped_and_tallied():
@@ -394,7 +401,7 @@ def test_lag_negative_clamped_and_tallied():
         },
         capabilities={"elapsed_lag_time"},
     )
-    assert walk_lags(ds.students["s1"]) == [None, 0.0]
+    assert _lags(ds.students["s1"]) == [None, 0.0]
     out = derive_lag_times(ds)
     assert out.quality["negative_lag_clamped"] == 1
     assert out.students == ds.students
@@ -409,7 +416,7 @@ def test_lag_brute_force_oracle(rng):
         events.append(response("s1", ts, f"q{i%7}", ["k1"], bool(rng.integers(2)), elapsed_time_s=elapsed))
     # oracle: recompute from scratch with plain arithmetic
     prev_end = None
-    for event, lag in zip(events, walk_lags(events), strict=True):
+    for event, lag in zip(events, _lags(events), strict=True):
         if prev_end is None:
             assert lag is None
         else:
@@ -456,7 +463,7 @@ def test_derive_lag_times_fuzz(students, clamped_before):
     negative = 0
     for events in students.values():
         responses = [e for e in events if e.is_response()]
-        lags = walk_lags(events)
+        lags = _lags(events)
         assert len(lags) == len(responses)
         prev_end = None
         for response_, lag in zip(responses, lags):
@@ -479,7 +486,7 @@ def test_lag_ignores_material_events_between_questions():
         InteractionEvent(student_id="s1", timestamp=150, kind=EventKind.VIDEO_WATCH, kc_ids=("k1",)),
         response("s1", 300, "q2", ["k1"], False),
     ]
-    assert walk_lags(events) == [None, 190.0]
+    assert _lags(events) == [None, 190.0]
 
 
 def test_lag_features_from_raw_load_match_prepared(tmp_path):
@@ -554,4 +561,4 @@ def test_prepared_roundtrip_keeps_every_field_and_lag(tmp_path):
     assert again.students == ds.students
     assert again.quality == ds.quality
     for sid in students:
-        assert walk_lags(again.students[sid]) == [None, 0.0, 77.5]
+        assert _lags(again.students[sid]) == [None, 0.0, 77.5]

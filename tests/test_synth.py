@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import walk_lags
+from oracle import brute_lags
 
 from ktrace.core import ConfigError, DatasetManifest, EventKind, InteractionEvent
 from ktrace.evaluate import PlainSpec, cross_validate
@@ -89,14 +89,14 @@ def test_output_passes_ingest_cleanly(tmp_path):
     assert all(v == 0 for v in loaded.quality.values()), loaded.quality
     # the walk's lags over the loaded events equal those over the generator's
     for sid in loaded.students:
-        assert walk_lags(loaded.students[sid]) == walk_lags(ds.students[sid])
+        assert brute_lags(loaded.students[sid]) == brute_lags(ds.students[sid])
 
 
 def test_lag_never_negative_by_construction():
     ds, _ = generate(GeneratorConfig(seed=13, n_students=40, mean_gap_s=90.0, mean_elapsed_s=600.0))
     assert derive_lag_times(ds).quality["negative_lag_clamped"] == 0
     for events in ds.students.values():
-        lags = walk_lags(events)
+        lags = brute_lags(events)
         assert lags[0] is None
         for e, prev, lag in zip(events[1:], events, lags[1:]):
             assert lag is not None and lag >= 0.0
