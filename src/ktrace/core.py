@@ -52,8 +52,7 @@ class EventKind(str, Enum):
     HINT_USE = "HintUse"
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEvent:
+class InteractionEvent(NamedTuple):
     """One logged interaction.
 
     Only ``student_id``, ``timestamp`` and ``kind`` are always present.
@@ -61,7 +60,8 @@ class InteractionEvent:
     and ``correct``; every other field is dataset-dependent, and its
     ``OPTIONAL_FIELDS`` row names the manifest flag it needs.  The
     fields are the canonical CSV columns, one to one; lag times are not
-    stored but computed from the responses (``response_lags``).
+    stored but computed from the responses (``response_lags``).  An
+    event is a tuple: a changed copy is ``event._replace(field=value)``.
     """
 
     student_id: str
@@ -88,27 +88,6 @@ class InteractionEvent:
 
     def is_response(self) -> bool:
         return self.kind is EventKind.QUESTION_RESPONSE
-
-    def validate(self) -> None:
-        if self.timestamp < 0:
-            raise SchemaError(f"negative timestamp {self.timestamp}")
-        if self.is_response():
-            if self.question_id is None:
-                raise SchemaError("question response without question_id")
-            if not self.kc_ids:
-                raise SchemaError(
-                    f"question response {self.question_id!r} without kc_ids"
-                )
-            if self.correct is None:
-                raise SchemaError(
-                    f"question response {self.question_id!r} without correct flag"
-                )
-        if self.elapsed_time_s is not None and self.elapsed_time_s < 0:
-            raise SchemaError("negative elapsed_time_s")
-        if self.hint_count is not None and self.hint_count < 0:
-            raise SchemaError("negative hint_count")
-        if self.consumption_minutes is not None and self.consumption_minutes < 0:
-            raise SchemaError("negative consumption_minutes")
 
 
 # Capability flags a dataset manifest may declare.  A column (or event

@@ -12,12 +12,17 @@ extraction will clamp to zero.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
-import operator
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import attrgetter, is_
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,107 +80,283 @@ class Dataset:
         return replace(self, students=keep)
 
 
-def _parse_bool(cell: str, line: int) -> bool:
+# Records parsed at a time; bounds the memory a chunk's rows and columns take.
+_CHUNK_RECORDS = 1 << 16
+# Characters read from the file at a time.
+_BLOCK_CHARS = 1 << 20
+_WIDTH = len(CANONICAL_COLUMNS)
+_MINUTES = list(OPTIONAL_FIELDS).index("consumption_minutes")
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+_RESPONSE = EventKind.QUESTION_RESPONSE
+_BAD = object()  # a cell that does not parse
+# tuple.__new__ builds the event without the generated __new__'s Python frame
+_make_event = partial(tuple.__new__, InteractionEvent)
+_student_of = attrgetter("student_id")
+_timestamp_of = attrgetter("timestamp")
+
+
+class _Undecodable(ValueError):
+    """A line holds bytes that are not UTF-8."""
+
+
+class _BadRecord(Exception):
+    """The first row of a chunk that fails one check."""
+
+    def __init__(self, index: int, error: type[ValueError], message: str):
+        super().__init__(message)
+        self.index = index
+        self.error = error
+        self.message = message
+
+    def at(self, line: int) -> ValueError:
+        if self.error is ParseError:
+            return ParseError(self.message, line)
+        return self.error(f"line {line}: {self.message}")
+
+
+def _first(test, values) -> int:
+    """The index of the first value that passes `test`."""
+    return next(i for i, value in enumerate(values) if test(value))
+
+
+def _blocks(fh) -> Iterator[list[str]]:
+    """The lines of a text file opened with errors="surrogateescape", a block
+    at a time.  A block that holds an undecodable byte is cut before its line,
+    and the next block raises `_Undecodable`, so a reader fails on that line."""
+    while block := fh.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as err:  # a lone surrogate stands for each undecodable byte
+                yield block[:bisect_right(list(accumulate(map(len, block))), err.start)]
+                raise _Undecodable(f"byte 0x{ord(text[err.start]) - 0xDC00:02x} is not UTF-8") from None
+        yield block
+
+
+def _flag(cell: str):
+    if not cell:
+        return None
     low = cell.lower()
     if low in ("1", "true"):
         return True
     if low in ("0", "false"):
         return False
-    raise ParseError(f"bad correct flag {cell!r}", line)
+    return _BAD
 
 
-def _parse_cell(cell: str, typ: type, col: str, line: int):
-    """A non-empty optional cell as its OPTIONAL_FIELDS type."""
-    if typ is str:
-        return cell
+def _kc_set(cell: str) -> tuple[str, ...]:
+    return tuple(sorted({k for k in cell.split(";") if k}))
+
+
+def _timestamp(cell: str):
+    try:
+        return math.floor(float(cell))
+    except (ValueError, OverflowError):  # not a number, NaN or infinite
+        return _BAD
+
+
+def _number(cell: str, typ: type):
     try:
         value = typ(cell)
     except ValueError:
-        value = math.nan
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParseError(f"bad {'integer' if typ is int else 'number'} {cell!r} in column {col!r}", line)
-    return value
+        return _BAD
+    return _BAD if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _parse_row(row: Mapping[str, str], line: int, manifest: DatasetManifest) -> InteractionEvent:
-    sid = row["student_id"]
-    if not sid:
-        raise ParseError("empty student_id", line)
+def _memo_map(memo: dict, cells: Sequence[str], parse) -> list | None:
+    """Each cell parsed once per distinct value and kept in `memo`; None
+    when a cell does not parse."""
+    new = set(cells).difference(memo)
+    parsed = list(map(parse, new))
+    if _BAD in parsed:
+        return None
+    memo.update(zip(new, parsed))
+    return list(map(memo.__getitem__, cells))
+
+
+def _numbers(cells: Sequence[str], typ: type) -> list | None:
+    """The cells as numbers of `typ`, an empty cell as None; None when a
+    cell does not parse or a float is not finite."""
+    present = list(filter(None, cells))
     try:
-        ts = float(row["timestamp"])
+        values = list(map(typ, present))
     except ValueError:
-        ts = math.nan
-    if not math.isfinite(ts):
-        raise ParseError(f"bad timestamp {row['timestamp']!r}", line)
-    ts = int(math.floor(ts))
-    try:
-        kind = EventKind(row["event_kind"])
-    except ValueError:
-        raise ParseError(f"unknown event_kind {row['event_kind']!r}", line) from None
+        return None
+    if typ is float and not all(map(math.isfinite, values)):
+        return None
+    if len(values) == len(cells):
+        return values
+    found = iter(values)
+    return [next(found) if cell else None for cell in cells]
 
-    for col, f in OPTIONAL_FIELDS.items():
-        if row[col] and f.flag and not manifest.allows(f.flag):
-            raise SchemaError(
-                f"line {line}: column {col!r} populated but manifest "
-                f"{manifest.name!r} does not declare {f.flag!r}"
-            )
-    material = MATERIAL_KINDS.get(kind)
-    if material and not manifest.allows(material.flag):
-        raise SchemaError(
-            f"line {line}: event kind {kind.value!r} requires manifest flag {material.flag!r}"
-        )
-    if row["consumption_minutes"] and kind is EventKind.QUESTION_RESPONSE:
-        raise ParseError("consumption_minutes on a question response", line)
 
-    # positional: InteractionEvent declares its fields in CANONICAL_COLUMNS order
-    event = InteractionEvent(
-        sid,
-        ts,
-        kind,
-        row["question_id"] or None,
-        tuple(sorted({k for k in row["kc_ids"].split(";") if k})),
-        _parse_bool(row["correct"], line) if row["correct"] else None,
-        *[
-            _parse_cell(cell, f.type, col, line) if (cell := row[col]) else None
-            for col, f in OPTIONAL_FIELDS.items()
-        ],
-    )
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector.  A load makes a tuple per event
+    and no reference cycles, and each full collection would traverse every
+    event made so far: on a million events that was over half the load."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        event.validate()
-    except SchemaError as err:
-        raise ParseError(str(err), line) from None
-    return event
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class _ChunkParser:
+    """Turns chunks of CSV records into events, a column at a time.
+
+    Each check tests a whole column and finds its first offending row.  The
+    checks are ranked, and run in rank order: width, student_id, timestamp,
+    event_kind, the manifest's column flags in column order, its material
+    flag, consumption_minutes on a response, correct, the numeric cells in
+    column order, then the value checks (negative timestamp; a response
+    without question_id, kc_ids or correct; negative numbers in column
+    order).  The first check that fails names its row's first error, and the
+    rows before that row are checked again for a later-ranked one, so the
+    error raised is the earliest row's first-ranked error.
+    """
+
+    def __init__(self, manifest: DatasetManifest):
+        self.manifest = manifest
+        self.barred_columns = [
+            (j, col, f.flag) for j, (col, f) in enumerate(OPTIONAL_FIELDS.items())
+            if f.flag and not manifest.allows(f.flag)
+        ]
+        self.barred_kinds = {kind: m.flag for kind, m in MATERIAL_KINDS.items() if not manifest.allows(m.flag)}
+        # memos over the whole file: each distinct cell is parsed once, and
+        # equal cells share one string or KC tuple (an empty string cell is None)
+        self.strings: dict[str, str | None] = {"": None}
+        self.kc_sets: dict[str, tuple[str, ...]] = {}
+        self.flags: dict[str, bool | None] = {}
+
+    def events(self, records: list[list[str]], first_line: int) -> Iterator[InteractionEvent]:
+        """The events of consecutive records, the first on `first_line`;
+        raises the first error among them.  Empty records are skipped."""
+        lines: Sequence[int] = range(first_line, first_line + len(records))
+        if not all(records):
+            lines = [line for line, record in zip(lines, records) if record]
+            records = [record for record in records if record]
+        n, bad = len(records), None
+        while True:
+            try:
+                columns = self.columns(records[:n])
+            except _BadRecord as found:
+                n, bad = found.index, found
+                continue
+            if bad is not None:
+                raise bad.at(lines[n])
+            return map(_make_event, zip(*columns))
+
+    def columns(self, rows: list[list[str]]) -> list[Sequence]:
+        """The event fields of the rows, one sequence per field; raises
+        `_BadRecord` for the first offending row of the first failing check."""
+        if not rows:
+            return []
+        if set(map(len, rows)) != {_WIDTH}:
+            i = _first(lambda row: len(row) != _WIDTH, rows)
+            raise _BadRecord(i, ParseError, f"expected {_WIDTH} columns, got {len(rows[i])}")
+        sids, ts_cells, kind_cells, qid_cells, kc_cells, correct_cells, *optional = zip(*rows)
+        if "" in sids:
+            raise _BadRecord(sids.index(""), ParseError, "empty student_id")
+        try:
+            ts = list(map(math.floor, map(float, ts_cells)))
+        except (ValueError, OverflowError):  # not a number, NaN or infinite
+            i = _first(lambda cell: _timestamp(cell) is _BAD, ts_cells)
+            raise _BadRecord(i, ParseError, f"bad timestamp {ts_cells[i]!r}") from None
+        kinds = list(map(_EVENT_KINDS.get, kind_cells))
+        if None in kinds:
+            i = kinds.index(None)
+            raise _BadRecord(i, ParseError, f"unknown event_kind {kind_cells[i]!r}")
+
+        for j, col, flag in self.barred_columns:
+            if any(optional[j]):
+                message = f"column {col!r} populated but manifest {self.manifest.name!r} does not declare {flag!r}"
+                raise _BadRecord(_first(bool, optional[j]), SchemaError, message)
+        if not self.barred_kinds.keys().isdisjoint(kinds):
+            i = _first(self.barred_kinds.__contains__, kinds)
+            message = f"event kind {kinds[i].value!r} requires manifest flag {self.barred_kinds[kinds[i]]!r}"
+            raise _BadRecord(i, SchemaError, message)
+        responses = list(map(is_, kinds, repeat(_RESPONSE)))
+        minutes = optional[_MINUTES]
+        if any(compress(minutes, responses)):
+            i = _first(lambda pair: pair[0] and pair[1], zip(minutes, responses))
+            raise _BadRecord(i, ParseError, "consumption_minutes on a question response")
+        correct = _memo_map(self.flags, correct_cells, _flag)
+        if correct is None:
+            i = _first(lambda cell: _flag(cell) is _BAD, correct_cells)
+            raise _BadRecord(i, ParseError, f"bad correct flag {correct_cells[i]!r}")
+        values: list[Sequence] = []
+        numeric: list[tuple[str, list]] = []  # the populated number columns
+        for (col, f), cells in zip(OPTIONAL_FIELDS.items(), optional):
+            if not any(cells):
+                values.append(repeat(None))
+            elif f.type is str:
+                values.append(list(map(self.strings.setdefault, cells, cells)))
+            elif (numbers := _numbers(cells, f.type)) is not None:
+                values.append(numbers)
+                numeric.append((col, numbers))
+            else:
+                i = _first(lambda cell: cell and _number(cell, f.type) is _BAD, cells)
+                expected = "integer" if f.type is int else "number"
+                raise _BadRecord(i, ParseError, f"bad {expected} {cells[i]!r} in column {col!r}")
+
+        if min(ts) < 0:
+            i = _first(lambda t: t < 0, ts)
+            raise _BadRecord(i, ParseError, f"negative timestamp {ts[i]}")
+        questions = list(map(self.strings.setdefault, qid_cells, qid_cells))
+        kc_ids = _memo_map(self.kc_sets, kc_cells, _kc_set)
+        for column, missing, what in (
+            (questions, None, "without question_id"),
+            (kc_ids, (), "without kc_ids"),
+            (correct, None, "without correct flag"),
+        ):
+            if missing in compress(column, responses):
+                i = _first(lambda pair: pair[1] and pair[0] == missing, zip(column, responses))
+                named = f"{questions[i]!r} " if column is not questions else ""
+                raise _BadRecord(i, ParseError, f"question response {named}{what}")
+        for col, numbers in numeric:
+            if min(filter(None, numbers), default=0) < 0:
+                raise _BadRecord(_first(lambda v: v is not None and v < 0, numbers), ParseError, f"negative {col}")
+        return [list(map(self.strings.setdefault, sids, sids)), ts, kinds, questions, kc_ids, correct, *values]
 
 
 def load_events(path: str | Path, manifest: DatasetManifest) -> Dataset:
     """Parse a canonical CSV into per-student, time-sorted sequences.
 
+    Records are parsed a chunk at a time (`_ChunkParser`); an error names the
+    line of the first bad record, counting records, not physical lines.
     Within one student, ties on timestamp keep file order (stable sort).
     """
-    path = Path(path)
+    parser = _ChunkParser(manifest)
     by_student: dict[str, list[InteractionEvent]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _collector_paused(), Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(chain.from_iterable(_blocks(fh)))
+        line, records = 1, []  # the line of the chunk's first record, and the chunk
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header", 1) from None
-        if tuple(header) != CANONICAL_COLUMNS:
-            raise ParseError(
-                f"header mismatch: expected {','.join(CANONICAL_COLUMNS)}", 1
-            )
-        for line, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(CANONICAL_COLUMNS):
-                raise ParseError(
-                    f"expected {len(CANONICAL_COLUMNS)} columns, got {len(raw)}", line
-                )
-            row = dict(zip(CANONICAL_COLUMNS, raw))
-            event = _parse_row(row, line, manifest)
-            by_student.setdefault(event.student_id, []).append(event)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file: missing header", 1)
+            if tuple(header) != CANONICAL_COLUMNS:
+                raise ParseError(f"header mismatch: expected {','.join(CANONICAL_COLUMNS)}", 1)
+            line = 2
+            while True:
+                records.extend(islice(reader, _CHUNK_RECORDS))  # keeps what was read if the reader fails
+                if not records:
+                    break
+                events = parser.events(records, line)
+                line += len(records)
+                records = []  # frees the rows before the events are made
+                # groupby: files are usually sorted by student, so a run is a student's chunk
+                for sid, run in groupby(events, _student_of):
+                    by_student.setdefault(sid, []).extend(run)
+        except (csv.Error, _Undecodable) as err:  # a cell over csv's limit, or a byte that is not UTF-8
+            parser.events(records, line)  # an earlier record's error comes first
+            raise ParseError(str(err), line + len(records)) from None
     students = {
-        sid: sorted(events, key=lambda e: e.timestamp)
+        sid: sorted(events, key=_timestamp_of)
         for sid, events in sorted(by_student.items())
     }
     return Dataset(manifest=manifest, students=students)
@@ -223,7 +404,7 @@ def squash_multi_kc(dataset: Dataset) -> Dataset:
     squash_map = {aid: kcs for kcs, aid in by_set.items()}
     students = {
         sid: [
-            replace(e, kc_ids=(by_set[e.kc_ids],)) if e.kc_ids else e
+            e._replace(kc_ids=(by_set[e.kc_ids],)) if e.kc_ids else e
             for e in events
         ]
         for sid, events in dataset.students.items()
@@ -254,36 +435,24 @@ def derive_lag_times(dataset: Dataset) -> Dataset:
     return replace(dataset, quality=quality)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-_optional_cells = operator.attrgetter(*OPTIONAL_FIELDS)
+_FLAG_CELLS = {None: "", True: "1", False: "0"}
+_kind_value = attrgetter("value")
 
 
 def write_events(dataset: Dataset, path: str | Path) -> None:
-    """Write the canonical CSV (students in sorted-id order)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    """Write the canonical CSV (students in sorted-id order), a chunk of
+    events at a time, a column at a time.  csv writes None as an empty cell,
+    a float by repr and an int or string as itself."""
+    events = chain.from_iterable(dataset.students[sid] for sid in sorted(dataset.students))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for sid in sorted(dataset.students):
-            for e in dataset.students[sid]:
-                row = [
-                    e.student_id, e.timestamp, e.kind.value, _fmt(e.question_id),
-                    ";".join(e.kc_ids), _fmt(e.correct),
-                ]
-                # a Python loop, not map(_fmt, ...): CPython does not specialize calls
-                # made from C, and most optional cells are empty, which skips the call
-                for value in _optional_cells(e):
-                    row.append("" if value is None else _fmt(value))
-                writer.writerow(row)
+        while chunk := list(islice(events, _CHUNK_RECORDS)):
+            sid, ts, kind, qid, kc_ids, correct, *optional = zip(*chunk)
+            writer.writerows(zip(
+                sid, ts, map(_kind_value, kind), qid, map(";".join, kc_ids),
+                map(_FLAG_CELLS.__getitem__, correct), *optional,
+            ))
 
 
 def read_manifest(path: str | Path) -> tuple[DatasetManifest, KCGraph | None]:

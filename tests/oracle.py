@@ -20,22 +20,40 @@ state (`ReferenceState`, `reference_update`) and per-response logs
 halving, recomputing X @ w for the gradient of every accepted step); the
 production trainer minimizes the same objective, so it must end no higher.
 
+`reference_load_events` is the row-at-a-time CSV parser that the chunked
+column parser replaced (`_parse_row`, with `reference_validate` for the
+checks `InteractionEvent.validate` made); the production `load_events`
+must return equal students, or raise the same error class and message.
+
 `assign_partition` is the per-row partition label that the schemes'
 vectorized `keys` replaced; grouping rows by it must give the groups
 `specialize._rows_by_partition` builds from `keys`.
 """
 
+import csv
 import math
 import time
 from bisect import bisect_right
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ktrace.core import ConfigError, SequencingError, scale
+from ktrace.core import (
+    MATERIAL_KINDS,
+    OPTIONAL_FIELDS,
+    ConfigError,
+    EventKind,
+    InteractionEvent,
+    ParseError,
+    SchemaError,
+    SequencingError,
+    scale,
+)
 from ktrace.evaluate import interval_label
+from ktrace.ingest import CANONICAL_COLUMNS, Dataset
 from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
 from ktrace.specialize import MISSING_KEY, ResponseIndex
 
@@ -875,3 +893,130 @@ def assign_partition(scheme, event, t):
         return interval_label(pts[i], pts[i + 1])
     value = getattr(event, scheme.field)
     return MISSING_KEY if value is None else str(value)
+
+
+def reference_validate(event):
+    """The value checks of one event, as InteractionEvent.validate made them."""
+    if event.timestamp < 0:
+        raise SchemaError(f"negative timestamp {event.timestamp}")
+    if event.is_response():
+        if event.question_id is None:
+            raise SchemaError("question response without question_id")
+        if not event.kc_ids:
+            raise SchemaError(
+                f"question response {event.question_id!r} without kc_ids"
+            )
+        if event.correct is None:
+            raise SchemaError(
+                f"question response {event.question_id!r} without correct flag"
+            )
+    if event.elapsed_time_s is not None and event.elapsed_time_s < 0:
+        raise SchemaError("negative elapsed_time_s")
+    if event.hint_count is not None and event.hint_count < 0:
+        raise SchemaError("negative hint_count")
+    if event.consumption_minutes is not None and event.consumption_minutes < 0:
+        raise SchemaError("negative consumption_minutes")
+
+
+def _parse_bool(cell, line):
+    low = cell.lower()
+    if low in ("1", "true"):
+        return True
+    if low in ("0", "false"):
+        return False
+    raise ParseError(f"bad correct flag {cell!r}", line)
+
+
+def _parse_cell(cell, typ, col, line):
+    """A non-empty optional cell as its OPTIONAL_FIELDS type."""
+    if typ is str:
+        return cell
+    try:
+        value = typ(cell)
+    except ValueError:
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"bad {'integer' if typ is int else 'number'} {cell!r} in column {col!r}", line)
+    return value
+
+
+def _parse_row(row, line, manifest):
+    sid = row["student_id"]
+    if not sid:
+        raise ParseError("empty student_id", line)
+    try:
+        ts = float(row["timestamp"])
+    except ValueError:
+        ts = math.nan
+    if not math.isfinite(ts):
+        raise ParseError(f"bad timestamp {row['timestamp']!r}", line)
+    ts = int(math.floor(ts))
+    try:
+        kind = EventKind(row["event_kind"])
+    except ValueError:
+        raise ParseError(f"unknown event_kind {row['event_kind']!r}", line) from None
+
+    for col, f in OPTIONAL_FIELDS.items():
+        if row[col] and f.flag and not manifest.allows(f.flag):
+            raise SchemaError(
+                f"line {line}: column {col!r} populated but manifest "
+                f"{manifest.name!r} does not declare {f.flag!r}"
+            )
+    material = MATERIAL_KINDS.get(kind)
+    if material and not manifest.allows(material.flag):
+        raise SchemaError(
+            f"line {line}: event kind {kind.value!r} requires manifest flag {material.flag!r}"
+        )
+    if row["consumption_minutes"] and kind is EventKind.QUESTION_RESPONSE:
+        raise ParseError("consumption_minutes on a question response", line)
+
+    # positional: InteractionEvent declares its fields in CANONICAL_COLUMNS order
+    event = InteractionEvent(
+        sid,
+        ts,
+        kind,
+        row["question_id"] or None,
+        tuple(sorted({k for k in row["kc_ids"].split(";") if k})),
+        _parse_bool(row["correct"], line) if row["correct"] else None,
+        *[
+            _parse_cell(cell, f.type, col, line) if (cell := row[col]) else None
+            for col, f in OPTIONAL_FIELDS.items()
+        ],
+    )
+    try:
+        reference_validate(event)
+    except SchemaError as err:
+        raise ParseError(str(err), line) from None
+    return event
+
+
+def reference_load_events(path, manifest):
+    """Parse a canonical CSV one row at a time into per-student, time-sorted
+    sequences; raises the first bad row's first error."""
+    path = Path(path)
+    by_student = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file: missing header", 1) from None
+        if tuple(header) != CANONICAL_COLUMNS:
+            raise ParseError(
+                f"header mismatch: expected {','.join(CANONICAL_COLUMNS)}", 1
+            )
+        for line, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(CANONICAL_COLUMNS):
+                raise ParseError(
+                    f"expected {len(CANONICAL_COLUMNS)} columns, got {len(raw)}", line
+                )
+            row = dict(zip(CANONICAL_COLUMNS, raw))
+            event = _parse_row(row, line, manifest)
+            by_student.setdefault(event.student_id, []).append(event)
+    students = {
+        sid: sorted(events, key=lambda e: e.timestamp)
+        for sid, events in sorted(by_student.items())
+    }
+    return Dataset(manifest=manifest, students=students)

@@ -11,9 +11,12 @@ from ktrace.core import (
     FoldAssignment,
     InteractionEvent,
     KCGraph,
+    ParseError,
     SchemaError,
     scale,
 )
+from ktrace.ingest import Dataset, load_events, write_events
+from oracle import reference_validate
 
 
 def test_scale_examples():
@@ -46,7 +49,9 @@ def test_manifest_flags():
     assert again.capabilities == m.capabilities
 
 
-def test_event_validation():
+def test_event_validation(tmp_path):
+    """The loader keeps an event that passes the per-event checks and refuses
+    one that fails them, with the same message."""
     ok = InteractionEvent(
         student_id="s1",
         timestamp=100,
@@ -55,17 +60,28 @@ def test_event_validation():
         kc_ids=("k1",),
         correct=True,
     )
-    ok.validate()
-    bad = InteractionEvent(
-        student_id="s1",
-        timestamp=100,
-        kind=EventKind.QUESTION_RESPONSE,
-        question_id="q1",
-        kc_ids=(),
-        correct=True,
-    )
-    with pytest.raises(SchemaError):
-        bad.validate()
+    reference_validate(ok)
+    bad = ok._replace(kc_ids=())
+    with pytest.raises(SchemaError) as err:
+        reference_validate(bad)
+    manifest, path = DatasetManifest.minimal(), tmp_path / "e.csv"
+    write_events(Dataset(manifest, {"s1": [ok]}), path)
+    assert load_events(path, manifest).students == {"s1": [ok]}
+    write_events(Dataset(manifest, {"s1": [ok, bad]}), path)
+    with pytest.raises(ParseError, match=f"^line 3: {err.value}$"):
+        load_events(path, manifest)
+
+
+def test_events_are_immutable():
+    event = InteractionEvent("s1", 100, EventKind.QUESTION_RESPONSE, "q1", ("k1",), True)
+    for name in InteractionEvent._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+    with pytest.raises(AttributeError):
+        event.lag_time = 1.0
+    changed = event._replace(correct=False)
+    assert changed.correct is False and event.correct is True
+    assert changed[:5] == event[:5]
 
 
 def test_kc_graph_reversal_and_members():

@@ -614,7 +614,7 @@ def _with_unsorted_kcs(students):
     out = {}
     for sid, events in students.items():
         out[sid] = [
-            dataclasses.replace(e, kc_ids=e.kc_ids[::-1])
+            e._replace(kc_ids=e.kc_ids[::-1])
             if e.is_response() and len(e.kc_ids) > 1 and i % 3 == 0 else e
             for i, e in enumerate(events)
         ]

@@ -1,9 +1,9 @@
 import csv
-import dataclasses
 import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
+from oracle import reference_load_events
 
-from ktrace import cli
+from ktrace import cli, ingest
 from ktrace.core import (
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
@@ -131,7 +132,7 @@ def test_load_rejects_non_finite_consumption_minutes(tmp_path):
 # cells that reach every branch of the row parser, plus arbitrary text
 _CELLS = st.one_of(
     st.sampled_from([
-        "", "s1", "q1", "k1", "k1;k2", "0", "1", "-1", "2.5", "true", "False", "x",
+        "", "s1", "q1", "k1", "k1;k2", "0", "1", "-1", "2.5", "true", "False", "x", "1_0", " 7 ", "-0",
         "inf", "-inf", "nan", "1e400", "-1e400", "1e18",
         *(kind.value for kind in EventKind), "questionresponse",
     ]),
@@ -154,24 +155,150 @@ def _rows(draw):
     return (cells + [draw(_CELLS)])[:width]
 
 
+def _outcome(load, path, manifest):
+    """A loader's students, or the class and message of its error."""
+    try:
+        return load(path, manifest).students
+    except (ParseError, SchemaError) as err:
+        return type(err), str(err)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     rows=st.lists(_rows(), max_size=6),
     manifest=st.sampled_from([MINIMAL, DatasetManifest.full("f")]),
 )
 def test_load_events_fuzz_fails_only_with_line_numbered_errors(rows, manifest):
+    """The chunked loader agrees with the row parser: equal students, or the
+    same error class and message, also when chunks hold two records."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "e.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CANONICAL_COLUMNS)
             writer.writerows(rows)
-        try:
-            ds = load_events(path, manifest)
-        except (ParseError, SchemaError) as err:
-            assert re.match(r"line \d+: ", str(err)), str(err)
+        want = _outcome(reference_load_events, path, manifest)
+        if isinstance(want, tuple):
+            assert re.match(r"line \d+: ", want[1]), want[1]
         else:
-            assert ds.n_students <= len(rows)
+            assert len(want) <= len(rows)
+        assert _outcome(load_events, path, manifest) == want
+        with mock.patch.object(ingest, "_CHUNK_RECORDS", 2):
+            assert _outcome(load_events, path, manifest) == want
+
+
+def test_load_reports_the_first_records_first_error(tmp_path):
+    """Errors in several rows and columns: the earliest record's first check
+    in the row order wins, whatever comes after it."""
+    manifest = DatasetManifest.full("f")
+    ok = dict(student_id="s1", timestamp=5, event_kind="QuestionResponse", question_id="q1", kc_ids="k1", correct=1)
+    line3 = dict(ok, correct="maybe", hint_count="x", elapsed_time_s=-2, study_module="m")
+    line4 = dict(ok, student_id="", timestamp="soon")
+    lines = [csv_line(**ok), csv_line(**line3), csv_line(**line4), "s2,1,QuestionResponse", csv_line(**ok)]
+    expected = [
+        (None, "line 3: bad correct flag 'maybe'"),
+        (dict(correct=1), "line 3: bad integer 'x' in column 'hint_count'"),
+        (dict(hint_count=3), "line 3: negative elapsed_time_s"),
+        (dict(elapsed_time_s=2), "line 4: empty student_id"),
+    ]
+    for fix, message in expected:
+        if fix:
+            line3.update(fix)
+            lines[1] = csv_line(**line3)
+        path = write_csv(tmp_path / "e.csv", lines)
+        assert _outcome(load_events, path, manifest) == (ParseError, message)
+        assert _outcome(reference_load_events, path, manifest) == (ParseError, message)
+    lines[2] = csv_line(**ok)
+    path = write_csv(tmp_path / "e.csv", lines)
+    want = (ParseError, "line 5: expected 21 columns, got 3")
+    assert _outcome(load_events, path, manifest) == want == _outcome(reference_load_events, path, manifest)
+    want = (SchemaError, "line 3: column 'elapsed_time_s' populated but manifest 't' does not declare 'elapsed_lag_time'")
+    assert _outcome(load_events, path, MINIMAL) == want == _outcome(reference_load_events, path, MINIMAL)
+
+
+def _response_line(sid, ts, qid, **cells):
+    return csv_line(student_id=sid, timestamp=ts, event_kind="QuestionResponse", question_id=qid,
+                    kc_ids="k1", correct=1, **cells)
+
+
+def test_load_sorts_a_student_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", 3)
+    lines = [
+        _response_line("s1", 5, "q1"), _response_line("s2", 1, "q1"), _response_line("s1", 3, "q2"),
+        _response_line("s1", 5, "q3"), _response_line("s1", 3, "q4"), _response_line("s2", 1, "q2"),
+        _response_line("s1", 5, "q5"),
+    ]
+    path = write_csv(tmp_path / "e.csv", lines)
+    ds = load_events(path, MINIMAL)
+    assert [(e.timestamp, e.question_id) for e in ds.students["s1"]] == [
+        (3, "q2"), (3, "q4"), (5, "q1"), (5, "q3"), (5, "q5"),
+    ]
+    assert [e.question_id for e in ds.students["s2"]] == ["q1", "q2"]
+    assert ds.students == reference_load_events(path, MINIMAL).students
+
+
+def test_load_error_in_a_later_chunk_keeps_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", 3)
+    lines = [
+        _response_line("s1", 1, "q1"), "", _response_line("s1", 2, "q1"),  # a blank record still counts
+        _response_line("s1", 3, "q1"), _response_line("s1", "later", "q1"), _response_line("s1", 4, "q1"),
+        _response_line("s1", -1, "q1"),
+    ]
+    with pytest.raises(ParseError, match=r"^line 6: bad timestamp 'later'$"):
+        load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+    lines[4] = _response_line("s1", 5, "q1")
+    with pytest.raises(ParseError, match=r"^line 8: negative timestamp -1$"):
+        load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+
+
+def test_load_short_row_after_a_clean_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", 3)
+    lines = [_response_line("s1", t, "q1") for t in range(3)]
+    lines.append(_response_line("s1", 3, "q1").rsplit(",", 1)[0])
+    with pytest.raises(ParseError, match=rf"^line 5: expected {len(CANONICAL_COLUMNS)} columns, got 20$"):
+        load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+
+
+def _prepare_fails(tmp_path, path, capsys, message):
+    write_manifest(MINIMAL, tmp_path / "manifest.json")
+    code = cli.main(["prepare", "--input", str(path), "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "prep")])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_load_names_the_line_of_a_cell_over_the_csv_limit(tmp_path, capsys):
+    long_cell = "q" * (csv.field_size_limit() + 1)
+    lines = [_response_line("s1", 1, "q1"), _response_line("s1", 2, long_cell), _response_line("s1", -3, "q1")]
+    path = write_csv(tmp_path / "e.csv", lines)
+    message = f"line 3: field larger than field limit ({csv.field_size_limit()})"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_events(path, MINIMAL)
+    _prepare_fails(tmp_path, path, capsys, message)
+    lines[0] = _response_line("s1", "x", "q1")  # an earlier record's error comes first
+    with pytest.raises(ParseError, match="^line 2: bad timestamp 'x'$"):
+        load_events(write_csv(tmp_path / "e.csv", lines), MINIMAL)
+
+
+# with 400-character blocks, the block that holds the bad byte starts a few records before it
+@pytest.mark.parametrize("block_chars", [1 << 20, 400])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, monkeypatch, block_chars):
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+    lines = [_response_line("s1", t, f"q{t}") for t in range(400)]
+    lines[300] = _response_line("s1", 300, '"q\nBAD"')  # a record of two physical lines
+    path = tmp_path / "e.csv"
+    write_csv(path, lines)
+    path.write_bytes(path.read_bytes().replace(b"BAD", b"\xffAD"))
+    message = "line 302: byte 0xff is not UTF-8"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_events(path, MINIMAL)
+    _prepare_fails(tmp_path, path, capsys, message)
+    path.write_bytes(path.read_bytes().replace(b"s1,200,", b"s1,-200,"))  # an earlier record's error comes first
+    with pytest.raises(ParseError, match="^line 202: negative timestamp -200$"):
+        load_events(path, MINIMAL)
+    path.write_bytes(b"\xfe" + path.read_bytes())
+    with pytest.raises(ParseError, match="^line 1: byte 0xfe is not UTF-8$"):
+        load_events(path, MINIMAL)
 
 
 def test_load_header_mismatch(tmp_path):
@@ -213,7 +340,7 @@ def test_load_rejects_undeclared_event_kinds(tmp_path, kind):
 
 def test_canonical_columns_are_the_event_fields():
     """A field added to InteractionEvent without an OPTIONAL_FIELDS row fails here."""
-    names = [f.name for f in dataclasses.fields(InteractionEvent)]
+    names = InteractionEvent._fields
     assert ["event_kind" if n == "kind" else n for n in names] == list(CANONICAL_COLUMNS)
 
 
