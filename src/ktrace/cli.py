@@ -42,7 +42,7 @@ CONFIG_KEYS = {
         "prereq_transfer", "modules", "module_scale", "mean_gap_s", "mean_elapsed_s", "name",
     ),
     "prepare": ("min-responses", "folds", "seed", "squash-kcs"),
-    "train-eval": ("folds", "seed", "jobs", "l2", "partition", "min-partition", "extras", "combine"),
+    "train-eval": ("folds", "seed", "jobs", "l2", "partition", "extras", "combine"),
 }
 
 
@@ -117,16 +117,22 @@ def _load_config_file(path: str | None, subcommand: str) -> dict:
     return obj
 
 
-def _effective(args: argparse.Namespace, cfg: dict, name: str, default, env: str | None = None):
-    """flags > environment > config file > default."""
+def _effective(args: argparse.Namespace, cfg: dict, name: str, default, env: str | None = None,
+               minimum: int | None = None):
+    """flags > environment > config file > default; a given value below
+    `minimum` is a ConfigError naming where it came from."""
     flag = getattr(args, name.replace("-", "_"), None)
     if flag is not None:
-        return flag
-    if env is not None and os.environ.get(env):
-        return type(default)(os.environ[env]) if default is not None else os.environ[env]
-    if name in cfg:
-        return cfg[name]
-    return default
+        value, source = flag, f"--{name}"
+    elif env is not None and os.environ.get(env):
+        value, source = type(default)(os.environ[env]) if default is not None else os.environ[env], env
+    elif name in cfg:
+        value, source = cfg[name], f"--config key {name!r}"
+    else:
+        return default
+    if minimum is not None and int(value) < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r} from {source}")
+    return value
 
 
 def _parse_extras(text: str | None) -> tuple[FeatureFamily, ...]:
@@ -145,7 +151,7 @@ def _parse_scheme(text: str) -> specialize.Scheme:
     raise ConfigError(f"partition scheme must be ri, response-index, f:FIELD or by-feature:FIELD, got {text!r}")
 
 
-def _parse_base_token(token: str, min_partition: int):
+def _parse_base_token(token: str):
     """A base spec: RECIPE or RECIPE@SCHEME."""
     recipe, at, scheme = token.partition("@")
     if recipe.strip().lower() not in RECIPE_NAMES:
@@ -154,7 +160,7 @@ def _parse_base_token(token: str, min_partition: int):
         )
     if not at:
         return evaluate.PlainSpec(recipe)
-    return specialize.PartitionedSpec(recipe, scheme=_parse_scheme(scheme), min_partition=min_partition)
+    return specialize.PartitionedSpec(recipe, scheme=_parse_scheme(scheme))
 
 
 def save_fitted(fitted, out_dir: Path, spec) -> None:
@@ -237,23 +243,22 @@ def cmd_prepare(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _build_spec(args: argparse.Namespace, cfg_file: dict):
-    min_partition = int(_effective(args, cfg_file, "min-partition", specialize.PartitionedSpec.min_partition))
     extras = _parse_extras(_effective(args, cfg_file, "extras", None))
     combo = _effective(args, cfg_file, "combine", "none")
     partition = _effective(args, cfg_file, "partition", "none")
+    if combo == "none" and args.select_bases:
+        raise ConfigError("--select-bases picks among --combine bases; give --combine too")
     if combo != "none":
         if partition != "none":
             raise ConfigError("--partition applies to bases via @ suffixes when --combine is used")
         if extras:
             raise ConfigError("--extras applies to --recipe only, not to --combine bases")
         # a + followed by another +, an @ or the end belongs to a recipe name (best-lr+)
-        bases = tuple(_parse_base_token(tok, min_partition) for tok in re.split(r"\+(?=[^+@])", combo) if tok)
-        return bases, None, min_partition
+        bases = tuple(_parse_base_token(tok) for tok in re.split(r"\+(?=[^+@])", combo) if tok)
+        return bases, None
     if partition == "none":
-        return None, evaluate.PlainSpec(args.recipe, extras=extras), min_partition
-    return None, specialize.PartitionedSpec(
-        args.recipe, extras=extras, scheme=_parse_scheme(partition), min_partition=min_partition
-    ), min_partition
+        return None, evaluate.PlainSpec(args.recipe, extras=extras)
+    return None, specialize.PartitionedSpec(args.recipe, extras=extras, scheme=_parse_scheme(partition))
 
 
 def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
@@ -262,11 +267,11 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     k_set = _effective(args, cfg_file, "folds", None)
     # stacking and base selection keep seed 0 unless one is given, whatever the stored split's seed
     seed = int(seed_set) if seed_set is not None else 0
-    jobs = int(_effective(args, cfg_file, "jobs", 1, env=JOBS_ENV))
+    jobs = int(_effective(args, cfg_file, "jobs", 1, env=JOBS_ENV, minimum=1))
     l2 = float(_effective(args, cfg_file, "l2", regression.TrainConfig.l2))
     if args.recipe not in RECIPE_NAMES:
         raise ConfigError(f"--recipe must be one of {', '.join(RECIPE_NAMES)}")
-    bases, spec, min_partition = _build_spec(args, cfg_file)
+    bases, spec = _build_spec(args, cfg_file)
 
     data_dir = Path(args.data)
     dataset, stored_folds = ingest.load_prepared(data_dir)
@@ -300,7 +305,7 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
         argv, "train-eval",
         {
             "recipe": args.recipe, "spec": spec.label, "folds": folds.k,
-            "seed": folds.seed, "jobs": jobs, "l2": l2, "min_partition": min_partition,
+            "seed": folds.seed, "jobs": jobs, "l2": l2,
         },
         seed,
     )
@@ -407,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     te.add_argument("--jobs", type=int)
     te.add_argument("--l2", type=float)
     te.add_argument("--partition", help="none | ri | response-index | f:FIELD | by-feature:FIELD")
-    te.add_argument("--min-partition", type=int)
     te.add_argument("--combine", help="base specs joined by +, e.g. irt+best-lr@ri")
     te.add_argument("--select-bases", action="store_true",
                     help="pick the best --combine subset on fold 1")

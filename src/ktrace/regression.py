@@ -1,10 +1,10 @@
 """Sparse binary logistic regression with a deterministic trainer.
 
 The objective is the negative log-likelihood plus an L2 penalty that
-excludes bias weights:
+excludes bias weights and pulls the rest toward a center c (default 0):
 
     J(w) = sum_i [softplus(z_i) - y_i z_i] + (l2 / 2) ||w_reg||^2,
-    z_i = x_i . w
+    z_i = x_i . w,  w_reg = mask * (w - c)
 
 with gradient  X^T (p - y) + l2 * w_reg,  p = sigma(z), and Hessian-vector
 product  X^T (D (X v)) + l2 * mask * v,  D = p (1 - p).  Training runs
@@ -96,15 +96,17 @@ def reg_mask_for(encoder: Encoder) -> np.ndarray:
 
 
 def _objective(
-    weights: np.ndarray, X: sp.csr_matrix, y: np.ndarray, l2: float, reg_mask: np.ndarray | None
+    weights: np.ndarray, X: sp.csr_matrix, y: np.ndarray, l2: float, reg_mask: np.ndarray | None,
+    center: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """J(w) together with the margins z = X w and the penalized weights
-    w_reg (None when l2 is 0), so the gradient can reuse both."""
+    """J(w) together with the margins z = X w and the penalized offset
+    w_reg from the center (None when l2 is 0), so the gradient can reuse both."""
     z = X @ weights
     value = float(np.sum(np.logaddexp(0.0, z) - y * z))
     w_reg = None
     if l2:
-        w_reg = weights if reg_mask is None else weights * reg_mask
+        w_reg = weights if center is None else weights - center
+        w_reg = w_reg if reg_mask is None else w_reg * reg_mask
         value += 0.5 * l2 * float(np.sum(w_reg * w_reg))
     return value, z, w_reg
 
@@ -257,7 +259,8 @@ def _truncated_cg(hessp, g: np.ndarray, delta: float) -> tuple[np.ndarray, np.nd
 
 
 def _trust_region_newton(
-    X: sp.csr_matrix, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None
+    X: sp.csr_matrix, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None,
+    center: np.ndarray | None,
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
     """TRON (Lin, Weng and Keerthi 2008) from `w`: (weights, J, gradient, trials).
 
@@ -273,7 +276,7 @@ def _trust_region_newton(
         p = expit(z)
         return _gradient(Xt, y, p, w_reg, l2), p * (1.0 - p)
 
-    f, z, w_reg = _objective(w, X, y, l2, reg_mask)
+    f, z, w_reg = _objective(w, X, y, l2, reg_mask, center)
     if not math.isfinite(f):
         raise TrainingDivergenceError(
             f"non-finite loss at initialization (loss={f!r}, max|w|={np.max(np.abs(w))!r})"
@@ -290,7 +293,7 @@ def _trust_region_newton(
             # |g| only starts the region; the first step's length sets its scale
             delta = min(delta, s_norm)
         w_new = w + s
-        f_new, z_new, w_reg_new = _objective(w_new, X, y, l2, reg_mask)
+        f_new, z_new, w_reg_new = _objective(w_new, X, y, l2, reg_mask, center)
         gs = float(g @ s)
         predicted = -0.5 * (gs - float(s @ r))
         at_trial = None
@@ -331,9 +334,11 @@ def fit(
     recipe: Recipe | None = None,
     encoder: Encoder | None = None,
     init: np.ndarray | None = None,
+    center: np.ndarray | None = None,
 ) -> Model:
     """Minimize J by trust-region Newton-CG, stopping at `config.gtol`.
 
+    The penalty pulls the masked weights toward `center` (zero when None).
     `info` records the trial steps (`epochs`), whether the gradient norm
     reached `gtol` (`converged`), the final |g|_inf (`grad_norm`) and J
     there (`final_nll`).  When the encoder is given and no mask is passed,
@@ -355,7 +360,7 @@ def fit(
 
     # overflow to inf/nan is caught by the isfinite checks, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        w, value, grad, trials = _trust_region_newton(X, y, w, config, reg_mask)
+        w, value, grad, trials = _trust_region_newton(X, y, w, config, reg_mask, center)
     info = {
         "epochs": trials,
         "converged": bool(np.linalg.norm(grad) <= config.gtol),

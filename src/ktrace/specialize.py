@@ -5,12 +5,12 @@ A partition scheme maps every training example to exactly one label:
 (time specialization), `ByField` by a categorical event field (context
 specialization: `question_id` or any `str` row of `core.OPTIONAL_FIELDS`,
 whose manifest flag the dataset must declare).  Each scheme's `keys`
-labels a whole extracted matrix at once.  One model is trained per
-sufficiently large partition on that partition's examples only; a
-fallback model trained on everything covers merged, empty and unseen
-partitions.  All partition models share the fallback's encoder, so with
-the single partition [0, inf) routing reproduces the plain model bit
-for bit.
+labels a whole extracted matrix at once.  A fallback model is trained
+on everything, and one model per partition with examples on that
+partition's examples only, shrunk toward the fallback (regularized
+multi-task learning, Evgeniou and Pontil, KDD 2004), so a small
+partition stays close to it.  The fallback covers empty partitions and
+unseen keys.  All partition models share the fallback's encoder.
 """
 
 from __future__ import annotations
@@ -146,13 +146,8 @@ class PartitionedModel:
     encoder: Encoder
     models: dict[str, Model]
     fallback: Model
-    min_partition: int
-    merged: tuple[str, ...] = ()
     single_class: tuple[str, ...] = ()
     warnings: list[str] = field(default_factory=list)
-
-    def model_for(self, key: str) -> Model:
-        return self.models.get(key, self.fallback)
 
 
 def fit_partitioned(
@@ -161,15 +156,17 @@ def fit_partitioned(
     recipe: Recipe,
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
-    *,
-    min_partition: int,
 ) -> PartitionedModel:
-    """Train the fallback on everything, one model per viable partition.
+    """Train the fallback on everything, then one model per partition with examples.
 
-    Partitions with fewer than min_partition examples are merged into
-    the fallback; empty response-index intervals produce a warning.
-    Single-class partitions are trained anyway but flagged.  A scheme
-    whose manifest flag the dataset does not declare is a ConfigError.
+    Each partition model starts at c and is penalized by l2/2 ||w - c||^2,
+    bias included, where c is the fallback's weights with the student
+    block zeroed: student weights never fire for the unseen students of
+    student-level cross-validation, and an unpenalized bias of a tiny
+    single-class partition would run to about +-ln(1/gtol).  Empty
+    partitions warn and route to the fallback; single-class ones are
+    flagged.  A scheme whose manifest flag the dataset does not declare
+    is a ConfigError.
     """
     if scheme.flag is not None and not dataset.manifest.allows(scheme.flag):
         raise ConfigError(
@@ -187,18 +184,16 @@ def fit_partitioned(
     warnings = [f"partition {key}: no training examples, routed to fallback"
                 for key in labels if key not in groups]
 
+    center = fallback.weights.copy()
+    for fam, off, size in encoder.blocks:
+        if fam.kind == "student":
+            center[off : off + size] = 0.0
     models: dict[str, Model] = {}
-    merged: list[str] = []
     single_class: list[str] = []
     for key, rows in groups.items():
-        if rows.size < min_partition:
-            merged.append(key)
-            warnings.append(
-                f"partition {key}: {rows.size} examples < floor {min_partition}, merged into fallback"
-            )
-            continue
         yk = ext.y[rows]
-        models[key] = regression.fit(ext.X[rows], yk, config, encoder=encoder, recipe=recipe)
+        models[key] = regression.fit(ext.X[rows], yk, config, reg_mask=np.ones(encoder.dim), encoder=encoder,
+                                     recipe=recipe, init=center, center=center)
         if yk.min() == yk.max():
             single_class.append(key)
     return PartitionedModel(
@@ -206,8 +201,6 @@ def fit_partitioned(
         encoder=encoder,
         models=models,
         fallback=fallback,
-        min_partition=min_partition,
-        merged=tuple(merged),
         single_class=tuple(single_class),
         warnings=warnings,
     )
@@ -217,7 +210,7 @@ def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> n
     """Routed probabilities for an extracted matrix, in row order."""
     out = np.zeros(len(ext.events), dtype=np.float64)
     for key, rows in _rows_by_partition(*pm.scheme.keys(ext)).items():
-        out[rows] = regression.predict_proba_batch(pm.model_for(key), ext.X[rows])
+        out[rows] = regression.predict_proba_batch(pm.models.get(key, pm.fallback), ext.X[rows])
     return out
 
 
@@ -227,31 +220,25 @@ class PartitionedSpec(PlainSpec):
     `partitioned.json`, `encoder.json`, `fallback.json` and `part-*.json`."""
 
     scheme: Scheme = ResponseIndex()
-    min_partition: int = 50
 
     @property
     def label(self) -> str:
         return f"{super().label}@{self.scheme.label}"
 
     def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig) -> PartitionedModel:
-        return fit_partitioned(
-            students, self.scheme, self.resolve_recipe(dataset), dataset, config,
-            min_partition=self.min_partition,
-        )
+        return fit_partitioned(students, self.scheme, self.resolve_recipe(dataset), dataset, config)
 
     def predict_on(self, fitted: PartitionedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
         ext = extract(students, fitted.encoder, dataset)
         return FoldPrediction(probs=predict_routed_batch(fitted, ext), labels=ext.y, t=ext.t)
 
     def to_json(self) -> dict:
-        return {**super().to_json(), "kind": "partitioned", "scheme": self.scheme.to_json(),
-                "min_partition": self.min_partition}
+        return {**super().to_json(), "kind": "partitioned", "scheme": self.scheme.to_json()}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PartitionedSpec":
         plain = PlainSpec.from_json(obj)
-        return cls(plain.recipe, plain.extras, scheme_from_json(obj["scheme"]),
-                   int(obj["min_partition"]))
+        return cls(plain.recipe, plain.extras, scheme_from_json(obj["scheme"]))
 
     def save(self, fitted: PartitionedModel, out_dir: str | Path) -> None:
         save_partitioned(fitted, out_dir)
@@ -291,8 +278,6 @@ def save_partitioned(pm: PartitionedModel, out_dir: str | Path) -> Path:
     manifest = {
         "kind": "partitioned_model",
         "scheme": pm.scheme.to_json(),
-        "min_partition": pm.min_partition,
-        "merged": list(pm.merged),
         "single_class": list(pm.single_class),
         "warnings": list(pm.warnings),
         "encoder": "encoder.json",
@@ -323,8 +308,6 @@ def load_partitioned(out_dir: str | Path) -> PartitionedModel:
         encoder=encoder,
         models=models,
         fallback=fallback,
-        min_partition=int(manifest["min_partition"]),
-        merged=tuple(manifest["merged"]),
         single_class=tuple(manifest["single_class"]),
         warnings=list(manifest["warnings"]),
     )

@@ -1,13 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from ktrace import regression
-from ktrace.cli import main
+from ktrace.cli import CONFIG_KEYS, build_parser, main
 from ktrace.combine import CombinedSpec, _split_meta_students
 from ktrace.evaluate import PlainSpec
 from ktrace.ingest import load_prepared
@@ -232,11 +234,56 @@ def test_prepare_rejects_unknown_config_keys(prepared, tmp_path, capsys):
 def test_train_eval_rejects_unknown_config_keys(prepared, tmp_path, capsys):
     out = tmp_path / "out"
     err = _unknown_config_key_error(
-        capsys, tmp_path, {"min_partition": 7}, "train-eval", "--data", prepared,
+        capsys, tmp_path, {"min-partition": 7}, "train-eval", "--data", prepared,
         "--recipe", "irt", "--partition", "ri", "--out", out,
     )
-    assert "unknown train-eval --config keys min_partition;" in err
-    assert "min-partition" in err
+    assert "unknown train-eval --config keys min-partition;" in err
+    assert "accepted: folds, seed, jobs, l2, partition, extras, combine" in err
+    assert not out.exists()
+
+
+def test_config_keys_agree_with_parser_and_readme():
+    """Every --config key names an option of its subcommand, and README lists exactly these keys."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name, keys in CONFIG_KEYS.items():
+        dests = {a.dest for a in subcommands[name]._actions}
+        assert {k.replace("-", "_") for k in keys} <= dests, name
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    listing = readme.split("`--config` file may hold only", 1)[1]
+    listing = listing[: listing.index(".", listing.index("- `"))]
+    documented = {name: tuple(re.findall(r"`([^`]+)`", keys))
+                  for name, keys in re.findall(r"- `([\w-]+)`: ([^;]+)", listing)}
+    assert documented == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("where, source", [
+    ("flag", "from --jobs"),
+    ("env", "from KTRACE_JOBS"),
+    ("config", "from --config key 'jobs'"),
+])
+def test_train_eval_rejects_jobs_below_one(prepared, tmp_path, capsys, monkeypatch, where, source):
+    monkeypatch.delenv("KTRACE_JOBS", raising=False)
+    argv = ["train-eval", "--data", prepared, "--recipe", "irt", "--out", tmp_path / "out"]
+    if where == "flag":
+        argv += ["--jobs", 0]
+    elif where == "env":
+        monkeypatch.setenv("KTRACE_JOBS", "-4")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        argv += ["--config", cfg]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "jobs must be >= 1" in err and source in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_eval_select_bases_needs_combine(prepared, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("train-eval", "--data", prepared, "--recipe", "irt", "--select-bases", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--select-bases" in err and "--combine" in err
     assert not out.exists()
 
 

@@ -212,8 +212,7 @@ def test_select_bases_matches_fitting_every_subset():
     ds, folds, _, _ = _irt_data(seed=71, n_students=48, per=20)
     cands = [
         PlainSpec("irt"),
-        PartitionedSpec("pfa", scheme=ResponseIndex((0, 8, math.inf)),
-                        min_partition=10),
+        PartitionedSpec("pfa", scheme=ResponseIndex((0, 8, math.inf))),
         PlainSpec("pfa"),
         NoiseSpec(3),
     ]
@@ -249,12 +248,10 @@ def test_select_bases_touches_only_first_fold():
 
 ROUNDTRIP_SPECS = {
     "plain": PlainSpec("irt", extras=(F("counts", "total"),)),
-    "partitioned": PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf)),
-                                   min_partition=10),
+    "partitioned": PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf))),
     "combined": CombinedSpec(
         (PlainSpec("irt"),
-         PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf)),
-                         min_partition=10)),
+         PartitionedSpec("pfa", scheme=ResponseIndex((0, 10, math.inf)))),
         seed=13,
     ),
 }
@@ -287,11 +284,9 @@ def test_plain_load_refuses_another_recipes_fit(tmp_path):
 
 def test_partitioned_load_refuses_other_splitpoints(tmp_path):
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
-    stored = PartitionedSpec("irt", scheme=ResponseIndex((0, 5, math.inf)),
-                             min_partition=10)
+    stored = PartitionedSpec("irt", scheme=ResponseIndex((0, 5, math.inf)))
     save_fitted(stored.fit_on(train, ds, CFG), tmp_path, stored)
-    wanted = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)),
-                             min_partition=10)
+    wanted = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)))
     with pytest.raises(ConfigError, match=r'fit of spec .*\[0,5,"inf"\].*not of .*\[0,10,"inf"\]'):
         wanted.load(tmp_path)
 

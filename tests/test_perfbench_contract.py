@@ -48,7 +48,7 @@ def test_partition_functions_have_what_the_tracer_reads():
                           for j in range(8)] for i in range(4)}
     ds = toy_dataset(students)
     result = specialize.fit_partitioned(ds.students, specialize.ResponseIndex(),
-                                        resolve("irt", ds.manifest).recipe, ds, min_partition=5)
+                                        resolve("irt", ds.manifest).recipe, ds)
     assert isinstance(result.models, Mapping) and len(result.models) == 1
     assert list(inspect.signature(specialize.predict_routed_batch).parameters)[1] == "ext"
     assert list(inspect.signature(specialize.save_partitioned).parameters)[1] == "out_dir"

@@ -168,6 +168,28 @@ def test_fit_optimum_independent_of_init(rng):
     assert warm.info["epochs"] < a.info["epochs"]
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["all-penalized", "bias-free"])
+def test_fit_with_center_is_stationary_for_the_centered_penalty(rng, masked):
+    X, y = _margin_data(rng, margin=0.0)
+    X = sp.hstack([np.ones((X.shape[0], 1)), X], format="csr")  # column 0 is a bias
+    dim = X.shape[1]
+    mask = np.ones(dim)
+    if masked:
+        mask[0] = 0.0
+    center = rng.normal(size=dim)
+    center[0] = 1.5
+    cfg = TrainConfig(l2=2.0)
+    model = fit(X, y, cfg, reg_mask=mask, center=center)
+    w = model.weights
+    grad = X.T @ (1.0 / (1.0 + np.exp(-(X @ w))) - y) + cfg.l2 * mask * (w - center)
+    assert np.linalg.norm(grad) <= cfg.gtol
+    assert model.info["converged"]
+    # the center moves the optimum; a zero center is the plain objective, bit for bit
+    plain = fit(X, y, cfg, reg_mask=mask)
+    assert np.max(np.abs(w - plain.weights)) > 0.01
+    assert fit(X, y, cfg, reg_mask=mask, center=np.zeros(dim)).weights.tobytes() == plain.weights.tobytes()
+
+
 def test_fit_divergent_init_raises(rng):
     X, y = _margin_data(rng, margin=0.0)
     for trainer in (fit, reference_fit):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import ExtractResult, build_matrix
 from ktrace.ingest import split_folds
 from ktrace.recipes import resolve
-from ktrace.regression import TrainConfig, nll, predict_proba_batch
+from ktrace.regression import TrainConfig, fit, nll, predict_proba_batch
 from ktrace.specialize import (
     MISSING_KEY,
     ByField,
@@ -138,7 +139,7 @@ def test_fit_partitioned_beats_fallback_per_partition():
     scheme = ResponseIndex((0, 10, math.inf))
     recipe = resolve("irt", ds.manifest).recipe
     cfg = TrainConfig(l2=1e-6)
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg, min_partition=10)
+    pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg)
     assert set(pm.models) == {"0-10", "10-inf"}
     ext = build_matrix(ds.students, pm.encoder)
     for key, lo, hi in (("0-10", 0, 10), ("10-inf", 10, 10**9)):
@@ -148,16 +149,15 @@ def test_fit_partitioned_beats_fallback_per_partition():
         assert spec_nll < fall_nll
 
 
-def test_empty_and_small_partitions_merge_to_fallback():
+def test_empty_intervals_warn_and_route_to_fallback():
     ds = _two_regime_students(n_students=8, per=12, flip=6)
     scheme = ResponseIndex()
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=50)
-    # 8 students x 12 responses: 0-10 has 80 rows, 10-50 only 16 (below the
-    # floor of 50), later intervals are empty
-    assert "0-10" in pm.models
-    assert "10-50" in pm.merged
-    assert any("50-100" in w for w in pm.warnings)
+    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
+    # 8 students x 12 responses: 0-10 has 80 rows, 10-50 has 16, later intervals are empty
+    assert list(pm.models) == ["0-10", "10-50"]
+    assert pm.warnings == [f"partition {key}: no training examples, routed to fallback"
+                           for key in ("50-100", "100-250", "250-500", "500-inf")]
     ev = response("s999", 100, "q1", ["k1"], True)
     ext = build_matrix({"s999": [ev]}, pm.encoder)
     routed = predict_routed_batch(pm, dataclasses.replace(ext, t=np.array([600])))  # empty 500-inf
@@ -177,25 +177,9 @@ def test_single_class_partition_flagged():
     ds = toy_dataset(students, name="oneclass")
     scheme = ResponseIndex((0, 5, math.inf))
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
+    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
     assert "0-5" in pm.single_class
     assert "5-inf" not in pm.single_class
-
-
-def test_single_partition_equals_plain_model():
-    ds = _two_regime_students(n_students=10, per=10, flip=5)
-    scheme = ResponseIndex((0, math.inf))
-    recipe = resolve("best-lr", ds.manifest).recipe
-    cfg = TrainConfig(l2=1e-4)
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg, min_partition=1)
-    assert list(pm.models) == ["0-inf"]
-    ext = build_matrix(ds.students, pm.encoder)
-    routed = predict_routed_batch(pm, ext)
-    plain_spec = PlainSpec("best-lr")
-    encoder, model = plain_spec.fit_on(ds.students, ds, cfg)
-    plain = predict_proba_batch(model, build_matrix(ds.students, encoder).X)
-    assert routed.tobytes() == plain.tobytes()
-    assert pm.models["0-inf"].weights.tobytes() == pm.fallback.weights.tobytes()
 
 
 def _module_students(capabilities=("study_module",)):
@@ -215,7 +199,7 @@ def test_by_feature_unseen_value_routes_to_fallback():
     ds = _module_students()
     scheme = ByField("study_module")
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
+    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
     assert set(pm.models) == {"a", "b"}
     ev = response("s0", 9999, "q1", ["k1"], True, study_module="never-seen")
     ext = build_matrix({"sX": [ev]}, pm.encoder)
@@ -223,11 +207,55 @@ def test_by_feature_unseen_value_routes_to_fallback():
     assert routed.tobytes() == predict_proba_batch(pm.fallback, ext.X).tobytes()
 
 
+def test_one_row_partition_stays_near_the_fallback():
+    """A partition holding one response is fitted, shrunk toward the fallback."""
+    students = {
+        f"s{i}": [
+            response(f"s{i}", 60 * j, f"q{j % 4}", ["k1"], (i + j) % 3 != 0,
+                     study_module="rare" if (i, j) == (0, 5) else "ab"[j % 2])
+            for j in range(12)
+        ]
+        for i in range(10)
+    }
+    ds = toy_dataset(students, name="mods", capabilities=("study_module",))
+    recipe = resolve("best-lr", ds.manifest).recipe
+    pm = fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig())
+    assert list(pm.models) == ["a", "b", "rare"] and pm.single_class == ("rare",)
+    held_out = {f"t{i}": [response(f"t{i}", 60 * j, f"q{j % 4}", ["k1"], j % 2 == 0, study_module="rare")
+                          for j in range(8)] for i in range(3)}
+    ext = build_matrix(held_out, pm.encoder)
+    fallback = predict_proba_batch(pm.fallback, ext.X)
+    assert np.max(np.abs(predict_routed_batch(pm, ext) - fallback)) < 0.15
+    # weights the row does not touch stay at the center: the fallback's, student block zeroed
+    train = build_matrix(ds.students, pm.encoder)
+    row = [i for i, e in enumerate(train.events) if e.study_module == "rare"]
+    center = pm.fallback.weights.copy()
+    off, size = pm.encoder.offset_of("student")
+    center[off : off + size] = 0.0
+    untouched = train.X[row].getnnz(axis=0) == 0
+    assert np.array_equal(pm.models["rare"].weights[untouched], center[untouched])
+    assert np.any(pm.fallback.weights[off : off + size])
+    # without the shrinkage the one row's model is far from the fallback
+    alone = fit(train.X[row], train.y[row], TrainConfig(), encoder=pm.encoder)
+    assert np.max(np.abs(predict_proba_batch(alone, ext.X) - fallback)) > 0.3
+
+
+def test_load_refuses_a_fit_stored_with_a_partition_floor(tmp_path):
+    """Fold directories written before partition models were shrunk hold `min_partition`."""
+    ds = _module_students()
+    spec = PartitionedSpec("pfa", scheme=ByField("study_module"))
+    spec.save(spec.fit_on(ds.students, ds, TrainConfig()), tmp_path)
+    stored = json.loads((tmp_path / "spec.json").read_text())
+    (tmp_path / "spec.json").write_text(json.dumps({**stored, "min_partition": 50}))
+    with pytest.raises(ConfigError, match='"min_partition":50'):
+        spec.load(tmp_path)
+
+
 def test_undeclared_field_is_refused():
     ds = _module_students(capabilities=())
     recipe = resolve("pfa", ds.manifest).recipe
     with pytest.raises(ConfigError, match="by-feature:study_module needs the manifest flag 'study_module'"):
-        fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig(), min_partition=5)
+        fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig())
     with pytest.raises(ConfigError, match="'age_gender'"):
         PartitionedSpec("pfa", scheme=ByField("gender")).fit_on(ds.students, ds, TrainConfig())
 
@@ -252,8 +280,7 @@ def test_partitioned_beats_plain_after_regime_change():
 
 def test_partitioned_spec_in_cross_validation():
     ds, _ = generate(GeneratorConfig(seed=37, n_students=40, responses_per_student=25, n_questions=12))
-    spec = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)),
-                           min_partition=20)
+    spec = PartitionedSpec("irt", scheme=ResponseIndex((0, 10, math.inf)))
     report = cross_validate(ds, spec, k=4, seed=37, config=TrainConfig(l2=0.01))
     assert report.spec == "irt@response-index"
     assert len(report.per_fold) == 4
@@ -263,7 +290,7 @@ def test_save_load_roundtrip(tmp_path):
     for ds, scheme in ((_two_regime_students(n_students=12, per=14, flip=7), ResponseIndex((0, 7, math.inf))),
                        (_module_students(), ByField("study_module"))):
         recipe = resolve("best-lr", ds.manifest).recipe
-        pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig(), min_partition=5)
+        pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
         out = tmp_path / scheme.kind
         save_partitioned(pm, out)
         again = load_partitioned(out)
