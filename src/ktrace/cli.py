@@ -44,6 +44,11 @@ CONFIG_KEYS = {
     "prepare": ("min-responses", "folds", "seed", "squash-kcs"),
     "train-eval": ("folds", "seed", "jobs", "l2", "partition", "extras", "combine"),
 }
+# --config keys that take a number; a numeric string is parsed as its flag's text would be
+NUMERIC_CONFIG_KEYS = frozenset({
+    "seed", "students", "questions", "kcs", "responses", "momentum", "regime_step", "prereq_transfer",
+    "module_scale", "mean_gap_s", "mean_elapsed_s", "min-responses", "folds", "jobs", "l2",
+})
 
 
 def _sha256_file(path: Path) -> str:
@@ -114,6 +119,12 @@ def _load_config_file(path: str | None, subcommand: str) -> dict:
             f"unknown {subcommand} --config keys {', '.join(unknown)}; "
             f"accepted: {', '.join(CONFIG_KEYS[subcommand])}"
         )
+    for name in sorted(set(obj) & NUMERIC_CONFIG_KEYS):
+        value = obj[name]
+        if value is None and name == "regime_step":
+            continue  # null is its default: no regime switches
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"--config key {name!r} must be a number, got {json.dumps(value)}")
     return obj
 
 

@@ -242,6 +242,22 @@ def test_train_eval_rejects_unknown_config_keys(prepared, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, shown", [
+    ({"jobs": None}, "'jobs' must be a number, got null"),
+    ({"l2": None}, "'l2' must be a number, got null"),
+    ({"l2": [1]}, "'l2' must be a number, got [1]"),
+    ({"folds": True}, "'folds' must be a number, got true"),
+], ids=["jobs-null", "l2-null", "l2-list", "folds-bool"])
+def test_train_eval_rejects_non_numeric_config_values(prepared, tmp_path, capsys, monkeypatch, cfg, shown):
+    monkeypatch.delenv("KTRACE_JOBS", raising=False)
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("train-eval", "--data", prepared, "--recipe", "irt", "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --config key {shown}\n"
+    assert not out.exists()
+
+
 def test_config_keys_agree_with_parser_and_readme():
     """Every --config key names an option of its subcommand, and README lists exactly these keys."""
     parser = build_parser()

@@ -5,11 +5,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import response
 from oracle import reference_fit
 
+from ktrace.combine import _meta_inputs
 from ktrace.core import ConfigError, DatasetManifest
 from ktrace.features import F, Recipe, build_matrix, fit_encoders
 from ktrace import regression
@@ -110,6 +113,8 @@ def test_shape_mismatch_raises():
         fit(X, np.zeros(2))
     with pytest.raises(ConfigError):
         fit(sp.csr_matrix((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError):
+        predict_proba_batch(Model(weights=np.zeros(3)), X)
 
 
 def _margin_data(rng, n=300, d=6, margin=0.5):
@@ -438,3 +443,55 @@ def test_fit_bytes_do_not_depend_on_concurrent_fits(rng):
     with ThreadPoolExecutor(max_workers=2) as pool:
         together = [m.weights.tobytes() for m in pool.map(lambda y: fit(X, y, cfg), ys)]
     assert together == alone
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _raw_csr(draw):
+    """A CSR matrix as stored: rows may be empty and hold unsorted or
+    duplicate column indices; index arrays are int32 or int64."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.tuples(st.integers(0, n_cols - 1), _finite), max_size=5)) for _ in range(n_rows)]
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    A = sp.csr_matrix((n_rows, n_cols))
+    A.data = np.array([value for row in rows for _, value in row], dtype=np.float64)
+    A.indices = np.array([col for row in rows for col, _ in row], dtype=index_dtype)
+    A.indptr = np.cumsum([0] + [len(row) for row in rows]).astype(index_dtype)
+    v = np.array(draw(st.lists(_finite, min_size=n_cols, max_size=n_cols)))
+    u = np.array(draw(st.lists(_finite, min_size=n_rows, max_size=n_rows)))
+    return A, v, u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_raw_csr())
+def test_matvec_is_bitwise_scipy_matmul(case):
+    """`_matvec` calls the kernel `A @ v` ends in, so the bytes agree; X^T as
+    CSR sums each column in the row order of scipy's CSC view X.T."""
+    A, v, u = case
+    assert regression._matvec(A, v).tobytes() == (A @ v).tobytes()
+    assert regression._matvec(A.T.tocsr(), u).tobytes() == (A.T @ u).tobytes()
+
+
+def test_fits_are_bitwise_those_of_scipy_matmul(monkeypatch):
+    """A best-lr+ fit, a centered partition fit and a stacking meta fit give
+    the same weights and info when every product goes through `A @ v`."""
+    ds, _ = generate(GeneratorConfig(seed=7, n_students=16, n_questions=12, n_kcs=3,
+                                     responses_per_student=40))
+    enc = fit_encoders(ds.students, resolve("best-lr+", ds.manifest).recipe, ds.manifest)
+    ext = build_matrix(ds.students, enc)
+    rows = np.flatnonzero(np.arange(len(ext.y)) % 3 == 0)
+
+    def fits():
+        plain = fit(ext.X, ext.y, TrainConfig(), encoder=enc)
+        center = plain.weights
+        part = fit(ext.X[rows], ext.y[rows], TrainConfig(), reg_mask=np.ones(enc.dim), encoder=enc,
+                   init=center, center=center)
+        columns = [predict_proba_batch(m, ext.X) for m in (plain, part)]
+        meta = fit(_meta_inputs(columns), ext.y, TrainConfig())
+        return [(m.weights.tobytes(), m.info) for m in (plain, part, meta)]
+
+    direct = fits()
+    monkeypatch.setattr(regression, "_matvec", lambda A, v: A @ v)
+    assert fits() == direct
