@@ -49,6 +49,8 @@ NUMERIC_CONFIG_KEYS = frozenset({
     "seed", "students", "questions", "kcs", "responses", "momentum", "regime_step", "prereq_transfer",
     "module_scale", "mean_gap_s", "mean_elapsed_s", "min-responses", "folds", "jobs", "l2",
 })
+# --config keys that take their flag's text; `modules` may also be a list of strings
+STRING_CONFIG_KEYS = frozenset({"partition", "extras", "combine"})
 
 
 def _sha256_file(path: Path) -> str:
@@ -125,6 +127,12 @@ def _load_config_file(path: str | None, subcommand: str) -> dict:
             continue  # null is its default: no regime switches
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigError(f"--config key {name!r} must be a number, got {json.dumps(value)}")
+    for name in sorted(set(obj) & STRING_CONFIG_KEYS):
+        if not isinstance(obj[name], str):
+            raise ConfigError(f"--config key {name!r} must be a string, got {json.dumps(obj[name])}")
+    modules = obj.get("modules", "")
+    if not isinstance(modules, str) and not (isinstance(modules, list) and all(isinstance(m, str) for m in modules)):
+        raise ConfigError(f"--config key 'modules' must be a string or a list of strings, got {json.dumps(modules)}")
     return obj
 
 

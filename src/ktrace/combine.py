@@ -10,7 +10,11 @@ first fold only, keeping later folds untouched by the choice.  It fits
 each candidate twice (on the 90 percent and on all of the fold-1
 training students) and scores every subset from those cached
 predictions, so n candidates cost 2n base fits plus one small meta fit
-per subset of size >= 2 (2^n - n - 1 of them).
+per subset of size >= 2 (2^n - n - 1 of them).  Every base fit and
+base prediction goes through the dataset's fit memo
+(`evaluate.fit_once`, `predict_once`): cross-validation fold 0 trains on
+the same students with the same split, so a stacked or single chosen
+model refits no base that selection fitted.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import scipy.sparse as sp
 
 from ktrace import regression, specialize
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
-from ktrace.evaluate import FoldPrediction, PlainSpec, auc, check_saved_spec, save_spec
+from ktrace.evaluate import (
+    FoldPrediction, PlainSpec, auc, check_saved_spec, fit_once, predict_once, save_spec,
+)
 from ktrace.ingest import Dataset
 from ktrace.regression import Model, TrainConfig
 
@@ -49,7 +55,17 @@ def _split_meta_students(students: Mapping[str, list], seed: int) -> tuple[list[
 
 
 def _meta_inputs(columns: Sequence[np.ndarray]) -> sp.csr_matrix:
-    return sp.csr_matrix(np.column_stack([np.ones_like(columns[0]), *columns]))
+    """A bias column and the base columns, as the CSR matrix `sp.csr_matrix`
+    makes of them (exact zeros dropped), built from its arrays directly:
+    the dense conversion cost more than a small meta fit."""
+    dense = np.column_stack([np.ones_like(columns[0]), *columns])
+    n, k = dense.shape
+    keep = (dense != 0).ravel()
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[0] = 0
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[k - 1 :: k]
+    indices = np.tile(np.arange(k, dtype=np.int32), n)[keep]
+    return sp.csr_matrix((dense.ravel()[keep], indices, indptr), shape=(n, k))
 
 
 def _base_predictions(
@@ -61,14 +77,14 @@ def _base_predictions(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Fit each base on fit_students; its probabilities on predict_students.
 
-    Returns one probability column per base and the shared labels.
+    Both go through the dataset's memo.  Returns one probability column
+    per base and the shared labels.
     """
     columns: list[np.ndarray] = []
     labels: np.ndarray | None = None
     for spec in specs:
         try:
-            fitted = spec.fit_on(fit_students, dataset, config)
-            pred = spec.predict_on(fitted, predict_students, dataset)
+            pred = predict_once(spec, fit_students, predict_students, dataset, config)
         except Exception as exc:
             raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
         columns.append(pred.probs)
@@ -123,7 +139,7 @@ def fit_combined(
     fitted_bases = []
     for spec in specs:
         try:
-            fitted_bases.append(spec.fit_on(train_students, dataset, config))
+            fitted_bases.append(fit_once(spec, train_students, dataset, config))
         except Exception as exc:
             raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
     return CombinedModel(

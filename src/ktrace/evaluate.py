@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ktrace import features, regression
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
@@ -62,9 +61,24 @@ def auc(probs, labels) -> float:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative label")
-    ranks = rankdata(p, method="average")
+    ranks = _average_ranks(p)
     u = float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def _average_ranks(p: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of p, each tie run sharing its mean rank: the values of
+    `scipy.stats.rankdata(p, method="average")`, all NaN when p holds a NaN,
+    without its per-call dispatch."""
+    order = np.argsort(p, kind="stable")
+    s = p[order]
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))  # each tie run's first position
+    ends = np.append(first[1:], p.size)
+    ranks = np.empty(p.size)
+    ranks[order] = np.repeat(0.5 * (first + ends + 1), ends - first)  # exact: halves of integers
+    if np.isnan(s[-1]):  # argsort puts NaN last; ranks relative to a NaN are undefined
+        ranks.fill(np.nan)
+    return ranks
 
 
 def roc_curve(probs, labels) -> list[tuple[float, float]]:
@@ -293,6 +307,35 @@ def bucket_metrics(
     return out
 
 
+def fit_once(spec, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
+    """`spec.fit_on(students, dataset, config)`, made once per dataset.
+
+    A fit is a pure function of the spec, the training students and the
+    config, so the dataset's memo keys it by them: the spec object (specs
+    are frozen dataclasses, equal by value), the sorted student ids and
+    the config.  Base selection and cross-validation fold 0 fit the same
+    bases on the same students; the second asks the memo.
+    """
+    key = (spec, tuple(sorted(students)), config)
+    return dataset.fits.get(key, lambda: spec.fit_on(students, dataset, config))
+
+
+def predict_once(
+    spec, fit_students: Mapping[str, list], students: Mapping[str, list], dataset: Dataset, config: TrainConfig
+) -> FoldPrediction:
+    """`spec.predict_on` of `fit_once`'s fit on `students`, made once per
+    dataset; the memoized arrays are read-only."""
+
+    def predict() -> FoldPrediction:
+        pred = spec.predict_on(fit_once(spec, fit_students, dataset, config), students, dataset)
+        for values in (pred.probs, pred.labels, pred.t):
+            values.flags.writeable = False
+        return pred
+
+    key = (spec, tuple(sorted(fit_students)), config, tuple(sorted(students)))
+    return dataset.fits.get(key, predict)
+
+
 def run_fold(
     spec,
     dataset: Dataset,
@@ -301,17 +344,19 @@ def run_fold(
     config: TrainConfig,
     on_fitted=None,
 ) -> FoldPrediction:
-    """Fit on the fold's training students, predict its test students.
+    """Fit on the fold's training students, predict its test students,
+    each through the dataset's memo.
 
     on_fitted(fold, fitted), when given, sees the trained model before
-    prediction; callers use it to persist per-fold artifacts.
+    prediction, memoized or not; callers use it to persist per-fold
+    artifacts.
     """
     train = {s: dataset.students[s] for s in folds.train_students(fold)}
     test = {s: dataset.students[s] for s in folds.students_in(fold)}
-    fitted = spec.fit_on(train, dataset, config)
+    fitted = fit_once(spec, train, dataset, config)
     if on_fitted is not None:
         on_fitted(fold, fitted)
-    return spec.predict_on(fitted, test, dataset)
+    return predict_once(spec, train, test, dataset, config)
 
 
 def cross_validate(

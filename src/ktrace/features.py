@@ -27,9 +27,10 @@ times and response ends for elapsed and lag time, the UTC date of each
 timestamp for datetime, and running sums, in event order, of the
 increments a group's earlier events made for the graph-node counts and
 the material tallies.  A RowStore, one per dataset, walks each student
-once per recipe (families, n_recent, windows), the students one call
-lacks in one batch, and keeps the entries as flat arrays; that one walk
-serves a fold's encoder and all its matrices.
+once per recipe (families, n_recent, windows), all of the dataset's
+students on the recipe's first call, in runs of about 2^16 responses,
+and keeps the entries as flat arrays; that one walk serves every fold's
+encoder and matrices.
 `fit_encoders` takes each vocabulary from the keys its blocks use in the
 training rows and rbar from their labels.  `build_matrix` remaps the
 entries for an encoder with one vectorized lookup, column = block
@@ -1081,13 +1082,18 @@ class RowStore:
     A row's keyed entries depend only on the student's own history and
     the recipe's walk parameters (families, n_recent, windows), never on
     a fold, so every fold, partition, base and stacking split of a
-    dataset shares them.  Filling is lazy and under a lock, so folds
-    running in threads walk each student once; the students one call
-    misses are walked together, in one batch.  One store serves one
-    dataset's KC graph and squash map.
+    dataset shares them.  A dataset's store is given its students: a
+    recipe's first call walks all of them, so later calls walk nothing.
+    A throwaway store (no students given) walks the students each call
+    lacks.  Either way students are walked in runs of whole students
+    holding at most _WALK_RESPONSES responses (a longer student runs
+    alone), which bounds the walk's temporaries.  Filling is under a
+    lock, so folds running in threads walk each student once.  One store
+    serves one dataset's KC graph and squash map.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, students: Mapping[str, Sequence[InteractionEvent]] | None = None) -> None:
+        self._students = students
         self._lock = threading.Lock()
         self._rows: dict[tuple, dict[str, _StudentRows]] = {}
         self._codes: dict[str, _Codes] = {}
@@ -1119,23 +1125,50 @@ class RowStore:
                 self._context = (kc_graph, squash_map)
             elif self._context[0] is not kc_graph or self._context[1] is not squash_map:
                 raise ConfigError("a row store serves one KC graph and squash map")
-            by_student = self._rows.setdefault((recipe.families, recipe.n_recent, recipe.tw), {})
-            sids = sorted(students)
+            key = (recipe.families, recipe.n_recent, recipe.tw)
             missing = {}
+            if key not in self._rows and self._students is not None:
+                missing = {sid: self._students[sid] for sid in sorted(self._students)}
+            by_student = self._rows.setdefault(key, {})
+            sids = sorted(students)
             for sid in sids:
-                part = by_student.get(sid)
-                if part is None:
+                if sid not in by_student and sid not in missing:
                     missing[sid] = students[sid]
-                elif part.events is not students[sid]:
-                    raise ConfigError(f"student {sid!r}: events differ from the ones this store walked")
-            if missing:
-                walked = _walk(missing, recipe, kc_graph, squash_map, self._codes)
-                by_student.update(zip(missing, walked))
+            for run in _runs(missing):
+                walked = _walk(run, recipe, kc_graph, squash_map, self._codes)
+                by_student.update(zip(run, walked))
                 self.students_walked += len(walked)
                 self.rows_walked += sum(len(p.responses) for p in walked)
             parts = [by_student[sid] for sid in sids]
+            for sid, part in zip(sids, parts):
+                if part.events is not students[sid]:
+                    raise ConfigError(f"student {sid!r}: events differ from the ones this store walked")
             self.rows_served += sum(len(p.responses) for p in parts)
             return parts, {d: list(c) for d, c in self._codes.items()}
+
+
+# Responses walked at a time, unless one student holds more.  This bounds the
+# walk's temporaries: walking best-lr+ over 1M responses in one batch lifted
+# peak RSS to 2.6 GB, and in runs of this size to 1.0 GB.
+_WALK_RESPONSES = 1 << 16
+
+_kind_of = attrgetter("kind")
+
+
+def _runs(walks: Mapping[str, Sequence[InteractionEvent]]) -> Iterator[dict[str, Sequence[InteractionEvent]]]:
+    """Consecutive runs of whole students holding at most _WALK_RESPONSES
+    responses; a student holding more runs alone."""
+    run: dict[str, Sequence[InteractionEvent]] = {}
+    size = 0
+    for sid, events in walks.items():
+        n = list(map(_kind_of, events)).count(EventKind.QUESTION_RESPONSE)
+        if run and size + n > _WALK_RESPONSES:
+            yield run
+            run, size = {}, 0
+        run[sid] = events
+        size += n
+    if run:
+        yield run
 
 
 # Entries placed per step of build_matrix; bounds the placement's

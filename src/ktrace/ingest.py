@@ -15,6 +15,7 @@ import csv
 import gc
 import json
 import math
+import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import attrgetter, is_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +54,27 @@ CANONICAL_COLUMNS: tuple[str, ...] = (
 )
 
 
+class Memo:
+    """Values computed once per key, shared by threads.
+
+    A miss computes outside the lock, so a computation may itself use the
+    memo; two threads that miss one key both compute, and the first value
+    stored is the one both get.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: dict = {}
+
+    def get(self, key: Hashable, compute: Callable[[], object]):
+        with self._lock:
+            if key in self._values:
+                return self._values[key]
+        value = compute()
+        with self._lock:
+            return self._values.setdefault(key, value)
+
+
 @dataclass
 class Dataset:
     """A manifest plus per-student, time-ordered event sequences."""
@@ -62,8 +84,13 @@ class Dataset:
     kc_graph: KCGraph | None = None
     squash_map: dict[str, tuple[str, ...]] | None = None
     quality: dict[str, int] = field(default_factory=dict)
-    # keyed feature rows of these students; `replace` starts a fresh store
-    feature_rows: RowStore = field(init=False, default_factory=RowStore, repr=False, compare=False)
+    # keyed feature rows of these students, and the fits and predictions made
+    # on them (evaluate.fit_once, predict_once); `replace` starts both afresh
+    feature_rows: RowStore = field(init=False, repr=False, compare=False)
+    fits: Memo = field(init=False, default_factory=Memo, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.feature_rows = RowStore(self.students)
 
     @property
     def n_students(self) -> int:

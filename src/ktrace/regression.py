@@ -24,7 +24,8 @@ function of the training matrix, labels and config.
 
 Cost: one X w per trial step, one X^T r per accepted step, and one X v
 plus one X^T u per Hessian-vector product, which reuses D from the
-accepted point.  X^T is built once per fit, as CSR.  Every product
+accepted point.  X^T is built once per fit, as CSR, by scipy's CSR-to-CSC
+kernel on X's arrays (`_transpose`).  Every product
 calls scipy's CSR kernel, ``_sparsetools.csr_matvec``, directly
 (`_matvec`): on fold-sized matrices (tens to thousands of rows) the
 Python-level dispatch of ``X @ v`` cost about a third of fit time, more
@@ -105,6 +106,17 @@ def _matvec(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transpose(X: sp.csr_matrix) -> sp.csr_matrix:
+    """X^T as CSR: X's CSC arrays from the kernel `X.T.tocsr()` ends in,
+    without the CSC view and conversion dispatch around it."""
+    M, N = X.shape
+    indptr = np.empty(N + 1, dtype=X.indptr.dtype)
+    indices = np.empty(X.nnz, dtype=X.indices.dtype)
+    data = np.empty(X.nnz, dtype=X.data.dtype)
+    _sparsetools.csr_tocsc(M, N, X.indptr, X.indices, X.data, indptr, indices, data)
+    return sp.csr_matrix((data, indices, indptr), shape=(N, M))
+
+
 def reg_mask_for(encoder: Encoder) -> np.ndarray:
     """Regularization mask over the encoder dimension: bias blocks excluded."""
     mask = np.ones(encoder.dim, dtype=np.float64)
@@ -163,7 +175,7 @@ def nll_and_gradient(
         raise ConfigError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
     with np.errstate(over="ignore", invalid="ignore"):
         value, z, w_reg = _objective(weights, X, y, l2, reg_mask)
-        grad = _gradient(X.T.tocsr(), y, expit(z), w_reg, l2)
+        grad = _gradient(_transpose(X), y, expit(z), w_reg, l2)
     return value, np.asarray(grad, dtype=np.float64)
 
 
@@ -287,7 +299,7 @@ def _trust_region_newton(
     trial whose J is not finite is rejected.  When the predicted reduction
     is within J's float error, the trial is accepted iff it lowers |g|.
     """
-    Xt = X.T.tocsr()
+    Xt = _transpose(X)
     l2 = config.l2
     penalty = l2 * (np.ones(len(w)) if reg_mask is None else reg_mask)
 

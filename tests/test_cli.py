@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ktrace import regression
+from ktrace import evaluate, regression
 from ktrace.cli import CONFIG_KEYS, build_parser, main
 from ktrace.combine import CombinedSpec, _split_meta_students
 from ktrace.evaluate import PlainSpec
-from ktrace.ingest import load_prepared
+from ktrace.ingest import Memo, load_prepared
 from ktrace.regression import TrainConfig
 from ktrace.specialize import ByField, PartitionedSpec
 
@@ -258,6 +258,39 @@ def test_train_eval_rejects_non_numeric_config_values(prepared, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, shown", [
+    ({"partition": 5}, "'partition' must be a string, got 5"),
+    ({"combine": 5}, "'combine' must be a string, got 5"),
+    ({"extras": [1]}, "'extras' must be a string, got [1]"),
+], ids=["partition-int", "combine-int", "extras-list"])
+def test_train_eval_rejects_non_string_config_values(prepared, tmp_path, capsys, cfg, shown):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("train-eval", "--data", prepared, "--recipe", "irt", "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --config key {shown}\n"
+    assert not out.exists()
+
+
+def test_generate_config_modules_is_a_string_or_a_list_of_strings(tmp_path, capsys):
+    def generate(modules):
+        out = tmp_path / json.dumps(modules).replace("/", "_")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"modules": modules}))
+        code = run_cli("generate", "--out", out, "--students", 4, "--responses", 3, "--config", path)
+        return code, out
+
+    code, as_list = generate(["m1", "m2"])
+    assert code == 0
+    code, as_text = generate("m1,m2")
+    assert code == 0
+    assert (as_list / "events.csv").read_bytes() == (as_text / "events.csv").read_bytes()
+    capsys.readouterr()
+    code, out = generate(5)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "error: --config key 'modules' must be a string or a list of strings, got 5\n"
+
+
 def test_config_keys_agree_with_parser_and_readme():
     """Every --config key names an option of its subcommand, and README lists exactly these keys."""
     parser = build_parser()
@@ -347,6 +380,48 @@ def test_train_eval_combine_and_select(prepared, tmp_path, capsys):
     sel = obj["extra"]["selection"]
     assert sel["chosen"] and 0 < sel["fold1_auc"] <= 1
     assert len(sel["table"]) == 3
+
+
+def test_train_eval_select_bases_fold_0_refits_nothing(prepared, tmp_path, monkeypatch):
+    """Selection fits its bases on the training students of the first fold,
+    which cross-validation calls fold 0, so the dataset's memo serves every
+    base fit fold 0 needs; the report and every model file equal those of a
+    run whose memo never hits, which refits them."""
+    fold_now: list = [None]
+    fits: list = []
+    run_fold, fit_on = evaluate.run_fold, PlainSpec.fit_on
+
+    def run_fold_spy(spec, dataset, folds, fold, *args, **kwargs):
+        fold_now[0] = fold
+        try:
+            return run_fold(spec, dataset, folds, fold, *args, **kwargs)
+        finally:
+            fold_now[0] = None
+
+    def fit_on_spy(self, students, dataset, config):
+        fits.append(fold_now[0])
+        return fit_on(self, students, dataset, config)
+
+    monkeypatch.setattr(evaluate, "run_fold", run_fold_spy)
+    monkeypatch.setattr(PlainSpec, "fit_on", fit_on_spy)
+
+    def train_eval(name):
+        fits.clear()
+        out = tmp_path / name
+        assert run_cli("train-eval", "--data", prepared, "--combine", "irt+pfa+best-lr", "--select-bases",
+                       "--out", out) == 0
+        files = {str(f.relative_to(out)): f.read_bytes()
+                 for f in sorted(out.rglob("*")) if f.is_file() and f.name != "run_manifest.json"}
+        return files, list(fits)
+
+    memo_files, memo_fits = train_eval("memo")
+    assert None in memo_fits  # selection's fits
+    assert 0 not in memo_fits and {1, 2, 3} <= set(memo_fits)
+    monkeypatch.setattr(Memo, "get", lambda self, key, compute: compute())
+    miss_files, miss_fits = train_eval("miss")
+    assert 0 in miss_fits
+    assert "report.json" in memo_files and any(name.startswith("models/fold-0/") for name in memo_files)
+    assert miss_files == memo_files
 
 
 def test_train_eval_unknown_recipe_fails(prepared, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from conftest import response, toy_dataset
 from oracle import modal_successor_oracle, pairwise_auc
@@ -56,6 +59,38 @@ def test_auc_examples():
         auc([0.2, 0.4], [1, 1])
     with pytest.raises(UndefinedMetricError):
         auc([0.2, 0.4], [0, 0])
+
+
+def _rankdata_auc(probs, labels) -> float:
+    """auc's formula over scipy's average ranks."""
+    p, y = np.asarray(probs, dtype=np.float64), np.asarray(labels, dtype=np.float64)
+    n_pos = int(np.sum(y))
+    n_neg = int(y.size - n_pos)
+    ranks = rankdata(p, method="average")
+    u = float(np.sum(ranks[y == 1.0])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+@st.composite
+def _scored_labels(draw):
+    """Scores drawn mostly from a few values (ties, both zeros) and labels of both classes."""
+    n = draw(st.integers(2, 40))
+    few = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4)) + [0.0, -0.0]
+    score = st.one_of(st.sampled_from(few), st.floats(allow_nan=False))
+    probs = draw(st.lists(score, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n))
+    return probs, labels
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_scored_labels())
+@example(case=([0.3, 0.3, 0.3, 0.3], [1.0, 0.0, 1.0, 0.0]))  # all scores equal
+@example(case=([0.8, 0.1], [1.0, 0.0]))  # one example per class
+@example(case=([0.0, -0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0]))
+@example(case=([0.2, float("nan"), 0.7], [1.0, 0.0, 1.0]))  # a NaN score: all ranks NaN
+def test_auc_is_bitwise_the_rankdata_formula(case):
+    probs, labels = case
+    assert np.float64(auc(probs, labels)).tobytes() == np.float64(_rankdata_auc(probs, labels)).tobytes()
 
 
 def test_auc_matches_pairwise_oracle(rng):

@@ -1028,15 +1028,14 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
         train = {s: ds.students[s] for s in sids[:5]}
         test = {s: ds.students[s] for s in sids[5:]}
         enc = fit_encoders(train, recipe, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        assert walks.batches == [sids[:5]]
+        assert walks.batches == [sids]  # the recipe's first call walks every student of the dataset
         first = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        assert walks.batches == [sids[:5], sids[5:]]  # one batch per call, of the students it lacks
         # other folds, other eta: the same walk serves their encoders and matrices
         other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, kc_graph=_STORE_GRAPH,
                              store=ds.feature_rows)
         build_matrix(train, other, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         again = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        assert walks.students == sids and len(walks.batches) == 2
+        assert walks.batches == [sids]
         assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
         assert not _extraction_mismatch(first, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
         n = first.X.shape[0]
@@ -1051,7 +1050,32 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
         other_walk = dataclasses.replace(recipe, n_recent=3)
         other_enc = fit_encoders(ds.students, other_walk, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
         build_matrix(ds.students, other_enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        assert walks.students == sorted(2 * sids) and len(walks.batches) == 3
+        assert walks.batches == [sids, sids]
+
+
+@pytest.mark.parametrize("limit", [1, 30, 90])
+def test_row_store_walks_in_bounded_runs(rng, monkeypatch, limit):
+    """A dataset's store walks its students in sorted order, in runs of whole
+    students: each run holds at most _WALK_RESPONSES responses, unless one
+    student holds more and runs alone, and a run ends only where the next
+    student would overflow it.  The rows are the reference's."""
+    monkeypatch.setattr(features, "_WALK_RESPONSES", limit)
+    prefix_only = Recipe(families=(F("bias"), F("question"), F("counts", "kc"), F("response_pattern")))
+    for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
+        ds = _store_dataset(rng, n_students=12)
+        sids = sorted(ds.students)
+        responses = {s: sum(e.is_response() for e in ds.students[s]) for s in sids}
+        enc = fit_encoders({s: ds.students[s] for s in sids[:4]}, recipe, FULL, kc_graph=_STORE_GRAPH,
+                           store=ds.feature_rows)
+        assert [s for run in walks.batches for s in run] == sids and len(walks.batches) > 1
+        sizes = [sum(responses[s] for s in run) for run in walks.batches]
+        for run, size in zip(walks.batches, sizes):
+            assert size <= limit or len(run) == 1, (limit, run, size)
+        for size, following in zip(sizes, walks.batches[1:]):
+            assert size + responses[following[0]] > limit
+        res = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        assert len(walks.batches) == len(sizes)
+        assert not _extraction_mismatch(res, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
 
 
 def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):

@@ -474,6 +474,34 @@ def test_matvec_is_bitwise_scipy_matmul(case):
     assert regression._matvec(A.T.tocsr(), u).tobytes() == (A.T @ u).tobytes()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_raw_csr())
+def test_transpose_is_scipys_transpose(case):
+    """`_transpose` runs the kernel `X.T.tocsr()` ends in: the same arrays, dtypes included."""
+    A = case[0]
+    got, want = regression._transpose(A), A.T.tocsr()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_meta_inputs_are_scipys_csr_of_the_dense_columns(rng):
+    """`_meta_inputs` builds the arrays `sp.csr_matrix` makes of the bias and base
+    columns, exact zeros (either sign) dropped."""
+    n = 40
+    sparse_col = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+    for columns in ([rng.random(n), rng.random(n)],
+                    [sparse_col, rng.random(n), np.zeros(n), np.full(n, -0.0)],
+                    [np.array([0.0]), np.array([0.5])]):
+        got = _meta_inputs(columns)
+        want = sp.csr_matrix(np.column_stack([np.ones_like(columns[0]), *columns]))
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_fits_are_bitwise_those_of_scipy_matmul(monkeypatch):
     """A best-lr+ fit, a centered partition fit and a stacking meta fit give
     the same weights and info when every product goes through `A @ v`."""
