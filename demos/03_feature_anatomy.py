@@ -19,14 +19,15 @@ recipe = Recipe(families=(
     FeatureFamily("response_pattern"),
 ), n_recent=4)
 
-encoder = fit_encoders(dataset.students, recipe, dataset.manifest)
+# fit on every student of the dataset: extraction reads the dataset's rows by student id
+encoder = fit_encoders(dataset, sorted(dataset.students), recipe)
 print(f"encoder dimension {encoder.dim}, train correct-rate {encoder.rbar:.3f}")
 for fam, offset, size in encoder.blocks:
     print(f"  block {fam.name:22s} offset {offset:4d} size {size}")
 
 # extract one student's rows and dissect the 10th response (row 9)
 sid = sorted(dataset.students)[0]
-ext = build_matrix({sid: dataset.students[sid]}, encoder)
+ext = build_matrix(dataset, [sid], encoder)
 event, row = ext.events[9], ext.X[9]
 print(f"\n{sid} response #10, question {event.question_id}, "
       f"correct={event.correct}")

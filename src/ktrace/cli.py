@@ -22,6 +22,7 @@ import platform
 import re
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -242,8 +243,7 @@ def cmd_prepare(args: argparse.Namespace, argv: list[str]) -> int:
     run.add_input(in_manifest)
 
     manifest, graph = ingest.read_manifest(in_manifest)
-    dataset = ingest.load_events(in_csv, manifest)
-    dataset.kc_graph = graph
+    dataset = replace(ingest.load_events(in_csv, manifest), kc_graph=graph)
     dataset = ingest.filter_students(dataset, min_responses=min_responses)
     if squash:
         dataset = ingest.squash_multi_kc(dataset)
@@ -379,8 +379,7 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
         if not (args.input and args.manifest):
             raise ConfigError("stats needs either --data or both --input and --manifest")
         manifest, graph = ingest.read_manifest(Path(args.manifest))
-        dataset = ingest.load_events(Path(args.input), manifest)
-        dataset.kc_graph = graph
+        dataset = replace(ingest.load_events(Path(args.input), manifest), kc_graph=graph)
     stats = evaluate.dataset_stats(dataset)
     text = canonical_json(stats)
     if args.out:

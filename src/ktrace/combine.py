@@ -41,16 +41,16 @@ class CombinationError(RuntimeError):
     """A base model failed while fitting a combination."""
 
 
-def _split_meta_students(students: Mapping[str, list], seed: int) -> tuple[list[str], list[str]]:
+def _split_meta_students(student_ids: tuple[str, ...], seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Seeded 90/10 student split; the held-out 10% feeds the meta model."""
-    ids = sorted(students)
+    ids = sorted(student_ids)
     if len(ids) < 2:
         raise ConfigError("combining needs at least 2 training students")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ids))
     n_meta = max(1, len(ids) // 10)
-    meta = sorted(ids[i] for i in perm[:n_meta])
-    base = sorted(ids[i] for i in perm[n_meta:])
+    meta = tuple(sorted(ids[i] for i in perm[:n_meta]))
+    base = tuple(sorted(ids[i] for i in perm[n_meta:]))
     return base, meta
 
 
@@ -70,12 +70,12 @@ def _meta_inputs(columns: Sequence[np.ndarray]) -> sp.csr_matrix:
 
 def _base_predictions(
     specs: Sequence,
-    fit_students: Mapping[str, list],
-    predict_students: Mapping[str, list],
+    fit_ids: tuple[str, ...],
+    predict_ids: tuple[str, ...],
     dataset: Dataset,
     config: TrainConfig,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Fit each base on fit_students; its probabilities on predict_students.
+    """Fit each base on the students fit_ids; its probabilities on predict_ids.
 
     Both go through the dataset's memo.  Returns one probability column
     per base and the shared labels.
@@ -84,7 +84,7 @@ def _base_predictions(
     labels: np.ndarray | None = None
     for spec in specs:
         try:
-            pred = predict_once(spec, fit_students, predict_students, dataset, config)
+            pred = predict_once(spec, fit_ids, predict_ids, dataset, config)
         except Exception as exc:
             raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
         columns.append(pred.probs)
@@ -120,26 +120,24 @@ class CombinedModel:
 
 
 def fit_combined(
-    train_students: Mapping[str, list],
+    student_ids: tuple[str, ...],
     specs: Sequence,
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
     seed: int = 0,
 ) -> CombinedModel:
-    """Fit bases and the meta model; bases are refit on all of train."""
+    """Fit bases and the meta model on the dataset's students
+    `student_ids`; bases are refit on all of them."""
     if len(specs) < 2:
         raise ConfigError("a combination needs at least 2 base specs")
-    base_ids, meta_ids = _split_meta_students(train_students, seed)
-    base_students = {s: train_students[s] for s in base_ids}
-    meta_students = {s: train_students[s] for s in meta_ids}
-
-    columns, labels = _base_predictions(specs, base_students, meta_students, dataset, config)
+    base_ids, meta_ids = _split_meta_students(student_ids, seed)
+    columns, labels = _base_predictions(specs, base_ids, meta_ids, dataset, config)
     meta = _fit_meta(columns, labels, config)
 
     fitted_bases = []
     for spec in specs:
         try:
-            fitted_bases.append(fit_once(spec, train_students, dataset, config))
+            fitted_bases.append(fit_once(spec, student_ids, dataset, config))
         except Exception as exc:
             raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
     return CombinedModel(
@@ -155,12 +153,12 @@ def fit_combined(
     )
 
 
-def predict_combined(cm: CombinedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
+def predict_combined(cm: CombinedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
     """Meta prediction over the base probability columns."""
     columns = []
     labels = t = None
     for spec, fitted in zip(cm.specs, cm.fitted_bases):
-        pred = spec.predict_on(fitted, students, dataset)
+        pred = spec.predict_on(fitted, student_ids, dataset)
         columns.append(pred.probs)
         if labels is None:
             labels, t = pred.labels, pred.t
@@ -184,11 +182,11 @@ class CombinedSpec:
     def label(self) -> str:
         return "combined(" + "+".join(s.label for s in self.bases) + ")"
 
-    def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig) -> CombinedModel:
-        return fit_combined(students, self.bases, dataset, config, seed=self.seed)
+    def fit_on(self, student_ids: tuple[str, ...], dataset: Dataset, config: TrainConfig) -> CombinedModel:
+        return fit_combined(student_ids, self.bases, dataset, config, seed=self.seed)
 
-    def predict_on(self, fitted: CombinedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
-        return predict_combined(fitted, students, dataset)
+    def predict_on(self, fitted: CombinedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
+        return predict_combined(fitted, student_ids, dataset)
 
     def to_json(self) -> dict:
         return {"kind": "combined", "bases": [s.to_json() for s in self.bases], "seed": self.seed}
@@ -244,18 +242,12 @@ def select_bases(
         raise ConfigError("no candidate base specs given")
     if len(candidates) > 12:
         raise ConfigError(f"exhaustive selection caps at 12 candidates, got {len(candidates)}")
-    train = {s: dataset.students[s] for s in folds.train_students(0)}
-    test = {s: dataset.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
 
     if len(candidates) >= 2:
         base_ids, meta_ids = _split_meta_students(train, seed)
-        meta_columns, meta_labels = _base_predictions(
-            candidates,
-            {s: train[s] for s in base_ids},
-            {s: train[s] for s in meta_ids},
-            dataset,
-            config,
-        )
+        meta_columns, meta_labels = _base_predictions(candidates, base_ids, meta_ids, dataset, config)
     test_columns, test_labels = _base_predictions(candidates, train, test, dataset, config)
 
     table: list[dict] = []

@@ -112,13 +112,6 @@ def roc_curve(probs, labels) -> list[tuple[float, float]]:
     return points
 
 
-def trapezoid_area(points: Sequence[tuple[float, float]]) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 # ---------------------------------------------------------------------------
 # Model specs and cross-validation
 
@@ -129,14 +122,6 @@ class FoldPrediction:
     probs: np.ndarray
     labels: np.ndarray
     t: np.ndarray
-
-
-def extract(students: Mapping[str, list], encoder: Encoder, dataset: Dataset) -> features.ExtractResult:
-    """build_matrix over the dataset's KC graph, squash map and row store."""
-    return features.build_matrix(
-        students, encoder, kc_graph=dataset.kc_graph, squash_map=dataset.squash_map,
-        store=dataset.feature_rows,
-    )
 
 
 def save_spec(spec, out_dir: str | Path) -> None:
@@ -159,7 +144,8 @@ class PlainSpec:
     """A single logistic-regression model over a named recipe.
 
     Every spec follows one protocol: `label`, `fit_on` and `predict_on`
-    for cross-validation; `to_json`/`from_json` for the spec itself; and
+    for cross-validation, each given a sorted tuple of the dataset's
+    student ids; `to_json`/`from_json` for the spec itself; and
     `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned,
     where `save` also writes the spec as `spec.json` and `load` refuses a
     directory holding another spec's fit.  A plain fit is stored as
@@ -177,18 +163,16 @@ class PlainSpec:
     def resolve_recipe(self, dataset: Dataset) -> Recipe:
         return resolve(self.recipe, dataset.manifest, extras=self.extras or None).recipe
 
-    def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
+    def fit_on(self, student_ids: tuple[str, ...], dataset: Dataset, config: TrainConfig):
         recipe = self.resolve_recipe(dataset)
-        encoder = features.fit_encoders(
-            students, recipe, dataset.manifest, dataset.kc_graph, dataset.squash_map, dataset.feature_rows
-        )
-        ext = extract(students, encoder, dataset)
+        encoder = features.fit_encoders(dataset, student_ids, recipe)
+        ext = features.build_matrix(dataset, student_ids, encoder)
         model = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
         return encoder, model
 
-    def predict_on(self, fitted, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
+    def predict_on(self, fitted, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
         encoder, model = fitted
-        ext = extract(students, encoder, dataset)
+        ext = features.build_matrix(dataset, student_ids, encoder)
         return FoldPrediction(
             probs=regression.predict_proba_batch(model, ext.X), labels=ext.y, t=ext.t
         )
@@ -307,8 +291,8 @@ def bucket_metrics(
     return out
 
 
-def fit_once(spec, students: Mapping[str, list], dataset: Dataset, config: TrainConfig):
-    """`spec.fit_on(students, dataset, config)`, made once per dataset.
+def fit_once(spec, student_ids: tuple[str, ...], dataset: Dataset, config: TrainConfig):
+    """`spec.fit_on(student_ids, dataset, config)`, made once per dataset.
 
     A fit is a pure function of the spec, the training students and the
     config, so the dataset's memo keys it by them: the spec object (specs
@@ -316,23 +300,23 @@ def fit_once(spec, students: Mapping[str, list], dataset: Dataset, config: Train
     the config.  Base selection and cross-validation fold 0 fit the same
     bases on the same students; the second asks the memo.
     """
-    key = (spec, tuple(sorted(students)), config)
-    return dataset.fits.get(key, lambda: spec.fit_on(students, dataset, config))
+    key = (spec, tuple(sorted(student_ids)), config)
+    return dataset.fits.get(key, lambda: spec.fit_on(student_ids, dataset, config))
 
 
 def predict_once(
-    spec, fit_students: Mapping[str, list], students: Mapping[str, list], dataset: Dataset, config: TrainConfig
+    spec, fit_ids: tuple[str, ...], student_ids: tuple[str, ...], dataset: Dataset, config: TrainConfig
 ) -> FoldPrediction:
-    """`spec.predict_on` of `fit_once`'s fit on `students`, made once per
+    """`spec.predict_on` of `fit_once`'s fit on `student_ids`, made once per
     dataset; the memoized arrays are read-only."""
 
     def predict() -> FoldPrediction:
-        pred = spec.predict_on(fit_once(spec, fit_students, dataset, config), students, dataset)
+        pred = spec.predict_on(fit_once(spec, fit_ids, dataset, config), student_ids, dataset)
         for values in (pred.probs, pred.labels, pred.t):
             values.flags.writeable = False
         return pred
 
-    key = (spec, tuple(sorted(fit_students)), config, tuple(sorted(students)))
+    key = (spec, tuple(sorted(fit_ids)), config, tuple(sorted(student_ids)))
     return dataset.fits.get(key, predict)
 
 
@@ -351,12 +335,11 @@ def run_fold(
     prediction, memoized or not; callers use it to persist per-fold
     artifacts.
     """
-    train = {s: dataset.students[s] for s in folds.train_students(fold)}
-    test = {s: dataset.students[s] for s in folds.students_in(fold)}
+    train = tuple(folds.train_students(fold))
     fitted = fit_once(spec, train, dataset, config)
     if on_fitted is not None:
         on_fitted(fold, fitted)
-    return predict_once(spec, train, test, dataset, config)
+    return predict_once(spec, train, tuple(folds.students_in(fold)), dataset, config)
 
 
 def cross_validate(

@@ -26,17 +26,19 @@ keys for the windows, shifted labels for the pattern, shifted elapsed
 times and response ends for elapsed and lag time, the UTC date of each
 timestamp for datetime, and running sums, in event order, of the
 increments a group's earlier events made for the graph-node counts and
-the material tallies.  A RowStore, one per dataset, walks each student
-once per recipe (families, n_recent, windows), all of the dataset's
-students on the recipe's first call, in runs of about 2^16 responses,
-and keeps the entries as flat arrays; that one walk serves every fold's
-encoder and matrices.
-`fit_encoders` takes each vocabulary from the keys its blocks use in the
-training rows and rbar from their labels.  `build_matrix` remaps the
-entries for an encoder with one vectorized lookup, column = block
-offset + vocabulary index * slots + slot, dropping keys the fold's
-vocabulary lacks, and computes the smoothed average from stored
-correct/attempt counts and the fold's rbar and eta.
+the material tallies.  Each `ingest.Dataset` owns a RowStore, built
+from its students, manifest, KC graph and squash map; a recipe's first
+call walks all of the dataset's students once (families, n_recent,
+windows), in runs of about 2^16 responses, and keeps the entries as
+flat arrays; that one walk serves every fold's encoder and matrices.
+Extraction therefore takes a dataset and student ids:
+`fit_encoders(dataset, ids, recipe)` takes each vocabulary from the keys
+its blocks use in those students' rows and rbar from their labels;
+`build_matrix(dataset, ids, encoder)` remaps the entries for an encoder
+with one vectorized lookup, column = block offset + vocabulary index *
+slots + slot, dropping keys the fold's vocabulary lacks, and computes
+the smoothed average from stored correct/attempt counts and the fold's
+rbar and eta.
 One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x), array counts
@@ -58,7 +60,7 @@ from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +78,9 @@ from ktrace.core import (
     response_lags,
     scale,
 )
+
+if TYPE_CHECKING:
+    from ktrace.ingest import Dataset
 
 # ---------------------------------------------------------------------------
 # Families and recipes
@@ -257,12 +262,6 @@ class Encoder:
     dim: int
     rbar: float
 
-    def offset_of(self, name: str) -> tuple[int, int]:
-        for fam, off, size in self.blocks:
-            if fam.name == name:
-                return off, size
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
             "version": 1,
@@ -293,39 +292,27 @@ def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: 
         raise ConfigError(
             f"dataset {manifest.name!r} does not support feature families: {', '.join(gaps)}"
         )
-    needs_graph = _graph_families(recipe)
+    needs_graph = [f.name for f in recipe.families if _KINDS[f.kind].domain(f.variant) == "graph_node"]
     if needs_graph and kc_graph is None:
         raise ConfigError(
             f"families {', '.join(needs_graph)} need a prerequisite graph, none was provided"
         )
 
 
-def _graph_families(recipe: Recipe) -> list[str]:
-    return [f.name for f in recipe.families if _KINDS[f.kind].domain(f.variant) == "graph_node"]
+def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -> Encoder:
+    """Build the encoder for a recipe from the keyed rows of the dataset's
+    students `student_ids` (a training fold).
 
-
-def fit_encoders(
-    train_students: Mapping[str, Sequence[InteractionEvent]],
-    recipe: Recipe,
-    manifest: DatasetManifest,
-    kc_graph: KCGraph | None = None,
-    squash_map: Mapping[str, tuple[str, ...]] | None = None,
-    store: RowStore | None = None,
-) -> Encoder:
-    """Build the encoder for a recipe from the training fold's keyed rows.
-
-    The rows come from `store` (a dataset's `feature_rows`; a throwaway
-    store when None), so one walk per (recipe, student) serves the
-    encoder and every matrix built from the same store.  A domain's
+    The rows come from the dataset's RowStore, so one walk per recipe
+    serves the encoder and every matrix built on the dataset.  A domain's
     vocabulary is the keys its blocks use in those rows, indexed in
     sorted order; `graph_node` takes the graph's nodes.  A domain read
     only by keyed counts blocks thus lacks keys no training row counts,
     whose columns could only hold zero weight.  rbar is the rows' mean
     label.
     """
-    check_recipe_supported(recipe, manifest, kc_graph)
-    store = RowStore() if store is None else store
-    parts, keys = store.rows(train_students, recipe, kc_graph, squash_map)
+    store = dataset.feature_rows
+    parts, keys = store.rows(student_ids, recipe)
     attempts = sum(len(p.responses) for p in parts)
     if attempts == 0:
         raise ConfigError("cannot fit encoders: no question responses in training data")
@@ -333,8 +320,7 @@ def fit_encoders(
     used = _used_keys(parts, recipe._layout.domains, keys)
     vocabs = {d: {k: i for i, k in enumerate(sorted(ks))} for d, ks in used.items()}
     if "graph_node" in vocabs:
-        assert kc_graph is not None
-        vocabs["graph_node"] = {n: i for i, n in enumerate(kc_graph.nodes)}
+        vocabs["graph_node"] = {n: i for i, n in enumerate(store.kc_graph.nodes)}
 
     blocks: list[tuple[FeatureFamily, int, int]] = []
     offset = 0
@@ -1026,7 +1012,6 @@ class _Placer:
 class _StudentRows:
     """One student's walk under one recipe: keyed entries plus labels."""
 
-    events: Sequence[InteractionEvent]  # the walked sequence, to catch a different one
     responses: list[InteractionEvent]
     y: np.ndarray
     entries: _Entries
@@ -1065,39 +1050,47 @@ def _walk(
     corrects, attempts = batch.scope("total").totals.T
     y = batch.y.astype(np.float64)
     parts = []
-    for s, events in enumerate(walks.values()):
+    for s in range(len(walks)):
         r0, r1 = batch.bounds[s], batch.bounds[s + 1]
         e0, e1 = ends[r0], ends[r1]
         entries = _Entries(
             block[e0:e1], code[e0:e1], slot[e0:e1], value[e0:e1],
             row_len[r0:r1], corrects[r0:r1], attempts[r0:r1],
         )
-        parts.append(_StudentRows(events, batch.per_student[s], y[r0:r1], entries))
+        parts.append(_StudentRows(batch.per_student[s], y[r0:r1], entries))
     return parts
 
 
 class RowStore:
-    """Keyed rows of one dataset, walked once per (recipe, student).
+    """Keyed rows of one dataset's students, walked once per recipe.
 
     A row's keyed entries depend only on the student's own history and
     the recipe's walk parameters (families, n_recent, windows), never on
     a fold, so every fold, partition, base and stacking split of a
-    dataset shares them.  A dataset's store is given its students: a
-    recipe's first call walks all of them, so later calls walk nothing.
-    A throwaway store (no students given) walks the students each call
-    lacks.  Either way students are walked in runs of whole students
-    holding at most _WALK_RESPONSES responses (a longer student runs
-    alone), which bounds the walk's temporaries.  Filling is under a
-    lock, so folds running in threads walk each student once.  One store
-    serves one dataset's KC graph and squash map.
+    dataset shares them.  The store is built from the dataset's
+    students, manifest, KC graph and squash map (`ingest.Dataset` makes
+    it and is frozen, so they never change under it).  A recipe's first
+    call walks every student, in sorted-id order and in runs of whole
+    students holding at most _WALK_RESPONSES responses (a longer student
+    runs alone), which bounds the walk's temporaries; later calls walk
+    nothing.  Filling is under a lock, so folds running in threads walk
+    each student once.
     """
 
-    def __init__(self, students: Mapping[str, Sequence[InteractionEvent]] | None = None) -> None:
-        self._students = students
+    def __init__(
+        self,
+        students: Mapping[str, Sequence[InteractionEvent]],
+        manifest: DatasetManifest,
+        kc_graph: KCGraph | None,
+        squash_map: Mapping[str, tuple[str, ...]] | None,
+    ) -> None:
+        self.students = students
+        self.manifest = manifest
+        self.kc_graph = kc_graph
+        self.squash_map = squash_map
         self._lock = threading.Lock()
         self._rows: dict[tuple, dict[str, _StudentRows]] = {}
         self._codes: dict[str, _Codes] = {}
-        self._context: tuple | None = None
         self.students_walked = 0
         self.rows_walked = 0
         self.rows_served = 0
@@ -1110,39 +1103,23 @@ class RowStore:
         }
 
     def rows(
-        self,
-        students: Mapping[str, Sequence[InteractionEvent]],
-        recipe: Recipe,
-        kc_graph: KCGraph | None,
-        squash_map: Mapping[str, tuple[str, ...]] | None,
+        self, student_ids: Iterable[str], recipe: Recipe
     ) -> tuple[list[_StudentRows], dict[str, list[str]]]:
-        """Rows of the given students in sorted-id order, walking the missing
-        ones, plus each domain's keys in code order."""
-        if kc_graph is None and (needs_graph := _graph_families(recipe)):
-            raise ConfigError(f"family {needs_graph[0]} requires a prerequisite graph")
+        """Rows of the given students in sorted-id order, plus each domain's
+        keys in code order.  A recipe the dataset cannot serve is a
+        ConfigError before any walk."""
+        check_recipe_supported(recipe, self.manifest, self.kc_graph)
         with self._lock:
-            if self._context is None:
-                self._context = (kc_graph, squash_map)
-            elif self._context[0] is not kc_graph or self._context[1] is not squash_map:
-                raise ConfigError("a row store serves one KC graph and squash map")
             key = (recipe.families, recipe.n_recent, recipe.tw)
-            missing = {}
-            if key not in self._rows and self._students is not None:
-                missing = {sid: self._students[sid] for sid in sorted(self._students)}
-            by_student = self._rows.setdefault(key, {})
-            sids = sorted(students)
-            for sid in sids:
-                if sid not in by_student and sid not in missing:
-                    missing[sid] = students[sid]
-            for run in _runs(missing):
-                walked = _walk(run, recipe, kc_graph, squash_map, self._codes)
-                by_student.update(zip(run, walked))
-                self.students_walked += len(walked)
-                self.rows_walked += sum(len(p.responses) for p in walked)
-            parts = [by_student[sid] for sid in sids]
-            for sid, part in zip(sids, parts):
-                if part.events is not students[sid]:
-                    raise ConfigError(f"student {sid!r}: events differ from the ones this store walked")
+            by_student = self._rows.get(key)
+            if by_student is None:  # kept only once every run is walked, so a failed walk fails again
+                by_student = {}
+                for run in _runs({sid: self.students[sid] for sid in sorted(self.students)}):
+                    by_student.update(zip(run, _walk(run, recipe, self.kc_graph, self.squash_map, self._codes)))
+                self._rows[key] = by_student
+                self.students_walked += len(by_student)
+                self.rows_walked += sum(len(p.responses) for p in by_student.values())
+            parts = [by_student[sid] for sid in sorted(student_ids)]
             self.rows_served += sum(len(p.responses) for p in parts)
             return parts, {d: list(c) for d, c in self._codes.items()}
 
@@ -1214,21 +1191,15 @@ class ExtractResult:
     events: list[InteractionEvent]
 
 
-def build_matrix(
-    students: Mapping[str, Sequence[InteractionEvent]],
-    encoder: Encoder,
-    kc_graph: KCGraph | None = None,
-    squash_map: Mapping[str, tuple[str, ...]] | None = None,
-    store: RowStore | None = None,
-) -> ExtractResult:
-    """Extract features for every response of every given student.
+def build_matrix(dataset: Dataset, student_ids: Iterable[str], encoder: Encoder) -> ExtractResult:
+    """Extract features for every response of the dataset's students
+    `student_ids`, in sorted-id order.
 
-    Keyed rows come from `store` (a dataset's `feature_rows`; a
-    throwaway store when None), which walks each student once per
-    recipe; the encoder's vocabularies, offsets and rbar place them.
+    Keyed rows come from the dataset's RowStore, which walks each
+    student once per recipe; the encoder's vocabularies, offsets and
+    rbar place them.
     """
-    store = RowStore() if store is None else store
-    parts, keys = store.rows(students, encoder.recipe, kc_graph, squash_map)
+    parts, keys = dataset.feature_rows.rows(student_ids, encoder.recipe)
     placer = _Placer(encoder, keys)
     n = sum(len(p.responses) for p in parts)
     total = sum(len(p.entries.value) for p in parts)

@@ -75,9 +75,13 @@ class Memo:
             return self._values.setdefault(key, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A manifest plus per-student, time-ordered event sequences."""
+    """A manifest plus per-student, time-ordered event sequences.
+
+    Frozen, because its row store captures the fields: a changed dataset
+    is a new one (`dataclasses.replace`), with a store of its own.
+    """
 
     manifest: DatasetManifest
     students: dict[str, list[InteractionEvent]]
@@ -90,7 +94,8 @@ class Dataset:
     fits: Memo = field(init=False, default_factory=Memo, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.feature_rows = RowStore(self.students)
+        rows = RowStore(self.students, self.manifest, self.kc_graph, self.squash_map)
+        object.__setattr__(self, "feature_rows", rows)
 
     @property
     def n_students(self) -> int:
@@ -537,14 +542,13 @@ def load_prepared(dir_path: str | Path) -> tuple[Dataset, FoldAssignment]:
     d = Path(dir_path)
     manifest, graph = read_manifest(d / "manifest.json")
     dataset = load_events(d / "events.csv", manifest)
-    dataset.kc_graph = graph
+    squash_map, quality = None, {}
     meta_path = d / "prepare_meta.json"
     if meta_path.exists():
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        squash = meta.get("squash_map") or None
-        if squash:
-            dataset.squash_map = {k: tuple(v) for k, v in squash.items()}
-        dataset.quality = {k: int(v) for k, v in meta.get("quality", {}).items()}
+        squash_map = {k: tuple(v) for k, v in (meta.get("squash_map") or {}).items()} or None
+        quality = {k: int(v) for k, v in meta.get("quality", {}).items()}
+    dataset = replace(dataset, kc_graph=graph, squash_map=squash_map, quality=quality)
     assignment = FoldAssignment.from_json(
         json.loads((d / "folds.json").read_text(encoding="utf-8"))
     )

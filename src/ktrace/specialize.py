@@ -33,7 +33,6 @@ from ktrace.evaluate import (
     FoldPrediction,
     PlainSpec,
     check_saved_spec,
-    extract,
     interval_label,
     save_spec,
 )
@@ -151,13 +150,14 @@ class PartitionedModel:
 
 
 def fit_partitioned(
-    train_students: Mapping[str, list],
+    student_ids: tuple[str, ...],
     scheme: Scheme,
     recipe: Recipe,
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
 ) -> PartitionedModel:
-    """Train the fallback on everything, then one model per partition with examples.
+    """Train the fallback on all of the dataset's students `student_ids`,
+    then one model per partition with examples.
 
     Each partition model starts at c and is penalized by l2/2 ||w - c||^2,
     bias included, where c is the fallback's weights with the student
@@ -173,10 +173,8 @@ def fit_partitioned(
             f"partition {scheme.label} needs the manifest flag {scheme.flag!r}, "
             f"which dataset {dataset.manifest.name!r} does not declare"
         )
-    encoder = features.fit_encoders(
-        train_students, recipe, dataset.manifest, dataset.kc_graph, dataset.squash_map, dataset.feature_rows
-    )
-    ext = extract(train_students, encoder, dataset)
+    encoder = features.fit_encoders(dataset, student_ids, recipe)
+    ext = features.build_matrix(dataset, student_ids, encoder)
     fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
 
     labels, codes = scheme.keys(ext)
@@ -225,11 +223,11 @@ class PartitionedSpec(PlainSpec):
     def label(self) -> str:
         return f"{super().label}@{self.scheme.label}"
 
-    def fit_on(self, students: Mapping[str, list], dataset: Dataset, config: TrainConfig) -> PartitionedModel:
-        return fit_partitioned(students, self.scheme, self.resolve_recipe(dataset), dataset, config)
+    def fit_on(self, student_ids: tuple[str, ...], dataset: Dataset, config: TrainConfig) -> PartitionedModel:
+        return fit_partitioned(student_ids, self.scheme, self.resolve_recipe(dataset), dataset, config)
 
-    def predict_on(self, fitted: PartitionedModel, students: Mapping[str, list], dataset: Dataset) -> FoldPrediction:
-        ext = extract(students, fitted.encoder, dataset)
+    def predict_on(self, fitted: PartitionedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
+        ext = features.build_matrix(dataset, student_ids, fitted.encoder)
         return FoldPrediction(probs=predict_routed_batch(fitted, ext), labels=ext.y, t=ext.t)
 
     def to_json(self) -> dict:

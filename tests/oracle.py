@@ -25,6 +25,9 @@ column parser replaced (`_parse_row`, with `reference_validate` for the
 checks `InteractionEvent.validate` made); the production `load_events`
 must return equal students, or raise the same error class and message.
 
+`offset_of` and `trapezoid_area` read an encoder's block layout and
+integrate ROC points for tests; the library itself needs neither.
+
 `assign_partition` is the per-row partition label that the schemes'
 vectorized `keys` replaced; grouping rows by it must give the groups
 `specialize._rows_by_partition` builds from `keys`.
@@ -364,6 +367,22 @@ def compare_vector(encoder, row, prefix, event, graph=None, squash_map=None, tol
             if abs(got[i] - v) > tol:
                 problems.append(f"{fam.name}[{i}]: {got[i]!r} != {v!r}")
     return problems
+
+
+def offset_of(encoder, name):
+    """(offset, width) of the encoder's block for the family named `name`."""
+    for fam, off, size in encoder.blocks:
+        if fam.name == name:
+            return off, size
+    raise KeyError(name)
+
+
+def trapezoid_area(points):
+    """Trapezoidal area under (x, y) points, in order."""
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
 
 
 def pairwise_auc(probs, labels):

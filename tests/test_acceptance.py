@@ -23,7 +23,7 @@ from ktrace.core import KCGraph
 from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import FeatureFamily as F
 from ktrace.features import Recipe
-from ktrace.ingest import split_folds
+from ktrace.ingest import Dataset, split_folds
 from ktrace.recipes import resolve
 from ktrace.regression import TrainConfig
 from ktrace.specialize import PartitionedSpec
@@ -95,15 +95,15 @@ def test_criterion_1_gradient_matches_finite_differences():
                                               replace=False)]
         sids = sorted(ds.students)
         take = rng.choice(len(sids), size=int(rng.integers(5, len(sids))), replace=False)
-        students = {sids[i]: ds.students[sids[i]] for i in take}
+        students = [sids[i] for i in take]
         while True:
             recipe = Recipe(families=(F("bias"), *picked),
                             n_recent=int(rng.integers(4, 9)))
-            enc = features.fit_encoders(students, recipe, ds.manifest, kc_graph=ds.kc_graph)
+            enc = features.fit_encoders(ds, students, recipe)
             if enc.dim <= 500:
                 break
             picked.pop(int(rng.integers(len(picked))))
-        ex = features.build_matrix(students, enc, kc_graph=ds.kc_graph)
+        ex = features.build_matrix(ds, students, enc)
         dim = enc.dim
         w = np.zeros(dim) if rng.random() < 0.1 else rng.normal(0.0, 0.4, dim)
         l2 = float(rng.choice([0.0, 1e-3, 0.1, 1.0]))
@@ -164,7 +164,7 @@ def test_criterion_3_feature_oracle_full_scale():
     rng = np.random.default_rng(20260803)
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=100, max_events=500)
-    enc = features.fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
+    enc = features.fit_encoders(Dataset(FULL, students, graph), students, full_recipe())
     t0 = time.perf_counter()
     checked = 0
     for sid, i, problems in oracle_rows(students, enc, graph):

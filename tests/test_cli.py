@@ -138,8 +138,8 @@ def test_train_eval_models_load_back_through_their_spec(prepared, tmp_path, argv
     assert run_cli("train-eval", "--data", prepared, *argv, "--out", out) == 0
     assert json.loads((out / "report.json").read_text())["spec"] == spec.label
     dataset, folds = load_prepared(prepared)
-    train = {s: dataset.students[s] for s in folds.train_students(0)}
-    test = {s: dataset.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
     loaded = spec.load(out / "models" / "fold-0")
     fresh = spec.fit_on(train, dataset, TrainConfig())
     assert (spec.predict_on(loaded, test, dataset).probs.tobytes()
@@ -398,9 +398,9 @@ def test_train_eval_select_bases_fold_0_refits_nothing(prepared, tmp_path, monke
         finally:
             fold_now[0] = None
 
-    def fit_on_spy(self, students, dataset, config):
+    def fit_on_spy(self, student_ids, dataset, config):
         fits.append(fold_now[0])
-        return fit_on(self, students, dataset, config)
+        return fit_on(self, student_ids, dataset, config)
 
     monkeypatch.setattr(evaluate, "run_fold", run_fold_spy)
     monkeypatch.setattr(PlainSpec, "fit_on", fit_on_spy)

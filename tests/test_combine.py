@@ -29,8 +29,8 @@ def _irt_data(seed=41, n_students=60, per=25):
     ds, _ = generate(GeneratorConfig(seed=seed, n_students=n_students,
                                      responses_per_student=per, n_questions=15))
     folds = split_folds(ds, k=4, seed=seed)
-    train = {s: ds.students[s] for s in folds.train_students(0)}
-    test = {s: ds.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
     return ds, folds, train, test
 
 
@@ -58,11 +58,11 @@ class ComplementSpec:
         self.inner = inner
         self.label = f"complement({inner.label})"
 
-    def fit_on(self, students, dataset, config):
-        return self.inner.fit_on(students, dataset, config)
+    def fit_on(self, student_ids, dataset, config):
+        return self.inner.fit_on(student_ids, dataset, config)
 
-    def predict_on(self, fitted, students, dataset):
-        pred = self.inner.predict_on(fitted, students, dataset)
+    def predict_on(self, fitted, student_ids, dataset):
+        pred = self.inner.predict_on(fitted, student_ids, dataset)
         return type(pred)(probs=1.0 - pred.probs, labels=pred.labels, t=pred.t)
 
 
@@ -80,8 +80,8 @@ def test_complementary_signals_not_worse_than_best_base():
     dm, _ = generate(GeneratorConfig(seed=43, momentum=1.5, n_students=80,
                                      responses_per_student=30, n_questions=15))
     folds = split_folds(dm, k=4, seed=43)
-    train = {s: dm.students[s] for s in folds.train_students(0)}
-    test = {s: dm.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
     sees_difficulty = PlainSpec("irt")
     sees_recency = PlainSpec("pfa", extras=(F("response_pattern"),))
     base_aucs = []
@@ -129,17 +129,17 @@ class NoiseSpec:
     def __init__(self, seed=99):
         self.seed = seed
 
-    def fit_on(self, students, dataset, config):
+    def fit_on(self, student_ids, dataset, config):
         return None
 
-    def predict_on(self, fitted, students, dataset):
+    def predict_on(self, fitted, student_ids, dataset):
         # reuse extraction only for labels and ordering
         from ktrace import features
         from ktrace.evaluate import FoldPrediction
         from ktrace.recipes import resolve
 
-        enc = features.fit_encoders(students, resolve("irt", dataset.manifest).recipe, dataset.manifest)
-        ext = features.build_matrix(students, enc)
+        enc = features.fit_encoders(dataset, student_ids, resolve("irt", dataset.manifest).recipe)
+        ext = features.build_matrix(dataset, student_ids, enc)
         rng = np.random.default_rng(self.seed)
         return FoldPrediction(probs=rng.random(ext.y.size), labels=ext.y, t=ext.t)
 
@@ -152,13 +152,13 @@ class CountingSpec:
         self.label = inner.label
         self.counts = counts
 
-    def fit_on(self, students, dataset, config):
+    def fit_on(self, student_ids, dataset, config):
         self.counts["fit_on"] += 1
-        return self.inner.fit_on(students, dataset, config)
+        return self.inner.fit_on(student_ids, dataset, config)
 
-    def predict_on(self, fitted, students, dataset):
+    def predict_on(self, fitted, student_ids, dataset):
         self.counts["predict_on"] += 1
-        return self.inner.predict_on(fitted, students, dataset)
+        return self.inner.predict_on(fitted, student_ids, dataset)
 
 
 def test_select_bases_examples():
@@ -191,8 +191,8 @@ def test_select_bases_subset_count():
 
 def _select_from_scratch(candidates, ds, folds, config, seed):
     """Reference selection: fit every subset from scratch, as fit_combined does."""
-    train = {s: ds.students[s] for s in folds.train_students(0)}
-    test = {s: ds.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
     table, best, best_auc = [], None, -1.0
     for size in range(1, len(candidates) + 1):
         for subset in itertools.combinations(range(len(candidates)), size):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import response, toy_dataset
-from oracle import modal_successor_oracle, pairwise_auc
+from oracle import modal_successor_oracle, pairwise_auc, trapezoid_area
 
 from ktrace import features
 from ktrace.core import ConfigError, FoldAssignment
@@ -21,7 +21,6 @@ from ktrace.evaluate import (
     cross_validate,
     dataset_stats,
     roc_curve,
-    trapezoid_area,
 )
 from ktrace.ingest import split_folds
 from ktrace.regression import TrainConfig
@@ -171,15 +170,15 @@ class ConstantSpec:
     def __init__(self, p=0.7):
         self.p = p
 
-    def fit_on(self, students, dataset, config):
+    def fit_on(self, student_ids, dataset, config):
         return self.p
 
-    def predict_on(self, fitted, students, dataset):
+    def predict_on(self, fitted, student_ids, dataset):
         labels = []
         t = []
-        for sid in sorted(students):
+        for sid in sorted(student_ids):
             k = 0
-            for e in students[sid]:
+            for e in dataset.students[sid]:
                 if e.is_response():
                     labels.append(1.0 if e.correct else 0.0)
                     t.append(k)
@@ -238,16 +237,16 @@ def test_cross_validate_never_touches_test_students(monkeypatch):
     real_fit = features.fit_encoders
     real_build = features.build_matrix
 
-    def spy_fit(students, *a, **kw):
-        seen_per_call.append(set(students))
-        return real_fit(students, *a, **kw)
+    def spy_fit(dataset, student_ids, recipe):
+        seen_per_call.append(set(student_ids))
+        return real_fit(dataset, student_ids, recipe)
 
     monkeypatch.setattr(features, "fit_encoders", spy_fit)
     extracted: list[set] = []
 
-    def spy_build(students, *a, **kw):
-        extracted.append(set(students))
-        return real_build(students, *a, **kw)
+    def spy_build(dataset, student_ids, encoder):
+        extracted.append(set(student_ids))
+        return real_build(dataset, student_ids, encoder)
 
     monkeypatch.setattr(features, "build_matrix", spy_build)
     cross_validate(ds, PlainSpec("pfa"), folds=folds, config=TrainConfig(l2=0.1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import response
-from oracle import ResponseLog, compare_vector, pattern_block, reference_build_matrix
+from oracle import ResponseLog, compare_vector, offset_of, pattern_block, reference_build_matrix
 
 from ktrace import features, regression
 from ktrace.core import (
@@ -26,7 +26,6 @@ from ktrace.features import (
     F,
     FeatureFamily,
     Recipe,
-    RowStore,
     TWConfig,
     build_matrix,
     elapsed_bins,
@@ -121,11 +120,11 @@ def _events_one_student():
 
 
 def test_fit_encoders_dims():
-    students = {"s1": _events_one_student()}
-    enc = fit_encoders(students, Recipe(families=(F("bias"),)), MINIMAL)
+    ds = Dataset(MINIMAL, {"s1": _events_one_student()})
+    enc = fit_encoders(ds, ["s1"], Recipe(families=(F("bias"),)))
     assert enc.dim == 1
     recipe = Recipe(families=(F("bias"), F("student"), F("question"), F("kc")))
-    enc = fit_encoders(students, recipe, MINIMAL)
+    enc = fit_encoders(ds, ["s1"], recipe)
     assert enc.dim == 1 + 1 + 2 + 2
     assert enc.vocabs["question"] == {"q1": 0, "q2": 1}
     assert abs(enc.rbar - 2.0 / 3.0) < 1e-15
@@ -135,8 +134,8 @@ def test_fit_encoders_many_questions():
     students = {
         "s1": [response("s1", 60 * i, f"q{i:04d}", ["k1"], True) for i in range(835)]
     }
-    enc = fit_encoders(students, Recipe(families=(F("question"),)), MINIMAL)
-    off, size = enc.offset_of("question")
+    enc = fit_encoders(Dataset(MINIMAL, students), ["s1"], Recipe(families=(F("question"),)))
+    off, size = offset_of(enc, "question")
     assert (off, size) == (0, 835)
 
 
@@ -145,8 +144,8 @@ def test_fit_encoders_order_independent():
     recipe = Recipe(
         families=(F("bias"), F("student"), F("question"), F("kc"), F("counts", "kc"))
     )
-    a = fit_encoders(students, recipe, MINIMAL)
-    b = fit_encoders(dict(reversed(list(students.items()))), recipe, MINIMAL)
+    a = fit_encoders(Dataset(MINIMAL, students), ["s1", "s2"], recipe)
+    b = fit_encoders(Dataset(MINIMAL, dict(reversed(list(students.items())))), ["s2", "s1"], recipe)
     assert a.digest() == b.digest()
 
 
@@ -156,7 +155,7 @@ def test_fit_encoders_one_hot_vocabularies_hold_every_training_value(rng):
     one_hots = [F("student"), F("question"), F("kc"), F("study_module")]
     one_hots += [F("context", v) for v in _KINDS["context"].variants]
     recipe = Recipe(families=(F("bias"), *one_hots, F("counts", "kc"), F("study_module_counts")))
-    enc = fit_encoders(students, recipe, FULL)
+    enc = fit_encoders(Dataset(FULL, students), students, recipe)
     responses = [e for events in students.values() for e in events if e.is_response()]
     fields = {"student": "student_id", "question": "question_id"}
     for domain, vocab in enc.vocabs.items():
@@ -181,7 +180,8 @@ def test_fit_encoders_drops_keys_no_training_row_counts():
     test = {"s3": [response("s3", 10, "q3", ["k1"], True), response("s3", 20, "q3", ["k1"], False),
                    response("s3", 30, "q1", ["k0"], True), response("s3", 40, "q3", ["k1"], True)]}
     recipe = Recipe(families=(F("bias"), F("counts", "kc")))
-    enc = fit_encoders(train, recipe, MINIMAL)
+    ds = Dataset(MINIMAL, {**train, **test})
+    enc = fit_encoders(ds, train, recipe)
     assert enc.vocabs == {"kc": {"k0": 0}} and enc.dim == 3
     kept = dataclasses.replace(
         enc, vocabs={"kc": {"k0": 0, "k1": 1}},
@@ -189,25 +189,25 @@ def test_fit_encoders_drops_keys_no_training_row_counts():
     )
     probs = []
     for e in (enc, kept):
-        ext = build_matrix(train, e)
+        ext = build_matrix(ds, train, e)
         model = regression.fit(ext.X, ext.y, regression.TrainConfig(), encoder=e, recipe=recipe)
-        probs.append(regression.predict_proba_batch(model, build_matrix(test, e).X))
-    assert build_matrix(test, kept).X[:, 3:].nnz > 0  # the dropped columns fire at test time
+        probs.append(regression.predict_proba_batch(model, build_matrix(ds, test, e).X))
+    assert build_matrix(ds, test, kept).X[:, 3:].nnz > 0  # the dropped columns fire at test time
     np.testing.assert_allclose(probs[0], probs[1], rtol=0, atol=1e-12)
 
 
 def test_fit_encoders_rejects_unsupported_families():
     students = {"s1": _events_one_student()}
     with pytest.raises(ConfigError, match="study_module"):
-        fit_encoders(students, Recipe(families=(F("bias"), F("study_module"))), MINIMAL)
+        fit_encoders(Dataset(MINIMAL, students), ["s1"], Recipe(families=(F("bias"), F("study_module"))))
     with pytest.raises(ConfigError, match="graph"):
-        fit_encoders(students, Recipe(families=(F("bias"), F("prereq_ids"))), FULL)
+        fit_encoders(Dataset(FULL, students), ["s1"], Recipe(families=(F("bias"), F("prereq_ids"))))
 
 
 def test_encoder_json_roundtrip():
     students = {"s1": _events_one_student()}
     recipe = Recipe(families=(F("bias"), F("kc"), F("tw_counts", "kc"), F("response_pattern")))
-    enc = fit_encoders(students, recipe, MINIMAL)
+    enc = fit_encoders(Dataset(MINIMAL, students), ["s1"], recipe)
     from ktrace.features import Encoder
 
     again = Encoder.from_json(enc.to_json())
@@ -224,9 +224,10 @@ def _row_pairs(ext, r):
 def test_emit_counts_total_example():
     students = {"s1": [response("s1", 60 * i, f"q{i}", ["k1"], i != 3) for i in range(5)]}
     recipe = Recipe(families=(F("bias"), F("counts", "total")))
-    enc = fit_encoders(students, recipe, MINIMAL)
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, ["s1"], recipe)
     # the row of the 5th response: 3 corrects, 4 attempts so far
-    assert _row_pairs(build_matrix(students, enc), 4) == [(0, 1.0), (1, scale(3)), (2, scale(4))]
+    assert _row_pairs(build_matrix(ds, ["s1"], enc), 4) == [(0, 1.0), (1, scale(3)), (2, scale(4))]
 
 
 def test_emit_tw_counts_ages():
@@ -239,8 +240,9 @@ def test_emit_tw_counts_ages():
         response("s1", now - 1800, "q3", ["k1"], True),
         response("s1", now, "q4", ["k1"], True),
     ]
-    enc = fit_encoders({"s1": events}, recipe, MINIMAL)
-    got = dict(_row_pairs(build_matrix({"s1": events}, enc), 3))
+    ds = Dataset(MINIMAL, {"s1": events})
+    enc = fit_encoders(ds, ["s1"], recipe)
+    got = dict(_row_pairs(build_matrix(ds, ["s1"], enc), 3))
     corrects = [got.get(2 * j, 0.0) for j in range(5)]
     assert corrects == [scale(1), scale(1), scale(2), scale(3), scale(3)]
 
@@ -254,13 +256,13 @@ def test_emit_prereq_counts_example():
         response("s1", 300, "q3", ["p"], False),
         response("s1", 400, "q4", ["c"], True),
     ]
-    enc = fit_encoders({"s1": events}, recipe, FULL, kc_graph=graph)
+    enc = fit_encoders(Dataset(FULL, {"s1": events}, graph), ["s1"], recipe)
     # a further question on p itself has no prerequisites: empty blocks
     log = events + [response("s1", 500, "q5", ["p"], True)]
-    ext = build_matrix({"s1": log}, enc, kc_graph=graph)
+    ext = build_matrix(Dataset(FULL, {"s1": log}, graph), ["s1"], enc)
     nvoc = enc.vocabs["graph_node"]
-    ids_off, _ = enc.offset_of("prereq_ids")
-    cnt_off, _ = enc.offset_of("prereq_counts")
+    ids_off, _ = offset_of(enc, "prereq_ids")
+    cnt_off, _ = offset_of(enc, "prereq_counts")
     got = dict(_row_pairs(ext, 3))
     assert got[ids_off + nvoc["p"]] == 1.0
     assert got[cnt_off + 2 * nvoc["p"]] == scale(2)
@@ -272,9 +274,9 @@ def test_emit_postreq_is_reversal():
     graph = KCGraph("kc", [("p", "c")])
     recipe = Recipe(families=(F("postreq_ids"),))
     events = [response("s1", 100, "q1", ["p"], True), response("s1", 200, "q2", ["c"], True)]
-    enc = fit_encoders({"s1": events}, recipe, FULL, kc_graph=graph)
+    enc = fit_encoders(Dataset(FULL, {"s1": events}, graph), ["s1"], recipe)
     log = events + [response("s1", 300, "q3", ["p"], True)]
-    ext = build_matrix({"s1": log}, enc, kc_graph=graph)
+    ext = build_matrix(Dataset(FULL, {"s1": log}, graph), ["s1"], enc)
     assert _row_pairs(ext, 1) == []  # nothing depends on c
     assert _row_pairs(ext, 2) == [(enc.vocabs["graph_node"]["c"], 1.0)]
 
@@ -282,8 +284,9 @@ def test_emit_postreq_is_reversal():
 def test_emit_unseen_categories_empty_blocks():
     students = {"s1": _events_one_student()}
     recipe = Recipe(families=(F("student"), F("question"), F("kc")))
-    enc = fit_encoders(students, recipe, MINIMAL)
-    ext = build_matrix({"s_new": [response("s_new", 50, "q_new", ["k_new"], True)]}, enc)
+    ds = Dataset(MINIMAL, {**students, "s_new": [response("s_new", 50, "q_new", ["k_new"], True)]})
+    enc = fit_encoders(ds, ["s1"], recipe)
+    ext = build_matrix(ds, ["s_new"], enc)
     assert ext.X.shape[0] == 1 and ext.X.nnz == 0
 
 
@@ -303,22 +306,24 @@ def test_no_leakage_perturbing_future_events():
         ),
         n_recent=4,
     )
-    enc = fit_encoders({"s1": events}, recipe, MINIMAL)
+    ds = Dataset(MINIMAL, {"s1": events})
+    enc = fit_encoders(ds, ["s1"], recipe)
     cut = 12
-    baseline = build_matrix({"s1": events}, enc).X[:cut]
+    baseline = build_matrix(ds, ["s1"], enc).X[:cut]
     mutated = list(events)
     mutated[cut] = response("s1", events[cut].timestamp, "q0", ["k2"], not events[cut].correct)
-    perturbed = build_matrix({"s1": mutated}, enc).X[:cut]
+    perturbed = build_matrix(Dataset(MINIMAL, {"s1": mutated}), ["s1"], enc).X[:cut]
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(baseline, name), getattr(perturbed, name)), name
 
 
 def oracle_rows(students, enc, graph):
     """Yield (student, event index, compare_vector problems) for every row
-    of one build_matrix per student; row r is the prefix before the
-    student's r-th response."""
+    of one build_matrix per student, on a new dataset of the students;
+    row r is the prefix before the student's r-th response."""
+    ds = Dataset(FULL, students, graph)
     for sid, events in students.items():
-        X = build_matrix({sid: events}, enc, kc_graph=graph).X
+        X = build_matrix(ds, [sid], enc).X
         at = [i for i, ev in enumerate(events) if ev.is_response()]
         assert X.shape[0] == len(at), sid
         for r, i in enumerate(at):
@@ -329,7 +334,7 @@ def test_incremental_matches_bruteforce_small(rng):
     """Mini version of the full-state oracle: every family, every prefix."""
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=6, max_events=120, short_gaps=True)
-    enc = fit_encoders(students, full_recipe(), FULL, kc_graph=graph)
+    enc = fit_encoders(Dataset(FULL, students, graph), students, full_recipe())
     checked = 0
     for sid, i, problems in oracle_rows(students, enc, graph):
         assert not problems, f"{sid} event {i}: " + "; ".join(problems[:4])
@@ -361,7 +366,8 @@ _COUNTS_AND_TIMES = Recipe(families=_COUNTS_ONLY.families + (F("lag_time", "curr
 def test_row_oracle_catches_a_wrong_slot(rng, monkeypatch):
     graph = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
     students = _random_full_students(rng, n_students=6, max_events=120)
-    encoders = [fit_encoders(students, r, FULL, kc_graph=graph) for r in (full_recipe(), _COUNTS_ONLY)]
+    ds = Dataset(FULL, students, graph)
+    encoders = [fit_encoders(ds, students, r) for r in (full_recipe(), _COUNTS_ONLY)]
     for enc in encoders:
         assert not any(p for _, _, p in oracle_rows(students, enc, graph))
     _swap_counts_slots(monkeypatch)
@@ -580,8 +586,9 @@ def test_allowed_by_single_capability_manifests():
 def test_build_matrix_shapes():
     students = {"s1": _events_one_student(), "s2": [response("s2", 10, "q1", ["k1"], False)]}
     recipe = Recipe(families=(F("bias"), F("question"), F("counts", "total")))
-    enc = fit_encoders(students, recipe, MINIMAL)
-    res = build_matrix(students, enc)
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, students, recipe)
+    res = build_matrix(ds, students, enc)
     assert res.X.shape == (4, enc.dim)
     assert res.y.tolist() == [1.0, 0.0, 1.0, 0.0]
     assert res.t.tolist() == [0, 1, 2, 0]
@@ -644,33 +651,34 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
     """
     monkeypatch.setattr(features, "_CHUNK_ENTRIES", chunk)
     for name, students, recipe, manifest, graph, squash in _extraction_cases(rng):
+        ds = Dataset(manifest, students, graph, squash)
         sids = sorted(students)
-        fit_on = {s: students[s] for s in sids[: 2 * len(sids) // 3]}
-        enc = fit_encoders(fit_on, recipe, manifest, kc_graph=graph)
-        store = RowStore()
+        enc = fit_encoders(ds, sids[: 2 * len(sids) // 3], recipe)
         for rbar, eta in ((enc.rbar, recipe.eta), (0.0, 0.5), (1.0, 12.0), (0.37, 3.0)):
             variant = dataclasses.replace(enc, recipe=dataclasses.replace(recipe, eta=eta), rbar=rbar)
-            res = build_matrix(students, variant, kc_graph=graph, squash_map=squash, store=store)
+            res = build_matrix(ds, sids, variant)
             ref = reference_build_matrix(students, variant, kc_graph=graph, squash_map=squash)
             problems = _extraction_mismatch(res, ref)
             assert not problems, (name, rbar, eta, problems)
-        assert store.students_walked == len(students), name
+        assert ds.feature_rows.students_walked == len(students), name
         # an empty selection gives the reference's empty matrix
         assert not _extraction_mismatch(
-            build_matrix({}, enc, kc_graph=graph, squash_map=squash),
+            build_matrix(ds, [], enc),
             reference_build_matrix({}, enc, kc_graph=graph, squash_map=squash),
         )
 
 
 def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
     students = _random_full_students(rng, n_students=4, max_events=40)
-    encoders = [fit_encoders(students, r, FULL) for r in (_COUNTS_ONLY, _COUNTS_AND_TIMES)]
+    ds = Dataset(FULL, students)
+    encoders = [fit_encoders(ds, students, r) for r in (_COUNTS_ONLY, _COUNTS_AND_TIMES)]
     refs = [reference_build_matrix(students, enc) for enc in encoders]
     for enc, ref in zip(encoders, refs):
-        assert not _extraction_mismatch(build_matrix(students, enc), ref)
+        assert not _extraction_mismatch(build_matrix(ds, students, enc), ref)
     _swap_counts_slots(monkeypatch)
+    mutated = Dataset(FULL, students)  # a store of its own, walked with the mutation
     for enc, ref in zip(encoders, refs):
-        assert _extraction_mismatch(build_matrix(students, enc), ref), enc.recipe
+        assert _extraction_mismatch(build_matrix(mutated, students, enc), ref), enc.recipe
 
 
 def test_response_log_window_counts():
@@ -698,7 +706,7 @@ def _video(sid, ts, kcs):
 
 def _block_values(ext, enc, r, name, key=None):
     """{slot: value} of block `name` in row r (of `key`'s columns for a keyed block)."""
-    off, size = enc.offset_of(name)
+    off, size = offset_of(enc, name)
     if key is not None:
         per = size // len(enc.vocabs["kc"])
         off, size = off + enc.vocabs["kc"][key] * per, per
@@ -732,9 +740,10 @@ def test_array_walk_edge_cases():
     with_state = dataclasses.replace(
         prefix_only, families=prefix_only.families + (F("video_watched_counts"), F("lag_time", "current"))
     )
+    ds = Dataset(FULL, students)
     for recipe in (prefix_only, with_state):
-        enc = fit_encoders(students, recipe, FULL)
-        ext = build_matrix(students, enc)
+        enc = fit_encoders(ds, students, recipe)
+        ext = build_matrix(ds, students, enc)
         assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
         assert ext.X.shape[0] == 7 and ext.t.tolist() == [0, 1, 2, 3, 4, 0, 1]
 
@@ -768,8 +777,9 @@ def test_array_walk_counts_a_repeated_kc_twice():
     students = {"d": [response("d", 10, "q1", ["k1", "k1"], True), response("d", 20, "q2", ["k1"], False),
                       response("d", 30, "q2", ["k1"], True)]}
     recipe = Recipe(families=(F("counts", "kc"), F("tw_counts", "kc")))
-    enc = fit_encoders(students, recipe, MINIMAL)
-    ext = build_matrix(students, enc)
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, students, recipe)
+    ext = build_matrix(ds, students, enc)
     assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
     counts = [_block_values(ext, enc, r, "counts:kc", "k1") for r in range(3)]
     assert counts == [{}, {0: scale(2), 1: scale(2)}, {0: scale(2), 1: scale(3)}]
@@ -783,8 +793,9 @@ def _hand_rows(events, families, manifest=FULL):
     """(row -> {slot: value} of a block) for one student's build_matrix rows,
     after checking them against the reference extraction."""
     students = {"s1": events}
-    enc = fit_encoders(students, Recipe(families=families), manifest)
-    ext = build_matrix(students, enc)
+    ds = Dataset(manifest, students)
+    enc = fit_encoders(ds, students, Recipe(families=families))
+    ext = build_matrix(ds, students, enc)
     assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
     return lambda name: [_block_values(ext, enc, r, name) for r in range(ext.X.shape[0])]
 
@@ -830,9 +841,10 @@ def test_update_state_rejects_out_of_order():
     takes no event earlier than the one before it."""
     first = response("s1", 100, "q1", ["k1"], True)
     for families in ((F("counts", "total"),), (F("study_module_counts"), F("lag_time", "current"))):
-        enc = fit_encoders({"s1": [first]}, Recipe(families=families), FULL)
+        enc = fit_encoders(Dataset(FULL, {"s1": [first]}), ["s1"], Recipe(families=families))
+        late = Dataset(FULL, {"s1": [first, response("s1", 50, "q2", ["k1"], True)]})
         with pytest.raises(SequencingError, match="event at 50 arrived after state reached 100"):
-            build_matrix({"s1": [first, response("s1", 50, "q2", ["k1"], True)]}, enc)
+            build_matrix(late, ["s1"], enc)
 
 
 def test_material_events_count_by_list_position():
@@ -883,7 +895,7 @@ def test_material_event_on_a_kc_listed_twice():
     assert rows("video_watched_time") == [{0: scale(1.5), 1: scale(3.0)}, {0: scale(1.5), 1: scale(6.0)}]
 
 
-def test_material_tallies_when_no_response_lists_a_kc():
+def test_material_tallies_when_no_response_lists_a_kc(monkeypatch):
     """Responses without KCs still get the total tallies, and so does a walk whose
     one student has only a video: every family gives the reference's bytes."""
     students = {
@@ -896,10 +908,12 @@ def test_material_tallies_when_no_response_lists_a_kc():
         "s2": [InteractionEvent("s2", 5, EventKind.VIDEO_WATCH, kc_ids=("k1",), consumption_minutes=2.0)],
     }
     graph = KCGraph("kc", [("k0", "k1")])
-    store = RowStore()
-    enc = fit_encoders({"s1": students["s1"]}, full_recipe(), FULL, kc_graph=graph, store=store)
-    ext = build_matrix(students, enc, kc_graph=graph, store=store)  # walks s2 alone
-    assert store.students_walked == 2
+    monkeypatch.setattr(features, "_WALK_RESPONSES", 1)  # s1's two responses overflow a run: s2 runs alone
+    walks = _Walks(monkeypatch)
+    ds = Dataset(FULL, students, graph)
+    enc = fit_encoders(ds, ["s1"], full_recipe())
+    ext = build_matrix(ds, students, enc)
+    assert walks.batches == [["s1"], ["s2"]]
     assert not _extraction_mismatch(ext, reference_build_matrix(students, enc, kc_graph=graph))
     assert ext.X.shape[0] == 2
 
@@ -932,10 +946,12 @@ def test_array_walk_refuses_window_keys_that_overflow():
     """(group, timestamp) search keys must fit in int64; a wider span fails instead of miscounting."""
     recipe = Recipe(families=(F("bias"), F("tw_counts", "total")))
     students = {"a": [response("a", 0, "q1", ["k1"], True)], "b": [response("b", 1 << 61, "q1", ["k1"], True)]}
-    enc = fit_encoders({"a": students["a"]}, recipe, MINIMAL)
-    with pytest.raises(ValueError, match="span too wide"):
-        build_matrix(students, enc)
-    assert build_matrix({"b": students["b"]}, enc).X.shape == (1, enc.dim)
+    enc = fit_encoders(Dataset(MINIMAL, {"a": students["a"]}), ["a"], recipe)
+    both = Dataset(MINIMAL, students)  # one run walks a and b together
+    for _ in range(2):  # a failed walk keeps no rows, so it fails again
+        with pytest.raises(ValueError, match="span too wide"):
+            build_matrix(both, ["a"], enc)
+    assert build_matrix(Dataset(MINIMAL, {"b": students["b"]}), ["b"], enc).X.shape == (1, enc.dim)
 
 
 def test_array_walk_keeps_the_order_check():
@@ -950,26 +966,31 @@ def test_array_walk_keeps_the_order_check():
         _FIXED["best-lr"],
         (F("bias"), F("lag_time", "current"), F("study_module_counts"), F("video_watched_counts")),
     ):
-        enc = fit_encoders(ok, Recipe(families=families), FULL)
+        enc = fit_encoders(Dataset(FULL, ok), ok, Recipe(families=families))
         for students, (late, reached) in ((late_response, (50, 100)), (late_material, (90, 100))):
             message = f"event at {late} arrived after state reached {reached}"
-            for extract in (build_matrix, reference_build_matrix):
-                with pytest.raises(SequencingError, match=message):
-                    extract({**ok, **students}, enc)
+            with pytest.raises(SequencingError, match=message):
+                build_matrix(Dataset(FULL, {**ok, **students}), ok, enc)
+            with pytest.raises(SequencingError, match=message):
+                reference_build_matrix({**ok, **students}, enc)
 
 
 def test_build_matrix_keeps_duplicate_and_dimension_checks():
     dup = {"s1": [InteractionEvent("s1", 10, EventKind.QUESTION_RESPONSE, "q1", ("k1", "k1"), True)]}
-    enc = fit_encoders(dup, Recipe(families=(F("bias"), F("kc"))), MINIMAL)
-    for extract in (build_matrix, reference_build_matrix):
-        with pytest.raises(ValueError, match="duplicate feature index"):
-            extract(dup, enc)
+    ds = Dataset(MINIMAL, dup)
+    enc = fit_encoders(ds, ["s1"], Recipe(families=(F("bias"), F("kc"))))
+    with pytest.raises(ValueError, match="duplicate feature index"):
+        build_matrix(ds, ["s1"], enc)
+    with pytest.raises(ValueError, match="duplicate feature index"):
+        reference_build_matrix(dup, enc)
     students = {"s1": _events_one_student()}
-    enc = fit_encoders(students, Recipe(families=(F("bias"), F("question"))), MINIMAL)
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, ["s1"], Recipe(families=(F("bias"), F("question"))))
     short = dataclasses.replace(enc, dim=enc.dim - 1)
-    for extract in (build_matrix, reference_build_matrix):
-        with pytest.raises(RuntimeError, match="outside encoder dimension"):
-            extract(students, short)
+    with pytest.raises(RuntimeError, match="outside encoder dimension"):
+        build_matrix(ds, ["s1"], short)
+    with pytest.raises(RuntimeError, match="outside encoder dimension"):
+        reference_build_matrix(students, short)
 
 
 class _Walks:
@@ -991,25 +1012,30 @@ class _Walks:
 
 
 def test_graph_families_need_the_graph_before_any_walk(monkeypatch):
-    """build_matrix refuses a graph-family encoder without a graph before it walks anyone."""
+    """build_matrix refuses a graph-family encoder on a dataset without a graph
+    before it walks anyone, with the message fit_encoders gives."""
     graph = KCGraph("kc", [("p", "c")])
     students = {"s1": [response("s1", 100, "q1", ["p"], True), response("s1", 200, "q2", ["c"], True)]}
     recipe = Recipe(families=(F("bias"), F("prereq_ids"), F("postreq_counts")))
-    enc = fit_encoders(students, recipe, FULL, kc_graph=graph)
+    enc = fit_encoders(Dataset(FULL, students, graph), ["s1"], recipe)
     walks = _Walks(monkeypatch)
-    for selection in (students, {}):
-        with pytest.raises(ConfigError, match="^family prereq_ids requires a prerequisite graph$"):
-            build_matrix(selection, enc)
+    no_graph = Dataset(FULL, students)
+    message = "^families prereq_ids, postreq_counts need a prerequisite graph, none was provided$"
+    for selection in (["s1"], []):
+        with pytest.raises(ConfigError, match=message):
+            build_matrix(no_graph, selection, enc)
+    with pytest.raises(ConfigError, match=message):
+        fit_encoders(no_graph, ["s1"], recipe)
     assert walks.batches == []
+
+
+# the graph of the row-store tests' datasets, for their graph-family recipe
+_STORE_GRAPH = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
 
 
 def _store_dataset(rng, n_students=8):
     students = _random_full_students(rng, n_students=n_students, max_events=40)
-    return Dataset(manifest=FULL, students=students)
-
-
-# the graph the row-store tests extract with, for their graph-family recipe
-_STORE_GRAPH = KCGraph("kc", [("k0", "k1"), ("k1", "k2"), ("k0", "k3")])
+    return Dataset(manifest=FULL, students=students, kc_graph=_STORE_GRAPH)
 
 
 def _walk_recipes(monkeypatch, prefix_only: Recipe):
@@ -1025,16 +1051,14 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
     for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng)
         sids = sorted(ds.students)
-        train = {s: ds.students[s] for s in sids[:5]}
-        test = {s: ds.students[s] for s in sids[5:]}
-        enc = fit_encoders(train, recipe, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        train, test = sids[:5], sids[5:]
+        enc = fit_encoders(ds, train, recipe)
         assert walks.batches == [sids]  # the recipe's first call walks every student of the dataset
-        first = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        first = build_matrix(ds, sids, enc)
         # other folds, other eta: the same walk serves their encoders and matrices
-        other = fit_encoders(test, dataclasses.replace(recipe, eta=2.0), FULL, kc_graph=_STORE_GRAPH,
-                             store=ds.feature_rows)
-        build_matrix(train, other, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        again = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        other = fit_encoders(ds, test, dataclasses.replace(recipe, eta=2.0))
+        build_matrix(ds, train, other)
+        again = build_matrix(ds, sids, enc)
         assert walks.batches == [sids]
         assert not _extraction_mismatch(again, (first.X, first.y, first.t, first.events))
         assert not _extraction_mismatch(first, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
@@ -1048,8 +1072,8 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
         }
         # a recipe with other walk parameters walks again
         other_walk = dataclasses.replace(recipe, n_recent=3)
-        other_enc = fit_encoders(ds.students, other_walk, FULL, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
-        build_matrix(ds.students, other_enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        other_enc = fit_encoders(ds, sids, other_walk)
+        build_matrix(ds, sids, other_enc)
         assert walks.batches == [sids, sids]
 
 
@@ -1065,15 +1089,14 @@ def test_row_store_walks_in_bounded_runs(rng, monkeypatch, limit):
         ds = _store_dataset(rng, n_students=12)
         sids = sorted(ds.students)
         responses = {s: sum(e.is_response() for e in ds.students[s]) for s in sids}
-        enc = fit_encoders({s: ds.students[s] for s in sids[:4]}, recipe, FULL, kc_graph=_STORE_GRAPH,
-                           store=ds.feature_rows)
+        enc = fit_encoders(ds, sids[:4], recipe)
         assert [s for run in walks.batches for s in run] == sids and len(walks.batches) > 1
         sizes = [sum(responses[s] for s in run) for run in walks.batches]
         for run, size in zip(walks.batches, sizes):
             assert size <= limit or len(run) == 1, (limit, run, size)
         for size, following in zip(sizes, walks.batches[1:]):
             assert size + responses[following[0]] > limit
-        res = build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        res = build_matrix(ds, sids, enc)
         assert len(walks.batches) == len(sizes)
         assert not _extraction_mismatch(res, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
 
@@ -1082,37 +1105,25 @@ def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
     prefix_only = Recipe(families=(F("bias"), F("counts", "total")))
     for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng)
-        enc = fit_encoders(ds.students, recipe, FULL, kc_graph=_STORE_GRAPH)
-        build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows)
+        enc = fit_encoders(ds, ds.students, recipe)
+        build_matrix(ds, ds.students, enc)
         walks.batches.clear()
         lagged = derive_lag_times(ds)
         part = ds.subset(sorted(ds.students)[:3])
         assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
-        res = build_matrix(lagged.students, enc, kc_graph=_STORE_GRAPH, store=lagged.feature_rows)
+        res = build_matrix(lagged, lagged.students, enc)
         assert walks.students == sorted(ds.students)
         assert not _extraction_mismatch(res, reference_build_matrix(lagged.students, enc, kc_graph=_STORE_GRAPH))
-        build_matrix(part.students, enc, kc_graph=_STORE_GRAPH, store=part.feature_rows)
+        build_matrix(part, part.students, enc)
         assert walks.students == sorted(list(ds.students) + sorted(ds.students)[:3])
         assert ds.feature_rows.students_walked == len(ds.students)
-
-
-def test_row_store_rejects_other_events_or_graph(rng):
-    ds = _store_dataset(rng, n_students=3)
-    recipe = Recipe(families=(F("bias"), F("counts", "total")))
-    enc = fit_encoders(ds.students, recipe, FULL)
-    build_matrix(ds.students, enc, store=ds.feature_rows)
-    sid = sorted(ds.students)[0]
-    with pytest.raises(ConfigError, match="events differ"):
-        build_matrix({sid: list(ds.students[sid])}, enc, store=ds.feature_rows)
-    with pytest.raises(ConfigError, match="one KC graph"):
-        build_matrix(ds.students, enc, kc_graph=KCGraph("kc", [("k0", "k1")]), store=ds.feature_rows)
 
 
 def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
     prefix_only = Recipe(families=(F("bias"), F("question"), F("tw_counts", "kc"), F("response_pattern")))
     for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
         ds = _store_dataset(rng, n_students=16)
-        enc = fit_encoders(ds.students, recipe, FULL, kc_graph=_STORE_GRAPH)
+        enc = fit_encoders(dataclasses.replace(ds), ds.students, recipe)  # a copy with a store of its own
         want = reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH)
         walks.batches.clear()
         results: list = []
@@ -1120,7 +1131,7 @@ def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
 
         def worker():
             try:
-                results.append(build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH, store=ds.feature_rows))
+                results.append(build_matrix(ds, ds.students, enc))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import tempfile
@@ -21,6 +22,7 @@ from ktrace.core import (
     DatasetManifest,
     EventKind,
     InteractionEvent,
+    KCGraph,
     ParseError,
     SchemaError,
     response_lags,
@@ -489,8 +491,8 @@ NO_LAG = len(LAG_CATEGORIES_MIN) + 1  # a lag_time block's column for "first res
 
 def _lag_blocks(events):
     """The walk's lag_time:current and lag_time:prior blocks, one dense row per response."""
-    students = {events[0].student_id: events}
-    X = build_matrix(students, fit_encoders(students, LAG_RECIPE, DatasetManifest.full("t"))).X.toarray()
+    ds = Dataset(DatasetManifest.full("t"), {events[0].student_id: events})
+    X = build_matrix(ds, ds.students, fit_encoders(ds, ds.students, LAG_RECIPE)).X.toarray()
     width = X.shape[1] // 2
     return X[:, :width], X[:, width:]
 
@@ -637,9 +639,9 @@ def test_lag_features_from_raw_load_match_prepared(tmp_path):
     prepared, _ = load_prepared(tmp_path / "prep")
     assert prepared.quality["negative_lag_clamped"] == 3  # one per student, at i = 4
 
-    enc = fit_encoders(raw.students, LAG_RECIPE, manifest)
-    from_raw = build_matrix(raw.students, enc).X
-    from_prepared = build_matrix(prepared.students, enc).X
+    enc = fit_encoders(raw, raw.students, LAG_RECIPE)
+    from_raw = build_matrix(raw, raw.students, enc).X
+    from_prepared = build_matrix(prepared, prepared.students, enc).X
     assert from_raw.shape == (24, enc.dim)
     assert np.all(np.diff(from_raw.indptr) > 0)  # every row has a lag (or the no-lag flag)
     assert from_raw.shape == from_prepared.shape and (from_raw != from_prepared).nnz == 0
@@ -663,6 +665,27 @@ def test_prepared_roundtrip(tmp_path):
         s: [e.question_id for e in v] for s, v in ds.students.items()
     }
     assert again.students["s1"][0].elapsed_time_s == 12.5
+
+
+def test_dataset_is_frozen_and_its_row_store_holds_its_fields(tmp_path):
+    """The row store captures the dataset's fields, so a dataset cannot change
+    under it: a changed dataset is a `replace`d one, with a store of its own,
+    and load_prepared's store holds the graph and squash map it read."""
+    students = {sid: [response(sid, 0, "q1", ["k1", "k2"], True), response(sid, 60, "q2", ["k1"], False)]
+                for sid in ("s1", "s2")}
+    ds = squash_multi_kc(toy_dataset(students, capabilities={"prereq_graph"}))
+    graph = KCGraph("kc", [("k1", "k2")])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.kc_graph = graph
+    changed = dataclasses.replace(ds, kc_graph=graph)
+    rows = changed.feature_rows
+    assert rows is not ds.feature_rows and ds.feature_rows.kc_graph is None
+    assert (rows.students, rows.manifest, rows.kc_graph, rows.squash_map) == (
+        changed.students, changed.manifest, graph, ds.squash_map)
+    write_prepared(changed, split_folds(changed, k=2, seed=1), tmp_path / "prep")
+    again, _ = load_prepared(tmp_path / "prep")
+    assert again.kc_graph is not None and again.feature_rows.kc_graph is again.kc_graph
+    assert again.feature_rows.squash_map == ds.squash_map and again.feature_rows.students is again.students
 
 
 def test_prepared_roundtrip_keeps_every_field_and_lag(tmp_path):

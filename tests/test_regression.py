@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import response
-from oracle import reference_fit
+from oracle import offset_of, reference_fit
 
 from ktrace.combine import _meta_inputs
 from ktrace.core import ConfigError, DatasetManifest
 from ktrace.features import F, Recipe, build_matrix, fit_encoders
+from ktrace.ingest import Dataset
 from ktrace import regression
 from ktrace.recipes import resolve
 from ktrace.regression import (
@@ -98,9 +99,9 @@ def test_penalty_excludes_masked_weights():
 def test_reg_mask_for_encoder_excludes_bias():
     students = {"s1": [response("s1", 10, "q1", ["k1"], True)]}
     recipe = Recipe(families=(F("question"), F("bias"), F("kc")))
-    enc = fit_encoders(students, recipe, DatasetManifest.minimal("m"))
+    enc = fit_encoders(Dataset(DatasetManifest.minimal("m"), students), students, recipe)
     mask = reg_mask_for(enc)
-    off, size = enc.offset_of("bias")
+    off, size = offset_of(enc, "bias")
     assert size == 1 and mask[off] == 0.0
     assert mask.sum() == enc.dim - 1
 
@@ -229,7 +230,8 @@ def test_model_json_roundtrip(tmp_path, rng):
     students = {"s1": [response("s1", 10, "q1", ["k1"], True),
                        response("s1", 20, "q2", ["k1"], False)]}
     recipe = Recipe(families=(F("bias"), F("question")))
-    enc = fit_encoders(students, recipe, DatasetManifest.minimal("m"))
+    ds = Dataset(DatasetManifest.minimal("m"), students)
+    enc = fit_encoders(ds, students, recipe)
     w = np.array([0.25, 0.0, -1.5])
     model = Model(weights=w, recipe=recipe, encoder=enc, info={"epochs": 3})
     path = tmp_path / "model.json"
@@ -240,7 +242,7 @@ def test_model_json_roundtrip(tmp_path, rng):
     assert again.recipe == recipe
     assert again.info["epochs"] == 3
 
-    other = fit_encoders(students, Recipe(families=(F("bias"), F("kc"))), DatasetManifest.minimal("m"))
+    other = fit_encoders(ds, students, Recipe(families=(F("bias"), F("kc"))))
     with pytest.raises(ConfigError):
         load_model(path, encoder=other)
 
@@ -249,7 +251,7 @@ def test_fit_ties_weights_to_encoder_bias_block(rng):
     """With an encoder given, the bias weight is not shrunk by l2."""
     n = 400
     students = {"s1": [response("s1", 10 * i, "q1", ["k1"], True) for i in range(3)]}
-    enc = fit_encoders(students, Recipe(families=(F("bias"),)), DatasetManifest.minimal("m"))
+    enc = fit_encoders(Dataset(DatasetManifest.minimal("m"), students), students, Recipe(families=(F("bias"),)))
     X = sp.csr_matrix(np.ones((n, 1)))
     y = np.zeros(n)
     y[: n // 2 + 100] = 1.0
@@ -301,8 +303,8 @@ def test_fit_not_worse_than_reference_on_extracted_features():
     ds, _ = generate(GeneratorConfig(seed=5, n_students=12, n_questions=10, n_kcs=3,
                                      responses_per_student=30))
     recipe = resolve("best-lr", ds.manifest).recipe
-    enc = fit_encoders(ds.students, recipe, ds.manifest)
-    ext = build_matrix(ds.students, enc)
+    enc = fit_encoders(ds, ds.students, recipe)
+    ext = build_matrix(ds, ds.students, enc)
     model = _assert_converged_below_reference(ext.X, ext.y, TrainConfig(max_epochs=80), encoder=enc)
     assert model.info["epochs"] > 0
 
@@ -507,8 +509,8 @@ def test_fits_are_bitwise_those_of_scipy_matmul(monkeypatch):
     the same weights and info when every product goes through `A @ v`."""
     ds, _ = generate(GeneratorConfig(seed=7, n_students=16, n_questions=12, n_kcs=3,
                                      responses_per_student=40))
-    enc = fit_encoders(ds.students, resolve("best-lr+", ds.manifest).recipe, ds.manifest)
-    ext = build_matrix(ds.students, enc)
+    enc = fit_encoders(ds, ds.students, resolve("best-lr+", ds.manifest).recipe)
+    ext = build_matrix(ds, ds.students, enc)
     rows = np.flatnonzero(np.arange(len(ext.y)) % 3 == 0)
 
     def fits():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import response, toy_dataset
-from oracle import assign_partition
+from oracle import assign_partition, offset_of
 
 from ktrace.core import ConfigError
 from ktrace.evaluate import PlainSpec, auc, cross_validate
@@ -139,9 +139,9 @@ def test_fit_partitioned_beats_fallback_per_partition():
     scheme = ResponseIndex((0, 10, math.inf))
     recipe = resolve("irt", ds.manifest).recipe
     cfg = TrainConfig(l2=1e-6)
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, cfg)
+    pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, cfg)
     assert set(pm.models) == {"0-10", "10-inf"}
-    ext = build_matrix(ds.students, pm.encoder)
+    ext = build_matrix(ds, ds.students, pm.encoder)
     for key, lo, hi in (("0-10", 0, 10), ("10-inf", 10, 10**9)):
         rows = np.asarray([i for i, t in enumerate(ext.t) if lo <= t < hi])
         spec_nll = nll(pm.models[key].weights, ext.X[rows], ext.y[rows])
@@ -153,13 +153,13 @@ def test_empty_intervals_warn_and_route_to_fallback():
     ds = _two_regime_students(n_students=8, per=12, flip=6)
     scheme = ResponseIndex()
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
+    pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
     # 8 students x 12 responses: 0-10 has 80 rows, 10-50 has 16, later intervals are empty
     assert list(pm.models) == ["0-10", "10-50"]
     assert pm.warnings == [f"partition {key}: no training examples, routed to fallback"
                            for key in ("50-100", "100-250", "250-500", "500-inf")]
     ev = response("s999", 100, "q1", ["k1"], True)
-    ext = build_matrix({"s999": [ev]}, pm.encoder)
+    ext = build_matrix(dataclasses.replace(ds, students={"s999": [ev]}), ["s999"], pm.encoder)
     routed = predict_routed_batch(pm, dataclasses.replace(ext, t=np.array([600])))  # empty 500-inf
     fallback = predict_proba_batch(pm.fallback, ext.X)
     assert routed.tobytes() == fallback.tobytes()
@@ -177,7 +177,7 @@ def test_single_class_partition_flagged():
     ds = toy_dataset(students, name="oneclass")
     scheme = ResponseIndex((0, 5, math.inf))
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
+    pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
     assert "0-5" in pm.single_class
     assert "5-inf" not in pm.single_class
 
@@ -199,10 +199,10 @@ def test_by_feature_unseen_value_routes_to_fallback():
     ds = _module_students()
     scheme = ByField("study_module")
     recipe = resolve("pfa", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
+    pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
     assert set(pm.models) == {"a", "b"}
     ev = response("s0", 9999, "q1", ["k1"], True, study_module="never-seen")
-    ext = build_matrix({"sX": [ev]}, pm.encoder)
+    ext = build_matrix(dataclasses.replace(ds, students={"sX": [ev]}), ["sX"], pm.encoder)
     routed = predict_routed_batch(pm, ext)
     assert routed.tobytes() == predict_proba_batch(pm.fallback, ext.X).tobytes()
 
@@ -219,18 +219,18 @@ def test_one_row_partition_stays_near_the_fallback():
     }
     ds = toy_dataset(students, name="mods", capabilities=("study_module",))
     recipe = resolve("best-lr", ds.manifest).recipe
-    pm = fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig())
+    pm = fit_partitioned(tuple(ds.students), ByField("study_module"), recipe, ds, TrainConfig())
     assert list(pm.models) == ["a", "b", "rare"] and pm.single_class == ("rare",)
     held_out = {f"t{i}": [response(f"t{i}", 60 * j, f"q{j % 4}", ["k1"], j % 2 == 0, study_module="rare")
                           for j in range(8)] for i in range(3)}
-    ext = build_matrix(held_out, pm.encoder)
+    ext = build_matrix(dataclasses.replace(ds, students=held_out), held_out, pm.encoder)
     fallback = predict_proba_batch(pm.fallback, ext.X)
     assert np.max(np.abs(predict_routed_batch(pm, ext) - fallback)) < 0.15
     # weights the row does not touch stay at the center: the fallback's, student block zeroed
-    train = build_matrix(ds.students, pm.encoder)
+    train = build_matrix(ds, ds.students, pm.encoder)
     row = [i for i, e in enumerate(train.events) if e.study_module == "rare"]
     center = pm.fallback.weights.copy()
-    off, size = pm.encoder.offset_of("student")
+    off, size = offset_of(pm.encoder, "student")
     center[off : off + size] = 0.0
     untouched = train.X[row].getnnz(axis=0) == 0
     assert np.array_equal(pm.models["rare"].weights[untouched], center[untouched])
@@ -244,7 +244,7 @@ def test_load_refuses_a_fit_stored_with_a_partition_floor(tmp_path):
     """Fold directories written before partition models were shrunk hold `min_partition`."""
     ds = _module_students()
     spec = PartitionedSpec("pfa", scheme=ByField("study_module"))
-    spec.save(spec.fit_on(ds.students, ds, TrainConfig()), tmp_path)
+    spec.save(spec.fit_on(tuple(ds.students), ds, TrainConfig()), tmp_path)
     stored = json.loads((tmp_path / "spec.json").read_text())
     (tmp_path / "spec.json").write_text(json.dumps({**stored, "min_partition": 50}))
     with pytest.raises(ConfigError, match='"min_partition":50'):
@@ -255,9 +255,9 @@ def test_undeclared_field_is_refused():
     ds = _module_students(capabilities=())
     recipe = resolve("pfa", ds.manifest).recipe
     with pytest.raises(ConfigError, match="by-feature:study_module needs the manifest flag 'study_module'"):
-        fit_partitioned(ds.students, ByField("study_module"), recipe, ds, TrainConfig())
+        fit_partitioned(tuple(ds.students), ByField("study_module"), recipe, ds, TrainConfig())
     with pytest.raises(ConfigError, match="'age_gender'"):
-        PartitionedSpec("pfa", scheme=ByField("gender")).fit_on(ds.students, ds, TrainConfig())
+        PartitionedSpec("pfa", scheme=ByField("gender")).fit_on(tuple(ds.students), ds, TrainConfig())
 
 
 def test_partitioned_beats_plain_after_regime_change():
@@ -265,8 +265,8 @@ def test_partitioned_beats_plain_after_regime_change():
                           n_questions=30, regime_step=50)
     ds, _ = generate(cfg)
     folds = split_folds(ds, k=4, seed=31)
-    train = {s: ds.students[s] for s in folds.train_students(0)}
-    test = {s: ds.students[s] for s in folds.students_in(0)}
+    train = tuple(folds.train_students(0))
+    test = tuple(folds.students_in(0))
     tc = TrainConfig(l2=1e-6)
 
     plain = PlainSpec("irt")
@@ -290,12 +290,12 @@ def test_save_load_roundtrip(tmp_path):
     for ds, scheme in ((_two_regime_students(n_students=12, per=14, flip=7), ResponseIndex((0, 7, math.inf))),
                        (_module_students(), ByField("study_module"))):
         recipe = resolve("best-lr", ds.manifest).recipe
-        pm = fit_partitioned(ds.students, scheme, recipe, ds, TrainConfig())
+        pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
         out = tmp_path / scheme.kind
         save_partitioned(pm, out)
         again = load_partitioned(out)
         assert again.scheme == pm.scheme
         assert set(again.models) == set(pm.models)
-        ext = build_matrix(ds.students, pm.encoder)
+        ext = build_matrix(ds, ds.students, pm.encoder)
         assert predict_routed_batch(again, ext).tobytes() == predict_routed_batch(pm, ext).tobytes()
         assert again.warnings == pm.warnings

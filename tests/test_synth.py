@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import math
 
@@ -81,8 +82,7 @@ def test_output_passes_ingest_cleanly(tmp_path):
     ds, truth = generate(cfg)
     paths = write_synth(ds, truth, tmp_path)
     manifest, graph = read_manifest(paths["manifest"])
-    loaded = load_events(paths["events"], manifest)
-    loaded.kc_graph = graph
+    loaded = dataclasses.replace(load_events(paths["events"], manifest), kc_graph=graph)
     loaded = filter_students(loaded, min_responses=10)
     loaded = derive_lag_times(loaded)
     assert loaded.n_students == 25
