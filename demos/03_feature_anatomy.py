@@ -17,7 +17,7 @@ recipe = Recipe(families=(
     FeatureFamily("tw_counts", "total"),
     FeatureFamily("smoothed_avg_correct"),
     FeatureFamily("response_pattern"),
-), n_recent=4)
+))
 
 # fit on every student of the dataset: extraction reads the dataset's rows by student id
 encoder = fit_encoders(dataset, sorted(dataset.students), recipe)
@@ -25,11 +25,12 @@ print(f"encoder dimension {encoder.dim}, train correct-rate {encoder.rbar:.3f}")
 for fam, offset, size in encoder.blocks:
     print(f"  block {fam.name:22s} offset {offset:4d} size {size}")
 
-# extract one student's rows and dissect the 10th response (row 9)
+# extract one student's rows and dissect the 15th response (row 14): with ten
+# answers before it, its response pattern block fires
 sid = sorted(dataset.students)[0]
 ext = build_matrix(dataset, [sid], encoder)
-event, row = ext.events[9], ext.X[9]
-print(f"\n{sid} response #10, question {event.question_id}, "
+event, row = ext.events[14], ext.X[14]
+print(f"\n{sid} response #15, question {event.question_id}, "
       f"correct={event.correct}")
 for fam, offset, size in encoder.blocks:
     active = [(i - offset, v) for i, v in zip(row.indices, row.data) if offset <= i < offset + size]

@@ -45,13 +45,13 @@ CONFIG_KEYS = {
     "prepare": ("min-responses", "folds", "seed", "squash-kcs"),
     "train-eval": ("folds", "seed", "jobs", "l2", "partition", "extras", "combine"),
 }
-# --config keys that take a number; a numeric string is parsed as its flag's text would be
-NUMERIC_CONFIG_KEYS = frozenset({
-    "seed", "students", "questions", "kcs", "responses", "momentum", "regime_step", "prereq_transfer",
-    "module_scale", "mean_gap_s", "mean_elapsed_s", "min-responses", "folds", "jobs", "l2",
+# --config keys that take an integer or any number; a string is parsed as its flag's text would be
+INT_CONFIG_KEYS = frozenset({
+    "seed", "students", "questions", "kcs", "responses", "regime_step", "min-responses", "folds", "jobs",
 })
+FLOAT_CONFIG_KEYS = frozenset({"momentum", "prereq_transfer", "module_scale", "mean_gap_s", "mean_elapsed_s", "l2"})
 # --config keys that take their flag's text; `modules` may also be a list of strings
-STRING_CONFIG_KEYS = frozenset({"partition", "extras", "combine"})
+STRING_CONFIG_KEYS = frozenset({"name", "partition", "extras", "combine"})
 
 
 def _sha256_file(path: Path) -> str:
@@ -110,6 +110,21 @@ class RunManifest:
         return path
 
 
+def _number(value, kind: type, source: str):
+    """`value` as `kind` (int or float): a number, integral for int, or a
+    string its flag would accept; anything else is a ConfigError naming
+    `source`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{source} must be a number, got {json.dumps(value)}")
+    wrong = ConfigError(f"{source} must be {'an integer' if kind is int else 'a number'}, got {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise wrong
+    try:
+        return kind(value)
+    except ValueError:
+        raise wrong from None
+
+
 def _load_config_file(path: str | None, subcommand: str) -> dict:
     if not path:
         return {}
@@ -122,12 +137,12 @@ def _load_config_file(path: str | None, subcommand: str) -> dict:
             f"unknown {subcommand} --config keys {', '.join(unknown)}; "
             f"accepted: {', '.join(CONFIG_KEYS[subcommand])}"
         )
-    for name in sorted(set(obj) & NUMERIC_CONFIG_KEYS):
-        value = obj[name]
-        if value is None and name == "regime_step":
+    for name in sorted(set(obj) & (INT_CONFIG_KEYS | FLOAT_CONFIG_KEYS)):
+        if obj[name] is None and name == "regime_step":
             continue  # null is its default: no regime switches
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ConfigError(f"--config key {name!r} must be a number, got {json.dumps(value)}")
+        obj[name] = _number(obj[name], int if name in INT_CONFIG_KEYS else float, f"--config key {name!r}")
+    if not isinstance(obj.get("squash-kcs", False), bool):
+        raise ConfigError(f"--config key 'squash-kcs' must be true or false, got {json.dumps(obj['squash-kcs'])}")
     for name in sorted(set(obj) & STRING_CONFIG_KEYS):
         if not isinstance(obj[name], str):
             raise ConfigError(f"--config key {name!r} must be a string, got {json.dumps(obj[name])}")
@@ -145,12 +160,12 @@ def _effective(args: argparse.Namespace, cfg: dict, name: str, default, env: str
     if flag is not None:
         value, source = flag, f"--{name}"
     elif env is not None and os.environ.get(env):
-        value, source = type(default)(os.environ[env]) if default is not None else os.environ[env], env
+        value, source = _number(os.environ[env], type(default), env), env
     elif name in cfg:
         value, source = cfg[name], f"--config key {name!r}"
     else:
         return default
-    if minimum is not None and int(value) < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r} from {source}")
     return value
 
@@ -201,19 +216,19 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     regime = _effective(args, cfg_file, "regime_step", None)
     modules = _effective(args, cfg_file, "modules", None)
     config = synth.GeneratorConfig(
-        seed=int(fields["seed"]),
-        n_students=int(fields["students"]),
-        n_questions=int(fields["questions"]),
-        n_kcs=int(fields["kcs"]),
-        responses_per_student=int(fields["responses"]),
-        momentum=float(fields["momentum"]),
-        regime_step=int(regime) if regime is not None else None,
-        prereq_transfer=float(fields["prereq_transfer"]),
+        seed=fields["seed"],
+        n_students=fields["students"],
+        n_questions=fields["questions"],
+        n_kcs=fields["kcs"],
+        responses_per_student=fields["responses"],
+        momentum=fields["momentum"],
+        regime_step=regime,
+        prereq_transfer=fields["prereq_transfer"],
         modules=tuple(m for m in (modules.split(",") if isinstance(modules, str) else modules or []) if m),
-        module_scale=float(fields["module_scale"]),
-        mean_gap_s=float(fields["mean_gap_s"]),
-        mean_elapsed_s=float(fields["mean_elapsed_s"]),
-        name=str(fields["name"]),
+        module_scale=fields["module_scale"],
+        mean_gap_s=fields["mean_gap_s"],
+        mean_elapsed_s=fields["mean_elapsed_s"],
+        name=fields["name"],
     )
     out = Path(args.out)
     run = RunManifest(argv, "generate", config.to_json(), config.seed)
@@ -227,10 +242,10 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_prepare(args: argparse.Namespace, argv: list[str]) -> int:
     cfg_file = _load_config_file(args.config, "prepare")
-    min_responses = int(_effective(args, cfg_file, "min-responses", 10))
-    k = int(_effective(args, cfg_file, "folds", 5))
-    seed = int(_effective(args, cfg_file, "seed", 0))
-    squash = bool(_effective(args, cfg_file, "squash-kcs", False))
+    min_responses = _effective(args, cfg_file, "min-responses", 10)
+    k = _effective(args, cfg_file, "folds", 5)
+    seed = _effective(args, cfg_file, "seed", 0)
+    squash = _effective(args, cfg_file, "squash-kcs", False)
 
     run = RunManifest(
         argv, "prepare",
@@ -285,20 +300,19 @@ def cmd_train_eval(args: argparse.Namespace, argv: list[str]) -> int:
     seed_set = _effective(args, cfg_file, "seed", None)
     k_set = _effective(args, cfg_file, "folds", None)
     # stacking and base selection keep seed 0 unless one is given, whatever the stored split's seed
-    seed = int(seed_set) if seed_set is not None else 0
-    jobs = int(_effective(args, cfg_file, "jobs", 1, env=JOBS_ENV, minimum=1))
-    l2 = float(_effective(args, cfg_file, "l2", regression.TrainConfig.l2))
+    seed = seed_set if seed_set is not None else 0
+    jobs = _effective(args, cfg_file, "jobs", 1, env=JOBS_ENV, minimum=1)
+    l2 = _effective(args, cfg_file, "l2", regression.TrainConfig.l2)
     if args.recipe not in RECIPE_NAMES:
         raise ConfigError(f"--recipe must be one of {', '.join(RECIPE_NAMES)}")
     bases, spec = _build_spec(args, cfg_file)
 
     data_dir = Path(args.data)
-    dataset, stored_folds = ingest.load_prepared(data_dir)
-    folds = stored_folds
-    if stored_folds is None or k_set is not None or seed_set is not None:
+    dataset, folds = ingest.load_prepared(data_dir)
+    if k_set is not None or seed_set is not None:
         # re-split; whichever of folds and seed is unset comes from the stored split
-        k = int(k_set) if k_set is not None else (stored_folds.k if stored_folds else 5)
-        fold_seed = int(seed_set) if seed_set is not None else (stored_folds.seed if stored_folds else 0)
+        k = k_set if k_set is not None else folds.k
+        fold_seed = seed_set if seed_set is not None else folds.seed
         folds = ingest.split_folds(dataset, k=k, seed=fold_seed)
 
     config = regression.TrainConfig(l2=l2)

@@ -1,11 +1,11 @@
 """Feature extraction: recipes, encoders and emission.
 
-A Recipe is an ordered list of feature families plus extraction
-parameters.  An Encoder binds a recipe to a training fold: it fixes the
-categorical vocabularies, the per-family block offsets, the total
-dimension, and the training-fold mean correctness (rbar) used by the
-smoothed average.  Emission maps (student state, upcoming question) to
-features using only events strictly before the question.
+A Recipe is an ordered list of feature families.  An Encoder binds a
+recipe to a training fold: it fixes the categorical vocabularies, the
+per-family block offsets, the total dimension, and the training-fold
+mean correctness (rbar) used by the smoothed average.  Emission maps
+(student state, upcoming question) to features using only events
+strictly before the question.
 
 Everything known about a family kind sits in its one row of the
 `_KINDS` table: the variants it takes, the manifest capability it needs
@@ -28,9 +28,9 @@ timestamp for datetime, and running sums, in event order, of the
 increments a group's earlier events made for the graph-node counts and
 the material tallies.  Each `ingest.Dataset` owns a RowStore, built
 from its students, manifest, KC graph and squash map; a recipe's first
-call walks all of the dataset's students once (families, n_recent,
-windows), in runs of about 2^16 responses, and keeps the entries as
-flat arrays; that one walk serves every fold's encoder and matrices.
+call walks all of the dataset's students once, in runs of about 2^16
+responses, and keeps the entries as flat arrays; that one walk serves
+every fold's encoder and matrices.
 Extraction therefore takes a dataset and student ids:
 `fit_encoders(dataset, ids, recipe)` takes each vocabulary from the keys
 its blocks use in those students' rows and rbar from their labels;
@@ -38,22 +38,22 @@ its blocks use in those students' rows and rbar from their labels;
 with one vectorized lookup, column = block offset + vocabulary index *
 slots + slot, dropping keys the fold's vocabulary lacks, and computes
 the smoothed average from stored correct/attempt counts and the fold's
-rbar and eta.
+rbar.
 One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x), array counts
-through a table that scale() fills.  Time-window counts use ascending
-windows whose last entry is infinite; a prior response falls into a
-finite window when its age is strictly less than the window length
-(its timestamp exceeds the float64 now - seconds).  Lag time is a value
-of the walk, not of the event: `core.response_lags` of the student's
-responses.
+through a table that scale() fills.  Time-window counts use the
+WINDOWS_S windows, then all time; a prior response falls into a window
+when its age is strictly less than the window length (its timestamp
+exceeds now - seconds).  The response pattern is the last N_RECENT
+answers, and the smoothed average shrinks toward rbar with weight ETA.
+Lag time is a value of the walk, not of the event: `core.response_lags`
+of the student's responses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
@@ -123,43 +123,19 @@ def F(kind: str, variant: str | None = None) -> FeatureFamily:
     return FeatureFamily(kind, variant)
 
 
-DEFAULT_WINDOWS_DAYS: tuple[float, ...] = (1.0 / 24.0, 1.0, 7.0, 30.0, math.inf)
-
-
-@dataclass(frozen=True)
-class TWConfig:
-    """Ascending time windows in days; the last window must be infinite."""
-
-    days: tuple[float, ...] = DEFAULT_WINDOWS_DAYS
-
-    def __post_init__(self) -> None:
-        if not self.days:
-            raise ConfigError("at least one time window required")
-        if not math.isinf(self.days[-1]):
-            raise ConfigError("last time window must be infinite")
-        for a, b in zip(self.days, self.days[1:]):
-            if not a < b:
-                raise ConfigError("time windows must be strictly ascending")
-        if self.days[0] <= 0:
-            raise ConfigError("time windows must be positive")
-
-    @property
-    def finite_seconds(self) -> tuple[float, ...]:
-        return tuple(d * 86400.0 for d in self.days if not math.isinf(d))
-
-    @property
-    def count(self) -> int:
-        return len(self.days)
+# tw_counts' finite windows in whole seconds (1 hour, 1 day, 1 week, 30 days), then all time
+WINDOWS_S: tuple[int, ...] = (3600, 86400, 604800, 2592000)
+# response_pattern's one-hot covers the last N_RECENT answers
+N_RECENT = 10
+# smoothed_avg_correct's weight on the training-fold mean
+ETA = 5.0
 
 
 @dataclass(frozen=True)
 class Recipe:
-    """Ordered feature families with extraction parameters."""
+    """Ordered feature families."""
 
     families: tuple[FeatureFamily, ...]
-    n_recent: int = 10
-    eta: float = 5.0
-    tw: TWConfig = TWConfig()
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.families]
@@ -167,10 +143,6 @@ class Recipe:
             raise ConfigError("duplicate feature families in recipe")
         if not self.families:
             raise ConfigError("recipe needs at least one family")
-        if self.n_recent < 1 or self.n_recent > 16:
-            raise ConfigError("n_recent must be in 1..16")
-        if self.eta < 0:
-            raise ConfigError("eta must be >= 0")
 
     @cached_property
     def _layout(self) -> "_Layout":
@@ -178,23 +150,15 @@ class Recipe:
         return _Layout.of(self)
 
     def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "families": [f.name for f in self.families],
-            "n_recent": self.n_recent,
-            "eta": self.eta,
-            "windows_days": ["inf" if math.isinf(d) else d for d in self.tw.days],
-        }
+        return {"version": 1, "families": [f.name for f in self.families]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Recipe":
-        days = tuple(math.inf if d == "inf" else float(d) for d in obj["windows_days"])
-        return cls(
-            families=tuple(FeatureFamily.parse(n) for n in obj["families"]),
-            n_recent=int(obj["n_recent"]),
-            eta=float(obj["eta"]),
-            tw=TWConfig(days),
-        )
+        unknown = sorted(set(obj) - {"version", "families"})
+        if unknown:
+            # a recipe fitted with other time windows, pattern length or smoothing weight
+            raise ConfigError(f"recipe keys {', '.join(map(repr, unknown))} are not read; refit the model")
+        return cls(families=tuple(FeatureFamily.parse(n) for n in obj["families"]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +196,8 @@ def lag_bins(minutes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(LAG_CATEGORIES_MIN, whole, side="right") - 1, _scaled(minutes)
 
 
-def smoothed_avg_correct(corrects, attempts, rbar: float, eta: float):
-    """Average correctness shrunk toward the training mean rbar.
+def smoothed_avg_correct(corrects, attempts, rbar: float):
+    """Average correctness shrunk toward the training mean rbar, with weight ETA.
 
     Takes counts or equal-shaped arrays of counts (elementwise).
     """
@@ -243,10 +207,7 @@ def smoothed_avg_correct(corrects, attempts, rbar: float, eta: float):
         raise ValueError("need 0 <= corrects <= attempts")
     if not 0.0 <= rbar <= 1.0:
         raise ValueError("rbar must be in [0, 1]")
-    denom = attempts + eta
-    if np.any(denom <= 0):
-        raise ValueError("attempts + eta must be positive")
-    return (corrects + eta * rbar) / denom
+    return (corrects + ETA * rbar) / (attempts + ETA)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +286,7 @@ def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -
     blocks: list[tuple[FeatureFamily, int, int]] = []
     offset = 0
     for fam in recipe.families:
-        size = _KINDS[fam.kind].width(fam, vocabs, recipe)
+        size = _KINDS[fam.kind].width(fam, vocabs)
         blocks.append((fam, offset, size))
         offset += size
     return Encoder(
@@ -422,17 +383,16 @@ class _Scope:
         # (corrects, attempts) before each pair, all time
         self.totals = np.column_stack((self.cum[self.first] - self.cum[start], self.first - start))
 
-    def windows(self, seconds: Sequence[float]) -> np.ndarray:
-        """(corrects, attempts) before each pair within each finite window, in columns.
+    def windows(self) -> np.ndarray:
+        """(corrects, attempts) before each pair within each WINDOWS_S window, in columns.
 
         A prior response is inside when its age is strictly less than the
-        window: its integer timestamp exceeds the cutoff now - seconds,
-        a float64 difference, that is, exceeds floor(cutoff).  Searching
-        (group, timestamp) keys for that counts the group's responses
-        outside; the keys are sorted because _check_order holds every
-        student's events in time order.
+        window: its timestamp exceeds the cutoff now - seconds, exact in
+        int64.  Searching (group, timestamp) keys for that counts the
+        group's responses outside; the keys are sorted because
+        _check_order holds every student's events in time order.
         """
-        out = np.zeros((len(self.ts), 2 * len(seconds)), dtype=np.int64)
+        out = np.zeros((len(self.ts), 2 * len(WINDOWS_S)), dtype=np.int64)
         if not len(self.ts):
             return out
         ts, first = self.ts, self.first
@@ -443,10 +403,8 @@ class _Scope:
             raise ValueError("timestamps span too wide for time-window counts")
         base = self.rank * span
         keys = base + (ts - t0 + 1)
-        now = ts.astype(np.float64)
-        for j, wsec in enumerate(seconds):
-            cutoff = np.floor(now - wsec).astype(np.int64)
-            inside = np.searchsorted(keys, base + np.maximum(cutoff - t0 + 1, 0), side="right")
+        for j, wsec in enumerate(WINDOWS_S):
+            inside = np.searchsorted(keys, base + np.maximum(ts - wsec - t0 + 1, 0), side="right")
             out[:, 2 * j] = before - self.cum[inside]
             out[:, 2 * j + 1] = first - inside
         return out
@@ -663,18 +621,18 @@ class _Batch:
         return got
 
 
-# Emitters: (batch, domain, fam, recipe) -> _Block, the entries of the
+# Emitters: (batch, domain, fam) -> _Block, the entries of the
 # family's block for every row of the batch; domain is the block's
 # vocabulary domain (None if it has none).
 
-def _emit_bias(batch, domain, fam, recipe) -> _Block:
+def _emit_bias(batch, domain, fam) -> _Block:
     return _block(np.arange(batch.n))
 
 
 def _one_hot(attr: str | None):
     """Emitter for the one-hot of an event field (None: the field the variant names)."""
 
-    def emit_one_hot(batch, domain, fam, recipe) -> _Block:
+    def emit_one_hot(batch, domain, fam) -> _Block:
         code = batch.coded(domain, attr or fam.variant)
         rows = np.flatnonzero(code >= 0)
         return _block(rows, code[rows])
@@ -682,7 +640,7 @@ def _one_hot(attr: str | None):
     return emit_one_hot
 
 
-def _emit_kc(batch, domain, fam, recipe) -> _Block:
+def _emit_kc(batch, domain, fam) -> _Block:
     return _block(*batch.kc_pairs)
 
 
@@ -690,27 +648,26 @@ def _counts(key: str | None = None):
     """Emitter of the correct/attempt counts before each pair of the batch's
     scope `key` (None: the scope the variant names)."""
 
-    def emit_counts(batch, domain, fam, recipe) -> _Block:
+    def emit_counts(batch, domain, fam) -> _Block:
         scope = batch.scope(key or fam.variant)
         return batch.count_entries(scope.row, scope.code, scope.totals)
 
     return emit_counts
 
 
-def _emit_tw_counts(batch, domain, fam, recipe) -> _Block:
+def _emit_tw_counts(batch, domain, fam) -> _Block:
     # the finite windows in ascending order, then the infinite one
     scope = batch.scope(fam.variant)
-    counts = np.hstack((scope.windows(recipe.tw.finite_seconds), scope.totals))
+    counts = np.hstack((scope.windows(), scope.totals))
     return batch.count_entries(scope.row, scope.code, counts)
 
 
-def _emit_response_pattern(batch, domain, fam, recipe) -> _Block:
-    # once n_recent prior answers exist, their labels with the most recent in the low bit
-    n = recipe.n_recent
+def _emit_response_pattern(batch, domain, fam) -> _Block:
+    # once N_RECENT prior answers exist, their labels with the most recent in the low bit
     pattern = np.zeros(batch.n, dtype=np.int64)
-    for i in range(1, n + 1):
+    for i in range(1, N_RECENT + 1):
         pattern[i:] |= batch.y[:-i] << (i - 1)
-    rows = np.flatnonzero(batch.prior >= n)
+    rows = np.flatnonzero(batch.prior >= N_RECENT)
     return _block(rows, slot=pattern[rows])
 
 
@@ -728,14 +685,14 @@ def _binned(rows: np.ndarray, cat: np.ndarray, scaled: np.ndarray, value_slot: i
     return _join(_block(rows, slot=cat), _block(rows[nonzero], slot=value_slot, value=scaled[nonzero]))
 
 
-def _emit_elapsed_time(batch, domain, fam, recipe) -> _Block:
+def _emit_elapsed_time(batch, domain, fam) -> _Block:
     rows, described = _described(batch, fam)
     secs = batch.elapsed[described]
     known = ~np.isnan(secs)
     return _binned(rows[known], *elapsed_bins(secs[known]), ELAPSED_MAX_S + 1)
 
 
-def _emit_lag_time(batch, domain, fam, recipe) -> _Block:
+def _emit_lag_time(batch, domain, fam) -> _Block:
     # the described response lacks a lag only when it is the student's first: the no-lag flag
     rows, described = _described(batch, fam)
     lag = batch.lags[described]
@@ -753,7 +710,7 @@ _DATETIME: dict[str, tuple[int, Callable[[_Batch], np.ndarray]]] = {
 }
 
 
-def _emit_datetime(batch, domain, fam, recipe) -> _Block:
+def _emit_datetime(batch, domain, fam) -> _Block:
     return _block(np.arange(batch.n), slot=_DATETIME[fam.variant][1](batch))
 
 
@@ -762,7 +719,7 @@ def _graph(step: str, counts: bool):
     from each response's graph nodes: one-hots, or the student's correct and
     attempt counts on each node before the response."""
 
-    def emit_graph(batch, domain, fam, recipe) -> _Block:
+    def emit_graph(batch, domain, fam) -> _Block:
         row, node = batch.graph_nodes(step)
         if not counts:
             return _block(row, node)
@@ -786,16 +743,16 @@ def _per_variant(value, variant: str | None):
 class _Kind:
     """Everything this module knows about one family kind.
 
-    `flags` and `vocab` hold one value for every variant, or a dict keyed
-    by variant.  A block has `slots` columns per entry of its vocabulary,
-    or `slots` columns in all when it has none.
+    `flags`, `vocab` and `slots` hold one value for every variant, or a
+    dict keyed by variant.  A block has `slots` columns per entry of its
+    vocabulary, or `slots` columns in all when it has none.
     """
 
     emitter: Callable[..., _Block]
     variants: tuple[str, ...] | None = None
     flags: tuple[str, ...] | Mapping[str, tuple[str, ...]] = ()  # any one suffices
     vocab: str | Mapping[str, str] | None = None
-    slots: int | Callable[[FeatureFamily, Recipe], int] = 1
+    slots: int | Mapping[str, int] = 1
 
     def needs(self, variant: str | None) -> tuple[str, ...]:
         return _per_variant(self.flags, variant)
@@ -803,11 +760,11 @@ class _Kind:
     def domain(self, variant: str | None) -> str | None:
         return _per_variant(self.vocab, variant)
 
-    def per_entry(self, fam: FeatureFamily, recipe: Recipe) -> int:
-        return self.slots(fam, recipe) if callable(self.slots) else self.slots
+    def per_entry(self, variant: str | None) -> int:
+        return _per_variant(self.slots, variant)
 
-    def width(self, fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]], recipe: Recipe) -> int:
-        per = self.per_entry(fam, recipe)
+    def width(self, fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]]) -> int:
+        per = self.per_entry(fam.variant)
         domain = self.domain(fam.variant)
         return per if domain is None else per * len(vocabs[domain])
 
@@ -817,7 +774,7 @@ def _material(tally: str) -> _Kind:
     total and summed over the response's listed KCs, gated by the flag of
     the MATERIAL_KINDS row that fills the tally."""
 
-    def emit_tally(batch, domain, fam, recipe) -> _Block:
+    def emit_tally(batch, domain, fam) -> _Block:
         stream = batch.stream
         amount = stream.amounts[tally]
         event = np.flatnonzero(amount)
@@ -862,13 +819,11 @@ _KINDS: dict[str, _Kind] = {
     "question": _Kind(_one_hot("question_id"), vocab="question"),
     "kc": _Kind(_emit_kc, vocab="kc"),
     "counts": _Kind(_counts(), _SCOPES, vocab={"kc": "kc"}, slots=2),
-    "tw_counts": _Kind(
-        _emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=lambda fam, recipe: 2 * recipe.tw.count
-    ),
+    "tw_counts": _Kind(_emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=2 * (len(WINDOWS_S) + 1)),
     # categories, then the scaled value (and the no-lag flag for lag time)
     "elapsed_time": _Kind(_emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2),
     "lag_time": _Kind(_emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2),
-    "datetime": _Kind(_emit_datetime, tuple(_DATETIME), slots=lambda fam, recipe: _DATETIME[fam.variant][0]),
+    "datetime": _Kind(_emit_datetime, tuple(_DATETIME), slots={v: width for v, (width, _) in _DATETIME.items()}),
     "study_module": _Kind(_one_hot("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
     "study_module_counts": _Kind(
         _counts("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2
@@ -894,7 +849,7 @@ _KINDS: dict[str, _Kind] = {
     # a placeholder 1.0 per row: the value depends on the fold's rbar, and
     # _Placer computes it from the row's stored correct/attempt counts
     "smoothed_avg_correct": _Kind(_emit_bias),
-    "response_pattern": _Kind(_emit_response_pattern, slots=lambda fam, recipe: 1 << recipe.n_recent),
+    "response_pattern": _Kind(_emit_response_pattern, slots=1 << N_RECENT),
 }
 
 
@@ -932,7 +887,7 @@ class _Layout:
     def of(cls, recipe: Recipe) -> "_Layout":
         domains = tuple(_KINDS[f.kind].domain(f.variant) for f in recipe.families)
         per = np.array(
-            [0 if d is None else _KINDS[f.kind].per_entry(f, recipe) for f, d in zip(recipe.families, domains)],
+            [0 if d is None else _KINDS[f.kind].per_entry(f.variant) for f, d in zip(recipe.families, domains)],
             dtype=np.int64,
         )
         per.flags.writeable = False
@@ -983,9 +938,7 @@ class _Placer:
             at = block == self.smoothed
             r = rows[at]
             value = value.copy()
-            value[at] = smoothed_avg_correct(
-                entries.corrects[r], entries.attempts[r], encoder.rbar, encoder.recipe.eta
-            )
+            value[at] = smoothed_avg_correct(entries.corrects[r], entries.attempts[r], encoder.rbar)
         vidx = np.zeros(len(block), dtype=np.int64)
         keyed = entries.code >= 0
         vidx[keyed] = self.lut[self.base[block[keyed]] + entries.code[keyed]]
@@ -1033,7 +986,7 @@ def _walk(
     batch = _Batch(list(walks.values()), codes, kc_graph, squash_map)
     blocks: list[tuple[np.ndarray, _Block]] = []
     for b, (fam, domain) in enumerate(zip(recipe.families, recipe._layout.domains)):
-        entries = _KINDS[fam.kind].emitter(batch, domain, fam, recipe)
+        entries = _KINDS[fam.kind].emitter(batch, domain, fam)
         if domain is None:  # a block without a vocabulary has no key codes
             entries = entries._replace(code=np.broadcast_to(-1, entries.row.shape))
         blocks.append((np.full(len(entries.row), b, dtype=np.int16), entries))
@@ -1065,8 +1018,7 @@ class RowStore:
     """Keyed rows of one dataset's students, walked once per recipe.
 
     A row's keyed entries depend only on the student's own history and
-    the recipe's walk parameters (families, n_recent, windows), never on
-    a fold, so every fold, partition, base and stacking split of a
+    the recipe's families, never on a fold, so every fold, partition, base and stacking split of a
     dataset shares them.  The store is built from the dataset's
     students, manifest, KC graph and squash map (`ingest.Dataset` makes
     it and is frozen, so they never change under it).  A recipe's first
@@ -1089,7 +1041,7 @@ class RowStore:
         self.kc_graph = kc_graph
         self.squash_map = squash_map
         self._lock = threading.Lock()
-        self._rows: dict[tuple, dict[str, _StudentRows]] = {}
+        self._rows: dict[tuple[FeatureFamily, ...], dict[str, _StudentRows]] = {}
         self._codes: dict[str, _Codes] = {}
         self.students_walked = 0
         self.rows_walked = 0
@@ -1110,13 +1062,12 @@ class RowStore:
         ConfigError before any walk."""
         check_recipe_supported(recipe, self.manifest, self.kc_graph)
         with self._lock:
-            key = (recipe.families, recipe.n_recent, recipe.tw)
-            by_student = self._rows.get(key)
+            by_student = self._rows.get(recipe.families)
             if by_student is None:  # kept only once every run is walked, so a failed walk fails again
                 by_student = {}
                 for run in _runs({sid: self.students[sid] for sid in sorted(self.students)}):
                     by_student.update(zip(run, _walk(run, recipe, self.kc_graph, self.squash_map, self._codes)))
-                self._rows[key] = by_student
+                self._rows[recipe.families] = by_student
                 self.students_walked += len(by_student)
                 self.rows_walked += sum(len(p.responses) for p in by_student.values())
             parts = [by_student[sid] for sid in sorted(student_ids)]

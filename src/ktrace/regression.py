@@ -150,13 +150,6 @@ def _gradient(Xt, y: np.ndarray, p: np.ndarray, w_reg: np.ndarray | None, l2: fl
     return grad
 
 
-def nll(weights: np.ndarray, X, y: np.ndarray, l2: float = 0.0, reg_mask: np.ndarray | None = None) -> float:
-    """Objective value only (shares the definition with nll_and_gradient)."""
-    # overflow to inf/nan is detected by callers, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _objective(weights, _as_csr(X), y, l2, reg_mask)[0]
-
-
 def nll_and_gradient(
     weights: np.ndarray,
     X,

@@ -13,12 +13,14 @@ written straight from the encoder's vocabularies) that the keyed-row
 store replaced; the production build_matrix must reproduce its matrices
 bit for bit.  It walks each student one event at a time with its own
 state (`ReferenceState`, `reference_update`) and per-response logs
-(`ResponseLog`, `ReferenceLogs`), and imports nothing from
-`ktrace.features`.
+(`ResponseLog`, `ReferenceLogs`), and imports from `ktrace.features`
+only the constants WINDOWS_S, N_RECENT and ETA.
 
 `reference_fit` is a straightforward gradient-descent trainer (step
 halving, recomputing X @ w for the gradient of every accepted step); the
 production trainer minimizes the same objective, so it must end no higher.
+`nll` is the trainer's own objective value, for finite differences of
+its gradient.
 
 `reference_load_events` is the row-at-a-time CSV parser that the chunked
 column parser replaced (`_parse_row`, with `reference_validate` for the
@@ -56,8 +58,9 @@ from ktrace.core import (
     scale,
 )
 from ktrace.evaluate import interval_label
+from ktrace.features import ETA, N_RECENT, WINDOWS_S
 from ktrace.ingest import CANONICAL_COLUMNS, Dataset
-from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, reg_mask_for
+from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, _objective, reg_mask_for
 from ktrace.specialize import MISSING_KEY, ResponseIndex
 
 ELAPSED_CAP = 300
@@ -134,7 +137,6 @@ def _tally_pair(d, tally_total, tally_related):
 def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=None):
     """Expected {local_index: value} for one family block; `resp` is
     `_responses(prefix)`, filtered once per row by the caller."""
-    recipe = encoder.recipe
     vocabs = encoder.vocabs
     now = event.timestamp
     kcs = event.kc_ids
@@ -173,16 +175,11 @@ def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=No
                 c = sum(1 for e in mine if e.correct)
                 _pair(out, 2 * idx, c, len(mine))
     elif kind == "tw_counts":
-        days = recipe.tw.days
-        nw = len(days)
+        nw = len(WINDOWS_S) + 1
 
         def windowed(events_in_scope, base):
-            for j, d in enumerate(days):
-                if math.isinf(d):
-                    inside = events_in_scope
-                else:
-                    wsec = d * 86400.0
-                    inside = [e for e in events_in_scope if (now - e.timestamp) < wsec]
+            for j, wsec in enumerate((*WINDOWS_S, math.inf)):
+                inside = [e for e in events_in_scope if (now - e.timestamp) < wsec]
                 c = sum(1 for e in inside if e.correct)
                 _pair(out, base + 2 * j, c, len(inside))
 
@@ -328,13 +325,12 @@ def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=No
         _tally_pair(out, total, related)
     elif kind == "smoothed_avg_correct":
         c = sum(1 for e in resp if e.correct)
-        value = (c + recipe.eta * encoder.rbar) / (len(resp) + recipe.eta)
+        value = (c + ETA * encoder.rbar) / (len(resp) + ETA)
         if value:
             out[0] = value
     elif kind == "response_pattern":
-        n = recipe.n_recent
-        if len(resp) >= n:
-            lastn = resp[-n:]
+        if len(resp) >= N_RECENT:
+            lastn = resp[-N_RECENT:]
             idx = 0
             for i, e in enumerate(reversed(lastn)):  # i=0 is most recent
                 if e.correct:
@@ -414,6 +410,13 @@ def modal_successor_oracle(sequences):
             hits += 1 if pick == b else 0
             total += 1
     return hits / total if total else None
+
+
+def nll(weights, X, y, l2=0.0, reg_mask=None):
+    """The trainer's objective value (`regression._objective`) at `weights`."""
+    # overflow to inf/nan is detected by callers, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _objective(weights, _as_csr(X), y, l2, reg_mask)[0]
 
 
 def _reference_nll(weights, X, y, l2=0.0, reg_mask=None):
@@ -779,7 +782,7 @@ def _ref_block(entries, off, fam, encoder, state, logs, event):
         if variant != "kc":
             _ref_push_windows(entries, off, _ref_scope_log(fam, logs, event), event.timestamp)
             return
-        per_kc = 2 * encoder.recipe.tw.count
+        per_kc = 2 * (len(WINDOWS_S) + 1)
         for k in event.kc_ids:
             idx = vocabs["kc"].get(k)
             if idx is not None:
@@ -843,11 +846,11 @@ def _ref_block(entries, off, fam, encoder, state, logs, event):
         tally = state.tallies[_REF_TALLIES[kind]]
         _ref_push_pair(entries, off, tally.total, tally.for_kcs(event.kc_ids))
     elif kind == "smoothed_avg_correct":
-        value = _ref_smoothed(logs.total.corrects, logs.total.attempts, encoder.rbar, encoder.recipe.eta)
+        value = _ref_smoothed(logs.total.corrects, logs.total.attempts, encoder.rbar, ETA)
         if value:
             entries.append((off, value))
     elif kind == "response_pattern":
-        idx = pattern_block(logs.recent_bits, encoder.recipe.n_recent)
+        idx = pattern_block(logs.recent_bits, N_RECENT)
         if idx is not None:
             entries.append((off + idx, 1.0))
     else:
@@ -889,7 +892,7 @@ def reference_build_matrix(students, encoder, kc_graph=None, squash_map=None):
     """(X, y, t, events) from one emit per response, students in sorted-id order."""
     vectors, labels, t_idx, kept = [], [], [], []
     for sid in sorted(students):
-        logs = ReferenceLogs(encoder.recipe.tw.finite_seconds)
+        logs = ReferenceLogs(WINDOWS_S)
         for event, state, t in reference_walk(students[sid], kc_graph, squash_map):
             vectors.append(reference_emit(encoder, state, logs, event))
             logs.add(event)

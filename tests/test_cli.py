@@ -247,7 +247,10 @@ def test_train_eval_rejects_unknown_config_keys(prepared, tmp_path, capsys):
     ({"l2": None}, "'l2' must be a number, got null"),
     ({"l2": [1]}, "'l2' must be a number, got [1]"),
     ({"folds": True}, "'folds' must be a number, got true"),
-], ids=["jobs-null", "l2-null", "l2-list", "folds-bool"])
+    ({"jobs": 2.7}, "'jobs' must be an integer, got 2.7"),
+    ({"folds": "3.5"}, "'folds' must be an integer, got \"3.5\""),
+    ({"l2": "abc"}, "'l2' must be a number, got \"abc\""),
+], ids=["jobs-null", "l2-null", "l2-list", "folds-bool", "jobs-fraction", "folds-fraction-text", "l2-text"])
 def test_train_eval_rejects_non_numeric_config_values(prepared, tmp_path, capsys, monkeypatch, cfg, shown):
     monkeypatch.delenv("KTRACE_JOBS", raising=False)
     out = tmp_path / "out"
@@ -270,6 +273,67 @@ def test_train_eval_rejects_non_string_config_values(prepared, tmp_path, capsys,
     assert run_cli("train-eval", "--data", prepared, "--recipe", "irt", "--config", path, "--out", out) == 1
     assert capsys.readouterr().err == f"error: --config key {shown}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, cfg, shown", [
+    ("generate", {"students": 2.7}, "'students' must be an integer, got 2.7"),
+    ("generate", {"regime_step": "2.5"}, "'regime_step' must be an integer, got \"2.5\""),
+    ("generate", {"momentum": "abc"}, "'momentum' must be a number, got \"abc\""),
+    ("generate", {"name": 5}, "'name' must be a string, got 5"),
+    ("prepare", {"min-responses": 2.5}, "'min-responses' must be an integer, got 2.5"),
+    ("prepare", {"squash-kcs": "false"}, "'squash-kcs' must be true or false, got \"false\""),
+    ("prepare", {"squash-kcs": 0}, "'squash-kcs' must be true or false, got 0"),
+], ids=["students-fraction", "regime-step-fraction-text", "momentum-text", "name-int", "min-responses-fraction",
+        "squash-kcs-text", "squash-kcs-zero"])
+def test_generate_and_prepare_reject_config_values_of_another_kind(prepared, tmp_path, capsys, subcommand, cfg,
+                                                                    shown):
+    raw = prepared.parent / "raw"
+    inputs = ["--input", raw / "events.csv", "--manifest", raw / "manifest.json"] if subcommand == "prepare" else []
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(subcommand, *inputs, "--config", path, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --config key {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "2.7"])
+def test_train_eval_rejects_a_non_integer_jobs_variable(prepared, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("KTRACE_JOBS", value)
+    out = tmp_path / "out"
+    assert run_cli("train-eval", "--data", prepared, "--recipe", "irt", "--out", out) == 1
+    assert capsys.readouterr().err == f'error: KTRACE_JOBS must be an integer, got "{value}"\n'
+    assert not out.exists()
+
+
+def test_generate_config_takes_integral_numbers_and_numeric_strings(tmp_path):
+    cfg = {"seed": "5", "students": 4.0, "responses": "3", "momentum": "0.5", "regime_step": None,
+           "modules": ["a", "b"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("generate", "--out", tmp_path / "config", "--config", path) == 0
+    assert run_cli("generate", "--out", tmp_path / "flags", "--seed", 5, "--students", 4, "--responses", 3,
+                   "--momentum", 0.5, "--modules", "a,b") == 0
+    for name in ("events.csv", "manifest.json", "ground_truth.json"):
+        assert filecmp.cmp(tmp_path / "config" / name, tmp_path / "flags" / name, shallow=False)
+
+
+def test_prepare_config_squash_kcs_matches_the_flag(prepared, tmp_path):
+    """`squash-kcs` true in --config prepares what --squash-kcs does, false what no flag does."""
+    raw = prepared.parent / "raw"
+
+    def prepare(name, *extra):
+        out = tmp_path / name
+        assert run_cli("prepare", "--input", raw / "events.csv", "--manifest", raw / "manifest.json",
+                       "--out", out, *extra) == 0
+        return [(out / f).read_bytes() for f in ("events.csv", "folds.json", "prepare_meta.json")]
+
+    by_flag = {True: prepare("squash", "--squash-kcs"), False: prepare("no-flag")}
+    assert by_flag[True] != by_flag[False]  # the data has multi-KC responses
+    for value, want in by_flag.items():
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps({"squash-kcs": value}))
+        assert prepare(f"config-{value}", "--config", path) == want
 
 
 def test_generate_config_modules_is_a_string_or_a_list_of_strings(tmp_path, capsys):

@@ -282,6 +282,20 @@ def test_plain_load_refuses_another_recipes_fit(tmp_path):
         PlainSpec("irt").load(tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [("n_recent", 10), ("eta", 5.0), ("windows_days", [1.0, "inf"])])
+def test_plain_load_refuses_a_recipe_with_removed_parameters(tmp_path, key, value):
+    """A model directory whose recipe still holds a time window, pattern length
+    or smoothing weight key (fixed constants now) does not load."""
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    save_fitted(PlainSpec("irt").fit_on(train, ds, CFG), tmp_path, PlainSpec("irt"))
+    path = tmp_path / "encoder.json"
+    obj = json.loads(path.read_text())
+    obj["recipe"][key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=f"recipe keys '{key}' are not read"):
+        PlainSpec("irt").load(tmp_path)
+
+
 def test_partitioned_load_refuses_other_splitpoints(tmp_path):
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
     stored = PartitionedSpec("irt", scheme=ResponseIndex((0, 5, math.inf)))

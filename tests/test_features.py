@@ -23,10 +23,10 @@ from ktrace.core import (
 from ktrace.features import (
     _KINDS,
     _SCOPES,
+    ETA,
     F,
     FeatureFamily,
     Recipe,
-    TWConfig,
     build_matrix,
     elapsed_bins,
     fit_encoders,
@@ -55,10 +55,6 @@ def test_recipe_validation():
         Recipe(families=(F("bias"), F("bias")))
     with pytest.raises(ConfigError):
         Recipe(families=())
-    with pytest.raises(ConfigError):
-        TWConfig((1.0, 7.0))  # last must be infinite
-    with pytest.raises(ConfigError):
-        TWConfig((7.0, 1.0, math.inf))
     r = Recipe(families=(F("bias"),))
     assert Recipe.from_json(r.to_json()) == r
 
@@ -87,17 +83,16 @@ def test_lag_bins():
 
 
 def test_smoothed_avg_correct():
-    assert smoothed_avg_correct(0, 0, 0.8, 5.0) == 0.8
-    assert abs(smoothed_avg_correct(3, 4, 0.5, 5.0) - (3 + 2.5) / 9.0) < 1e-12
+    assert ETA == 5.0
+    assert smoothed_avg_correct(0, 0, 0.8) == 0.8
+    assert abs(smoothed_avg_correct(3, 4, 0.5) - (3 + 2.5) / 9.0) < 1e-12
     with pytest.raises(ValueError):
-        smoothed_avg_correct(5, 4, 0.5, 5.0)
-    with pytest.raises(ValueError):
-        smoothed_avg_correct(0, 0, 0.5, 0.0)
+        smoothed_avg_correct(5, 4, 0.5)
     # elementwise on arrays, with the scalar arithmetic
-    many = smoothed_avg_correct(np.array([0, 3, 7]), np.array([0, 4, 9]), 0.37, 5.0)
+    many = smoothed_avg_correct(np.array([0, 3, 7]), np.array([0, 4, 9]), 0.37)
     assert many.tolist() == [(c + 5.0 * 0.37) / (a + 5.0) for c, a in ((0, 0), (3, 4), (7, 9))]
     with pytest.raises(ValueError):
-        smoothed_avg_correct(np.array([1, 5]), np.array([1, 4]), 0.5, 5.0)
+        smoothed_avg_correct(np.array([1, 5]), np.array([1, 4]), 0.5)
 
 
 def test_pattern_block():
@@ -304,7 +299,6 @@ def test_no_leakage_perturbing_future_events():
             F("smoothed_avg_correct"),
             F("response_pattern"),
         ),
-        n_recent=4,
     )
     ds = Dataset(MINIMAL, {"s1": events})
     enc = fit_encoders(ds, ["s1"], recipe)
@@ -424,7 +418,7 @@ def full_recipe() -> Recipe:
         F("smoothed_avg_correct"),
         F("response_pattern"),
     ]
-    return Recipe(families=tuple(fams), n_recent=6)
+    return Recipe(families=tuple(fams))
 
 
 def _random_full_students(rng, n_students=6, max_events=120, short_gaps=False):
@@ -646,7 +640,7 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
 
     Encoders are fitted on the first two thirds of the students and
     applied to all of them, so unseen student, question and KC keys
-    occur; one store serves every rbar/eta variant of a recipe.  Each
+    occur; one store serves every rbar variant of a recipe.  Each
     matrix is placed in one step, then in many small ones.
     """
     monkeypatch.setattr(features, "_CHUNK_ENTRIES", chunk)
@@ -654,12 +648,12 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
         ds = Dataset(manifest, students, graph, squash)
         sids = sorted(students)
         enc = fit_encoders(ds, sids[: 2 * len(sids) // 3], recipe)
-        for rbar, eta in ((enc.rbar, recipe.eta), (0.0, 0.5), (1.0, 12.0), (0.37, 3.0)):
-            variant = dataclasses.replace(enc, recipe=dataclasses.replace(recipe, eta=eta), rbar=rbar)
+        for rbar in (enc.rbar, 0.0, 1.0, 0.37):
+            variant = dataclasses.replace(enc, rbar=rbar)
             res = build_matrix(ds, sids, variant)
             ref = reference_build_matrix(students, variant, kc_graph=graph, squash_map=squash)
             problems = _extraction_mismatch(res, ref)
-            assert not problems, (name, rbar, eta, problems)
+            assert not problems, (name, rbar, problems)
         assert ds.feature_rows.students_walked == len(students), name
         # an empty selection gives the reference's empty matrix
         assert not _extraction_mismatch(
@@ -717,16 +711,20 @@ def test_array_walk_edge_cases():
     """Window boundaries, shared timestamps, multi-KC responses, material events
     between responses and short or empty histories: the array walk gives the
     reference's bytes and the values worked out by hand."""
-    tw = TWConfig((1 / 24, 0.37, 1.1, math.inf))  # 3600 s, 31968 s, 95040.00000000001 s
+    hour, day, week, month = 3600, 86400, 604800, 2592000
     t0 = 1000
+    late = [False, False, True, True, False, True]
     students = {
         "a": [
             response("a", t0, "q1", ["k1"], True),
             _video("a", t0 + 500, ["k1"]),
-            response("a", t0 + 3600, "q2", ["k1", "k2"], False),  # the first is exactly 1 h old
-            response("a", t0 + 3600, "q1", ["k2"], True),  # same timestamp
-            response("a", t0 + 31968, "q1", ["k1"], True),  # the first is exactly 0.37 d old
-            response("a", t0 + 95040, "q3", ["k1", "k2"], False),  # and now 1.1 d
+            response("a", t0 + hour, "q2", ["k1", "k2"], False),  # the first is exactly 1 h old
+            response("a", t0 + hour, "q1", ["k2"], True),  # same timestamp
+            response("a", t0 + day, "q1", ["k1"], True),  # the first is exactly 1 d old
+            response("a", t0 + hour + week, "q3", ["k1", "k2"], False),  # the second and third 7 d
+            response("a", t0 + month, "q2", ["k1"], True),  # the first 30 d
+            # ten answers before row 10: a pattern from then on
+            *(response("a", t0 + month + 60 * i, "q1", ["k2"], y) for i, y in enumerate(late, 1)),
         ],
         "b": [response("b", 10, "q1", ["k1"], True), response("b", 20, "q2", ["k2"], False)],
         "c": [_video("c", 5, ["k1"])],
@@ -734,8 +732,6 @@ def test_array_walk_edge_cases():
     prefix_only = Recipe(
         families=(F("bias"), F("kc"), *(F(k, scope) for k in ("counts", "tw_counts") for scope in _SCOPES),
                   F("smoothed_avg_correct"), F("response_pattern")),
-        n_recent=3,
-        tw=tw,
     )
     with_state = dataclasses.replace(
         prefix_only, families=prefix_only.families + (F("video_watched_counts"), F("lag_time", "current"))
@@ -745,31 +741,31 @@ def test_array_walk_edge_cases():
         enc = fit_encoders(ds, students, recipe)
         ext = build_matrix(ds, students, enc)
         assert not _extraction_mismatch(ext, reference_build_matrix(students, enc))
-        assert ext.X.shape[0] == 7 and ext.t.tolist() == [0, 1, 2, 3, 4, 0, 1]
+        assert ext.X.shape[0] == 14 and ext.t.tolist() == [*range(12), 0, 1]
 
         def windows(*pairs):
             return {s: scale(c) for s, c in enumerate(x for pair in pairs for x in pair) if c}
 
-        # rows of a: windows 1 h, 0.37 d, 1.1 d, all time
-        total = [_block_values(ext, enc, r, "tw_counts:total") for r in range(5)]
+        # rows of a: windows 1 h, 1 d, 7 d, 30 d, all time
+        total = [_block_values(ext, enc, r, "tw_counts:total") for r in range(6)]
         assert total[0] == {}
-        assert total[1] == windows((0, 0), (1, 1), (1, 1), (1, 1))
-        assert total[2] == windows((0, 1), (1, 2), (1, 2), (1, 2))
-        assert total[3] == windows((0, 0), (1, 2), (2, 3), (2, 3))
-        # 96040 - 95040.00000000001 < 1000: the first response is inside the 1.1 d window
-        assert total[4] == windows((0, 0), (0, 0), (3, 4), (3, 4))
+        assert total[1] == windows((0, 0), (1, 1), (1, 1), (1, 1), (1, 1))
+        assert total[2] == windows((0, 1), (1, 2), (1, 2), (1, 2), (1, 2))
+        assert total[3] == windows((0, 0), (1, 2), (2, 3), (2, 3), (2, 3))
+        assert total[4] == windows((0, 0), (0, 0), (1, 1), (3, 4), (3, 4))
+        assert total[5] == windows((0, 0), (0, 0), (0, 0), (2, 4), (3, 5))
         assert _block_values(ext, enc, 4, "counts:kc", "k1") == {0: scale(2), 1: scale(3)}
         assert _block_values(ext, enc, 4, "counts:kc", "k2") == {0: scale(1), 1: scale(2)}
-        assert _block_values(ext, enc, 4, "tw_counts:kc", "k2") == windows((0, 0), (0, 0), (1, 2), (1, 2))
+        assert _block_values(ext, enc, 4, "tw_counts:kc", "k2") == windows((0, 0), (0, 0), (0, 0), (1, 2), (1, 2))
         assert _block_values(ext, enc, 2, "counts:question") == {0: scale(1), 1: scale(1)}
         assert _block_values(ext, enc, 3, "counts:question") == {0: scale(2), 1: scale(2)}
-        # the last three answers, the most recent in the low bit; none before three, none for b
-        patterns = [_block_values(ext, enc, r, "response_pattern") for r in range(7)]
-        assert patterns == [{}, {}, {}, {0b101: 1.0}, {0b011: 1.0}, {}, {}]
-        smoothed = [_block_values(ext, enc, r, "smoothed_avg_correct")[0] for r in range(7)]
-        eta, rbar = recipe.eta, enc.rbar
-        assert smoothed == [(c + eta * rbar) / (a + eta) for c, a in ((0, 0), (1, 1), (1, 2), (2, 3), (3, 4),
-                                                                      (0, 0), (1, 1))]
+        # the last ten answers, the most recent in the low bit; none before ten, none for b
+        patterns = [_block_values(ext, enc, r, "response_pattern") for r in range(14)]
+        assert patterns == [{}] * 10 + [{0b1011010011: 1.0}, {0b0110100110: 1.0}, {}, {}]
+        smoothed = [_block_values(ext, enc, r, "smoothed_avg_correct")[0] for r in range(14)]
+        counts = ((0, 0), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8), (5, 9), (6, 10), (6, 11),
+                  (0, 0), (1, 1))
+        assert smoothed == [(c + ETA * enc.rbar) / (a + ETA) for c, a in counts]
 
 
 def test_array_walk_counts_a_repeated_kc_twice():
@@ -1055,8 +1051,8 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
         enc = fit_encoders(ds, train, recipe)
         assert walks.batches == [sids]  # the recipe's first call walks every student of the dataset
         first = build_matrix(ds, sids, enc)
-        # other folds, other eta: the same walk serves their encoders and matrices
-        other = fit_encoders(ds, test, dataclasses.replace(recipe, eta=2.0))
+        # other folds: the same walk serves their encoders and matrices
+        other = fit_encoders(ds, test, recipe)
         build_matrix(ds, train, other)
         again = build_matrix(ds, sids, enc)
         assert walks.batches == [sids]
@@ -1070,8 +1066,8 @@ def test_row_store_walks_each_student_once_per_recipe(rng, monkeypatch):
             "rows_walked": n,
             "rows_served": 3 * n + n_train,
         }
-        # a recipe with other walk parameters walks again
-        other_walk = dataclasses.replace(recipe, n_recent=3)
+        # a recipe with other families walks again
+        other_walk = dataclasses.replace(recipe, families=recipe.families + (F("counts", "total"),))
         other_enc = fit_encoders(ds, sids, other_walk)
         build_matrix(ds, sids, other_enc)
         assert walks.batches == [sids, sids]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import response
-from oracle import offset_of, reference_fit
+from oracle import nll, offset_of, reference_fit
 
 from ktrace.combine import _meta_inputs
 from ktrace.core import ConfigError, DatasetManifest
@@ -24,7 +24,6 @@ from ktrace.regression import (
     TrainingDivergenceError,
     fit,
     load_model,
-    nll,
     nll_and_gradient,
     predict_proba_batch,
     reg_mask_for,

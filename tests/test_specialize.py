@@ -7,14 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import response, toy_dataset
-from oracle import assign_partition, offset_of
+from oracle import assign_partition, nll, offset_of
 
 from ktrace.core import ConfigError
 from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import ExtractResult, build_matrix
 from ktrace.ingest import split_folds
 from ktrace.recipes import resolve
-from ktrace.regression import TrainConfig, fit, nll, predict_proba_batch
+from ktrace.regression import TrainConfig, fit, predict_proba_batch
 from ktrace.specialize import (
     MISSING_KEY,
     ByField,
