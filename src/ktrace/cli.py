@@ -15,6 +15,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -199,7 +200,7 @@ def _parse_base_token(token: str):
 
 
 def save_fitted(fitted, out_dir: Path, spec) -> None:
-    """Persist what spec.fit_on returned, in that spec's own format."""
+    """Persist what spec.fit_on returned as `out_dir/fit.json`, through the spec's `save`."""
     spec.save(fitted, out_dir)
 
 
@@ -403,7 +404,9 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ktrace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -461,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "generate": cmd_generate,
         "prepare": cmd_prepare,

@@ -14,13 +14,13 @@ per subset of size >= 2 (2^n - n - 1 of them).  Every base fit and
 base prediction goes through the dataset's fit memo
 (`evaluate.fit_once`, `predict_once`): cross-validation fold 0 trains on
 the same students with the same split, so a stacked or single chosen
-model refits no base that selection fitted.
+model refits no base that selection fitted.  A stored stack
+(`save_combined`) is one `fit.json` that nests each base's spec and fit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,12 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ktrace import regression, specialize
-from ktrace.core import ConfigError, FoldAssignment, canonical_json
-from ktrace.evaluate import (
-    FoldPrediction, PlainSpec, auc, check_saved_spec, fit_once, predict_once, save_spec,
-)
+from ktrace.core import ConfigError, FoldAssignment
+from ktrace.evaluate import FoldPrediction, PlainSpec, auc, fit_once, predict_once
 from ktrace.ingest import Dataset
-from ktrace.regression import Model, TrainConfig
+from ktrace.regression import Model, TrainConfig, read_fit, write_fit
 
 
 class CombinationError(RuntimeError):
@@ -118,6 +116,24 @@ class CombinedModel:
     def label(self) -> str:
         return "combined(" + "+".join(s.label for s in self.specs) + ")"
 
+    def to_json(self) -> dict:
+        return {
+            "bases": [{"spec": spec.to_json(), "fit": fitted.to_json()}
+                      for spec, fitted in zip(self.specs, self.fitted_bases)],
+            "meta": self.meta.to_json(),
+            "info": self.info,
+        }
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "CombinedModel":
+        specs = tuple(_base_spec_from_json(base["spec"]) for base in obj["bases"])
+        return cls(
+            specs=specs,
+            fitted_bases=[spec.fit_kind.from_json(base["fit"]) for spec, base in zip(specs, obj["bases"])],
+            meta=Model.from_json(obj["meta"]),
+            info=dict(obj["info"]),
+        )
+
 
 def fit_combined(
     student_ids: tuple[str, ...],
@@ -168,8 +184,7 @@ def predict_combined(cm: CombinedModel, student_ids: tuple[str, ...], dataset: D
 
 @dataclass(frozen=True)
 class CombinedSpec:
-    """Cross-validation spec for a stacked model.  Stored as `combined.json`
-    (base specs and directories), `meta.json` and one `base-i/` per base."""
+    """Cross-validation spec for a stacked model; its fit is a `CombinedModel`."""
 
     bases: tuple
     seed: int = 0
@@ -196,12 +211,10 @@ class CombinedSpec:
         return cls(tuple(_base_spec_from_json(b) for b in obj["bases"]), int(obj["seed"]))
 
     def save(self, fitted: CombinedModel, out_dir: str | Path) -> None:
-        save_combined(fitted, out_dir)
-        save_spec(self, out_dir)
+        save_combined(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path) -> CombinedModel:
-        check_saved_spec(self, out_dir)
-        return load_combined(out_dir)
+        return CombinedModel.from_json(read_fit(self, out_dir))
 
 
 @dataclass
@@ -286,37 +299,6 @@ def _base_spec_from_json(obj: Mapping):
     return _BASE_SPECS[kind].from_json(obj)
 
 
-def save_combined(cm: CombinedModel, out_dir: str | Path) -> Path:
-    """Write the meta model, and each base to its own subdirectory in
-    its spec's own format."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    regression.save_model(cm.meta, out / "meta.json")
-    entries = []
-    for i, (spec, fitted) in enumerate(zip(cm.specs, cm.fitted_bases)):
-        obj = spec.to_json()
-        spec.save(fitted, out / f"base-{i}")
-        entries.append({"kind": obj["kind"], "dir": f"base-{i}", "label": spec.label, "spec": obj})
-    manifest = {
-        "kind": "combined_model",
-        "info": {k: cm.info[k] for k in sorted(cm.info)},
-        "meta": "meta.json",
-        "bases": entries,
-    }
-    path = out / "combined.json"
-    path.write_text(canonical_json(manifest), encoding="utf-8")
-    return path
-
-
-def load_combined(out_dir: str | Path) -> CombinedModel:
-    out = Path(out_dir)
-    manifest = json.loads((out / "combined.json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "combined_model":
-        raise ConfigError(f"{out} does not hold a combined model")
-    specs = tuple(_base_spec_from_json(entry["spec"]) for entry in manifest["bases"])
-    return CombinedModel(
-        specs=specs,
-        fitted_bases=[spec.load(out / entry["dir"]) for spec, entry in zip(specs, manifest["bases"])],
-        meta=regression.load_model(out / manifest["meta"]),
-        info=dict(manifest.get("info", {})),
-    )
+def save_combined(cm: CombinedModel, out_dir: str | Path, spec: CombinedSpec) -> Path:
+    """Write a stacked fit's document: the meta model and each base's spec and fit."""
+    return write_fit(cm, out_dir, spec)

@@ -6,12 +6,12 @@ positive and a negative score contribute half credit, so the value
 equals (#concordant + 0.5 * #tied) / (#pos * #neg) without ever
 enumerating pairs.  Cross-validation splits by student, never by
 response, so test students are completely unseen during encoder
-fitting and training.
+fitting and training.  Each spec stores a fold's fit as one document,
+`fit.json` (`regression.write_fit`), and loads it back with `load`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,10 +22,10 @@ import numpy as np
 
 from ktrace import features, regression
 from ktrace.core import ConfigError, FoldAssignment, canonical_json
-from ktrace.features import Encoder, FeatureFamily, Recipe
+from ktrace.features import FeatureFamily, Recipe
 from ktrace.ingest import Dataset, split_folds
 from ktrace.recipes import resolve
-from ktrace.regression import TrainConfig
+from ktrace.regression import PlainFit, TrainConfig, read_fit
 
 # Response-index intervals used both for cold-start AUC breakdowns and
 # as the default time-specialization splitpoints.
@@ -95,21 +95,11 @@ def roc_curve(probs, labels) -> list[tuple[float, float]]:
         raise UndefinedMetricError("ROC needs at least one positive and one negative label")
     order = np.argsort(-p, kind="stable")
     p_sorted = p[order]
-    y_sorted = y[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = p.size
-    while i < n:
-        j = i
-        while j < n and p_sorted[j] == p_sorted[i]:
-            j += 1
-        block = y_sorted[i:j]
-        tp += int(np.sum(block))
-        fp += int(block.size - np.sum(block))
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return points
+    # the last position of each run of equal scores: one threshold each
+    last = np.flatnonzero(np.append(p_sorted[1:] != p_sorted[:-1], True))
+    tp = np.cumsum(y[order])[last]
+    fp = last + 1 - tp
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +114,6 @@ class FoldPrediction:
     t: np.ndarray
 
 
-def save_spec(spec, out_dir: str | Path) -> None:
-    """Record which spec's fit a model directory holds, as `spec.json`."""
-    (Path(out_dir) / "spec.json").write_text(canonical_json(spec.to_json()), encoding="utf-8")
-
-
-def check_saved_spec(spec, out_dir: str | Path) -> None:
-    """Raise a ConfigError unless the directory holds a fit of this spec."""
-    stored = json.loads((Path(out_dir) / "spec.json").read_text(encoding="utf-8"))
-    if stored != spec.to_json():
-        raise ConfigError(
-            f"{out_dir} holds a fit of spec {canonical_json(stored).strip()}, "
-            f"not of {canonical_json(spec.to_json()).strip()}"
-        )
-
-
 @dataclass(frozen=True)
 class PlainSpec:
     """A single logistic-regression model over a named recipe.
@@ -146,14 +121,15 @@ class PlainSpec:
     Every spec follows one protocol: `label`, `fit_on` and `predict_on`
     for cross-validation, each given a sorted tuple of the dataset's
     student ids; `to_json`/`from_json` for the spec itself; and
-    `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned,
-    where `save` also writes the spec as `spec.json` and `load` refuses a
-    directory holding another spec's fit.  A plain fit is stored as
-    `encoder.json` + `model.json`.
+    `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned.
+    `save` writes the one document `out_dir/fit.json`, the spec's JSON and
+    the fit's; `load` refuses a directory without it or holding another
+    spec's fit.  A plain fit is a `regression.PlainFit`.
     """
 
     recipe: str = "best-lr"
     extras: tuple[FeatureFamily, ...] = ()
+    fit_kind = PlainFit  # what fit_on returns; its from_json reads a stored fit
 
     @property
     def label(self) -> str:
@@ -167,8 +143,7 @@ class PlainSpec:
         recipe = self.resolve_recipe(dataset)
         encoder = features.fit_encoders(dataset, student_ids, recipe)
         ext = features.build_matrix(dataset, student_ids, encoder)
-        model = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
-        return encoder, model
+        return PlainFit(encoder, regression.fit(ext.X, ext.y, config, encoder=encoder))
 
     def predict_on(self, fitted, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
         encoder, model = fitted
@@ -184,19 +159,11 @@ class PlainSpec:
     def from_json(cls, obj: Mapping) -> "PlainSpec":
         return cls(obj["recipe"], tuple(FeatureFamily.parse(n) for n in obj.get("extras", [])))
 
-    def save(self, fitted, out_dir: str | Path) -> None:
-        encoder, model = fitted
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "encoder.json").write_text(canonical_json(encoder.to_json()), encoding="utf-8")
-        regression.save_model(model, out / "model.json")
-        save_spec(self, out)
+    def save(self, fitted: PlainFit, out_dir: str | Path) -> None:
+        regression.save_model(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path):
-        check_saved_spec(self, out_dir)
-        out = Path(out_dir)
-        encoder = Encoder.from_json(json.loads((out / "encoder.json").read_text(encoding="utf-8")))
-        return encoder, regression.load_model(out / "model.json", encoder=encoder)
+        return self.fit_kind.from_json(read_fit(self, out_dir))
 
 
 @dataclass

@@ -53,7 +53,6 @@ of the student's responses.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, fields
 from datetime import date, timedelta
@@ -74,7 +73,6 @@ from ktrace.core import (
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
     SequencingError,
-    canonical_json,
     response_lags,
     scale,
 )
@@ -242,9 +240,6 @@ class Encoder:
             for name, off, size in obj["blocks"]
         )
         return cls(recipe=recipe, vocabs=vocabs, blocks=blocks, dim=int(obj["dim"]), rbar=float(obj["rbar"]))
-
-    def digest(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_json()).encode()).hexdigest()
 
 
 def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: KCGraph | None) -> None:

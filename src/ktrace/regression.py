@@ -32,16 +32,21 @@ Python-level dispatch of ``X @ v`` cost about a third of fit time, more
 than the products themselves.  ``X @ v`` ends in the same kernel call,
 so results are bit-identical; ``tests/test_regression.py`` pins this
 private import against ``@``.
+
+A fold's fit is stored as one document, ``fit.json``:
+``{"spec": spec.to_json(), "fit": fitted.to_json()}`` (`write_fit`,
+`read_fit`).  Every fitted kind holds its encoder inline once, and its
+``from_json`` refuses a model whose ``dim`` is not its encoder's.  A
+plain fit is a `PlainFit`, written by `save_model`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +54,7 @@ from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from ktrace.core import ConfigError, canonical_json
-from ktrace.features import Encoder, Recipe
+from ktrace.features import Encoder
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -150,36 +155,12 @@ def _gradient(Xt, y: np.ndarray, p: np.ndarray, w_reg: np.ndarray | None, l2: fl
     return grad
 
 
-def nll_and_gradient(
-    weights: np.ndarray,
-    X,
-    y: np.ndarray,
-    l2: float = 0.0,
-    reg_mask: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its exact gradient.
-
-    `reg_mask` selects the weights the L2 term applies to (1 = subject
-    to the penalty); None penalizes everything.
-    """
-    X = _as_csr(X)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] != len(y):
-        raise ConfigError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, z, w_reg = _objective(weights, X, y, l2, reg_mask)
-        grad = _gradient(_transpose(X), y, expit(z), w_reg, l2)
-    return value, np.asarray(grad, dtype=np.float64)
-
-
 @dataclass
 class Model:
-    """Trained weights, optionally tied to a recipe and encoder."""
+    """Trained weights, the config that trained them and the fit's `info`."""
 
     weights: np.ndarray
     config: TrainConfig = TrainConfig()
-    recipe: Recipe | None = None
-    encoder: Encoder | None = None
     info: dict = field(default_factory=dict)
 
     @property
@@ -188,30 +169,39 @@ class Model:
 
     def to_json(self) -> dict:
         nz = np.flatnonzero(self.weights)
-        obj = {
-            "version": 1,
+        return {
             "dim": int(self.dim),
             "weights": [[int(i), float(self.weights[i])] for i in nz],
             "config": self.config.to_json(),
             "info": {k: self.info[k] for k in sorted(self.info)},
         }
-        if self.recipe is not None:
-            obj["recipe"] = self.recipe.to_json()
-        if self.encoder is not None:
-            obj["encoder_digest"] = self.encoder.digest()
-        return obj
 
     @classmethod
     def from_json(cls, obj: Mapping, encoder: Encoder | None = None) -> "Model":
-        w = np.zeros(int(obj["dim"]), dtype=np.float64)
+        """The model `to_json` wrote; with an encoder, a ConfigError unless
+        the model has the encoder's dimension."""
+        dim = int(obj["dim"])
+        if encoder is not None and dim != encoder.dim:
+            raise ConfigError(f"model has dim {dim}, but its encoder has dim {encoder.dim}")
+        w = np.zeros(dim, dtype=np.float64)
         for i, v in obj["weights"]:
             w[int(i)] = float(v)
-        config = TrainConfig.from_json(obj.get("config", {}))
-        recipe = Recipe.from_json(obj["recipe"]) if "recipe" in obj else None
-        if encoder is not None and "encoder_digest" in obj:
-            if encoder.digest() != obj["encoder_digest"]:
-                raise ConfigError("encoder digest does not match the model file")
-        return cls(weights=w, config=config, recipe=recipe, encoder=encoder, info=dict(obj.get("info", {})))
+        return cls(weights=w, config=TrainConfig.from_json(obj.get("config", {})), info=dict(obj.get("info", {})))
+
+
+class PlainFit(NamedTuple):
+    """A plain fit: the encoder and the model over its columns."""
+
+    encoder: Encoder
+    model: Model
+
+    def to_json(self) -> dict:
+        return {"encoder": self.encoder.to_json(), "model": self.model.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "PlainFit":
+        encoder = Encoder.from_json(obj["encoder"])
+        return cls(encoder, Model.from_json(obj["model"], encoder))
 
 
 def predict_proba_batch(model: Model, X) -> np.ndarray:
@@ -356,7 +346,6 @@ def fit(
     y: np.ndarray,
     config: TrainConfig = TrainConfig(),
     reg_mask: np.ndarray | None = None,
-    recipe: Recipe | None = None,
     encoder: Encoder | None = None,
     init: np.ndarray | None = None,
     center: np.ndarray | None = None,
@@ -393,15 +382,39 @@ def fit(
         "final_nll": float(value),
         "n_examples": int(X.shape[0]),
     }
-    return Model(weights=w, config=config, recipe=recipe, encoder=encoder, info=info)
+    return Model(weights=w, config=config, info=info)
 
 
-def save_model(model: Model, path: str | Path) -> str:
-    text = canonical_json(model.to_json())
-    Path(path).write_text(text, encoding="utf-8")
-    return hashlib.sha256(text.encode()).hexdigest()
+# ---------------------------------------------------------------------------
+# Fit documents
+
+FIT_FILE = "fit.json"
 
 
-def load_model(path: str | Path, encoder: Encoder | None = None) -> Model:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Model.from_json(obj, encoder=encoder)
+def write_fit(fitted, out_dir: str | Path, spec) -> Path:
+    """Write `out_dir/fit.json`: the spec and the fit, one canonical document."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / FIT_FILE
+    path.write_text(canonical_json({"spec": spec.to_json(), "fit": fitted.to_json()}), encoding="utf-8")
+    return path
+
+
+def read_fit(spec, out_dir: str | Path) -> Mapping:
+    """The "fit" of `out_dir/fit.json`; a ConfigError when the directory
+    holds no such document or the document holds another spec's fit."""
+    path = Path(out_dir) / FIT_FILE
+    if not path.is_file():
+        raise ConfigError(f"{out_dir} holds no {FIT_FILE}; model directories of other layouts do not load")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if doc["spec"] != spec.to_json():
+        raise ConfigError(
+            f"{out_dir} holds a fit of spec {canonical_json(doc['spec']).strip()}, "
+            f"not of {canonical_json(spec.to_json()).strip()}"
+        )
+    return doc["fit"]
+
+
+def save_model(fitted: PlainFit, out_dir: str | Path, spec) -> Path:
+    """Write a plain fit's document."""
+    return write_fit(fitted, out_dir, spec)

@@ -10,15 +10,14 @@ on everything, and one model per partition with examples on that
 partition's examples only, shrunk toward the fallback (regularized
 multi-task learning, Evgeniou and Pontil, KDD 2004), so a small
 partition stays close to it.  The fallback covers empty partitions and
-unseen keys.  All partition models share the fallback's encoder.
+unseen keys.  All partition models share the fallback's encoder, which
+a stored fit (`save_partitioned`, one `fit.json`) holds once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -27,18 +26,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ktrace import features, regression
-from ktrace.core import OPTIONAL_FIELDS, ConfigError, canonical_json
-from ktrace.evaluate import (
-    DEFAULT_SPLITPOINTS,
-    FoldPrediction,
-    PlainSpec,
-    check_saved_spec,
-    interval_label,
-    save_spec,
-)
+from ktrace.core import OPTIONAL_FIELDS, ConfigError
+from ktrace.evaluate import DEFAULT_SPLITPOINTS, FoldPrediction, PlainSpec, interval_label
 from ktrace.features import Encoder, Recipe
 from ktrace.ingest import Dataset
-from ktrace.regression import Model, TrainConfig
+from ktrace.regression import Model, TrainConfig, write_fit
 
 MISSING_KEY = "__missing__"
 
@@ -148,6 +140,28 @@ class PartitionedModel:
     single_class: tuple[str, ...] = ()
     warnings: list[str] = field(default_factory=list)
 
+    def to_json(self) -> dict:
+        return {
+            "scheme": self.scheme.to_json(),
+            "encoder": self.encoder.to_json(),
+            "fallback": self.fallback.to_json(),
+            "models": {key: model.to_json() for key, model in self.models.items()},
+            "single_class": list(self.single_class),
+            "warnings": list(self.warnings),
+        }
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "PartitionedModel":
+        encoder = Encoder.from_json(obj["encoder"])
+        return cls(
+            scheme=scheme_from_json(obj["scheme"]),
+            encoder=encoder,
+            models={key: Model.from_json(model, encoder) for key, model in obj["models"].items()},
+            fallback=Model.from_json(obj["fallback"], encoder),
+            single_class=tuple(obj["single_class"]),
+            warnings=list(obj["warnings"]),
+        )
+
 
 def fit_partitioned(
     student_ids: tuple[str, ...],
@@ -175,7 +189,7 @@ def fit_partitioned(
         )
     encoder = features.fit_encoders(dataset, student_ids, recipe)
     ext = features.build_matrix(dataset, student_ids, encoder)
-    fallback = regression.fit(ext.X, ext.y, config, encoder=encoder, recipe=recipe)
+    fallback = regression.fit(ext.X, ext.y, config, encoder=encoder)
 
     labels, codes = scheme.keys(ext)
     groups = _rows_by_partition(labels, codes)
@@ -190,8 +204,8 @@ def fit_partitioned(
     single_class: list[str] = []
     for key, rows in groups.items():
         yk = ext.y[rows]
-        models[key] = regression.fit(ext.X[rows], yk, config, reg_mask=np.ones(encoder.dim), encoder=encoder,
-                                     recipe=recipe, init=center, center=center)
+        models[key] = regression.fit(ext.X[rows], yk, config, reg_mask=np.ones(encoder.dim), init=center,
+                                     center=center)
         if yk.min() == yk.max():
             single_class.append(key)
     return PartitionedModel(
@@ -214,10 +228,11 @@ def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> n
 
 @dataclass(frozen=True)
 class PartitionedSpec(PlainSpec):
-    """Cross-validation spec for a partitioned model family.  Stored as
-    `partitioned.json`, `encoder.json`, `fallback.json` and `part-*.json`."""
+    """Cross-validation spec for a partitioned model family; its fit is a
+    `PartitionedModel`."""
 
     scheme: Scheme = ResponseIndex()
+    fit_kind = PartitionedModel
 
     @property
     def label(self) -> str:
@@ -239,73 +254,10 @@ class PartitionedSpec(PlainSpec):
         return cls(plain.recipe, plain.extras, scheme_from_json(obj["scheme"]))
 
     def save(self, fitted: PartitionedModel, out_dir: str | Path) -> None:
-        save_partitioned(fitted, out_dir)
-        save_spec(self, out_dir)
-
-    def load(self, out_dir: str | Path) -> PartitionedModel:
-        check_saved_spec(self, out_dir)
-        return load_partitioned(out_dir)
+        save_partitioned(fitted, out_dir, self)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-
-def _safe_filename(key: str, taken: set[str]) -> str:
-    base = re.sub(r"[^A-Za-z0-9_.-]", "_", key) or "partition"
-    name = f"part-{base}.json"
-    n = 1
-    while name in taken:
-        name = f"part-{base}.{n}.json"
-        n += 1
-    taken.add(name)
-    return name
-
-
-def save_partitioned(pm: PartitionedModel, out_dir: str | Path) -> Path:
-    """Write encoder, fallback and per-partition model files plus a manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "encoder.json").write_text(canonical_json(pm.encoder.to_json()), encoding="utf-8")
-    regression.save_model(pm.fallback, out / "fallback.json")
-    taken: set[str] = set()
-    files: dict[str, str] = {}
-    for key in sorted(pm.models):
-        name = _safe_filename(key, taken)
-        regression.save_model(pm.models[key], out / name)
-        files[key] = name
-    manifest = {
-        "kind": "partitioned_model",
-        "scheme": pm.scheme.to_json(),
-        "single_class": list(pm.single_class),
-        "warnings": list(pm.warnings),
-        "encoder": "encoder.json",
-        "encoder_digest": pm.encoder.digest(),
-        "fallback": "fallback.json",
-        "partitions": files,
-    }
-    path = out / "partitioned.json"
-    path.write_text(canonical_json(manifest), encoding="utf-8")
-    return path
-
-
-def load_partitioned(out_dir: str | Path) -> PartitionedModel:
-    out = Path(out_dir)
-    manifest = json.loads((out / "partitioned.json").read_text(encoding="utf-8"))
-    if manifest.get("kind") != "partitioned_model":
-        raise ConfigError(f"{out} does not hold a partitioned model")
-    encoder = Encoder.from_json(json.loads((out / manifest["encoder"]).read_text(encoding="utf-8")))
-    if encoder.digest() != manifest["encoder_digest"]:
-        raise ConfigError("encoder file does not match the recorded digest")
-    fallback = regression.load_model(out / manifest["fallback"], encoder=encoder)
-    models = {
-        key: regression.load_model(out / name, encoder=encoder)
-        for key, name in manifest["partitions"].items()
-    }
-    return PartitionedModel(
-        scheme=scheme_from_json(manifest["scheme"]),
-        encoder=encoder,
-        models=models,
-        fallback=fallback,
-        single_class=tuple(manifest["single_class"]),
-        warnings=list(manifest["warnings"]),
-    )
+def save_partitioned(pm: PartitionedModel, out_dir: str | Path, spec: PartitionedSpec) -> Path:
+    """Write a partitioned fit's document: the shared encoder once, the
+    fallback and every partition model."""
+    return write_fit(pm, out_dir, spec)

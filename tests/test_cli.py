@@ -114,8 +114,7 @@ def test_train_eval_persists_models_and_manifest(prepared, tmp_path):
         "train-eval", "--data", prepared, "--recipe", "irt", "--out", out,
     ) == 0
     for fold in range(4):
-        assert (out / "models" / f"fold-{fold}" / "model.json").exists()
-        assert (out / "models" / f"fold-{fold}" / "encoder.json").exists()
+        assert [p.name for p in (out / "models" / f"fold-{fold}").iterdir()] == ["fit.json"]
     assert (out / "report.json").exists()
     run = json.loads((out / "run_manifest.json").read_text())
     assert run["effective_config"]["spec"] == "irt"

@@ -19,7 +19,7 @@ from ktrace.evaluate import PlainSpec, auc, cross_validate
 from ktrace.features import F
 from ktrace.ingest import split_folds
 from ktrace.regression import TrainConfig
-from ktrace.specialize import PartitionedSpec, ResponseIndex
+from ktrace.specialize import ByField, PartitionedSpec, ResponseIndex
 from ktrace.synth import GeneratorConfig, generate
 
 CFG = TrainConfig(l2=1e-4)
@@ -257,16 +257,23 @@ ROUNDTRIP_SPECS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(ROUNDTRIP_SPECS))
-def test_save_load_roundtrip(kind, tmp_path):
-    """Every spec kind stores its fit through the one protocol and predicts the same bytes."""
-    spec = ROUNDTRIP_SPECS[kind]
+@pytest.mark.parametrize("kind, spec", [
+    *ROUNDTRIP_SPECS.items(),
+    ("partitioned", PartitionedSpec("pfa", scheme=ByField("question_id"))),
+], ids=[*ROUNDTRIP_SPECS, "by-feature"])
+def test_save_load_roundtrip(kind, spec, tmp_path):
+    """Every spec kind stores its fit as one document, `fit.json`, and
+    reloads a fit that writes the same document and predicts the same bytes."""
     obj = json.loads(canonical_json(spec.to_json()))
     assert type(spec).from_json(obj) == spec and obj["kind"] == kind
     ds, folds, train, test = _irt_data(seed=67, n_students=40, per=20)
     fitted = spec.fit_on(train, ds, CFG)
     save_fitted(fitted, tmp_path / "m", spec)
+    assert [p.name for p in (tmp_path / "m").iterdir()] == ["fit.json"]
+    text = (tmp_path / "m" / "fit.json").read_text()
+    assert text == canonical_json({"spec": spec.to_json(), "fit": fitted.to_json()})
     again = spec.load(tmp_path / "m")
+    assert canonical_json(again.to_json()) == canonical_json(fitted.to_json())
     a = spec.predict_on(fitted, test, ds)
     b = spec.predict_on(again, test, ds)
     assert a.probs.tobytes() == b.probs.tobytes()
@@ -288,10 +295,10 @@ def test_plain_load_refuses_a_recipe_with_removed_parameters(tmp_path, key, valu
     or smoothing weight key (fixed constants now) does not load."""
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
     save_fitted(PlainSpec("irt").fit_on(train, ds, CFG), tmp_path, PlainSpec("irt"))
-    path = tmp_path / "encoder.json"
-    obj = json.loads(path.read_text())
-    obj["recipe"][key] = value
-    path.write_text(json.dumps(obj))
+    path = tmp_path / "fit.json"
+    doc = json.loads(path.read_text())
+    doc["fit"]["encoder"]["recipe"][key] = value
+    path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"recipe keys '{key}' are not read"):
         PlainSpec("irt").load(tmp_path)
 
@@ -309,9 +316,56 @@ def test_unknown_base_kind_fails_with_a_config_error(tmp_path):
     ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
     spec = CombinedSpec((PlainSpec("irt"), PlainSpec("pfa")))
     save_fitted(spec.fit_on(train, ds, CFG), tmp_path, spec)
-    manifest = json.loads((tmp_path / "combined.json").read_text())
-    entry = manifest["bases"][1]
-    entry["kind"] = entry["spec"]["kind"] = "combined"
-    (tmp_path / "combined.json").write_text(json.dumps(manifest))
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    doc["fit"]["bases"][1]["spec"]["kind"] = "combined"
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown base spec kind 'combined'"):
+        spec.load(tmp_path)
+
+
+def _write_multi_file_layout(spec, fitted, out) -> None:
+    """The files a fold directory held before fits were one document."""
+    out.mkdir()
+    (out / "spec.json").write_text(canonical_json(spec.to_json()))
+    if isinstance(spec, CombinedSpec):
+        (out / "combined.json").write_text(canonical_json({"kind": "combined_model", "bases": []}))
+        (out / "meta.json").write_text(canonical_json(fitted.meta.to_json()))
+        return
+    if isinstance(spec, PartitionedSpec):
+        (out / "partitioned.json").write_text(canonical_json({"kind": "partitioned_model"}))
+        encoder, model = fitted.encoder, fitted.fallback
+        name = "fallback.json"
+    else:
+        encoder, model = fitted
+        name = "model.json"
+    (out / "encoder.json").write_text(canonical_json(encoder.to_json()))
+    (out / name).write_text(canonical_json(model.to_json()))
+
+
+@pytest.mark.parametrize("kind", list(ROUNDTRIP_SPECS))
+def test_a_directory_of_the_multi_file_layout_does_not_load(kind, tmp_path):
+    spec = ROUNDTRIP_SPECS[kind]
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    _write_multi_file_layout(spec, spec.fit_on(train, ds, CFG), tmp_path / "old")
+    with pytest.raises(ConfigError, match="holds no fit.json"):
+        spec.load(tmp_path / "old")
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("plain", ("model",)),
+    ("partitioned", ("fallback",)),
+    ("partitioned", ("models", "0-10")),
+    ("combined", ("bases", 1, "fit", "fallback")),
+], ids=["plain-model", "partitioned-fallback", "partitioned-part", "combined-base-fallback"])
+def test_a_model_whose_dim_is_not_its_encoders_does_not_load(kind, path, tmp_path):
+    spec = ROUNDTRIP_SPECS[kind]
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    save_fitted(spec.fit_on(train, ds, CFG), tmp_path, spec)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    model = doc["fit"]
+    for step in path:
+        model = model[step]
+    model["dim"] += 1
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"model has dim \d+, but its encoder has dim \d+"):
         spec.load(tmp_path)

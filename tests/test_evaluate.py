@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import response, toy_dataset
-from oracle import modal_successor_oracle, pairwise_auc, trapezoid_area
+from oracle import modal_successor_oracle, pairwise_auc, reference_roc_curve, trapezoid_area
 
 from ktrace import features
 from ktrace.core import ConfigError, FoldAssignment
@@ -135,6 +135,28 @@ def test_roc_area_equals_auc(rng):
         pts = roc_curve(p, y)
         assert len(pts) == len(np.unique(p)) + 1
         assert abs(trapezoid_area(pts) - auc(p, y)) < 1e-12
+
+
+@pytest.mark.parametrize("p, y", [
+    ([0.2, 0.7, 0.7, 0.2, 0.9, 0.7, 0.1, 0.2], [1, 0, 1, 1, 0, 1, 0, 0]),
+    ([0.4] * 6, [1, 0, 0, 1, 1, 0]),
+    ([0.3, 0.8], [0, 1]),
+    ([0.8, 0.3], [0, 1]),
+], ids=["ties", "all-tied", "one-score-per-label", "one-score-per-label-inverted"])
+def test_roc_curve_matches_the_threshold_loop(p, y):
+    p, y = np.asarray(p, dtype=float), np.asarray(y, dtype=float)
+    got = roc_curve(p, y)
+    assert got == reference_roc_curve(p, y)
+    assert all(type(v) is float for point in got for v in point)
+
+
+def test_roc_curve_matches_the_threshold_loop_on_random_scores(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 400))
+        p = rng.integers(0, int(rng.integers(1, 50)), size=n) / 7.0
+        y = (rng.random(n) < 0.4).astype(float)
+        y[:2] = (0.0, 1.0)
+        assert roc_curve(p, y) == reference_roc_curve(p, y)
 
 
 def test_bucket_metrics_breakdown():

@@ -22,7 +22,6 @@ from ktrace.specialize import (
     ResponseIndex,
     _rows_by_partition,
     fit_partitioned,
-    load_partitioned,
     predict_routed_batch,
     save_partitioned,
     scheme_from_json,
@@ -245,8 +244,9 @@ def test_load_refuses_a_fit_stored_with_a_partition_floor(tmp_path):
     ds = _module_students()
     spec = PartitionedSpec("pfa", scheme=ByField("study_module"))
     spec.save(spec.fit_on(tuple(ds.students), ds, TrainConfig()), tmp_path)
-    stored = json.loads((tmp_path / "spec.json").read_text())
-    (tmp_path / "spec.json").write_text(json.dumps({**stored, "min_partition": 50}))
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    doc["spec"]["min_partition"] = 50
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match='"min_partition":50'):
         spec.load(tmp_path)
 
@@ -292,8 +292,10 @@ def test_save_load_roundtrip(tmp_path):
         recipe = resolve("best-lr", ds.manifest).recipe
         pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
         out = tmp_path / scheme.kind
-        save_partitioned(pm, out)
-        again = load_partitioned(out)
+        spec = PartitionedSpec("best-lr", scheme=scheme)
+        save_partitioned(pm, out, spec)
+        assert [p.name for p in out.iterdir()] == ["fit.json"]
+        again = spec.load(out)
         assert again.scheme == pm.scheme
         assert set(again.models) == set(pm.models)
         ext = build_matrix(ds, ds.students, pm.encoder)
