@@ -188,6 +188,7 @@ class CombinedSpec:
 
     bases: tuple
     seed: int = 0
+    fit_kind = CombinedModel
 
     def __post_init__(self) -> None:
         if len(self.bases) < 2:
@@ -214,7 +215,7 @@ class CombinedSpec:
         save_combined(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path) -> CombinedModel:
-        return CombinedModel.from_json(read_fit(self, out_dir))
+        return read_fit(self, out_dir)
 
 
 @dataclass

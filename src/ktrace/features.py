@@ -29,16 +29,19 @@ increments a group's earlier events made for the graph-node counts and
 the material tallies.  Each `ingest.Dataset` owns a RowStore, built
 from its students, manifest, KC graph and squash map; a recipe's first
 call walks all of the dataset's students once, in runs of about 2^16
-responses, and keeps the entries as flat arrays; that one walk serves
-every fold's encoder and matrices.
+responses, with each vocabulary's keys coded in sorted order, so the
+walk places every entry once, in its column of one dataset-wide CSR
+matrix: that of an encoder holding every key of the dataset.  That one
+walk serves every fold's encoder and matrices.
 Extraction therefore takes a dataset and student ids:
-`fit_encoders(dataset, ids, recipe)` takes each vocabulary from the keys
-its blocks use in those students' rows and rbar from their labels;
-`build_matrix(dataset, ids, encoder)` remaps the entries for an encoder
-with one vectorized lookup, column = block offset + vocabulary index *
-slots + slot, dropping keys the fold's vocabulary lacks, and computes
-the smoothed average from stored correct/attempt counts and the fold's
-rbar.
+`fit_encoders(dataset, ids, recipe)` takes each vocabulary from the
+global columns those students' rows use and rbar from their labels;
+`build_matrix(dataset, ids, encoder)` gathers the students' rows and
+maps their columns through the encoder's table, global column ->
+encoder column (block offset + vocabulary index * slots + slot), which
+keeps each row ordered, dropping keys the fold's vocabulary lacks, and
+computes the smoothed average from stored correct/attempt counts and
+the fold's rbar.
 One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x), array counts
@@ -54,15 +57,16 @@ of the student's responses.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from ktrace.core import (
     ConfigError,
@@ -144,7 +148,7 @@ class Recipe:
 
     @cached_property
     def _layout(self) -> "_Layout":
-        """Vocabulary domain and columns per key of each block (see _Placer)."""
+        """Vocabulary domain and slots of each block (see _Layout)."""
         return _Layout.of(self)
 
     def to_json(self) -> dict:
@@ -256,41 +260,30 @@ def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: 
 
 
 def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -> Encoder:
-    """Build the encoder for a recipe from the keyed rows of the dataset's
+    """Build the encoder for a recipe from the rows of the dataset's
     students `student_ids` (a training fold).
 
-    The rows come from the dataset's RowStore, so one walk per recipe
+    The rows come from the dataset's RowStore, whose one walk per recipe
     serves the encoder and every matrix built on the dataset.  A domain's
-    vocabulary is the keys its blocks use in those rows, indexed in
-    sorted order; `graph_node` takes the graph's nodes.  A domain read
-    only by keyed counts blocks thus lacks keys no training row counts,
-    whose columns could only hold zero weight.  rbar is the rows' mean
-    label.
+    vocabulary is the keys whose columns of the dataset-wide matrix those
+    rows use, indexed in sorted order; `graph_node` takes the graph's
+    nodes.  A domain read only by keyed counts blocks thus lacks keys no
+    training row counts, whose columns could only hold zero weight.  rbar
+    is the rows' mean label.
     """
-    store = dataset.feature_rows
-    parts, keys = store.rows(student_ids, recipe)
-    attempts = sum(len(p.responses) for p in parts)
-    if attempts == 0:
+    rows, walked = dataset.feature_rows.rows(student_ids, recipe)
+    if not len(rows):
         raise ConfigError("cannot fit encoders: no question responses in training data")
-
-    used = _used_keys(parts, recipe._layout.domains, keys)
-    vocabs = {d: {k: i for i, k in enumerate(sorted(ks))} for d, ks in used.items()}
-    if "graph_node" in vocabs:
-        vocabs["graph_node"] = {n: i for i, n in enumerate(store.kc_graph.nodes)}
-
-    blocks: list[tuple[FeatureFamily, int, int]] = []
-    offset = 0
-    for fam in recipe.families:
-        size = _KINDS[fam.kind].width(fam, vocabs)
-        blocks.append((fam, offset, size))
-        offset += size
-    return Encoder(
-        recipe=recipe,
-        vocabs=vocabs,
-        blocks=tuple(blocks),
-        dim=offset,
-        rbar=float(sum(p.y.sum() for p in parts)) / attempts,
-    )
+    used = np.zeros(walked.dim, dtype=bool)
+    used[walked.gather(rows)[1]] = True
+    hit = {d: np.full(len(keys), d == "graph_node") for d, keys in walked.keys.items()}  # every graph node
+    for (_, g, size), domain, slots in zip(walked.blocks, walked.layout.domains, walked.layout.slots):
+        if domain is not None:
+            hit[domain] |= used[g : g + size].reshape(-1, slots).any(axis=1)
+    vocabs = {d: {k: i for i, k in enumerate(compress(walked.keys[d], h))} for d, h in hit.items()}
+    blocks, dim = _blocks(recipe, vocabs)
+    rbar = float(walked.frame.y[rows].sum()) / len(rows)
+    return Encoder(recipe=recipe, vocabs=vocabs, blocks=blocks, dim=dim, rbar=rbar)
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +293,24 @@ def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -
 # vocabulary (student, question, KC, ...) give the key's code in that
 # domain's _Codes and the slot within the key's group of columns; other
 # blocks give code -1 and the column within the block.  Nothing an emitter
-# writes depends on a fold: _Placer puts the entries in an encoder's
-# columns.
+# writes depends on a fold: RowStore places the entries in one
+# dataset-wide matrix per recipe, whose columns build_matrix maps to an
+# encoder's.
 #
 # Each family kind has one emitter, which writes its block for every
 # response of a batch of students at once from the arrays of a _Batch.
 # Arrays only some families read (elapsed and lag times, dates, the
 # merged event stream, graph nodes) are made the first time one asks.
 
+# the event field a vocabulary domain's keys are values of, where the names
+# differ (a domain of a context field is named after the field; "kc" reads kc_ids)
+_FIELD = {"student": "student_id", "question": "question_id"}
+
+
 class _Codes(dict):
-    """Dense integer codes for one vocabulary domain's keys, in first-seen order."""
+    """Dense integer codes for one domain's keys: sorted for a recipe's
+    vocabulary domains (RowStore codes them before its walk), else in
+    first-seen order."""
 
     def codes_of(self, keys: Sequence[str | None]) -> np.ndarray:
         """The codes of many keys (-1 for None), coding new ones in order."""
@@ -501,17 +502,17 @@ class _Batch:
         self.codes = codes
         self.kc_graph = kc_graph
         self.squash_map = squash_map or {}
-        self._coded: dict[tuple[str, str], np.ndarray] = {}
+        self._coded: dict[str, np.ndarray] = {}
         self._scopes: dict[str, _Scope] = {}
         self._graph_nodes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._log1p = np.zeros(0)
 
-    def coded(self, domain: str, attr: str) -> np.ndarray:
-        """Each row's code of its `attr` field's value in `domain` (-1 for None)."""
-        got = self._coded.get((domain, attr))
+    def coded(self, domain: str) -> np.ndarray:
+        """Each row's code in `domain` of its value of the domain's event field (-1 for None)."""
+        got = self._coded.get(domain)
         if got is None:
-            values = list(map(attrgetter(attr), self.responses))
-            got = self._coded[domain, attr] = self.codes.setdefault(domain, _Codes()).codes_of(values)
+            values = list(map(attrgetter(_FIELD.get(domain, domain)), self.responses))
+            got = self._coded[domain] = self.codes.setdefault(domain, _Codes()).codes_of(values)
         return got
 
     @cached_property
@@ -532,7 +533,7 @@ class _Batch:
             elif key == "kc":
                 row, code = self.kc_pairs
             else:
-                code = self.coded(key, "question_id" if key == "question" else key)
+                code = self.coded(key)
                 row = np.flatnonzero(code >= 0)
                 code = code[row]
             group = self.student[row] * (int(code.max(initial=0)) + 1) + code
@@ -609,8 +610,7 @@ class _Batch:
             lens = np.fromiter(map(len, per_key), np.int64, len(per_key))
             n = lens[index]
             row = np.repeat(np.arange(self.n), n)
-            # row r's nodes are per_key[index[r]], laid end to end
-            at = np.arange(len(row)) + np.repeat((np.cumsum(lens) - lens)[index] - (np.cumsum(n) - n), n)
+            at = _ranges((np.cumsum(lens) - lens)[index], n)  # row r's nodes are per_key[index[r]], end to end
             flat = np.concatenate(per_key) if per_key else np.zeros(0, dtype=np.int64)
             got = self._graph_nodes[which] = (row, flat[at])
         return got
@@ -624,15 +624,10 @@ def _emit_bias(batch, domain, fam) -> _Block:
     return _block(np.arange(batch.n))
 
 
-def _one_hot(attr: str | None):
-    """Emitter for the one-hot of an event field (None: the field the variant names)."""
-
-    def emit_one_hot(batch, domain, fam) -> _Block:
-        code = batch.coded(domain, attr or fam.variant)
-        rows = np.flatnonzero(code >= 0)
-        return _block(rows, code[rows])
-
-    return emit_one_hot
+def _emit_one_hot(batch, domain, fam) -> _Block:
+    code = batch.coded(domain)
+    rows = np.flatnonzero(code >= 0)
+    return _block(rows, code[rows])
 
 
 def _emit_kc(batch, domain, fam) -> _Block:
@@ -758,11 +753,6 @@ class _Kind:
     def per_entry(self, variant: str | None) -> int:
         return _per_variant(self.slots, variant)
 
-    def width(self, fam: FeatureFamily, vocabs: Mapping[str, Mapping[str, int]]) -> int:
-        per = self.per_entry(fam.variant)
-        domain = self.domain(fam.variant)
-        return per if domain is None else per * len(vocabs[domain])
-
 
 def _material(tally: str) -> _Kind:
     """Row of a family writing a material tally before each response, in
@@ -810,8 +800,8 @@ _ELAPSED = _FIELD_FLAGS["elapsed_time_s"]  # lag time too: a response ends after
 
 _KINDS: dict[str, _Kind] = {
     "bias": _Kind(_emit_bias),
-    "student": _Kind(_one_hot("student_id"), vocab="student"),
-    "question": _Kind(_one_hot("question_id"), vocab="question"),
+    "student": _Kind(_emit_one_hot, vocab="student"),
+    "question": _Kind(_emit_one_hot, vocab="question"),
     "kc": _Kind(_emit_kc, vocab="kc"),
     "counts": _Kind(_counts(), _SCOPES, vocab={"kc": "kc"}, slots=2),
     "tw_counts": _Kind(_emit_tw_counts, _SCOPES, vocab={"kc": "kc"}, slots=2 * (len(WINDOWS_S) + 1)),
@@ -819,12 +809,12 @@ _KINDS: dict[str, _Kind] = {
     "elapsed_time": _Kind(_emit_elapsed_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=ELAPSED_MAX_S + 2),
     "lag_time": _Kind(_emit_lag_time, _NOW_OR_PRIOR, flags=_ELAPSED, slots=len(LAG_CATEGORIES_MIN) + 2),
     "datetime": _Kind(_emit_datetime, tuple(_DATETIME), slots={v: width for v, (width, _) in _DATETIME.items()}),
-    "study_module": _Kind(_one_hot("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
+    "study_module": _Kind(_emit_one_hot, flags=_FIELD_FLAGS["study_module"], vocab="study_module"),
     "study_module_counts": _Kind(
         _counts("study_module"), flags=_FIELD_FLAGS["study_module"], vocab="study_module", slots=2
     ),
     "context": _Kind(
-        _one_hot(None),
+        _emit_one_hot,
         _CONTEXT_FIELDS,
         flags={v: _FIELD_FLAGS[v] for v in _CONTEXT_FIELDS},
         vocab={v: v for v in _CONTEXT_FIELDS},
@@ -842,186 +832,181 @@ _KINDS: dict[str, _Kind] = {
     "hint_counts": _material("hints"),
     "hint_time": _material("hint_minutes"),
     # a placeholder 1.0 per row: the value depends on the fold's rbar, and
-    # _Placer computes it from the row's stored correct/attempt counts
+    # build_matrix computes it from the row's stored correct/attempt counts
     "smoothed_avg_correct": _Kind(_emit_bias),
     "response_pattern": _Kind(_emit_response_pattern, slots=1 << N_RECENT),
 }
 
 
 @dataclass(frozen=True)
-class _Entries:
-    """Keyed entries of consecutive rows, flat.
-
-    Per entry: block, key code, slot and value.  Per row: the number of
-    entries and the student's correct and attempt counts before the
-    response, from which _Placer computes the smoothed average.
-    """
-
-    block: np.ndarray  # int16
-    code: np.ndarray  # int32, -1 for blocks without a vocabulary
-    slot: np.ndarray  # int32
-    value: np.ndarray  # float64
-    row_len: np.ndarray  # int64
-    corrects: np.ndarray  # int64
-    attempts: np.ndarray  # int64
-
-    @classmethod
-    def concat(cls, parts: Sequence["_Entries"]) -> "_Entries":
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
-
-
-@dataclass(frozen=True)
 class _Layout:
-    """Per block of a recipe: vocabulary domain and columns per key; the smoothed-average block."""
+    """Per block of a recipe: its vocabulary domain and slots (columns per
+    vocabulary key, or in all without a vocabulary); the smoothed-average block."""
 
     domains: tuple[str | None, ...]
-    per: np.ndarray  # slots per vocabulary key; 0 for blocks without a vocabulary
+    slots: tuple[int, ...]
     smoothed: int | None
 
     @classmethod
     def of(cls, recipe: Recipe) -> "_Layout":
         domains = tuple(_KINDS[f.kind].domain(f.variant) for f in recipe.families)
-        per = np.array(
-            [0 if d is None else _KINDS[f.kind].per_entry(f.variant) for f, d in zip(recipe.families, domains)],
-            dtype=np.int64,
-        )
-        per.flags.writeable = False
+        slots = tuple(_KINDS[f.kind].per_entry(f.variant) for f in recipe.families)
         smoothed = [b for b, f in enumerate(recipe.families) if f.kind == "smoothed_avg_correct"]
-        return cls(domains, per, smoothed[0] if smoothed else None)
+        return cls(domains, slots, smoothed[0] if smoothed else None)
 
 
-def _key_starts(
-    domains: Sequence[str | None], keys: Mapping[str, Sequence[str]]
-) -> tuple[dict[str, int], np.ndarray]:
-    """Where each domain's keys start when all domains' keys are laid end to end
-    in code order, and that start for each block (0 without a vocabulary)."""
-    spans = {d: len(keys.get(d, ())) for d in domains if d is not None}
-    starts = dict(zip(spans, np.cumsum([0, *spans.values()]).tolist()))
-    return starts, np.array([starts.get(d, 0) for d in domains], dtype=np.int64)
+def _blocks(recipe: Recipe, vocabs: Mapping[str, Mapping]) -> tuple[tuple[tuple[FeatureFamily, int, int], ...], int]:
+    """Each family's (family, offset, width) over the vocabularies, and the total width."""
+    blocks = []
+    offset = 0
+    for fam, domain, slots in zip(recipe.families, recipe._layout.domains, recipe._layout.slots):
+        size = slots if domain is None else slots * len(vocabs[domain])
+        blocks.append((fam, offset, size))
+        offset += size
+    return tuple(blocks), offset
 
 
-class _Placer:
-    """Places keyed entries in an encoder's columns.
-
-    `keys[domain]` lists the domain's keys in code order.  An entry lands
-    in column off + vocab_index * slots + slot of its block (off + slot
-    without a vocabulary); keys the encoder's vocabulary lacks and zero
-    values are dropped, and each row is ordered by column.
-    """
-
-    def __init__(self, encoder: Encoder, keys: Mapping[str, Sequence[str]]):
-        layout = encoder.recipe._layout
-        starts, self.base = _key_starts(layout.domains, keys)
-        luts = [
-            np.fromiter((encoder.vocabs[d].get(k, -1) for k in keys.get(d, ())), dtype=np.int64)
-            for d in starts
-        ]
-        self.encoder = encoder
-        self.lut = np.concatenate(luts) if luts else np.zeros(0, dtype=np.int64)
-        self.off = np.array([o for _, o, _ in encoder.blocks], dtype=np.int64)
-        self.per = layout.per
-        self.smoothed = layout.smoothed
-
-    def place(self, entries: _Entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(entries per row, columns, values) of the rows, each ordered by column."""
-        encoder = self.encoder
-        n = len(entries.row_len)
-        block = entries.block
-        rows = np.repeat(np.arange(n, dtype=np.int64), entries.row_len)
-        value = entries.value
-        if self.smoothed is not None:
-            at = block == self.smoothed
-            r = rows[at]
-            value = value.copy()
-            value[at] = smoothed_avg_correct(entries.corrects[r], entries.attempts[r], encoder.rbar)
-        vidx = np.zeros(len(block), dtype=np.int64)
-        keyed = entries.code >= 0
-        vidx[keyed] = self.lut[self.base[block[keyed]] + entries.code[keyed]]
-        col = self.off[block] + vidx * self.per[block] + entries.slot
-        keep = (vidx >= 0) & (value != 0.0)
-        rows, col, value = rows[keep], col[keep], value[keep]
-
-        if col.size > 1:
-            key = rows * max(encoder.dim, int(col.max()) + 1) + col
-            if not np.all(key[1:] > key[:-1]):
-                order = np.argsort(key, kind="stable")
-                key, rows, col, value = key[order], rows[order], col[order], value[order]
-                if np.any(key[1:] == key[:-1]):
-                    raise ValueError("duplicate feature index")
-        if col.size and col.max() >= encoder.dim:
-            raise RuntimeError("emitted index outside encoder dimension")
-        return np.bincount(rows, minlength=n), col, value
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + lens[i] - 1 for each i, end to end."""
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
 # ---------------------------------------------------------------------------
-# Extraction driver
+# The row store
+
+class _Frame(NamedTuple):
+    """A dataset's rows as every recipe shares them: students in sorted-id
+    order, each student's responses in walk order."""
+
+    span: dict[str, tuple[int, int]]  # per student, its first row and row count
+    events: list[InteractionEvent]  # per row, its response
+    y: np.ndarray  # per row, the label (float64)
+    t: np.ndarray  # per row, the student's responses before it (int64)
+    corrects: np.ndarray  # per row, how many of those were correct (int64)
+
+    @classmethod
+    def of(cls, students: Mapping[str, Sequence[InteractionEvent]]) -> "_Frame":
+        per = {sid: [e for e in students[sid] if e.is_response()] for sid in sorted(students)}
+        lens = np.fromiter(map(len, per.values()), np.int64, len(per))
+        starts = np.cumsum(lens) - lens
+        events = list(chain.from_iterable(per.values()))
+        y = np.fromiter(map(attrgetter("correct"), events), bool, len(events)).astype(np.int64)
+        first = np.repeat(starts, lens)
+        cum = np.zeros(len(events) + 1, dtype=np.int64)
+        np.cumsum(y, out=cum[1:])
+        span = dict(zip(per, zip(starts.tolist(), lens.tolist())))
+        return cls(span, events, y.astype(np.float64), np.arange(len(events)) - first, cum[:-1] - cum[first])
+
+    def rows(self, student_ids: Iterable[str]) -> np.ndarray:
+        """The rows of the students, in sorted-id order."""
+        spans = np.array([self.span[sid] for sid in sorted(student_ids)], dtype=np.int64).reshape(-1, 2)
+        return _ranges(spans[:, 0], spans[:, 1])
+
+    def keys(self, domain: str, kc_graph: KCGraph | None) -> list[str]:
+        """The sorted keys of a vocabulary domain in the responses; the graph's nodes for graph_node."""
+        if domain == "graph_node":
+            return list(kc_graph.nodes)
+        if domain == "kc":
+            return sorted(set(chain.from_iterable(map(attrgetter("kc_ids"), self.events))))
+        return sorted(set(map(attrgetter(_FIELD.get(domain, domain)), self.events)) - {None})
+
 
 @dataclass(frozen=True)
-class _StudentRows:
-    """One student's walk under one recipe: keyed entries plus labels."""
+class _Matrix:
+    """One recipe's rows of a whole dataset, as CSR in global columns.
 
-    responses: list[InteractionEvent]
-    y: np.ndarray
-    entries: _Entries
+    The columns are those of an encoder holding every key of the dataset:
+    block b at blocks[b], and a key's slots at its index in its domain's
+    `keys` (sorted, which is the graph's order for graph_node).  Each row
+    is ordered by column and keeps every entry the walk wrote, zero values
+    and repeated columns too, so that vocabularies see every key a row
+    uses and build_matrix drops and refuses per encoder.
+    """
+
+    layout: _Layout
+    keys: dict[str, list[str]]
+    blocks: tuple[tuple[FeatureFamily, int, int], ...]
+    dim: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    frame: _Frame
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR (indptr, indices, data) of the given rows, copied by scipy's
+        row-index kernel (`_sparsetools.csr_row_index`)."""
+        rows = rows.astype(self.indptr.dtype)
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=self.indices.dtype)
+        data = np.empty(indptr[-1], dtype=np.float64)
+        _sparsetools.csr_row_index(len(rows), rows, self.indptr, self.indices, self.data, indices, data)
+        return indptr, indices, data
+
+    def columns_of(self, encoder: Encoder) -> np.ndarray:
+        """Per global column, the encoder's column, or -1 where the
+        encoder's vocabulary lacks the key.  Vocabularies index their keys
+        in sorted order, so the table increases where it is not -1 and
+        keeps every row ordered."""
+        table = np.empty(self.dim, dtype=self.indices.dtype)
+        layout = self.layout
+        for (_, g, size), (_, off, _), domain, slots in zip(self.blocks, encoder.blocks, layout.domains, layout.slots):
+            slot = np.arange(slots)
+            if domain is None:
+                table[g : g + size] = off + slot
+            else:
+                vocab, keys = encoder.vocabs[domain], self.keys[domain]
+                at = np.fromiter((vocab.get(k, -1) for k in keys), np.int64, len(keys))[:, None]
+                table[g : g + size] = np.where(at >= 0, off + at * slots + slot, -1).ravel()
+        mapped = table[table >= 0]
+        if np.any(mapped[1:] <= mapped[:-1]):
+            raise ValueError("encoder vocabularies are not in the dataset's key order")
+        return table
 
 
-def _walk(
-    walks: Mapping[str, Sequence[InteractionEvent]],
-    recipe: Recipe,
-    kc_graph: KCGraph | None,
-    squash_map: Mapping[str, tuple[str, ...]] | None,
-    codes: dict[str, _Codes],
-) -> list[_StudentRows]:
-    """The rows of several students (id -> events) under one recipe, in the given order.
+def _walk(walks: Mapping[str, Sequence[InteractionEvent]], recipe: Recipe, blocks: Sequence[tuple],
+          kc_graph: KCGraph | None, squash_map: Mapping | None, codes: dict[str, _Codes]) -> tuple[np.ndarray, ...]:
+    """The rows of several students (id -> events) under one recipe, in the
+    given order: the entries of each row, then each entry's column and
+    value, row by row, each row ordered by column.
 
-    Each family's emitter writes its block for all the students at once;
-    a stable sort on row merges the blocks, and the result is split back
-    per student.
+    `codes` holds each vocabulary domain's keys coded in sorted order, so
+    an entry lands in column off + code * slots + slot of its block at
+    `blocks` (off + slot without a vocabulary).  Each family's emitter
+    writes its block for all the students at once, and one stable sort
+    on (row, column) merges the blocks.
     """
     batch = _Batch(list(walks.values()), codes, kc_graph, squash_map)
-    blocks: list[tuple[np.ndarray, _Block]] = []
-    for b, (fam, domain) in enumerate(zip(recipe.families, recipe._layout.domains)):
+    rows, cols, values = [], [], []
+    for (fam, off, _), domain, slots in zip(blocks, recipe._layout.domains, recipe._layout.slots):
         entries = _KINDS[fam.kind].emitter(batch, domain, fam)
-        if domain is None:  # a block without a vocabulary has no key codes
-            entries = entries._replace(code=np.broadcast_to(-1, entries.row.shape))
-        blocks.append((np.full(len(entries.row), b, dtype=np.int16), entries))
-
-    row = np.concatenate([e.row for _, e in blocks])
-    order = np.argsort(row, kind="stable")
-    block = np.concatenate([numbers for numbers, _ in blocks])[order]
-    code = np.concatenate([e.code for _, e in blocks])[order].astype(np.int32)
-    slot = np.concatenate([e.slot for _, e in blocks])[order].astype(np.int32)
-    value = np.concatenate([e.value for _, e in blocks])[order]
-    row_len = np.bincount(row, minlength=batch.n)
-    ends = np.zeros(batch.n + 1, dtype=np.int64)  # each row's first entry, then the total
-    np.cumsum(row_len, out=ends[1:])
-    corrects, attempts = batch.scope("total").totals.T
-    y = batch.y.astype(np.float64)
-    parts = []
-    for s in range(len(walks)):
-        r0, r1 = batch.bounds[s], batch.bounds[s + 1]
-        e0, e1 = ends[r0], ends[r1]
-        entries = _Entries(
-            block[e0:e1], code[e0:e1], slot[e0:e1], value[e0:e1],
-            row_len[r0:r1], corrects[r0:r1], attempts[r0:r1],
-        )
-        parts.append(_StudentRows(batch.per_student[s], y[r0:r1], entries))
-    return parts
+        rows.append(entries.row)
+        cols.append(off + entries.slot if domain is None else off + entries.code * slots + entries.slot)
+        values.append(entries.value)
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    dim = sum(size for _, _, size in blocks)
+    order = np.argsort(row * dim + col, kind="stable")
+    dtype = np.int32 if dim < 1 << 31 else np.int64
+    return np.bincount(row, minlength=batch.n), col[order].astype(dtype), np.concatenate(values)[order]
 
 
 class RowStore:
-    """Keyed rows of one dataset's students, walked once per recipe.
+    """One dataset's rows under each recipe, walked once per recipe.
 
-    A row's keyed entries depend only on the student's own history and
-    the recipe's families, never on a fold, so every fold, partition, base and stacking split of a
-    dataset shares them.  The store is built from the dataset's
-    students, manifest, KC graph and squash map (`ingest.Dataset` makes
-    it and is frozen, so they never change under it).  A recipe's first
-    call walks every student, in sorted-id order and in runs of whole
-    students holding at most _WALK_RESPONSES responses (a longer student
-    runs alone), which bounds the walk's temporaries; later calls walk
-    nothing.  Filling is under a lock, so folds running in threads walk
-    each student once.
+    A row's entries depend only on the student's own history and the
+    recipe's families, never on a fold, so every fold, partition, base and
+    stacking split of a dataset shares them.  The store is built from the
+    dataset's students, manifest, KC graph and squash map (`ingest.Dataset`
+    makes it and is frozen, so they never change under it).  A recipe's
+    first call codes each vocabulary domain's keys in sorted order, then
+    walks every student, in sorted-id order and in runs of whole students
+    holding at most _WALK_RESPONSES responses (a longer student runs
+    alone), which bounds the walk's temporaries; each run's entries land
+    once in their global columns of one dataset-wide CSR matrix
+    (`_Matrix`), and later calls walk nothing.  Each row's response,
+    label, t and the student's correct and attempt counts before it are
+    kept once for every recipe (`_Frame`).  Filling is under a lock, so
+    folds running in threads walk each student once.
     """
 
     def __init__(
@@ -1036,8 +1021,8 @@ class RowStore:
         self.kc_graph = kc_graph
         self.squash_map = squash_map
         self._lock = threading.Lock()
-        self._rows: dict[tuple[FeatureFamily, ...], dict[str, _StudentRows]] = {}
-        self._codes: dict[str, _Codes] = {}
+        self._frame: _Frame | None = None
+        self._matrices: dict[tuple[FeatureFamily, ...], _Matrix] = {}
         self.students_walked = 0
         self.rows_walked = 0
         self.rows_served = 0
@@ -1049,25 +1034,43 @@ class RowStore:
             "rows_served": self.rows_served,
         }
 
-    def rows(
-        self, student_ids: Iterable[str], recipe: Recipe
-    ) -> tuple[list[_StudentRows], dict[str, list[str]]]:
-        """Rows of the given students in sorted-id order, plus each domain's
-        keys in code order.  A recipe the dataset cannot serve is a
-        ConfigError before any walk."""
+    def rows(self, student_ids: Iterable[str], recipe: Recipe) -> tuple[np.ndarray, _Matrix]:
+        """The rows of the given students in sorted-id order, and the
+        recipe's matrix they index.  A recipe the dataset cannot serve is
+        a ConfigError before any walk."""
         check_recipe_supported(recipe, self.manifest, self.kc_graph)
         with self._lock:
-            by_student = self._rows.get(recipe.families)
-            if by_student is None:  # kept only once every run is walked, so a failed walk fails again
-                by_student = {}
-                for run in _runs({sid: self.students[sid] for sid in sorted(self.students)}):
-                    by_student.update(zip(run, _walk(run, recipe, self.kc_graph, self.squash_map, self._codes)))
-                self._rows[recipe.families] = by_student
-                self.students_walked += len(by_student)
-                self.rows_walked += sum(len(p.responses) for p in by_student.values())
-            parts = [by_student[sid] for sid in sorted(student_ids)]
-            self.rows_served += sum(len(p.responses) for p in parts)
-            return parts, {d: list(c) for d, c in self._codes.items()}
+            matrix = self._matrices.get(recipe.families)
+            if matrix is None:  # kept only once every run is walked, so a failed walk fails again
+                matrix = self._matrices[recipe.families] = self._fill(recipe)
+                self.students_walked += len(matrix.frame.span)
+                self.rows_walked += len(matrix.frame.events)
+            rows = matrix.frame.rows(student_ids)
+            self.rows_served += len(rows)
+        return rows, matrix
+
+    def _fill(self, recipe: Recipe) -> _Matrix:
+        if self._frame is None:
+            self._frame = _Frame.of(self.students)
+        frame = self._frame
+        keys = {d: frame.keys(d, self.kc_graph) for d in recipe._layout.domains if d is not None}
+        codes = {d: _Codes((k, i) for i, k in enumerate(ks)) for d, ks in keys.items()}
+        blocks, dim = _blocks(recipe, codes)
+        runs = [
+            _walk({sid: self.students[sid] for sid in run}, recipe, blocks, self.kc_graph, self.squash_map, codes)
+            for run in _runs(frame.span)
+        ]
+        nnz = sum(len(col) for _, col, _ in runs)
+        dtype = np.int32 if max(nnz, dim) < 1 << 31 else np.int64
+        indptr = np.zeros(len(frame.events) + 1, dtype=dtype)
+        np.cumsum(np.concatenate([row_len for row_len, _, _ in runs] or [np.zeros(0, np.int64)]), out=indptr[1:])
+        indices, data = np.empty(nnz, dtype=dtype), np.empty(nnz)
+        at = 0
+        while runs:  # each run is freed once copied
+            _, col, value = runs.pop(0)
+            indices[at : at + len(col)], data[at : at + len(col)] = col, value
+            at += len(col)
+        return _Matrix(recipe._layout, keys, blocks, dim, indptr, indices, data, frame)
 
 
 # Responses walked at a time, unless one student holds more.  This bounds the
@@ -1075,56 +1078,20 @@ class RowStore:
 # peak RSS to 2.6 GB, and in runs of this size to 1.0 GB.
 _WALK_RESPONSES = 1 << 16
 
-_kind_of = attrgetter("kind")
 
-
-def _runs(walks: Mapping[str, Sequence[InteractionEvent]]) -> Iterator[dict[str, Sequence[InteractionEvent]]]:
+def _runs(span: Mapping[str, tuple[int, int]]) -> Iterator[list[str]]:
     """Consecutive runs of whole students holding at most _WALK_RESPONSES
     responses; a student holding more runs alone."""
-    run: dict[str, Sequence[InteractionEvent]] = {}
+    run: list[str] = []
     size = 0
-    for sid, events in walks.items():
-        n = list(map(_kind_of, events)).count(EventKind.QUESTION_RESPONSE)
+    for sid, (_, n) in span.items():
         if run and size + n > _WALK_RESPONSES:
             yield run
-            run, size = {}, 0
-        run[sid] = events
+            run, size = [], 0
+        run.append(sid)
         size += n
     if run:
         yield run
-
-
-# Entries placed per step of build_matrix; bounds the placement's
-# temporaries, several times the size of the entries they place.
-_CHUNK_ENTRIES = 1 << 12
-
-
-def _chunks(parts: Sequence[_StudentRows]) -> Iterator[list[_StudentRows]]:
-    """Consecutive runs of whole students holding about _CHUNK_ENTRIES entries."""
-    chunk: list[_StudentRows] = []
-    size = 0
-    for part in parts:
-        chunk.append(part)
-        size += len(part.entries.value)
-        if size >= _CHUNK_ENTRIES:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
-def _used_keys(
-    parts: Sequence[_StudentRows], domains: Sequence[str | None], keys: Mapping[str, Sequence[str]]
-) -> dict[str, list[str]]:
-    """Per vocabulary domain of a recipe's blocks, the keys those blocks use in the rows."""
-    starts, base = _key_starts(domains, keys)
-    used = np.zeros(sum(len(keys[d]) for d in starts), dtype=bool)
-    for chunk in _chunks(parts):
-        block = np.concatenate([p.entries.block for p in chunk])
-        code = np.concatenate([p.entries.code for p in chunk])
-        keyed = code >= 0
-        used[base[block[keyed]] + code[keyed]] = True
-    return {d: [keys[d][i] for i in np.flatnonzero(used[s : s + len(keys[d])])] for d, s in starts.items()}
 
 
 @dataclass
@@ -1141,34 +1108,35 @@ def build_matrix(dataset: Dataset, student_ids: Iterable[str], encoder: Encoder)
     """Extract features for every response of the dataset's students
     `student_ids`, in sorted-id order.
 
-    Keyed rows come from the dataset's RowStore, which walks each
-    student once per recipe; the encoder's vocabularies, offsets and
-    rbar place them.
+    The students' rows of the dataset-wide matrix of the encoder's recipe
+    (the RowStore walks each student once per recipe) are gathered, and
+    their columns mapped through the encoder's table
+    (`_Matrix.columns_of`), which keeps each row ordered; the smoothed
+    average is recomputed from the rows' stored counts and the encoder's
+    rbar, and zero values and keys the encoder's vocabulary lacks are
+    dropped.
     """
-    parts, keys = dataset.feature_rows.rows(student_ids, encoder.recipe)
-    placer = _Placer(encoder, keys)
-    n = sum(len(p.responses) for p in parts)
-    total = sum(len(p.entries.value) for p in parts)
-    row_nnz = np.zeros(n, dtype=np.int64)
-    indices = np.empty(total, dtype=np.int64)
-    data = np.empty(total, dtype=np.float64)
-    row = at = 0
-    for chunk in _chunks(parts):
-        counts, cols, values = placer.place(_Entries.concat([p.entries for p in chunk]))
-        row_nnz[row : row + len(counts)] = counts
-        indices[at : at + len(cols)] = cols
-        data[at : at + len(cols)] = values
-        row += len(counts)
-        at += len(cols)
-    if at < total:  # entries dropped: unseen keys, zero values
-        indices, data = indices[:at].copy(), data[:at].copy()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=indptr[1:])
+    rows, walked = dataset.feature_rows.rows(student_ids, encoder.recipe)
+    frame = walked.frame
+    indptr, col, data = walked.gather(rows)
+    smoothed = walked.layout.smoothed
+    if smoothed is not None:  # its block's one column holds a placeholder in every row
+        at = col == walked.blocks[smoothed][1]
+        data[at] = smoothed_avg_correct(frame.corrects[rows], frame.t[rows], encoder.rbar)
+    col = walked.columns_of(encoder)[col]
+    keep = (col >= 0) & (data != 0.0)
+    if not keep.all():
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)  # entries kept before each one
+        np.cumsum(keep, out=kept[1:])
+        indptr, col, data = kept[indptr], col[keep], data[keep]
+    X = sp.csr_matrix((data, col, indptr), shape=(len(rows), encoder.dim))
+    if not X.has_canonical_format:  # rows are ordered, so a column repeats
+        raise ValueError("duplicate feature index")
+    if X.nnz and col.max() >= encoder.dim:
+        raise RuntimeError("emitted index outside encoder dimension")
     return ExtractResult(
-        X=sp.csr_matrix((data, indices, indptr), shape=(n, encoder.dim)),
-        y=np.concatenate([p.y for p in parts] or [np.zeros(0, dtype=np.float64)]),
-        t=np.concatenate(
-            [np.arange(len(p.responses), dtype=np.int64) for p in parts] or [np.zeros(0, dtype=np.int64)]
-        ),
-        events=[e for p in parts for e in p.responses],
+        X=X,
+        y=frame.y[rows],
+        t=frame.t[rows],
+        events=[frame.events[r] for r in rows.tolist()],
     )

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -400,9 +401,10 @@ def write_fit(fitted, out_dir: str | Path, spec) -> Path:
     return path
 
 
-def read_fit(spec, out_dir: str | Path) -> Mapping:
-    """The "fit" of `out_dir/fit.json`; a ConfigError when the directory
-    holds no such document or the document holds another spec's fit."""
+def read_fit(spec, out_dir: str | Path):
+    """The fit `out_dir/fit.json` holds, read by the spec's `fit_kind`; a
+    ConfigError when the directory holds no such document, or the document
+    holds another spec's fit or a differing copy of part of the spec."""
     path = Path(out_dir) / FIT_FILE
     if not path.is_file():
         raise ConfigError(f"{out_dir} holds no {FIT_FILE}; model directories of other layouts do not load")
@@ -412,7 +414,20 @@ def read_fit(spec, out_dir: str | Path) -> Mapping:
             f"{out_dir} holds a fit of spec {canonical_json(doc['spec']).strip()}, "
             f"not of {canonical_json(spec.to_json()).strip()}"
         )
-    return doc["fit"]
+    fitted = spec.fit_kind.from_json(doc["fit"])
+    _check_copies(doc["spec"], doc["fit"], '"fit"')
+    return fitted
+
+
+def _check_copies(spec: Mapping, fit: Mapping, key: str) -> None:
+    """Refuse a fit (at `key`) whose copy of part of its spec differs from it:
+    a partitioned fit's scheme, a combined fit's base specs, and their fits'."""
+    if fit.get("scheme") != spec.get("scheme"):
+        raise ConfigError(f'{FIT_FILE}: {key}."scheme" differs from the spec')
+    for i, (base, base_spec) in enumerate(zip_longest(fit.get("bases", []), spec.get("bases", []), fillvalue={})):
+        if base.get("spec") != base_spec:
+            raise ConfigError(f'{FIT_FILE}: {key}."bases"[{i}]."spec" differs from the spec')
+        _check_copies(base_spec, base["fit"], f'{key}."bases"[{i}]."fit"')
 
 
 def save_model(fitted: PlainFit, out_dir: str | Path, spec) -> Path:

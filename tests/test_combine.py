@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -320,6 +321,30 @@ def test_unknown_base_kind_fails_with_a_config_error(tmp_path):
     doc["fit"]["bases"][1]["spec"]["kind"] = "combined"
     (tmp_path / "fit.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown base spec kind 'combined'"):
+        spec.load(tmp_path)
+
+
+@pytest.mark.parametrize("kind, path, key, copy", [
+    ("partitioned", (), '"fit"."scheme"', {"kind": "response_index", "splitpoints": [0, 5, "inf"]}),
+    ("combined", ("bases", 0), '"fit"."bases"[0]."spec"', {"kind": "plain", "recipe": "pfa", "extras": []}),
+    ("combined", ("bases", 1, "fit"), '"fit"."bases"[1]."fit"."scheme"',
+     {"kind": "response_index", "splitpoints": [0, 5, "inf"]}),
+], ids=["partitioned-scheme", "combined-base-spec", "combined-base-scheme"])
+def test_a_fit_whose_copy_of_its_spec_differs_does_not_load(kind, path, key, copy, tmp_path):
+    """A partitioned fit repeats its spec's scheme and a combined fit its base
+    specs; a document whose copy differs from its spec fails, naming the key."""
+    spec = ROUNDTRIP_SPECS[kind]
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    save_fitted(spec.fit_on(train, ds, CFG), tmp_path, spec)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    node = doc["fit"]
+    for step in path:
+        node = node[step]
+    field = "spec" if key.endswith('."spec"') else "scheme"
+    assert node[field] != copy
+    node[field] = copy
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"fit.json: {key} differs from the spec")):
         spec.load(tmp_path)
 
 

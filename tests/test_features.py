@@ -634,20 +634,24 @@ def _extraction_cases(rng):
         yield name, students, Recipe(families=families), FULL, None, None
 
 
-@pytest.mark.parametrize("chunk", [1 << 30, 300])
-def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
+@pytest.mark.parametrize("limit", [1 << 30, 60])
+def test_build_matrix_matches_reference_extraction(rng, monkeypatch, limit):
     """Same CSR bytes, labels, t and events as one emit per response.
 
     Encoders are fitted on the first two thirds of the students and
     applied to all of them, so unseen student, question and KC keys
-    occur; one store serves every rbar variant of a recipe.  Each
-    matrix is placed in one step, then in many small ones.
+    occur; one store serves every rbar variant of a recipe.  The store
+    walks every student in one run, then in runs of a few students that
+    each place their entries in the one dataset-wide matrix.
     """
-    monkeypatch.setattr(features, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(features, "_WALK_RESPONSES", limit)
     for name, students, recipe, manifest, graph, squash in _extraction_cases(rng):
         ds = Dataset(manifest, students, graph, squash)
         sids = sorted(students)
-        enc = fit_encoders(ds, sids[: 2 * len(sids) // 3], recipe)
+        with monkeypatch.context() as m:
+            walks = _Walks(m)
+            enc = fit_encoders(ds, sids[: 2 * len(sids) // 3], recipe)
+        assert len(walks.batches) == 1 if limit == 1 << 30 else len(walks.batches) > 2, name
         for rbar in (enc.rbar, 0.0, 1.0, 0.37):
             variant = dataclasses.replace(enc, rbar=rbar)
             res = build_matrix(ds, sids, variant)
@@ -660,6 +664,48 @@ def test_build_matrix_matches_reference_extraction(rng, monkeypatch, chunk):
             build_matrix(ds, [], enc),
             reference_build_matrix({}, enc, kc_graph=graph, squash_map=squash),
         )
+
+
+def test_keys_first_seen_in_a_later_run_take_their_sorted_columns(monkeypatch):
+    """s2's question, KCs and module sort before s1's but are first seen in
+    the run after s1's: the matrices equal a one-run walk's and the
+    reference's, and the encoder's vocabularies index keys in sorted order."""
+    students = {
+        "s1": [response("s1", 10, "q9", ["k9"], True, study_module="m9"),
+               response("s1", 20, "q9", ["k9", "k5"], False, study_module="m9")],
+        "s2": [response("s2", 10, "q1", ["k0"], False, study_module="m1"),
+               response("s2", 30, "q9", ["k0", "k9"], True, study_module="m9")],
+    }
+    graph = KCGraph("kc", [("k0", "k5"), ("k5", "k9")])
+    recipe = Recipe(families=(F("bias"), F("question"), F("kc"), F("tw_counts", "kc"), F("study_module_counts"),
+                              F("prereq_counts"), F("smoothed_avg_correct")))
+    one_run = Dataset(FULL, students, graph)
+    enc = fit_encoders(one_run, ["s1", "s2"], recipe)
+    assert enc.vocabs["question"] == {"q1": 0, "q9": 1} and enc.vocabs["kc"] == {"k0": 0, "k5": 1, "k9": 2}
+    want = build_matrix(one_run, students, enc)
+    assert not _extraction_mismatch(want, reference_build_matrix(students, enc, kc_graph=graph))
+    monkeypatch.setattr(features, "_WALK_RESPONSES", 2)
+    walks = _Walks(monkeypatch)
+    two_runs = Dataset(FULL, students, graph)
+    assert fit_encoders(two_runs, ["s1", "s2"], recipe) == enc
+    assert walks.batches == [["s1"], ["s2"]]
+    assert not _extraction_mismatch(build_matrix(two_runs, students, enc), (want.X, want.y, want.t, want.events))
+    # fitted on s1 alone, s2's earlier-sorting keys are unseen and dropped
+    alone = fit_encoders(two_runs, ["s1"], recipe)
+    assert alone.vocabs["question"] == {"q9": 0} and alone.vocabs["kc"] == {"k5": 0, "k9": 1}
+    assert not _extraction_mismatch(build_matrix(two_runs, students, alone),
+                                    reference_build_matrix(students, alone, kc_graph=graph))
+
+
+def test_build_matrix_refuses_a_vocabulary_out_of_key_order():
+    students = {"s1": _events_one_student()}
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, ["s1"], Recipe(families=(F("bias"), F("question"))))
+    assert len(enc.vocabs["question"]) > 1
+    keys = sorted(enc.vocabs["question"], reverse=True)
+    reversed_vocab = dataclasses.replace(enc, vocabs={"question": {k: i for i, k in enumerate(keys)}})
+    with pytest.raises(ValueError, match="not in the dataset's key order"):
+        build_matrix(ds, ["s1"], reversed_vocab)
 
 
 def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
