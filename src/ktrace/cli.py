@@ -37,12 +37,16 @@ from ktrace.recipes import RECIPE_NAMES
 
 JOBS_ENV = "KTRACE_JOBS"
 
+# generate's options (flag and --config key), each with the GeneratorConfig field it sets
+GENERATE_FIELDS = {
+    "seed": "seed", "students": "n_students", "questions": "n_questions", "kcs": "n_kcs",
+    "responses": "responses_per_student", "momentum": "momentum", "regime_step": "regime_step",
+    "prereq_transfer": "prereq_transfer", "modules": "modules", "module_scale": "module_scale",
+    "mean_gap_s": "mean_gap_s", "mean_elapsed_s": "mean_elapsed_s", "name": "name",
+}
 # keys each subcommand reads from a --config file, spelled as it reads them
 CONFIG_KEYS = {
-    "generate": (
-        "seed", "students", "questions", "kcs", "responses", "momentum", "regime_step",
-        "prereq_transfer", "modules", "module_scale", "mean_gap_s", "mean_elapsed_s", "name",
-    ),
+    "generate": tuple(GENERATE_FIELDS),
     "prepare": ("min-responses", "folds", "seed", "squash-kcs"),
     "train-eval": ("folds", "seed", "jobs", "l2", "partition", "extras", "combine"),
 }
@@ -206,31 +210,13 @@ def save_fitted(fitted, out_dir: Path, spec) -> None:
 
 def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     cfg_file = _load_config_file(args.config, "generate")
-    fields = {}
-    for name, default in (
-        ("seed", 0), ("students", 500), ("questions", 50), ("kcs", 5),
-        ("responses", 50), ("momentum", 0.0), ("prereq_transfer", 0.0),
-        ("module_scale", 1.0), ("mean_gap_s", 6 * 3600.0), ("mean_elapsed_s", 60.0),
-        ("name", "synth"),
-    ):
-        fields[name] = _effective(args, cfg_file, name, default)
-    regime = _effective(args, cfg_file, "regime_step", None)
-    modules = _effective(args, cfg_file, "modules", None)
-    config = synth.GeneratorConfig(
-        seed=fields["seed"],
-        n_students=fields["students"],
-        n_questions=fields["questions"],
-        n_kcs=fields["kcs"],
-        responses_per_student=fields["responses"],
-        momentum=fields["momentum"],
-        regime_step=regime,
-        prereq_transfer=fields["prereq_transfer"],
-        modules=tuple(m for m in (modules.split(",") if isinstance(modules, str) else modules or []) if m),
-        module_scale=fields["module_scale"],
-        mean_gap_s=fields["mean_gap_s"],
-        mean_elapsed_s=fields["mean_elapsed_s"],
-        name=fields["name"],
-    )
+    # only the options given are passed, so GeneratorConfig's defaults hold the rest
+    given = {f: _effective(args, cfg_file, name, None) for name, f in GENERATE_FIELDS.items()}
+    given = {f: value for f, value in given.items() if value is not None}
+    if "modules" in given:
+        modules = given["modules"]
+        given["modules"] = tuple(m for m in (modules.split(",") if isinstance(modules, str) else modules) if m)
+    config = synth.GeneratorConfig(**given)
     out = Path(args.out)
     run = RunManifest(argv, "generate", config.to_json(), config.seed)
     dataset, truth = synth.generate(config)

@@ -15,7 +15,9 @@ base prediction goes through the dataset's fit memo
 (`evaluate.fit_once`, `predict_once`): cross-validation fold 0 trains on
 the same students with the same split, so a stacked or single chosen
 model refits no base that selection fitted.  A stored stack
-(`save_combined`) is one `fit.json` that nests each base's spec and fit.
+(`save_combined`) is one `fit.json` that nests each base's fit; the
+base specs, split seed and meta loss are its spec's and its meta
+model's, stored there once.
 """
 
 from __future__ import annotations
@@ -105,31 +107,25 @@ def _fit_meta(columns: Sequence[np.ndarray], labels: np.ndarray, config: TrainCo
 
 @dataclass
 class CombinedModel:
-    """Fitted base predictors plus the meta model over their probabilities."""
+    """Fitted base predictors plus the meta model over their probabilities;
+    the base specs they were fit by are their `CombinedSpec`'s."""
 
-    specs: tuple
     fitted_bases: list
     meta: Model
     info: dict = field(default_factory=dict)
 
-    @property
-    def label(self) -> str:
-        return "combined(" + "+".join(s.label for s in self.specs) + ")"
-
     def to_json(self) -> dict:
         return {
-            "bases": [{"spec": spec.to_json(), "fit": fitted.to_json()}
-                      for spec, fitted in zip(self.specs, self.fitted_bases)],
+            "bases": [fitted.to_json() for fitted in self.fitted_bases],
             "meta": self.meta.to_json(),
             "info": self.info,
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "CombinedModel":
-        specs = tuple(_base_spec_from_json(base["spec"]) for base in obj["bases"])
+    def from_json(cls, obj: Mapping, bases: Sequence) -> "CombinedModel":
+        """The fit `to_json` wrote, its bases' fits read by their specs `bases`."""
         return cls(
-            specs=specs,
-            fitted_bases=[spec.fit_kind.from_json(base["fit"]) for spec, base in zip(specs, obj["bases"])],
+            fitted_bases=[spec.fit_kind.from_json(fit) for spec, fit in zip(bases, obj["bases"], strict=True)],
             meta=Model.from_json(obj["meta"]),
             info=dict(obj["info"]),
         )
@@ -157,23 +153,19 @@ def fit_combined(
         except Exception as exc:
             raise CombinationError(f"base {spec.label!r} failed to train: {exc}") from exc
     return CombinedModel(
-        specs=tuple(specs),
         fitted_bases=fitted_bases,
         meta=meta,
-        info={
-            "seed": seed,
-            "n_base_students": len(base_ids),
-            "n_meta_students": len(meta_ids),
-            "meta_nll": meta.info["final_nll"],
-        },
+        info={"n_base_students": len(base_ids), "n_meta_students": len(meta_ids)},
     )
 
 
-def predict_combined(cm: CombinedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
-    """Meta prediction over the base probability columns."""
+def predict_combined(cm: CombinedModel, specs: Sequence, student_ids: tuple[str, ...],
+                     dataset: Dataset) -> FoldPrediction:
+    """Meta prediction over the base probability columns, each base's fit
+    predicted by its spec in `specs` (those `cm` was fit with)."""
     columns = []
     labels = t = None
-    for spec, fitted in zip(cm.specs, cm.fitted_bases):
+    for spec, fitted in zip(specs, cm.fitted_bases):
         pred = spec.predict_on(fitted, student_ids, dataset)
         columns.append(pred.probs)
         if labels is None:
@@ -188,7 +180,6 @@ class CombinedSpec:
 
     bases: tuple
     seed: int = 0
-    fit_kind = CombinedModel
 
     def __post_init__(self) -> None:
         if len(self.bases) < 2:
@@ -202,7 +193,7 @@ class CombinedSpec:
         return fit_combined(student_ids, self.bases, dataset, config, seed=self.seed)
 
     def predict_on(self, fitted: CombinedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
-        return predict_combined(fitted, student_ids, dataset)
+        return predict_combined(fitted, self.bases, student_ids, dataset)
 
     def to_json(self) -> dict:
         return {"kind": "combined", "bases": [s.to_json() for s in self.bases], "seed": self.seed}
@@ -215,7 +206,7 @@ class CombinedSpec:
         save_combined(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path) -> CombinedModel:
-        return read_fit(self, out_dir)
+        return CombinedModel.from_json(read_fit(self, out_dir), self.bases)
 
 
 @dataclass
@@ -301,5 +292,5 @@ def _base_spec_from_json(obj: Mapping):
 
 
 def save_combined(cm: CombinedModel, out_dir: str | Path, spec: CombinedSpec) -> Path:
-    """Write a stacked fit's document: the meta model and each base's spec and fit."""
+    """Write a stacked fit's document: the meta model and each base's fit."""
     return write_fit(cm, out_dir, spec)

@@ -123,9 +123,9 @@ class PlainSpec:
     student ids; `to_json`/`from_json` for the spec itself; and
     `save(fitted, out_dir)`/`load(out_dir)` for what `fit_on` returned.
     `save` writes the one document `out_dir/fit.json`, the spec's JSON and
-    the fit's; `load` refuses a directory without it, holding another
-    spec's fit, or holding a fit whose copy of part of the spec differs.
-    A plain fit is a `regression.PlainFit`.
+    the fit's; `load` refuses a directory without it or holding another
+    spec's fit.  The fit holds what training learned, the spec what was
+    asked; neither repeats the other.  A plain fit is a `regression.PlainFit`.
     """
 
     recipe: str = "best-lr"
@@ -164,7 +164,7 @@ class PlainSpec:
         regression.save_model(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path):
-        return read_fit(self, out_dir)
+        return self.fit_kind.from_json(read_fit(self, out_dir))
 
 
 @dataclass

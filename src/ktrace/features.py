@@ -1,9 +1,10 @@
 """Feature extraction: recipes, encoders and emission.
 
 A Recipe is an ordered list of feature families.  An Encoder binds a
-recipe to a training fold: it fixes the categorical vocabularies, the
-per-family block offsets, the total dimension, and the training-fold
-mean correctness (rbar) used by the smoothed average.  Emission maps
+recipe to a training fold: it fixes the categorical vocabularies and
+the training-fold mean correctness (rbar) used by the smoothed average;
+the per-family block offsets and the total dimension follow from the
+vocabularies (`_blocks`).  Emission maps
 (student state, upcoming question) to features using only events
 strictly before the question.
 
@@ -217,33 +218,32 @@ def smoothed_avg_correct(corrects, attempts, rbar: float):
 
 @dataclass(frozen=True)
 class Encoder:
-    """A recipe bound to training-fold vocabularies and offsets."""
+    """A recipe bound to training-fold vocabularies and mean correctness;
+    its blocks (family, offset, width) and dimension follow from them."""
 
     recipe: Recipe
     vocabs: dict[str, dict[str, int]]
-    blocks: tuple[tuple[FeatureFamily, int, int], ...]
-    dim: int
     rbar: float
+
+    def __post_init__(self) -> None:
+        blocks, dim = _blocks(self.recipe, self.vocabs)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "dim", dim)
 
     def to_json(self) -> dict:
         return {
             "version": 1,
             "recipe": self.recipe.to_json(),
             "vocabs": {d: dict(sorted(v.items())) for d, v in sorted(self.vocabs.items())},
-            "blocks": [[fam.name, off, size] for fam, off, size in self.blocks],
-            "dim": self.dim,
             "rbar": self.rbar,
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Encoder":
-        recipe = Recipe.from_json(obj["recipe"])
         vocabs = {d: {k: int(i) for k, i in v.items()} for d, v in obj["vocabs"].items()}
-        blocks = tuple(
-            (FeatureFamily.parse(name), int(off), int(size))
-            for name, off, size in obj["blocks"]
-        )
-        return cls(recipe=recipe, vocabs=vocabs, blocks=blocks, dim=int(obj["dim"]), rbar=float(obj["rbar"]))
+        if any(sorted(v.values()) != list(range(len(v))) for v in vocabs.values()):
+            raise ConfigError("an encoder vocabulary must index its n keys 0, ..., n - 1")
+        return cls(recipe=Recipe.from_json(obj["recipe"]), vocabs=vocabs, rbar=float(obj["rbar"]))
 
 
 def check_recipe_supported(recipe: Recipe, manifest: DatasetManifest, kc_graph: KCGraph | None) -> None:
@@ -274,16 +274,16 @@ def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -
     rows, walked = dataset.feature_rows.rows(student_ids, recipe)
     if not len(rows):
         raise ConfigError("cannot fit encoders: no question responses in training data")
+    in_rows = np.zeros(len(walked.frame.events), dtype=bool)
+    in_rows[rows] = True
     used = np.zeros(walked.dim, dtype=bool)
-    used[walked.gather(rows)[1]] = True
+    used[walked.indices[np.repeat(in_rows, np.diff(walked.indptr))]] = True
     hit = {d: np.full(len(keys), d == "graph_node") for d, keys in walked.keys.items()}  # every graph node
     for (_, g, size), domain, slots in zip(walked.blocks, walked.layout.domains, walked.layout.slots):
         if domain is not None:
             hit[domain] |= used[g : g + size].reshape(-1, slots).any(axis=1)
     vocabs = {d: {k: i for i, k in enumerate(compress(walked.keys[d], h))} for d, h in hit.items()}
-    blocks, dim = _blocks(recipe, vocabs)
-    rbar = float(walked.frame.y[rows].sum()) / len(rows)
-    return Encoder(recipe=recipe, vocabs=vocabs, blocks=blocks, dim=dim, rbar=rbar)
+    return Encoder(recipe=recipe, vocabs=vocabs, rbar=float(walked.frame.y[rows].sum()) / len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1132,8 +1132,6 @@ def build_matrix(dataset: Dataset, student_ids: Iterable[str], encoder: Encoder)
     X = sp.csr_matrix((data, col, indptr), shape=(len(rows), encoder.dim))
     if not X.has_canonical_format:  # rows are ordered, so a column repeats
         raise ValueError("duplicate feature index")
-    if X.nnz and col.max() >= encoder.dim:
-        raise RuntimeError("emitted index outside encoder dimension")
     return ExtractResult(
         X=X,
         y=frame.y[rows],

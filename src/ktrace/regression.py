@@ -35,9 +35,13 @@ private import against ``@``.
 
 A fold's fit is stored as one document, ``fit.json``:
 ``{"spec": spec.to_json(), "fit": fitted.to_json()}`` (`write_fit`,
-`read_fit`).  Every fitted kind holds its encoder inline once, and its
-``from_json`` refuses a model whose ``dim`` is not its encoder's.  A
-plain fit is a `PlainFit`, written by `save_model`.
+`read_fit`).  The fit holds only what training learned and the spec
+what was asked, each once: a stack's `load` reads its bases' fits by
+its base specs, and a partitioned spec's `predict_on` passes its scheme
+to the fit.  Every
+fitted kind holds its encoder inline once, and its ``from_json``
+refuses a model whose ``dim`` is not its encoder's.  A plain fit is a
+`PlainFit`, written by `save_model`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from itertools import zip_longest
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -401,10 +404,10 @@ def write_fit(fitted, out_dir: str | Path, spec) -> Path:
     return path
 
 
-def read_fit(spec, out_dir: str | Path):
-    """The fit `out_dir/fit.json` holds, read by the spec's `fit_kind`; a
-    ConfigError when the directory holds no such document, or the document
-    holds another spec's fit or a differing copy of part of the spec."""
+def read_fit(spec, out_dir: str | Path) -> dict:
+    """The JSON of the fit `out_dir/fit.json` holds, for the spec's
+    `load` to read; a ConfigError when the directory holds no such
+    document, or the document holds another spec's fit."""
     path = Path(out_dir) / FIT_FILE
     if not path.is_file():
         raise ConfigError(f"{out_dir} holds no {FIT_FILE}; model directories of other layouts do not load")
@@ -414,20 +417,7 @@ def read_fit(spec, out_dir: str | Path):
             f"{out_dir} holds a fit of spec {canonical_json(doc['spec']).strip()}, "
             f"not of {canonical_json(spec.to_json()).strip()}"
         )
-    fitted = spec.fit_kind.from_json(doc["fit"])
-    _check_copies(doc["spec"], doc["fit"], '"fit"')
-    return fitted
-
-
-def _check_copies(spec: Mapping, fit: Mapping, key: str) -> None:
-    """Refuse a fit (at `key`) whose copy of part of its spec differs from it:
-    a partitioned fit's scheme, a combined fit's base specs, and their fits'."""
-    if fit.get("scheme") != spec.get("scheme"):
-        raise ConfigError(f'{FIT_FILE}: {key}."scheme" differs from the spec')
-    for i, (base, base_spec) in enumerate(zip_longest(fit.get("bases", []), spec.get("bases", []), fillvalue={})):
-        if base.get("spec") != base_spec:
-            raise ConfigError(f'{FIT_FILE}: {key}."bases"[{i}]."spec" differs from the spec')
-        _check_copies(base_spec, base["fit"], f'{key}."bases"[{i}]."fit"')
+    return doc["fit"]
 
 
 def save_model(fitted: PlainFit, out_dir: str | Path, spec) -> Path:

@@ -11,7 +11,9 @@ partition's examples only, shrunk toward the fallback (regularized
 multi-task learning, Evgeniou and Pontil, KDD 2004), so a small
 partition stays close to it.  The fallback covers empty partitions and
 unseen keys.  All partition models share the fallback's encoder, which
-a stored fit (`save_partitioned`, one `fit.json`) holds once.
+a stored fit (`save_partitioned`, one `fit.json`) holds once.  The
+scheme is the spec's alone: `predict_routed_batch` takes it beside the
+fit.
 """
 
 from __future__ import annotations
@@ -131,9 +133,9 @@ def _rows_by_partition(labels: Sequence[str], codes: np.ndarray) -> dict[str, np
 
 @dataclass
 class PartitionedModel:
-    """Per-partition models sharing one encoder, plus the fallback."""
+    """Per-partition models sharing one encoder, plus the fallback; the
+    scheme that routes rows to them is its spec's."""
 
-    scheme: Scheme
     encoder: Encoder
     models: dict[str, Model]
     fallback: Model
@@ -142,7 +144,6 @@ class PartitionedModel:
 
     def to_json(self) -> dict:
         return {
-            "scheme": self.scheme.to_json(),
             "encoder": self.encoder.to_json(),
             "fallback": self.fallback.to_json(),
             "models": {key: model.to_json() for key, model in self.models.items()},
@@ -154,7 +155,6 @@ class PartitionedModel:
     def from_json(cls, obj: Mapping) -> "PartitionedModel":
         encoder = Encoder.from_json(obj["encoder"])
         return cls(
-            scheme=scheme_from_json(obj["scheme"]),
             encoder=encoder,
             models={key: Model.from_json(model, encoder) for key, model in obj["models"].items()},
             fallback=Model.from_json(obj["fallback"], encoder),
@@ -209,7 +209,6 @@ def fit_partitioned(
         if yk.min() == yk.max():
             single_class.append(key)
     return PartitionedModel(
-        scheme=scheme,
         encoder=encoder,
         models=models,
         fallback=fallback,
@@ -218,10 +217,11 @@ def fit_partitioned(
     )
 
 
-def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult) -> np.ndarray:
-    """Routed probabilities for an extracted matrix, in row order."""
+def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult, scheme: Scheme) -> np.ndarray:
+    """Probabilities for an extracted matrix, in row order, each row's
+    from the model of its partition under `scheme` (the one `pm` was fit with)."""
     out = np.zeros(len(ext.events), dtype=np.float64)
-    for key, rows in _rows_by_partition(*pm.scheme.keys(ext)).items():
+    for key, rows in _rows_by_partition(*scheme.keys(ext)).items():
         out[rows] = regression.predict_proba_batch(pm.models.get(key, pm.fallback), ext.X[rows])
     return out
 
@@ -243,7 +243,7 @@ class PartitionedSpec(PlainSpec):
 
     def predict_on(self, fitted: PartitionedModel, student_ids: tuple[str, ...], dataset: Dataset) -> FoldPrediction:
         ext = features.build_matrix(dataset, student_ids, fitted.encoder)
-        return FoldPrediction(probs=predict_routed_batch(fitted, ext), labels=ext.y, t=ext.t)
+        return FoldPrediction(probs=predict_routed_batch(fitted, ext, self.scheme), labels=ext.y, t=ext.t)
 
     def to_json(self) -> dict:
         return {**super().to_json(), "kind": "partitioned", "scheme": self.scheme.to_json()}

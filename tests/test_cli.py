@@ -315,6 +315,13 @@ def test_generate_config_takes_integral_numbers_and_numeric_strings(tmp_path):
                    "--momentum", 0.5, "--modules", "a,b") == 0
     for name in ("events.csv", "manifest.json", "ground_truth.json"):
         assert filecmp.cmp(tmp_path / "config" / name, tmp_path / "flags" / name, shallow=False)
+    # giving no option is giving every option its default
+    assert run_cli("generate", "--out", tmp_path / "none") == 0
+    assert run_cli("generate", "--out", tmp_path / "defaults", "--seed", 0, "--students", 500, "--questions", 50,
+                   "--kcs", 5, "--responses", 50, "--momentum", 0.0, "--prereq-transfer", 0.0, "--modules", "",
+                   "--module-scale", 1.0, "--mean-gap-s", 6 * 3600.0, "--mean-elapsed-s", 60.0, "--name", "synth") == 0
+    for name in ("events.csv", "manifest.json", "ground_truth.json"):
+        assert filecmp.cmp(tmp_path / "none" / name, tmp_path / "defaults" / name, shallow=False)
 
 
 def test_prepare_config_squash_kcs_matches_the_flag(prepared, tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,10 +179,8 @@ def test_fit_encoders_drops_keys_no_training_row_counts():
     ds = Dataset(MINIMAL, {**train, **test})
     enc = fit_encoders(ds, train, recipe)
     assert enc.vocabs == {"kc": {"k0": 0}} and enc.dim == 3
-    kept = dataclasses.replace(
-        enc, vocabs={"kc": {"k0": 0, "k1": 1}},
-        blocks=((F("bias"), 0, 1), (F("counts", "kc"), 1, 4)), dim=5,
-    )
+    kept = dataclasses.replace(enc, vocabs={"kc": {"k0": 0, "k1": 1}})
+    assert kept.blocks == ((F("bias"), 0, 1), (F("counts", "kc"), 1, 4)) and kept.dim == 5
     probs = []
     for e in (enc, kept):
         ext = build_matrix(ds, train, e)
@@ -207,7 +206,11 @@ def test_encoder_json_roundtrip():
 
     again = Encoder.from_json(enc.to_json())
     assert again.to_json() == enc.to_json()
-    assert again.dim == enc.dim
+    assert again.dim == enc.dim and again.blocks == enc.blocks
+    gap = enc.to_json()
+    gap["vocabs"]["kc"] = {k: i + 1 for i, k in enumerate(gap["vocabs"]["kc"])}
+    with pytest.raises(ConfigError, match="must index its n keys 0, ..., n - 1"):
+        Encoder.from_json(gap)
 
 
 def _row_pairs(ext, r):
@@ -1028,9 +1031,8 @@ def test_build_matrix_keeps_duplicate_and_dimension_checks():
     students = {"s1": _events_one_student()}
     ds = Dataset(MINIMAL, students)
     enc = fit_encoders(ds, ["s1"], Recipe(families=(F("bias"), F("question"))))
-    short = dataclasses.replace(enc, dim=enc.dim - 1)
-    with pytest.raises(RuntimeError, match="outside encoder dimension"):
-        build_matrix(ds, ["s1"], short)
+    # an encoder's dimension follows from its vocabularies, so only the reference can be given a short one
+    short = SimpleNamespace(recipe=enc.recipe, vocabs=enc.vocabs, blocks=enc.blocks, dim=enc.dim - 1, rbar=enc.rbar)
     with pytest.raises(RuntimeError, match="outside encoder dimension"):
         reference_build_matrix(students, short)
 

@@ -159,7 +159,7 @@ def test_empty_intervals_warn_and_route_to_fallback():
                            for key in ("50-100", "100-250", "250-500", "500-inf")]
     ev = response("s999", 100, "q1", ["k1"], True)
     ext = build_matrix(dataclasses.replace(ds, students={"s999": [ev]}), ["s999"], pm.encoder)
-    routed = predict_routed_batch(pm, dataclasses.replace(ext, t=np.array([600])))  # empty 500-inf
+    routed = predict_routed_batch(pm, dataclasses.replace(ext, t=np.array([600])), scheme)  # empty 500-inf
     fallback = predict_proba_batch(pm.fallback, ext.X)
     assert routed.tobytes() == fallback.tobytes()
 
@@ -202,7 +202,7 @@ def test_by_feature_unseen_value_routes_to_fallback():
     assert set(pm.models) == {"a", "b"}
     ev = response("s0", 9999, "q1", ["k1"], True, study_module="never-seen")
     ext = build_matrix(dataclasses.replace(ds, students={"sX": [ev]}), ["sX"], pm.encoder)
-    routed = predict_routed_batch(pm, ext)
+    routed = predict_routed_batch(pm, ext, scheme)
     assert routed.tobytes() == predict_proba_batch(pm.fallback, ext.X).tobytes()
 
 
@@ -218,13 +218,14 @@ def test_one_row_partition_stays_near_the_fallback():
     }
     ds = toy_dataset(students, name="mods", capabilities=("study_module",))
     recipe = resolve("best-lr", ds.manifest).recipe
-    pm = fit_partitioned(tuple(ds.students), ByField("study_module"), recipe, ds, TrainConfig())
+    scheme = ByField("study_module")
+    pm = fit_partitioned(tuple(ds.students), scheme, recipe, ds, TrainConfig())
     assert list(pm.models) == ["a", "b", "rare"] and pm.single_class == ("rare",)
     held_out = {f"t{i}": [response(f"t{i}", 60 * j, f"q{j % 4}", ["k1"], j % 2 == 0, study_module="rare")
                           for j in range(8)] for i in range(3)}
     ext = build_matrix(dataclasses.replace(ds, students=held_out), held_out, pm.encoder)
     fallback = predict_proba_batch(pm.fallback, ext.X)
-    assert np.max(np.abs(predict_routed_batch(pm, ext) - fallback)) < 0.15
+    assert np.max(np.abs(predict_routed_batch(pm, ext, scheme) - fallback)) < 0.15
     # weights the row does not touch stay at the center: the fallback's, student block zeroed
     train = build_matrix(ds, ds.students, pm.encoder)
     row = [i for i, e in enumerate(train.events) if e.study_module == "rare"]
@@ -296,8 +297,7 @@ def test_save_load_roundtrip(tmp_path):
         save_partitioned(pm, out, spec)
         assert [p.name for p in out.iterdir()] == ["fit.json"]
         again = spec.load(out)
-        assert again.scheme == pm.scheme
         assert set(again.models) == set(pm.models)
         ext = build_matrix(ds, ds.students, pm.encoder)
-        assert predict_routed_batch(again, ext).tobytes() == predict_routed_batch(pm, ext).tobytes()
+        assert predict_routed_batch(again, ext, scheme).tobytes() == predict_routed_batch(pm, ext, scheme).tobytes()
         assert again.warnings == pm.warnings
