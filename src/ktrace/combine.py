@@ -206,7 +206,7 @@ class CombinedSpec:
         save_combined(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path) -> CombinedModel:
-        return CombinedModel.from_json(read_fit(self, out_dir), self.bases)
+        return read_fit(self, out_dir, lambda fit: CombinedModel.from_json(fit, self.bases))
 
 
 @dataclass

@@ -164,7 +164,7 @@ class PlainSpec:
         regression.save_model(fitted, out_dir, self)
 
     def load(self, out_dir: str | Path):
-        return self.fit_kind.from_json(read_fit(self, out_dir))
+        return read_fit(self, out_dir, self.fit_kind.from_json)
 
 
 @dataclass

@@ -481,15 +481,18 @@ class _Batch:
     """The responses of several students' walks laid end to end, as arrays.
 
     Row r is the batch's r-th response: students in the given order, each
-    student's responses in walk order.  Key codes come from the store's
-    per-domain _Codes, so every block and scope of a domain shares them.
+    student's responses in walk order, as `per_student` holds them (the
+    store's `_Frame` rows, so no walk filters them out of the events again).
+    Key codes come from the store's per-domain _Codes, so every block and
+    scope of a domain shares them.
     """
 
-    def __init__(self, walks: Sequence[Sequence[InteractionEvent]], codes: dict[str, _Codes],
+    def __init__(self, walks: Sequence[Sequence[InteractionEvent]],
+                 per_student: Sequence[Sequence[InteractionEvent]], codes: dict[str, _Codes],
                  kc_graph: KCGraph | None, squash_map: Mapping[str, tuple[str, ...]] | None):
         _check_order(walks)
         self.walks = walks
-        self.per_student = [[e for e in events if e.kind is EventKind.QUESTION_RESPONSE] for events in walks]
+        self.per_student = per_student
         self.responses = responses = list(chain.from_iterable(self.per_student))
         self.n = n = len(responses)
         lens = np.array([len(r) for r in self.per_student], dtype=np.int64)
@@ -964,11 +967,12 @@ class _Matrix:
         return table
 
 
-def _walk(walks: Mapping[str, Sequence[InteractionEvent]], recipe: Recipe, blocks: Sequence[tuple],
+def _walk(walks: Mapping[str, Sequence[InteractionEvent]], frame: _Frame, recipe: Recipe, blocks: Sequence[tuple],
           kc_graph: KCGraph | None, squash_map: Mapping | None, codes: dict[str, _Codes]) -> tuple[np.ndarray, ...]:
     """The rows of several students (id -> events) under one recipe, in the
     given order: the entries of each row, then each entry's column and
-    value, row by row, each row ordered by column.
+    value, row by row, each row ordered by column.  Each student's
+    responses are its rows of `frame`.
 
     `codes` holds each vocabulary domain's keys coded in sorted order, so
     an entry lands in column off + code * slots + slot of its block at
@@ -976,7 +980,8 @@ def _walk(walks: Mapping[str, Sequence[InteractionEvent]], recipe: Recipe, block
     writes its block for all the students at once, and one stable sort
     on (row, column) merges the blocks.
     """
-    batch = _Batch(list(walks.values()), codes, kc_graph, squash_map)
+    per_student = [frame.events[start : start + n] for start, n in map(frame.span.__getitem__, walks)]
+    batch = _Batch(list(walks.values()), per_student, codes, kc_graph, squash_map)
     rows, cols, values = [], [], []
     for (fam, off, _), domain, slots in zip(blocks, recipe._layout.domains, recipe._layout.slots):
         entries = _KINDS[fam.kind].emitter(batch, domain, fam)
@@ -1057,7 +1062,8 @@ class RowStore:
         codes = {d: _Codes((k, i) for i, k in enumerate(ks)) for d, ks in keys.items()}
         blocks, dim = _blocks(recipe, codes)
         runs = [
-            _walk({sid: self.students[sid] for sid in run}, recipe, blocks, self.kc_graph, self.squash_map, codes)
+            _walk({sid: self.students[sid] for sid in run}, frame, recipe, blocks, self.kc_graph, self.squash_map,
+                  codes)
             for run in _runs(frame.span)
         ]
         nnz = sum(len(col) for _, col, _ in runs)

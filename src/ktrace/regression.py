@@ -22,10 +22,25 @@ scored on an inner split of the training students.  Weights start at
 zero unless an init is given and nothing is random, so a fit is a pure
 function of the training matrix, labels and config.
 
+A design with at most `_DIRECT_MAX_DIM` (64) columns solves the model
+directly instead: H = X^T D X + diag(l2 * mask) is formed and solved for
+the Newton step at each accepted point, and each trial there takes
+Powell's dogleg step on H, inside the same region; where H is singular,
+so has no Cholesky factor (D underflowing with l2 = 0), or the Newton
+step overflows, the trial takes the CG step.  Acceptance, region updates
+and stops are the same on both paths.
+
 Cost: one X w per trial step, one X^T r per accepted step, and one X v
 plus one X^T u per Hessian-vector product, which reuses D from the
-accepted point.  X^T is built once per fit, as CSR, by scipy's CSR-to-CSC
-kernel on X's arrays (`_transpose`).  Every product
+accepted point.  On the direct path an accepted point instead costs one
+sparse product X^T (D X) by scipy's CSR kernel, ``csr_matmat``, on X's
+arrays, with no dense copy of X (`_hessian_former`), and one dense LU
+solve; a trial costs dense products with H.  On the 56-column
+partition fits of ``perfbench``'s ``cv-ri-long`` that took fits from 356
+trials to 212 and cut fit time by about 40%; the gate is where the dense
+H stops paying (`CHANGES.md` records the sweep).  X^T is built
+once per fit, as CSR, by scipy's CSR-to-CSC kernel on X's arrays
+(`_transpose`).  Every product
 calls scipy's CSR kernel, ``_sparsetools.csr_matvec``, directly
 (`_matvec`): on fold-sized matrices (tens to thousands of rows) the
 Python-level dispatch of ``X @ v`` cost about a third of fit time, more
@@ -40,8 +55,9 @@ what was asked, each once: a stack's `load` reads its bases' fits by
 its base specs, and a partitioned spec's `predict_on` passes its scheme
 to the fit.  Every
 fitted kind holds its encoder inline once, and its ``from_json``
-refuses a model whose ``dim`` is not its encoder's.  A plain fit is a
-`PlainFit`, written by `save_model`.
+refuses a model whose ``dim`` is not its encoder's; a document of
+another layout fails to load with a ConfigError naming it.  A plain fit
+is a `PlainFit`, written by `save_model`.
 """
 
 from __future__ import annotations
@@ -222,6 +238,9 @@ _CG_RTOL = 0.1
 # a predicted reduction at or below this fraction of |J| is within J's float
 # error (J sums one rounded term per row), so the ratio is noise
 _FLOAT_FLOOR = 1e-12
+# designs with at most this many columns solve each Newton system directly
+# (`_dogleg`); above it a dense H costs more than the CG products it replaces
+_DIRECT_MAX_DIM = 64
 
 
 def _hessian_product(X: sp.csr_matrix, Xt: sp.csr_matrix, d: np.ndarray, penalty: np.ndarray,
@@ -276,6 +295,79 @@ def _truncated_cg(hessp, g: np.ndarray, delta: float) -> tuple[np.ndarray, np.nd
     return s, r, False
 
 
+def _hessian_former(X: sp.csr_matrix, Xt: sp.csr_matrix, penalty: np.ndarray):
+    """The function of D = p (1 - p) giving the dense H = X^T D X + diag(penalty),
+    formed by scipy's CSR product kernel from X's arrays without a dense copy
+    of X; `Xt` is X^T as CSR."""
+    N = X.shape[1]
+    row_nnz = np.diff(X.indptr)
+
+    def hessian(d: np.ndarray) -> np.ndarray:
+        # the product has at most N * N entries, a bound that costs nothing,
+        # where the kernel's own (csr_matmat_maxnnz) costs as much as a product
+        indptr = np.empty(N + 1, dtype=X.indptr.dtype)
+        indices = np.empty(N * N, dtype=X.indices.dtype)
+        data = np.empty(N * N)
+        # X^T (D X), D scaling X's rows
+        _sparsetools.csr_matmat(N, N, Xt.indptr, Xt.indices, Xt.data,
+                                X.indptr, X.indices, X.data * np.repeat(d, row_nnz), indptr, indices, data)
+        H = np.diag(penalty)
+        _sparsetools.csr_todense(N, N, indptr, indices, data, H)  # adds to H
+        return H
+
+    return hessian
+
+
+def _newton_system(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(H, the Newton step -H^-1 g); None when H is singular or the step
+    overflows, as when D underflows with l2 = 0.
+
+    H = X^T D X + diag(l2 * mask) is positive semidefinite by construction,
+    so it is positive definite, and has a Cholesky factor, iff it is
+    nonsingular: one LU solve (numpy's LAPACK ``gesv``) settles both.
+    numpy's Cholesky test before that solve made the 53- and 55-column IRT
+    fits of a stack about 30% slower than CG, and scipy.linalg's Cholesky
+    solve adds about 6 MB to a run's peak RSS by its import alone.
+    """
+    try:
+        newton = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return None
+    return (H, newton) if math.isfinite(float(newton @ newton)) else None
+
+
+def _dogleg(g: np.ndarray, delta: float, H: np.ndarray, newton: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Powell's dogleg for min g.s + s.H s / 2 over |s| <= delta, with H
+    positive definite and `newton` = -H^-1 g.
+
+    Returns the step s, the residual r = -g - H s and whether s lies on the
+    boundary: the Newton step when it fits, else the point where the path
+    from 0 to the model's minimizer along -g (the Cauchy point) and on to the
+    Newton step leaves the region.
+    """
+    if math.sqrt(float(newton @ newton)) <= delta:
+        return newton, -g - H @ newton, False
+    gg, gHg = float(g @ g), float(g @ (H @ g))
+    if gg * math.sqrt(gg) >= delta * gHg:
+        # the Cauchy point -(gg / gHg) g is on or beyond the boundary (or the
+        # curvature along g rounded to <= 0): steepest descent to the boundary
+        s = -(delta / math.sqrt(gg)) * g
+    else:
+        cauchy = -(gg / gHg) * g
+        leg = newton - cauchy
+        s = cauchy + _to_boundary(cauchy, leg, delta) * leg
+    return s, -g - H @ s, True
+
+
+def _step(g: np.ndarray, delta: float, hessp, system) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A trial step for min g.s + s.H s / 2 over |s| <= delta: (s, r = -g - H s,
+    whether s is on the boundary).  The dogleg on the exact H when `system`
+    is `_newton_system`'s (H, Newton step), else Steihaug CG through `hessp`."""
+    if system is None:
+        return _truncated_cg(hessp, g, delta)
+    return _dogleg(g, delta, *system)
+
+
 def _trust_region_newton(
     X: sp.csr_matrix, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None,
     center: np.ndarray | None,
@@ -285,10 +377,13 @@ def _trust_region_newton(
     Every trial step, accepted or rejected, counts against `max_epochs`.  A
     trial whose J is not finite is rejected.  When the predicted reduction
     is within J's float error, the trial is accepted iff it lowers |g|.
+    With at most `_DIRECT_MAX_DIM` columns, H is formed and solved once per
+    accepted point and the trials there take dogleg steps (`_step`).
     """
     Xt = _transpose(X)
     l2 = config.l2
     penalty = l2 * (np.ones(len(w)) if reg_mask is None else reg_mask)
+    hessian = _hessian_former(X, Xt, penalty) if len(w) <= _DIRECT_MAX_DIM else None
 
     def gradient_and_curvature(z: np.ndarray, w_reg: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         p = expit(z)
@@ -303,9 +398,12 @@ def _trust_region_newton(
     g_norm = math.sqrt(float(g @ g))
     delta = g_norm
     trials = 0
+    system, moved = None, True
     while g_norm > config.gtol and trials < config.max_epochs:
         trials += 1
-        s, r, on_boundary = _truncated_cg(lambda v: _hessian_product(X, Xt, curvature, penalty, v), g, delta)
+        if moved and hessian is not None:
+            system = _newton_system(hessian(curvature), g)
+        s, r, on_boundary = _step(g, delta, lambda v: _hessian_product(X, Xt, curvature, penalty, v), system)
         s_norm = math.sqrt(float(s @ s))
         if trials == 1:
             # |g| only starts the region; the first step's length sets its scale
@@ -338,7 +436,8 @@ def _trust_region_newton(
         else:
             delta = max(delta, min(alpha * s_norm, _SIGMA3 * delta))
 
-        if ratio > _ETA0:
+        moved = ratio > _ETA0
+        if moved:
             w, f = w_new, f_new
             g, curvature = at_trial if at_trial is not None else gradient_and_curvature(z_new, w_reg_new)
             g_norm = math.sqrt(float(g @ g))
@@ -354,7 +453,8 @@ def fit(
     init: np.ndarray | None = None,
     center: np.ndarray | None = None,
 ) -> Model:
-    """Minimize J by trust-region Newton-CG, stopping at `config.gtol`.
+    """Minimize J by trust-region Newton (CG steps, or dogleg steps on the
+    exact H for at most `_DIRECT_MAX_DIM` columns), stopping at `config.gtol`.
 
     The penalty pulls the masked weights toward `center` (zero when None).
     `info` records the trial steps (`epochs`), whether the gradient norm
@@ -404,10 +504,11 @@ def write_fit(fitted, out_dir: str | Path, spec) -> Path:
     return path
 
 
-def read_fit(spec, out_dir: str | Path) -> dict:
-    """The JSON of the fit `out_dir/fit.json` holds, for the spec's
-    `load` to read; a ConfigError when the directory holds no such
-    document, or the document holds another spec's fit."""
+def read_fit(spec, out_dir: str | Path, from_json):
+    """`from_json` of the fit `out_dir/fit.json` holds, for the spec's `load`;
+    a ConfigError when the directory holds no such document, the document
+    holds another spec's fit, or the fit has a layout `from_json` does not
+    read (one written before a change of layout)."""
     path = Path(out_dir) / FIT_FILE
     if not path.is_file():
         raise ConfigError(f"{out_dir} holds no {FIT_FILE}; model directories of other layouts do not load")
@@ -417,7 +518,15 @@ def read_fit(spec, out_dir: str | Path) -> dict:
             f"{out_dir} holds a fit of spec {canonical_json(doc['spec']).strip()}, "
             f"not of {canonical_json(spec.to_json()).strip()}"
         )
-    return doc["fit"]
+    try:
+        return from_json(doc["fit"])
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{path} holds a fit this version does not read ({type(exc).__name__}: {exc}); "
+            "refit to write it again"
+        ) from exc
 
 
 def save_model(fitted: PlainFit, out_dir: str | Path, spec) -> Path:

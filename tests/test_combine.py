@@ -362,6 +362,35 @@ def test_a_directory_of_the_multi_file_layout_does_not_load(kind, tmp_path):
         spec.load(tmp_path / "old")
 
 
+def _stacked_bases_with_their_specs(fit, spec):
+    """The layout before a stack's bases were bare fits: each base with its spec."""
+    fit["bases"] = [{"spec": s.to_json(), "fit": b} for s, b in zip(spec.bases, fit["bases"])]
+
+
+def _one_base_too_few(fit, spec):
+    fit["bases"].pop()
+
+
+def _no_encoder(fit, spec):
+    del fit["encoder"]
+
+
+@pytest.mark.parametrize("kind, rewrite", [
+    ("combined", _stacked_bases_with_their_specs),
+    ("combined", _one_base_too_few),
+    ("plain", _no_encoder),
+], ids=["combined-old-stacked-layout", "combined-bases-of-wrong-length", "plain-without-encoder"])
+def test_a_fit_of_another_layout_fails_with_a_config_error_naming_the_document(kind, rewrite, tmp_path):
+    spec = ROUNDTRIP_SPECS[kind]
+    ds, _, train, _ = _irt_data(seed=67, n_students=30, per=12)
+    save_fitted(spec.fit_on(train, ds, CFG), tmp_path, spec)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    rewrite(doc["fit"], spec)
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"fit\.json holds a fit this version does not read .*; refit"):
+        spec.load(tmp_path)
+
+
 @pytest.mark.parametrize("kind, path", [
     ("plain", ("model",)),
     ("partitioned", ("fallback",)),

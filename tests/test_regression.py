@@ -337,18 +337,29 @@ def test_tight_gtol_converges_on_many_rows(rng):
     assert np.max(np.abs(grad)) <= config.gtol
 
 
-def _recording_cg(monkeypatch):
-    """Record (delta, |s|, on_boundary) of every trust-region subproblem."""
+def _recording_step(monkeypatch):
+    """Record (delta, |s|, on_boundary, direct) of every trust-region
+    subproblem; `direct` is whether it took the dogleg on the exact H."""
     calls = []
-    real = regression._truncated_cg
+    real = regression._step
 
-    def cg(hessp, g, delta):
-        s, r, on_boundary = real(hessp, g, delta)
-        calls.append((delta, float(np.linalg.norm(s)), on_boundary))
+    def step(g, delta, hessp, system):
+        s, r, on_boundary = real(g, delta, hessp, system)
+        calls.append((delta, float(np.linalg.norm(s)), on_boundary, system is not None))
         return s, r, on_boundary
 
-    monkeypatch.setattr(regression, "_truncated_cg", cg)
+    monkeypatch.setattr(regression, "_step", step)
     return calls
+
+
+def _on_each_path(monkeypatch):
+    """Yield ("direct", patch) with the module's gate, then ("cg", patch) with
+    the gate at 0, which forces Steihaug CG on every design; each patch is
+    undone when the next path starts."""
+    for path, gate in (("direct", regression._DIRECT_MAX_DIM), ("cg", 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, "_DIRECT_MAX_DIM", gate)
+            yield path, patch
 
 
 def _overflow_at_trials(monkeypatch, trials, value=math.inf):
@@ -365,41 +376,106 @@ def _overflow_at_trials(monkeypatch, trials, value=math.inf):
 
 def test_first_step_on_the_boundary(monkeypatch):
     """The Newton step -0.5 / 0.75 is longer than the first region, |g| = 0.5."""
-    calls = _recording_cg(monkeypatch)
     X = sp.csr_matrix(np.ones((3, 1)))
-    model = fit(X, np.array([1.0, 0.0, 0.0]), TrainConfig(l2=0.0, gtol=1e-10))
-    delta, step, on_boundary = calls[0]
-    assert on_boundary and delta == 0.5 and abs(step - delta) < 1e-15
-    assert model.info["converged"]
-    assert abs(model.weights[0] - math.log(0.5)) < 1e-9
+    for path, patch in _on_each_path(monkeypatch):
+        calls = _recording_step(patch)
+        model = fit(X, np.array([1.0, 0.0, 0.0]), TrainConfig(l2=0.0, gtol=1e-10))
+        delta, step, on_boundary, direct = calls[0]
+        assert direct == (path == "direct")
+        assert on_boundary and delta == 0.5 and abs(step - delta) < 1e-15
+        assert model.info["converged"]
+        assert abs(model.weights[0] - math.log(0.5)) < 1e-9
 
 
 def test_zero_curvature_steps_to_the_boundary(monkeypatch):
-    """Started where every p rounds to 1, D = 0 and l2 = 0 make H = 0."""
+    """Started where every p rounds to 1, D = 0 and l2 = 0 make H = 0: H is
+    singular, with no Cholesky factor, so the direct path's first trial
+    takes the CG step."""
     g = np.array([3.0, -4.0])
     s, r, on_boundary = regression._truncated_cg(np.zeros_like, g, 2.0)
     assert on_boundary and np.allclose(s, -0.4 * g) and np.array_equal(r, -g)
+    assert regression._newton_system(np.zeros((2, 2)), g) is None
 
-    calls = _recording_cg(monkeypatch)
     X = sp.csr_matrix(np.ones((4, 1)))
-    model = fit(X, np.array([1.0, 1.0, 0.0, 0.0]), TrainConfig(l2=0.0), init=np.array([50.0]))
-    delta, step, on_boundary = calls[0]
-    assert on_boundary and delta == 2.0 and step == delta
-    assert model.info["converged"] and abs(model.weights[0]) < 1e-4
+    for path, patch in _on_each_path(monkeypatch):
+        calls = _recording_step(patch)
+        model = fit(X, np.array([1.0, 1.0, 0.0, 0.0]), TrainConfig(l2=0.0), init=np.array([50.0]))
+        delta, step, on_boundary, direct = calls[0]
+        assert not direct
+        assert on_boundary and delta == 2.0 and step == delta
+        assert model.info["converged"] and abs(model.weights[0]) < 1e-4
+        # once D is positive, H is nonsingular and the direct path takes over
+        assert any(c[3] for c in calls) == (path == "direct")
+
+
+def test_an_overflowing_newton_step_takes_the_cg_step(monkeypatch):
+    """Column 1 fires only on rows whose p is subnormal, so H is nonsingular
+    but the Newton step overflows; the trial takes the CG step, and the fit
+    converges (dogleg steps on the overflowed Newton step ran to `max_epochs`)."""
+    X = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.1], [0.0, 0.1]]))
+    y = np.array([1.0, 0.0, 1.0, 1.0])
+    init = np.array([3.0, -7095.0])
+    p = expit(X @ init)
+    H = (X.T @ sp.diags(p * (1 - p)) @ X).toarray()
+    assert 0 < p[2] < np.finfo(float).tiny and np.all(np.linalg.eigvalsh(H) > 0)
+    assert regression._newton_system(H, X.T @ (p - y)) is None
+    calls = _recording_step(monkeypatch)
+    model = fit(X, y, TrainConfig(l2=0.0), init=init)
+    assert not calls[0][3]
+    assert model.info["converged"]
+
+
+def _model_value(g, H, s):
+    return float(g @ s + 0.5 * s @ H @ s)
+
+
+def test_dogleg_takes_the_newton_step_the_cauchy_point_or_the_leg_between():
+    H = np.array([[4.0, 1.0], [1.0, 2.0]])
+    g = np.array([1.0, -3.0])
+    _, newton = regression._newton_system(H, g)
+    assert np.allclose(H @ newton, -g, rtol=0, atol=1e-14)
+    cauchy = -float(g @ g) / float(g @ H @ g) * g
+    n_newton, n_cauchy = np.linalg.norm(newton), np.linalg.norm(cauchy)
+    assert n_cauchy < n_newton
+
+    # the Newton step fits: taken whole, off the boundary, with r = 0
+    s, r, on_boundary = regression._dogleg(g, 1.01 * n_newton, H, newton)
+    assert s is newton and not on_boundary
+    assert np.max(np.abs(r)) < 1e-14
+
+    # the Cauchy point lies beyond the region: steepest descent to the boundary
+    delta = 0.5 * n_cauchy
+    s, r, on_boundary = regression._dogleg(g, delta, H, newton)
+    assert on_boundary and abs(np.linalg.norm(s) - delta) < 1e-15
+    assert np.allclose(s, -delta / np.linalg.norm(g) * g, rtol=0, atol=1e-15)
+    assert np.array_equal(r, -g - H @ s)
+
+    # between the two: the boundary point of the leg from the Cauchy point to the Newton step
+    delta = 0.5 * (n_cauchy + n_newton)
+    s, r, on_boundary = regression._dogleg(g, delta, H, newton)
+    assert on_boundary and abs(np.linalg.norm(s) - delta) < 1e-14
+    leg, off = newton - cauchy, s - cauchy
+    tau = float(off @ leg) / float(leg @ leg)
+    assert 0 < tau < 1 and np.allclose(off, tau * leg, rtol=0, atol=1e-14)
+    assert np.array_equal(r, -g - H @ s)
+    assert _model_value(g, H, newton) < _model_value(g, H, s) < _model_value(g, H, cauchy) < 0
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_trial_is_rejected_and_the_fit_converges(rng, monkeypatch, bad):
     X, y = _sparse_counts(rng, n=200, d=12)
     config = TrainConfig(l2=1.0, gtol=1e-8)
-    clean = fit(X, y, config)
-    calls = _recording_cg(monkeypatch)
-    _overflow_at_trials(monkeypatch, {1}, bad)
-    model = fit(X, y, config)
-    assert model.info["converged"] and model.info["grad_norm"] <= config.gtol
-    assert calls[1][0] <= 0.5 * calls[0][1]  # the region shrank below the rejected step
-    assert abs(model.info["final_nll"] - clean.info["final_nll"]) < 1e-9 * clean.info["final_nll"]
-    assert np.max(np.abs(model.weights - clean.weights)) < 1e-6
+    for path, patch in _on_each_path(monkeypatch):
+        clean = fit(X, y, config)
+        with patch.context() as failing:
+            calls = _recording_step(failing)
+            _overflow_at_trials(failing, {1}, bad)
+            model = fit(X, y, config)
+        assert all(c[3] == (path == "direct") for c in calls)
+        assert model.info["converged"] and model.info["grad_norm"] <= config.gtol
+        assert calls[1][0] <= 0.5 * calls[0][1]  # the region shrank below the rejected step
+        assert abs(model.info["final_nll"] - clean.info["final_nll"]) < 1e-9 * clean.info["final_nll"]
+        assert np.max(np.abs(model.weights - clean.weights)) < 1e-6
 
 
 def test_max_epochs_counts_rejected_trials(rng, monkeypatch):
@@ -424,6 +500,15 @@ def test_fit_matches_reference_when_line_search_fails(rng):
     assert model.info["epochs"] == 0 and model.info["converged"]
 
 
+def _alone_and_together(X, ys, cfg):
+    """The weight bytes of a fit per label vector, fitted one after another
+    and two at a time in threads."""
+    alone = [fit(X, y, cfg).weights.tobytes() for y in ys]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        together = [m.weights.tobytes() for m in pool.map(lambda y: fit(X, y, cfg), ys)]
+    return alone, together
+
+
 def test_fit_bytes_do_not_depend_on_concurrent_fits(rng):
     """Weights are the same bytes whether fits run alone or two at a time.
 
@@ -434,11 +519,90 @@ def test_fit_bytes_do_not_depend_on_concurrent_fits(rng):
     cols = np.column_stack([np.zeros(n, dtype=int), rng.integers(1, d, size=(n, 3))])
     X = sp.csr_matrix((np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, 4)), shape=(n, d))
     ys = [(rng.random(n) < 0.6).astype(float) for _ in range(2)]
-    cfg = TrainConfig(l2=1.0)
-    alone = [fit(X, y, cfg).weights.tobytes() for y in ys]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        together = [m.weights.tobytes() for m in pool.map(lambda y: fit(X, y, cfg), ys)]
+    alone, together = _alone_and_together(X, ys, TrainConfig(l2=1.0))
     assert together == alone
+
+
+def test_direct_fit_bytes_do_not_depend_on_concurrent_fits(rng, monkeypatch):
+    """The same on the direct path: H's sparse product and dense solve give
+    the same bytes when two fits solve at once."""
+    X, _ = _sparse_counts(rng, n=3000, d=56)
+    ys = [(rng.random(X.shape[0]) < 0.6).astype(float) for _ in range(2)]
+    calls = _recording_step(monkeypatch)
+    alone, together = _alone_and_together(X, ys, TrainConfig(l2=1.0))
+    assert calls and all(c[3] for c in calls)
+    assert together == alone
+
+
+def _least_curvature(X, w, l2, mask):
+    """The least eigenvalue of J's Hessian at w."""
+    p = expit(X @ w)
+    H = (X.T @ sp.diags(p * (1 - p)) @ X).toarray() + np.diag(l2 * mask)
+    return float(np.linalg.eigvalsh(H)[0])
+
+
+def _assert_paths_agree(X, y, config, direct, cg, reg_mask, center):
+    """Both fits reached gtol, so each lies within |g| / mu of the optimum, mu
+    being J's least curvature between them (taken as half its smaller value
+    at the two ends, the fits being that close); by convexity their J differ
+    by at most gtol times their distance, plus J's float error (relative to
+    at least 1, since J's terms cancel where it is small)."""
+    for model in (direct, cg):
+        assert model.info["converged"] and model.info["grad_norm"] <= config.gtol
+    gap = float(np.linalg.norm(direct.weights - cg.weights))
+    mu = 0.5 * min(_least_curvature(X, m.weights, config.l2, reg_mask) for m in (direct, cg))
+    assert gap <= 2 * config.gtol / mu
+    a, b = direct.info["final_nll"], cg.info["final_nll"]
+    assert abs(a - b) <= config.gtol * gap + 1e-12 * max(abs(b), 1.0)
+
+
+@st.composite
+def _small_problem(draw):
+    """A sparse design with a bias column, labels of both classes, a mask
+    that penalizes every column or all but the bias (so J has one minimizer,
+    as for the fits the program makes: with one class and a free bias it
+    has none), and maybe a center and an init."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+    X[:, 0] = 1.0
+    y = (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(float)
+    y[:2] = 0.0, 1.0
+    mask = np.ones(d)
+    mask[0] = draw(st.sampled_from([0.0, 1.0]))
+    center = rng.normal(size=d) if draw(st.booleans()) else None
+    init = 2.0 * rng.normal(size=d) if draw(st.booleans()) else None
+    return sp.csr_matrix(X), y, TrainConfig(l2=draw(st.floats(0.1, 10.0))), mask, center, init
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(problem=_small_problem())
+def test_direct_and_cg_paths_agree_within_gtol(problem):
+    X, y, config, mask, center, init = problem
+    fits = {}
+    # hypothesis runs every example in one test call, so each draws its own patch
+    for path, _ in _on_each_path(pytest.MonkeyPatch()):
+        fits[path] = fit(X, y, config, reg_mask=mask, init=init, center=center)
+    _assert_paths_agree(X, y, config, fits["direct"], fits["cg"], mask, center)
+
+
+def test_direct_path_reaches_gtol_in_fewer_trials_on_a_partition_fit(monkeypatch):
+    """A best-lr partition fit of cv-ri-long's size (800 rows, 56 columns),
+    started at and pulled toward its fallback's weights: exact Newton steps
+    take fewer trials to gtol than CG steps, to the same weights."""
+    ds, _ = generate(GeneratorConfig(seed=1, n_students=8, n_questions=30, responses_per_student=300))
+    enc = fit_encoders(ds, ds.students, resolve("best-lr", ds.manifest).recipe)
+    ext = build_matrix(ds, ds.students, enc)
+    assert enc.dim == 56 <= regression._DIRECT_MAX_DIM
+    center = fit(ext.X, ext.y, TrainConfig(), encoder=enc).weights
+    rows = np.flatnonzero((ext.t >= 100) & (ext.t < 200))
+    X, y, mask = ext.X[rows], ext.y[rows], np.ones(enc.dim)
+    assert X.shape == (800, 56)
+    fits = {}
+    for path, patch in _on_each_path(monkeypatch):
+        fits[path] = fit(X, y, TrainConfig(), reg_mask=mask, init=center, center=center)
+    assert fits["direct"].info["epochs"] < fits["cg"].info["epochs"]
+    _assert_paths_agree(X, y, TrainConfig(), fits["direct"], fits["cg"], mask, center)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
