@@ -29,7 +29,7 @@ for fam, offset, size in encoder.blocks:
 # answers before it, its response pattern block fires
 sid = sorted(dataset.students)[0]
 ext = build_matrix(dataset, [sid], encoder)
-event, row = ext.events[14], ext.X[14]
+event, row = ext.events[14], ext.X.take([14])
 print(f"\n{sid} response #15, question {event.question_id}, "
       f"correct={event.correct}")
 for fam, offset, size in encoder.blocks:

@@ -28,11 +28,11 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ktrace import regression, specialize
 from ktrace.core import ConfigError, FoldAssignment
 from ktrace.evaluate import FoldPrediction, PlainSpec, auc, fit_once, predict_once
+from ktrace.features import Csr
 from ktrace.ingest import Dataset
 from ktrace.regression import Model, TrainConfig, read_fit, write_fit
 
@@ -54,10 +54,10 @@ def _split_meta_students(student_ids: tuple[str, ...], seed: int) -> tuple[tuple
     return base, meta
 
 
-def _meta_inputs(columns: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """A bias column and the base columns, as the CSR matrix `sp.csr_matrix`
-    makes of them (exact zeros dropped), built from its arrays directly:
-    the dense conversion cost more than a small meta fit."""
+def _meta_inputs(columns: Sequence[np.ndarray]) -> Csr:
+    """A bias column and the base columns, as the CSR arrays scipy's
+    `csr_matrix` makes of them (exact zeros dropped), built directly: the
+    dense conversion cost more than a small meta fit."""
     dense = np.column_stack([np.ones_like(columns[0]), *columns])
     n, k = dense.shape
     keep = (dense != 0).ravel()
@@ -65,7 +65,7 @@ def _meta_inputs(columns: Sequence[np.ndarray]) -> sp.csr_matrix:
     indptr[0] = 0
     indptr[1:] = np.cumsum(keep, dtype=np.int32)[k - 1 :: k]
     indices = np.tile(np.arange(k, dtype=np.int32), n)[keep]
-    return sp.csr_matrix((dense.ravel()[keep], indices, indptr), shape=(n, k))
+    return Csr(indptr, indices, dense.ravel()[keep], (n, k))
 
 
 def _base_predictions(

@@ -207,25 +207,6 @@ class MetricsReport:
     def to_canonical_json(self) -> str:
         return canonical_json(self.to_json())
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "MetricsReport":
-        roc = obj.get("roc")
-        return cls(
-            spec=obj["spec"],
-            dataset=obj["dataset"],
-            k=int(obj["k"]),
-            seed=int(obj["seed"]),
-            config=dict(obj["config"]),
-            per_fold=[dict(r) for r in obj["per_fold"]],
-            acc_mean=float(obj["acc_mean"]),
-            auc_mean=float(obj["auc_mean"]),
-            acc_var=float(obj["acc_var"]),
-            auc_var=float(obj["auc_var"]),
-            buckets=[dict(b) for b in obj["buckets"]],
-            roc=[(float(x), float(y)) for x, y in roc] if roc is not None else None,
-            extra=dict(obj.get("extra", {})),
-        )
-
 
 def interval_label(lo: float, hi: float) -> str:
     """Name of the response-index interval [lo, hi), e.g. "10-50" or "500-inf"."""

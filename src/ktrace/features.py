@@ -42,7 +42,9 @@ maps their columns through the encoder's table, global column ->
 encoder column (block offset + vocabulary index * slots + slot), which
 keeps each row ordered, dropping keys the fold's vocabulary lacks, and
 computes the smoothed average from stored correct/attempt counts and
-the fold's rbar.
+the fold's rbar.  Every matrix, the store's and each fold's design, is
+a `Csr`: the CSR arrays alone, which the trainer's kernels read, with
+no scipy matrix object around them.
 One prediction's features are a row of a one-student `build_matrix`.
 
 Counts and time values pass through scale() = ln(1+x), array counts
@@ -58,7 +60,8 @@ of the student's responses.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -66,7 +69,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from ktrace.core import (
@@ -274,10 +276,11 @@ def fit_encoders(dataset: Dataset, student_ids: Iterable[str], recipe: Recipe) -
     rows, walked = dataset.feature_rows.rows(student_ids, recipe)
     if not len(rows):
         raise ConfigError("cannot fit encoders: no question responses in training data")
-    in_rows = np.zeros(len(walked.frame.events), dtype=bool)
+    X = walked.X
+    in_rows = np.zeros(X.shape[0], dtype=bool)
     in_rows[rows] = True
-    used = np.zeros(walked.dim, dtype=bool)
-    used[walked.indices[np.repeat(in_rows, np.diff(walked.indptr))]] = True
+    used = np.zeros(X.shape[1], dtype=bool)
+    used[X.indices[np.repeat(in_rows, np.diff(X.indptr))]] = True
     hit = {d: np.full(len(keys), d == "graph_node") for d, keys in walked.keys.items()}  # every graph node
     for (_, g, size), domain, slots in zip(walked.blocks, walked.layout.domains, walked.layout.slots):
         if domain is not None:
@@ -875,6 +878,44 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# CSR arrays
+
+class Csr(NamedTuple):
+    """A CSR matrix as its arrays, the one form a design takes from the row
+    store to the trainer: row i holds values data[indptr[i] : indptr[i + 1]]
+    in columns indices[indptr[i] : indptr[i + 1]].  indptr and indices
+    share one integer dtype, as scipy's CSR kernels (`_sparsetools`)
+    need, and data is float64.  No scipy matrix object is built around
+    them: its constructor validates the arrays, at 20-30 µs a call, and
+    the kernels that read them take the arrays alone."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def take(self, rows) -> "Csr":
+        """The given rows, in order and repeats included: the arrays of
+        scipy's `X[rows]`, copied by its row-index kernel
+        (`_sparsetools.csr_row_index`), in this matrix's dtypes."""
+        rows = np.asarray(rows)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            # the kernel reads indptr[rows] unchecked
+            raise IndexError(f"rows must be in [0, {self.shape[0]})")
+        rows = rows.astype(self.indptr.dtype, copy=False)
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=self.indices.dtype)
+        data = np.empty(indptr[-1], dtype=self.data.dtype)
+        _sparsetools.csr_row_index(len(rows), rows, self.indptr, self.indices, self.data, indices, data)
+        return Csr(indptr, indices, data, (len(rows), self.shape[1]))
+
+
+# ---------------------------------------------------------------------------
 # The row store
 
 class _Frame(NamedTuple):
@@ -929,29 +970,34 @@ class _Matrix:
     layout: _Layout
     keys: dict[str, list[str]]
     blocks: tuple[tuple[FeatureFamily, int, int], ...]
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    X: Csr
     frame: _Frame
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR (indptr, indices, data) of the given rows, copied by scipy's
-        row-index kernel (`_sparsetools.csr_row_index`)."""
-        rows = rows.astype(self.indptr.dtype)
-        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
-        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=self.indices.dtype)
-        data = np.empty(indptr[-1], dtype=np.float64)
-        _sparsetools.csr_row_index(len(rows), rows, self.indptr, self.indices, self.data, indices, data)
-        return indptr, indices, data
+    # per encoder, by identity: a weak reference to it and its column table
+    _tables: dict[int, tuple[weakref.ref, np.ndarray]] = field(default_factory=dict, compare=False, repr=False)
 
     def columns_of(self, encoder: Encoder) -> np.ndarray:
+        """The encoder's column table (`_column_table`), computed once per
+        encoder while it lives: a fit's training and prediction matrices
+        share their encoder, so the second reuses the first's table.  The
+        table is kept by the encoder's identity, so an equal encoder that
+        is another object computes its own, and an entry leaves when its
+        encoder is freed.  Folds in threads may both compute one encoder's
+        table and both store it; either is that encoder's."""
+        key = id(encoder)
+        hit = self._tables.get(key)
+        if hit is not None and hit[0]() is encoder:
+            return hit[1]
+        table = self._column_table(encoder)
+        tables = self._tables
+        tables[key] = (weakref.ref(encoder, lambda _: tables.pop(key, None)), table)
+        return table
+
+    def _column_table(self, encoder: Encoder) -> np.ndarray:
         """Per global column, the encoder's column, or -1 where the
         encoder's vocabulary lacks the key.  Vocabularies index their keys
         in sorted order, so the table increases where it is not -1 and
         keeps every row ordered."""
-        table = np.empty(self.dim, dtype=self.indices.dtype)
+        table = np.empty(self.X.shape[1], dtype=self.X.indices.dtype)
         layout = self.layout
         for (_, g, size), (_, off, _), domain, slots in zip(self.blocks, encoder.blocks, layout.domains, layout.slots):
             slot = np.arange(slots)
@@ -1003,15 +1049,16 @@ class RowStore:
     stacking split of a dataset shares them.  The store is built from the
     dataset's students, manifest, KC graph and squash map (`ingest.Dataset`
     makes it and is frozen, so they never change under it).  A recipe's
-    first call codes each vocabulary domain's keys in sorted order, then
-    walks every student, in sorted-id order and in runs of whole students
-    holding at most _WALK_RESPONSES responses (a longer student runs
-    alone), which bounds the walk's temporaries; each run's entries land
-    once in their global columns of one dataset-wide CSR matrix
-    (`_Matrix`), and later calls walk nothing.  Each row's response,
-    label, t and the student's correct and attempt counts before it are
-    kept once for every recipe (`_Frame`).  Filling is under a lock, so
-    folds running in threads walk each student once.
+    first call checks that the dataset supports it and codes each
+    vocabulary domain's keys in sorted order (each domain's keys are found
+    once per dataset), then walks every student, in sorted-id order and in
+    runs of whole students holding at most _WALK_RESPONSES responses (a
+    longer student runs alone), which bounds the walk's temporaries; each
+    run's entries land once in their global columns of one dataset-wide
+    CSR matrix (`_Matrix`), and later calls check and walk nothing.  Each
+    row's response, label, t and the student's correct and attempt counts
+    before it are kept once for every recipe (`_Frame`).  Filling is under
+    a lock, so folds running in threads walk each student once.
     """
 
     def __init__(
@@ -1027,6 +1074,7 @@ class RowStore:
         self.squash_map = squash_map
         self._lock = threading.Lock()
         self._frame: _Frame | None = None
+        self._keys: dict[str, list[str]] = {}
         self._matrices: dict[tuple[FeatureFamily, ...], _Matrix] = {}
         self.students_walked = 0
         self.rows_walked = 0
@@ -1043,10 +1091,10 @@ class RowStore:
         """The rows of the given students in sorted-id order, and the
         recipe's matrix they index.  A recipe the dataset cannot serve is
         a ConfigError before any walk."""
-        check_recipe_supported(recipe, self.manifest, self.kc_graph)
         with self._lock:
             matrix = self._matrices.get(recipe.families)
-            if matrix is None:  # kept only once every run is walked, so a failed walk fails again
+            if matrix is None:  # kept only once checked and every run is walked, so a failure fails again
+                check_recipe_supported(recipe, self.manifest, self.kc_graph)
                 matrix = self._matrices[recipe.families] = self._fill(recipe)
                 self.students_walked += len(matrix.frame.span)
                 self.rows_walked += len(matrix.frame.events)
@@ -1058,7 +1106,10 @@ class RowStore:
         if self._frame is None:
             self._frame = _Frame.of(self.students)
         frame = self._frame
-        keys = {d: frame.keys(d, self.kc_graph) for d in recipe._layout.domains if d is not None}
+        for d in recipe._layout.domains:
+            if d is not None and d not in self._keys:
+                self._keys[d] = frame.keys(d, self.kc_graph)
+        keys = {d: self._keys[d] for d in recipe._layout.domains if d is not None}
         codes = {d: _Codes((k, i) for i, k in enumerate(ks)) for d, ks in keys.items()}
         blocks, dim = _blocks(recipe, codes)
         runs = [
@@ -1076,7 +1127,7 @@ class RowStore:
             _, col, value = runs.pop(0)
             indices[at : at + len(col)], data[at : at + len(col)] = col, value
             at += len(col)
-        return _Matrix(recipe._layout, keys, blocks, dim, indptr, indices, data, frame)
+        return _Matrix(recipe._layout, keys, blocks, Csr(indptr, indices, data, (len(frame.events), dim)), frame)
 
 
 # Responses walked at a time, unless one student holds more.  This bounds the
@@ -1102,29 +1153,39 @@ def _runs(span: Mapping[str, tuple[int, int]]) -> Iterator[list[str]]:
 
 @dataclass
 class ExtractResult:
-    """Stacked training examples for one encoder."""
+    """Stacked training examples for one encoder: the design X, each row's
+    label y and t, and each row's index in `responses` (the dataset's
+    responses, shared, not copied), from which `events` is listed only
+    when read."""
 
-    X: sp.csr_matrix
+    X: Csr
     y: np.ndarray
     t: np.ndarray
-    events: list[InteractionEvent]
+    rows: np.ndarray
+    responses: Sequence[InteractionEvent]
+
+    @cached_property
+    def events(self) -> list[InteractionEvent]:
+        """Each row's response, listed on first read."""
+        return [self.responses[r] for r in self.rows.tolist()]
 
 
 def build_matrix(dataset: Dataset, student_ids: Iterable[str], encoder: Encoder) -> ExtractResult:
     """Extract features for every response of the dataset's students
-    `student_ids`, in sorted-id order.
+    `student_ids`, in sorted-id order, as a `Csr` design.
 
     The students' rows of the dataset-wide matrix of the encoder's recipe
-    (the RowStore walks each student once per recipe) are gathered, and
-    their columns mapped through the encoder's table
-    (`_Matrix.columns_of`), which keeps each row ordered; the smoothed
-    average is recomputed from the rows' stored counts and the encoder's
-    rbar, and zero values and keys the encoder's vocabulary lacks are
-    dropped.
+    (the RowStore walks each student once per recipe) are gathered
+    (`Csr.take`), and their columns mapped through the encoder's table
+    (`_Matrix.columns_of`, computed once per encoder), which keeps each
+    row ordered; the smoothed average is recomputed from the rows' stored
+    counts and the encoder's rbar, and zero values and keys the encoder's
+    vocabulary lacks are dropped.  A column repeated within a row (a
+    response listing one KC twice) is a ValueError.
     """
     rows, walked = dataset.feature_rows.rows(student_ids, encoder.recipe)
     frame = walked.frame
-    indptr, col, data = walked.gather(rows)
+    indptr, col, data, _ = walked.X.take(rows)
     smoothed = walked.layout.smoothed
     if smoothed is not None:  # its block's one column holds a placeholder in every row
         at = col == walked.blocks[smoothed][1]
@@ -1134,13 +1195,13 @@ def build_matrix(dataset: Dataset, student_ids: Iterable[str], encoder: Encoder)
     if not keep.all():
         kept = np.zeros(len(keep) + 1, dtype=np.int64)  # entries kept before each one
         np.cumsum(keep, out=kept[1:])
-        indptr, col, data = kept[indptr], col[keep], data[keep]
-    X = sp.csr_matrix((data, col, indptr), shape=(len(rows), encoder.dim))
-    if not X.has_canonical_format:  # rows are ordered, so a column repeats
+        indptr, col, data = kept[indptr].astype(col.dtype), col[keep], data[keep]
+    # rows are ordered, so a repeated column is an entry not above the one
+    # before it, unless that one ends the previous row
+    repeated = col[1:] <= col[:-1]
+    starts = indptr[1:-1]
+    repeated[starts[(starts > 0) & (starts < len(col))] - 1] = False
+    if repeated.any():
         raise ValueError("duplicate feature index")
-    return ExtractResult(
-        X=X,
-        y=frame.y[rows],
-        t=frame.t[rows],
-        events=[frame.events[r] for r in rows.tolist()],
-    )
+    return ExtractResult(Csr(indptr, col, data, (len(rows), encoder.dim)), frame.y[rows], frame.t[rows], rows,
+                         frame.events)

@@ -23,7 +23,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import attrgetter, is_
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class Dataset:
         return sum(
             1 for evs in self.students.values() for e in evs if e.is_response()
         )
-
-    def subset(self, student_ids: Iterable[str]) -> "Dataset":
-        keep = {s: self.students[s] for s in sorted(student_ids)}
-        return replace(self, students=keep)
 
 
 # Records parsed at a time; bounds the memory a chunk's rows and columns take.

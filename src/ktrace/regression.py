@@ -46,7 +46,12 @@ calls scipy's CSR kernel, ``_sparsetools.csr_matvec``, directly
 Python-level dispatch of ``X @ v`` cost about a third of fit time, more
 than the products themselves.  ``X @ v`` ends in the same kernel call,
 so results are bit-identical; ``tests/test_regression.py`` pins this
-private import against ``@``.
+private import against ``@``.  The trainer therefore holds X and X^T
+as `features.Csr`, the CSR arrays alone: a design from `build_matrix`
+passes through `_as_csr` as it is, and only a scipy or dense matrix
+handed to `fit` or `predict_proba_batch` is converted, there.  A scipy
+matrix object adds nothing the kernels read, and its constructor
+validates the arrays at 20-30 µs a call.
 
 A fold's fit is stored as one document, ``fit.json``:
 ``{"spec": spec.to_json(), "fit": fitted.to_json()}`` (`write_fit`,
@@ -74,7 +79,7 @@ from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from ktrace.core import ConfigError, canonical_json
-from ktrace.features import Encoder
+from ktrace.features import Csr, Encoder
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -113,14 +118,20 @@ class TrainConfig:
         return cls(**obj)
 
 
-def _as_csr(X) -> sp.csr_matrix:
-    """X as float64 CSR, the only layout `_matvec` takes."""
+def _as_csr(X) -> Csr:
+    """X as a float64 `Csr`, the only layout `_matvec` takes: a `Csr`
+    passes through, and a scipy sparse or dense matrix is converted here,
+    at the public boundary of `fit` and `predict_proba_batch`."""
+    if isinstance(X, Csr):
+        return X
     if sp.issparse(X):
-        return X.tocsr().astype(np.float64, copy=False)
-    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
+        X = X.tocsr().astype(np.float64, copy=False)
+    else:
+        X = sp.csr_matrix(np.asarray(X, dtype=np.float64))
+    return Csr(X.indptr, X.indices, X.data, X.shape)
 
 
-def _matvec(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+def _matvec(A: Csr, v: np.ndarray) -> np.ndarray:
     """A v for float64 CSR `A`: the kernel call `A @ v` makes, without its dispatch."""
     M, N = A.shape
     if v.shape != (N,):
@@ -131,7 +142,7 @@ def _matvec(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transpose(X: sp.csr_matrix) -> sp.csr_matrix:
+def _transpose(X: Csr) -> Csr:
     """X^T as CSR: X's CSC arrays from the kernel `X.T.tocsr()` ends in,
     without the CSC view and conversion dispatch around it."""
     M, N = X.shape
@@ -139,7 +150,7 @@ def _transpose(X: sp.csr_matrix) -> sp.csr_matrix:
     indices = np.empty(X.nnz, dtype=X.indices.dtype)
     data = np.empty(X.nnz, dtype=X.data.dtype)
     _sparsetools.csr_tocsc(M, N, X.indptr, X.indices, X.data, indptr, indices, data)
-    return sp.csr_matrix((data, indices, indptr), shape=(N, M))
+    return Csr(indptr, indices, data, (N, M))
 
 
 def reg_mask_for(encoder: Encoder) -> np.ndarray:
@@ -152,7 +163,7 @@ def reg_mask_for(encoder: Encoder) -> np.ndarray:
 
 
 def _objective(
-    weights: np.ndarray, X: sp.csr_matrix, y: np.ndarray, l2: float, reg_mask: np.ndarray | None,
+    weights: np.ndarray, X: Csr, y: np.ndarray, l2: float, reg_mask: np.ndarray | None,
     center: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """J(w) together with the margins z = X w and the penalized offset
@@ -243,7 +254,7 @@ _FLOAT_FLOOR = 1e-12
 _DIRECT_MAX_DIM = 64
 
 
-def _hessian_product(X: sp.csr_matrix, Xt: sp.csr_matrix, d: np.ndarray, penalty: np.ndarray,
+def _hessian_product(X: Csr, Xt: Csr, d: np.ndarray, penalty: np.ndarray,
                      v: np.ndarray) -> np.ndarray:
     """H v = X^T (D (X v)) + penalty * v, with D = p (1 - p) at the weights
     H is taken at and `penalty` = l2 * mask; `Xt` is X^T as CSR."""
@@ -295,7 +306,7 @@ def _truncated_cg(hessp, g: np.ndarray, delta: float) -> tuple[np.ndarray, np.nd
     return s, r, False
 
 
-def _hessian_former(X: sp.csr_matrix, Xt: sp.csr_matrix, penalty: np.ndarray):
+def _hessian_former(X: Csr, Xt: Csr, penalty: np.ndarray):
     """The function of D = p (1 - p) giving the dense H = X^T D X + diag(penalty),
     formed by scipy's CSR product kernel from X's arrays without a dense copy
     of X; `Xt` is X^T as CSR."""
@@ -369,7 +380,7 @@ def _step(g: np.ndarray, delta: float, hessp, system) -> tuple[np.ndarray, np.nd
 
 
 def _trust_region_newton(
-    X: sp.csr_matrix, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None,
+    X: Csr, y: np.ndarray, w: np.ndarray, config: TrainConfig, reg_mask: np.ndarray | None,
     center: np.ndarray | None,
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
     """TRON (Lin, Weng and Keerthi 2008) from `w`: (weights, J, gradient, trials).

@@ -204,7 +204,7 @@ def fit_partitioned(
     single_class: list[str] = []
     for key, rows in groups.items():
         yk = ext.y[rows]
-        models[key] = regression.fit(ext.X[rows], yk, config, reg_mask=np.ones(encoder.dim), init=center,
+        models[key] = regression.fit(ext.X.take(rows), yk, config, reg_mask=np.ones(encoder.dim), init=center,
                                      center=center)
         if yk.min() == yk.max():
             single_class.append(key)
@@ -220,9 +220,9 @@ def fit_partitioned(
 def predict_routed_batch(pm: PartitionedModel, ext: features.ExtractResult, scheme: Scheme) -> np.ndarray:
     """Probabilities for an extracted matrix, in row order, each row's
     from the model of its partition under `scheme` (the one `pm` was fit with)."""
-    out = np.zeros(len(ext.events), dtype=np.float64)
+    out = np.zeros(len(ext.y), dtype=np.float64)
     for key, rows in _rows_by_partition(*scheme.keys(ext)).items():
-        out[rows] = regression.predict_proba_batch(pm.models.get(key, pm.fallback), ext.X[rows])
+        out[rows] = regression.predict_proba_batch(pm.models.get(key, pm.fallback), ext.X.take(rows))
     return out
 
 

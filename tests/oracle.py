@@ -36,9 +36,16 @@ integrate ROC points for tests; the library itself needs neither.
 `assign_partition` is the per-row partition label that the schemes'
 vectorized `keys` replaced; grouping rows by it must give the groups
 `specialize._rows_by_partition` builds from `keys`.
+
+`scipy_csr` turns a `features.Csr` design into the scipy matrix of its
+arrays, for tests that slice, densify or multiply one with scipy's own
+operations.  `subset` (a dataset of some of a dataset's students) and
+`metrics_report_from_json` (a `MetricsReport` read back from its JSON)
+serve only tests, so they live here rather than in the library.
 """
 
 import csv
+import dataclasses
 import math
 import time
 from bisect import bisect_right
@@ -60,8 +67,8 @@ from ktrace.core import (
     SequencingError,
     scale,
 )
-from ktrace.evaluate import interval_label
-from ktrace.features import ETA, N_RECENT, WINDOWS_S
+from ktrace.evaluate import MetricsReport, interval_label
+from ktrace.features import ETA, N_RECENT, WINDOWS_S, Csr
 from ktrace.ingest import CANONICAL_COLUMNS, Dataset
 from ktrace.regression import (
     TrainConfig, TrainingDivergenceError, _as_csr, _gradient, _objective, _transpose, reg_mask_for,
@@ -347,7 +354,7 @@ def expected_family(fam, encoder, prefix, resp, event, graph=None, squash_map=No
 
 
 def compare_vector(encoder, row, prefix, event, graph=None, squash_map=None, tol=1e-12):
-    """Compare one CSR row (its `indices` and `data`, e.g. `X[r]` of a
+    """Compare one CSR row (its `indices` and `data`, e.g. `X.take([r])` of a
     build_matrix result) with the brute-force features of `event` after
     `prefix`; returns a list of mismatch strings."""
     indices, data = np.asarray(row.indices), np.asarray(row.data)
@@ -368,6 +375,31 @@ def compare_vector(encoder, row, prefix, event, graph=None, squash_map=None, tol
             if abs(got[i] - v) > tol:
                 problems.append(f"{fam.name}[{i}]: {got[i]!r} != {v!r}")
     return problems
+
+
+def subset(dataset, student_ids):
+    """The dataset of the given students alone: a new Dataset, so with a row store of its own."""
+    return dataclasses.replace(dataset, students={s: dataset.students[s] for s in sorted(student_ids)})
+
+
+def metrics_report_from_json(obj):
+    """The MetricsReport whose `to_json` is `obj`."""
+    roc = obj.get("roc")
+    return MetricsReport(
+        spec=obj["spec"],
+        dataset=obj["dataset"],
+        k=int(obj["k"]),
+        seed=int(obj["seed"]),
+        config=dict(obj["config"]),
+        per_fold=[dict(r) for r in obj["per_fold"]],
+        acc_mean=float(obj["acc_mean"]),
+        auc_mean=float(obj["auc_mean"]),
+        acc_var=float(obj["acc_var"]),
+        auc_var=float(obj["auc_var"]),
+        buckets=[dict(b) for b in obj["buckets"]],
+        roc=[(float(x), float(y)) for x, y in roc] if roc is not None else None,
+        extra=dict(obj.get("extra", {})),
+    )
 
 
 def offset_of(encoder, name):
@@ -458,8 +490,18 @@ def nll_and_gradient(weights, X, y, l2=0.0, reg_mask=None):
         return value, _gradient(_transpose(X), y, expit(z), w_reg, l2)
 
 
+def scipy_csr(X):
+    """X as a float64 scipy CSR matrix: a `features.Csr` design over its
+    own arrays, anything else by scipy's conversion.  Tests that slice,
+    densify or multiply a design, and the references that check the
+    trainer with scipy's own products, take it through here."""
+    if isinstance(X, Csr):
+        return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+    return sp.csr_matrix(X, dtype=np.float64)
+
+
 def _reference_nll(weights, X, y, l2=0.0, reg_mask=None):
-    X = _as_csr(X)
+    X = scipy_csr(X)
     with np.errstate(over="ignore", invalid="ignore"):
         z = X @ weights
         data = float(np.sum(np.logaddexp(0.0, z) - y * z))
@@ -470,7 +512,7 @@ def _reference_nll(weights, X, y, l2=0.0, reg_mask=None):
 
 
 def _reference_nll_and_gradient(weights, X, y, l2=0.0, reg_mask=None):
-    X = _as_csr(X)
+    X = scipy_csr(X)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         z = X @ weights
@@ -494,7 +536,7 @@ def reference_fit(X, y, config=TrainConfig(), reg_mask=None, encoder=None, init=
     Uses `config.l2` and at most `config.max_epochs` accepted steps; stops
     when the relative improvement drops below GD_TOL or no halving helps.
     """
-    X = _as_csr(X)
+    X = scipy_csr(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != len(y):
         raise ConfigError(f"X has {X.shape[0]} rows but y has {len(y)} labels")

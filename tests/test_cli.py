@@ -7,8 +7,9 @@ import re
 from pathlib import Path
 
 import pytest
+from scipy.sparse import _base as sparse_base
 
-from ktrace import evaluate, regression
+from ktrace import evaluate, features, regression
 from ktrace.cli import CONFIG_KEYS, build_parser, main
 from ktrace.combine import CombinedSpec, _split_meta_students
 from ktrace.evaluate import PlainSpec
@@ -492,6 +493,37 @@ def test_train_eval_select_bases_fold_0_refits_nothing(prepared, tmp_path, monke
     assert 0 in miss_fits
     assert "report.json" in memo_files and any(name.startswith("models/fold-0/") for name in memo_files)
     assert miss_files == memo_files
+
+
+def test_train_eval_builds_no_scipy_matrix_and_one_column_table_per_encoder(prepared, tmp_path, monkeypatch):
+    """Fold designs stay `features.Csr` arrays from the row store to the
+    trainer: a stacked run with base selection and a partitioned run
+    construct no scipy sparse matrix (counted at scipy's base constructor
+    while ktrace runs), and their reports and model files equal those of
+    runs whose column-table cache always misses."""
+    made = []
+    construct = sparse_base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        construct(self, *args, **kwargs)
+
+    def train_eval(name, argv):
+        out = tmp_path / name
+        assert run_cli("train-eval", "--data", prepared, *argv, "--out", out) == 0
+        return {str(f.relative_to(out)): f.read_bytes()
+                for f in sorted(out.rglob("*")) if f.is_file() and f.name != "run_manifest.json"}
+
+    runs = {"stacked": ("--combine", "irt+pfa", "--select-bases"),
+            "partitioned": ("--recipe", "irt", "--partition", "response-index")}
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse_base._spbase, "__init__", counting)
+        cached = {name: train_eval(name, argv) for name, argv in runs.items()}
+    assert made == []
+    monkeypatch.setattr(features._Matrix, "columns_of", features._Matrix._column_table)
+    for name, argv in runs.items():
+        assert "report.json" in cached[name] and any(f.startswith("models/fold-0/") for f in cached[name])
+        assert train_eval(f"{name}-miss", argv) == cached[name], name
 
 
 def test_train_eval_unknown_recipe_fails(prepared, capsys):

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import response, toy_dataset
-from oracle import modal_successor_oracle, pairwise_auc, reference_roc_curve, trapezoid_area
+from oracle import (
+    metrics_report_from_json, modal_successor_oracle, pairwise_auc, reference_roc_curve, trapezoid_area,
+)
 
 from ktrace import features
 from ktrace.core import ConfigError, FoldAssignment
 from ktrace.evaluate import (
     DEFAULT_SPLITPOINTS,
     FoldPrediction,
-    MetricsReport,
     PlainSpec,
     UndefinedMetricError,
     accuracy,
@@ -288,7 +289,7 @@ def test_cross_validate_never_touches_test_students(monkeypatch):
 def test_metrics_report_roundtrip():
     ds = _cv_dataset(10, 6)
     report = cross_validate(ds, ConstantSpec(), k=2, seed=5, include_roc=True)
-    again = MetricsReport.from_json(report.to_json())
+    again = metrics_report_from_json(report.to_json())
     assert again.to_canonical_json() == report.to_canonical_json()
     assert report.roc is not None and trapezoid_area(report.roc) == pytest.approx(0.5)
 

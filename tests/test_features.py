@@ -6,9 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import response
-from oracle import ResponseLog, compare_vector, offset_of, pattern_block, reference_build_matrix
+from oracle import (
+    ResponseLog, compare_vector, offset_of, pattern_block, reference_build_matrix, scipy_csr, subset,
+)
 
 from ktrace import features, regression
 from ktrace.core import (
@@ -25,6 +29,7 @@ from ktrace.features import (
     _KINDS,
     _SCOPES,
     ETA,
+    Csr,
     F,
     FeatureFamily,
     Recipe,
@@ -186,7 +191,7 @@ def test_fit_encoders_drops_keys_no_training_row_counts():
         ext = build_matrix(ds, train, e)
         model = regression.fit(ext.X, ext.y, regression.TrainConfig(), encoder=e)
         probs.append(regression.predict_proba_batch(model, build_matrix(ds, test, e).X))
-    assert build_matrix(ds, test, kept).X[:, 3:].nnz > 0  # the dropped columns fire at test time
+    assert scipy_csr(build_matrix(ds, test, kept).X)[:, 3:].nnz > 0  # the dropped columns fire at test time
     np.testing.assert_allclose(probs[0], probs[1], rtol=0, atol=1e-12)
 
 
@@ -215,7 +220,7 @@ def test_encoder_json_roundtrip():
 
 def _row_pairs(ext, r):
     """(column, value) pairs of row r of a build_matrix result."""
-    row = ext.X[r]
+    row = ext.X.take([r])
     return list(zip(row.indices.tolist(), row.data.tolist()))
 
 
@@ -306,10 +311,10 @@ def test_no_leakage_perturbing_future_events():
     ds = Dataset(MINIMAL, {"s1": events})
     enc = fit_encoders(ds, ["s1"], recipe)
     cut = 12
-    baseline = build_matrix(ds, ["s1"], enc).X[:cut]
+    baseline = build_matrix(ds, ["s1"], enc).X.take(np.arange(cut))
     mutated = list(events)
     mutated[cut] = response("s1", events[cut].timestamp, "q0", ["k2"], not events[cut].correct)
-    perturbed = build_matrix(Dataset(MINIMAL, {"s1": mutated}), ["s1"], enc).X[:cut]
+    perturbed = build_matrix(Dataset(MINIMAL, {"s1": mutated}), ["s1"], enc).X.take(np.arange(cut))
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(baseline, name), getattr(perturbed, name)), name
 
@@ -324,7 +329,7 @@ def oracle_rows(students, enc, graph):
         at = [i for i, ev in enumerate(events) if ev.is_response()]
         assert X.shape[0] == len(at), sid
         for r, i in enumerate(at):
-            yield sid, i, compare_vector(enc, X[r], events[:i], events[i], graph=graph)
+            yield sid, i, compare_vector(enc, X.take([r]), events[:i], events[i], graph=graph)
 
 
 def test_incremental_matches_bruteforce_small(rng):
@@ -598,7 +603,7 @@ def test_build_matrix_shapes():
 def _extraction_mismatch(res, ref) -> list[str]:
     """Differences between an ExtractResult and reference_build_matrix's (X, y, t, events)."""
     X, y, t, events = ref
-    problems = []
+    problems = [] if isinstance(res.X, Csr) else [f"X is a {type(res.X).__name__}, not a Csr"]
     if res.X.shape != X.shape:
         problems.append(f"shape {res.X.shape} != {X.shape}")
     for name in ("indptr", "indices", "data"):
@@ -709,6 +714,95 @@ def test_build_matrix_refuses_a_vocabulary_out_of_key_order():
     reversed_vocab = dataclasses.replace(enc, vocabs={"question": {k: i for i, k in enumerate(keys)}})
     with pytest.raises(ValueError, match="not in the dataset's key order"):
         build_matrix(ds, ["s1"], reversed_vocab)
+
+
+@st.composite
+def _csr_and_rows(draw):
+    """A CSR matrix as its arrays (rows may be empty; int32 or int64
+    indices) and a selection of its rows: maybe empty, maybe repeating."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.tuples(st.integers(0, n_cols - 1), st.floats(-10, 10)), max_size=4))
+            for _ in range(n_rows)]
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    X = Csr(np.cumsum([0] + [len(row) for row in rows]).astype(dtype),
+            np.array([col for row in rows for col, _ in row], dtype=dtype),
+            np.array([value for row in rows for _, value in row], dtype=np.float64), (n_rows, n_cols))
+    take = draw(st.lists(st.integers(0, n_rows - 1), max_size=8)) if n_rows else []
+    return X, np.array(take, dtype=draw(st.sampled_from([np.int32, np.int64])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_csr_and_rows())
+def test_csr_take_is_scipys_row_selection(case):
+    """`Csr.take` copies the arrays scipy's `X[rows]` holds, in X's own
+    dtypes (scipy's constructor may narrow int64 to int32)."""
+    X, rows = case
+    got, want = X.take(rows), scipy_csr(X)[rows]
+    assert got.shape == want.shape and got.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(X, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.data.tobytes() == want.data.tobytes()
+    for bad in ([-1], [X.shape[0]]):
+        with pytest.raises(IndexError):
+            X.take(bad)
+
+
+def test_build_matrix_refuses_a_repeated_column():
+    """A response listing one KC twice puts two entries in one `kc` column:
+    a ValueError, wherever the row sits.  A row's first column may repeat
+    the previous row's last, and the same responses listed once pass."""
+    for at in (0, 1, 3):
+        events = [response("s1", 10 * j, f"q{j}", ["k0", "k1"] if j == at else ["k1"], j % 2 == 0)
+                  for j in range(4)]
+        once = Dataset(MINIMAL, {"s1": events})
+        recipe = Recipe(families=(F("bias"), F("kc"), F("question")))
+        enc = fit_encoders(once, ["s1"], recipe)
+        assert not _extraction_mismatch(build_matrix(once, ["s1"], enc), reference_build_matrix(once.students, enc))
+        twice = list(events)
+        twice[at] = response("s1", 10 * at, f"q{at}", ["k1", "k1"], at % 2 == 0)
+        with pytest.raises(ValueError, match="duplicate feature index"):
+            build_matrix(Dataset(MINIMAL, {"s1": twice}), ["s1"], enc)
+    # rows that each end in the column the next one starts with are not repeats
+    students = {f"s{i}": [response(f"s{i}", 10, "q0", ["k0"], True)] for i in range(3)}
+    ds = Dataset(MINIMAL, students)
+    enc = fit_encoders(ds, students, Recipe(families=(F("kc"),)))
+    assert build_matrix(ds, students, enc).X.indices.tolist() == [0, 0, 0]
+
+
+def test_build_matrix_computes_each_encoders_column_table_once(monkeypatch):
+    """A fit's training and prediction matrices share one encoder's table;
+    an equal encoder that is another object computes its own, which gives
+    the same matrix; a freed encoder's table leaves the cache."""
+    students = {f"s{i}": _events_one_student() for i in range(1, 4)}
+    for sid, events in students.items():
+        students[sid] = [e._replace(student_id=sid) for e in events]
+    ds = Dataset(MINIMAL, students)
+    recipe = Recipe(families=(F("bias"), F("question"), F("kc"), F("counts", "kc"), F("smoothed_avg_correct")))
+    computed = []
+    column_table = features._Matrix._column_table
+
+    def spy(matrix, encoder):
+        computed.append(encoder)
+        return column_table(matrix, encoder)
+
+    monkeypatch.setattr(features._Matrix, "_column_table", spy)
+    enc = fit_encoders(ds, ["s1", "s2"], recipe)
+    train = build_matrix(ds, ["s1", "s2"], enc)
+    test = build_matrix(ds, ["s3"], enc)
+    assert len(computed) == 1 and computed[0] is enc
+    equal = dataclasses.replace(enc)
+    assert equal == enc and equal is not enc
+    for ids, want in ((["s1", "s2"], train), (["s3"], test)):
+        got = build_matrix(ds, ids, equal)
+        assert not _extraction_mismatch(got, (want.X, want.y, want.t, want.events))
+        assert not _extraction_mismatch(got, reference_build_matrix({s: students[s] for s in ids}, equal))
+    assert len(computed) == 2 and computed[1] is equal
+    tables = ds.feature_rows.rows([], recipe)[1]._tables
+    assert len(tables) == 2
+    computed.clear()
+    del equal
+    assert len(tables) == 1
 
 
 def test_build_matrix_reference_check_catches_a_wrong_slot(rng, monkeypatch):
@@ -1145,6 +1239,29 @@ def test_row_store_walks_in_bounded_runs(rng, monkeypatch, limit):
         assert not _extraction_mismatch(res, reference_build_matrix(ds.students, enc, kc_graph=_STORE_GRAPH))
 
 
+def test_row_store_checks_a_recipe_and_finds_each_domains_keys_once(monkeypatch):
+    """A recipe is checked on its first request only, unless that request
+    failed; a vocabulary domain's sorted keys are found once per dataset,
+    however many recipes and blocks read the domain."""
+    checked, found = [], []
+    check, keys = features.check_recipe_supported, features._Frame.keys
+    monkeypatch.setattr(features, "check_recipe_supported", lambda recipe, *args: (checked.append(recipe),
+                                                                                  check(recipe, *args)))
+    monkeypatch.setattr(features._Frame, "keys", lambda frame, domain, graph: (found.append(domain),
+                                                                               keys(frame, domain, graph))[1])
+    ds = Dataset(MINIMAL, {"s1": _events_one_student()})
+    recipes = (Recipe(families=(F("bias"), F("kc"), F("counts", "kc"))),
+               Recipe(families=(F("question"), F("kc"), F("tw_counts", "kc"))))
+    for recipe in recipes * 2:
+        build_matrix(ds, ["s1"], fit_encoders(ds, ["s1"], recipe))
+    assert checked == list(recipes) and sorted(found) == ["kc", "question"]
+    unsupported = Recipe(families=(F("bias"), F("study_module")))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="study_module"):
+            fit_encoders(ds, ["s1"], unsupported)
+    assert checked == [*recipes, unsupported, unsupported]
+
+
 def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
     prefix_only = Recipe(families=(F("bias"), F("counts", "total")))
     for recipe, walks in _walk_recipes(monkeypatch, prefix_only):
@@ -1153,7 +1270,7 @@ def test_row_store_is_not_shared_with_derived_datasets(rng, monkeypatch):
         build_matrix(ds, ds.students, enc)
         walks.batches.clear()
         lagged = derive_lag_times(ds)
-        part = ds.subset(sorted(ds.students)[:3])
+        part = subset(ds, sorted(ds.students)[:3])
         assert lagged.feature_rows is not ds.feature_rows and part.feature_rows is not ds.feature_rows
         res = build_matrix(lagged, lagged.students, enc)
         assert walks.students == sorted(ds.students)
@@ -1173,16 +1290,19 @@ def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
         results: list = []
         errors: list = []
 
-        def worker():
+        # two equal encoders, each shared by two threads: their column tables are cached side by side
+        encoders = (enc, dataclasses.replace(enc))
+
+        def worker(encoder):
             try:
-                results.append(build_matrix(ds, ds.students, enc))
+                results.append(build_matrix(ds, ds.students, encoder))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
+            threads = [threading.Thread(target=worker, args=(encoders[i % 2],)) for i in range(4)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -1195,3 +1315,4 @@ def test_row_store_threads_walk_each_student_once(rng, monkeypatch):
         for res in results:
             assert not _extraction_mismatch(res, want)
         assert ds.feature_rows.counts()["rows_served"] == 4 * want[0].shape[0]
+        assert len(ds.feature_rows.rows([], recipe)[1]._tables) == 2

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
-from oracle import reference_load_events
+from oracle import reference_load_events, scipy_csr
 
 from ktrace import cli, ingest
 from ktrace.core import (
@@ -492,7 +492,7 @@ NO_LAG = len(LAG_CATEGORIES_MIN) + 1  # a lag_time block's column for "first res
 def _lag_blocks(events):
     """The walk's lag_time:current and lag_time:prior blocks, one dense row per response."""
     ds = Dataset(DatasetManifest.full("t"), {events[0].student_id: events})
-    X = build_matrix(ds, ds.students, fit_encoders(ds, ds.students, LAG_RECIPE)).X.toarray()
+    X = scipy_csr(build_matrix(ds, ds.students, fit_encoders(ds, ds.students, LAG_RECIPE)).X).toarray()
     width = X.shape[1] // 2
     return X[:, :width], X[:, width:]
 
@@ -644,7 +644,7 @@ def test_lag_features_from_raw_load_match_prepared(tmp_path):
     from_prepared = build_matrix(prepared, prepared.students, enc).X
     assert from_raw.shape == (24, enc.dim)
     assert np.all(np.diff(from_raw.indptr) > 0)  # every row has a lag (or the no-lag flag)
-    assert from_raw.shape == from_prepared.shape and (from_raw != from_prepared).nnz == 0
+    assert from_raw.shape == from_prepared.shape and (scipy_csr(from_raw) != scipy_csr(from_prepared)).nnz == 0
 
 
 def test_prepared_roundtrip(tmp_path):

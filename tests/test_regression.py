@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import response
-from oracle import nll, nll_and_gradient, offset_of, reference_fit
+from oracle import nll, nll_and_gradient, offset_of, reference_fit, scipy_csr
 
 from ktrace.combine import _meta_inputs
 from ktrace.core import ConfigError, DatasetManifest
-from ktrace.features import F, Recipe, build_matrix, fit_encoders
+from ktrace.features import Csr, F, Recipe, build_matrix, fit_encoders
 from ktrace.ingest import Dataset
 from ktrace import regression
 from ktrace.recipes import resolve
@@ -536,6 +536,7 @@ def test_direct_fit_bytes_do_not_depend_on_concurrent_fits(rng, monkeypatch):
 
 def _least_curvature(X, w, l2, mask):
     """The least eigenvalue of J's Hessian at w."""
+    X = scipy_csr(X)
     p = expit(X @ w)
     H = (X.T @ sp.diags(p * (1 - p)) @ X).toarray() + np.diag(l2 * mask)
     return float(np.linalg.eigvalsh(H)[0])
@@ -596,7 +597,7 @@ def test_direct_path_reaches_gtol_in_fewer_trials_on_a_partition_fit(monkeypatch
     assert enc.dim == 56 <= regression._DIRECT_MAX_DIM
     center = fit(ext.X, ext.y, TrainConfig(), encoder=enc).weights
     rows = np.flatnonzero((ext.t >= 100) & (ext.t < 200))
-    X, y, mask = ext.X[rows], ext.y[rows], np.ones(enc.dim)
+    X, y, mask = ext.X.take(rows), ext.y[rows], np.ones(enc.dim)
     assert X.shape == (800, 56)
     fits = {}
     for path, patch in _on_each_path(monkeypatch):
@@ -637,13 +638,15 @@ def test_matvec_is_bitwise_scipy_matmul(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=_raw_csr())
 def test_transpose_is_scipys_transpose(case):
-    """`_transpose` runs the kernel `X.T.tocsr()` ends in: the same arrays, dtypes included."""
+    """`_transpose` runs the kernel `X.T.tocsr()` ends in: the same arrays,
+    in X's own index dtype (scipy's constructor may narrow int64 to int32)."""
     A = case[0]
     got, want = regression._transpose(A), A.T.tocsr()
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(got, name).dtype == getattr(A, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_meta_inputs_are_scipys_csr_of_the_dense_columns(rng):
@@ -662,6 +665,24 @@ def test_meta_inputs_are_scipys_csr_of_the_dense_columns(rng):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def test_fit_on_a_csr_is_bitwise_its_fit_on_the_scipy_matrix(monkeypatch):
+    """`fit` and `predict_proba_batch` take a `Csr` design as it is and
+    convert a scipy matrix of the same arrays at their boundary: the same
+    weights, info and probabilities, on the direct path and the CG path."""
+    ds, _ = generate(GeneratorConfig(seed=7, n_students=16, n_questions=12, n_kcs=3,
+                                     responses_per_student=40))
+    for name in ("irt", "best-lr+"):
+        enc = fit_encoders(ds, ds.students, resolve(name, ds.manifest).recipe)
+        ext = build_matrix(ds, ds.students, enc)
+        assert isinstance(ext.X, Csr)
+        for path, _ in _on_each_path(monkeypatch):
+            got = fit(ext.X, ext.y, TrainConfig(), encoder=enc)
+            want = fit(scipy_csr(ext.X), ext.y, TrainConfig(), encoder=enc)
+            assert got.weights.tobytes() == want.weights.tobytes() and got.info == want.info, (name, path)
+            probs = predict_proba_batch(got, ext.X)
+            assert probs.tobytes() == predict_proba_batch(want, scipy_csr(ext.X)).tobytes(), (name, path)
+
+
 def test_fits_are_bitwise_those_of_scipy_matmul(monkeypatch):
     """A best-lr+ fit, a centered partition fit and a stacking meta fit give
     the same weights and info when every product goes through `A @ v`."""
@@ -674,12 +695,12 @@ def test_fits_are_bitwise_those_of_scipy_matmul(monkeypatch):
     def fits():
         plain = fit(ext.X, ext.y, TrainConfig(), encoder=enc)
         center = plain.weights
-        part = fit(ext.X[rows], ext.y[rows], TrainConfig(), reg_mask=np.ones(enc.dim), encoder=enc,
+        part = fit(ext.X.take(rows), ext.y[rows], TrainConfig(), reg_mask=np.ones(enc.dim), encoder=enc,
                    init=center, center=center)
         columns = [predict_proba_batch(m, ext.X) for m in (plain, part)]
         meta = fit(_meta_inputs(columns), ext.y, TrainConfig())
         return [(m.weights.tobytes(), m.info) for m in (plain, part, meta)]
 
     direct = fits()
-    monkeypatch.setattr(regression, "_matvec", lambda A, v: A @ v)
+    monkeypatch.setattr(regression, "_matvec", lambda A, v: scipy_csr(A) @ v)
     assert fits() == direct

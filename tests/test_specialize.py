@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import response, toy_dataset
-from oracle import assign_partition, nll, offset_of
+from oracle import assign_partition, nll, offset_of, scipy_csr
 
 from ktrace.core import ConfigError
 from ktrace.evaluate import PlainSpec, auc, cross_validate
-from ktrace.features import ExtractResult, build_matrix
+from ktrace.features import Csr, ExtractResult, build_matrix
 from ktrace.ingest import split_folds
 from ktrace.recipes import resolve
 from ktrace.regression import TrainConfig, fit, predict_proba_batch
@@ -32,8 +31,9 @@ from ktrace.synth import GeneratorConfig, generate
 def _ext(events, ts) -> ExtractResult:
     """An extract with no feature columns: schemes read only events and t."""
     n = len(events)
-    return ExtractResult(X=sp.csr_matrix((n, 0)), y=np.zeros(n), t=np.asarray(ts, dtype=np.int64),
-                         events=list(events))
+    X = Csr(np.zeros(n + 1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0), (n, 0))
+    return ExtractResult(X=X, y=np.zeros(n), t=np.asarray(ts, dtype=np.int64), rows=np.arange(n),
+                         responses=list(events))
 
 
 def _row_labels(scheme, events, ts) -> list[str]:
@@ -143,8 +143,8 @@ def test_fit_partitioned_beats_fallback_per_partition():
     ext = build_matrix(ds, ds.students, pm.encoder)
     for key, lo, hi in (("0-10", 0, 10), ("10-inf", 10, 10**9)):
         rows = np.asarray([i for i, t in enumerate(ext.t) if lo <= t < hi])
-        spec_nll = nll(pm.models[key].weights, ext.X[rows], ext.y[rows])
-        fall_nll = nll(pm.fallback.weights, ext.X[rows], ext.y[rows])
+        spec_nll = nll(pm.models[key].weights, ext.X.take(rows), ext.y[rows])
+        fall_nll = nll(pm.fallback.weights, ext.X.take(rows), ext.y[rows])
         assert spec_nll < fall_nll
 
 
@@ -232,11 +232,11 @@ def test_one_row_partition_stays_near_the_fallback():
     center = pm.fallback.weights.copy()
     off, size = offset_of(pm.encoder, "student")
     center[off : off + size] = 0.0
-    untouched = train.X[row].getnnz(axis=0) == 0
+    untouched = scipy_csr(train.X.take(row)).getnnz(axis=0) == 0
     assert np.array_equal(pm.models["rare"].weights[untouched], center[untouched])
     assert np.any(pm.fallback.weights[off : off + size])
     # without the shrinkage the one row's model is far from the fallback
-    alone = fit(train.X[row], train.y[row], TrainConfig(), encoder=pm.encoder)
+    alone = fit(train.X.take(row), train.y[row], TrainConfig(), encoder=pm.encoder)
     assert np.max(np.abs(predict_proba_batch(alone, ext.X) - fallback)) > 0.3
 
 
