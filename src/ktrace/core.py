@@ -52,6 +52,10 @@ class EventKind(str, Enum):
     HINT_USE = "HintUse"
 
 
+# a module constant: looking a member up on the Enum class costs ~0.25 µs
+QUESTION_RESPONSE = EventKind.QUESTION_RESPONSE
+
+
 class InteractionEvent(NamedTuple):
     """One logged interaction.
 
@@ -87,7 +91,7 @@ class InteractionEvent(NamedTuple):
     social_support: str | None = None
 
     def is_response(self) -> bool:
-        return self.kind is EventKind.QUESTION_RESPONSE
+        return self.kind is QUESTION_RESPONSE
 
 
 # Capability flags a dataset manifest may declare.  A column (or event

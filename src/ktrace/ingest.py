@@ -19,11 +19,11 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import attrgetter, is_
+from operator import attrgetter, countOf, is_
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from ktrace.core import (
     MATERIAL_KINDS,
     OPTIONAL_FIELDS,
     ParseError,
+    QUESTION_RESPONSE,
     SchemaError,
     canonical_json,
     response_lags,
@@ -79,8 +80,9 @@ class Memo:
 class Dataset:
     """A manifest plus per-student, time-ordered event sequences.
 
-    Frozen, because its row store captures the fields: a changed dataset
-    is a new one (`dataclasses.replace`), with a store of its own.
+    Frozen, because its row store and response count capture the fields: a
+    changed dataset is a new one (`dataclasses.replace`), with a store of
+    its own.
     """
 
     manifest: DatasetManifest
@@ -101,11 +103,9 @@ class Dataset:
     def n_students(self) -> int:
         return len(self.students)
 
-    @property
+    @cached_property
     def n_responses(self) -> int:
-        return sum(
-            1 for evs in self.students.values() for e in evs if e.is_response()
-        )
+        return countOf(map(_kind_of, chain.from_iterable(self.students.values())), QUESTION_RESPONSE)
 
 
 # Records parsed at a time; bounds the memory a chunk's rows and columns take.
@@ -115,12 +115,12 @@ _BLOCK_CHARS = 1 << 20
 _WIDTH = len(CANONICAL_COLUMNS)
 _MINUTES = list(OPTIONAL_FIELDS).index("consumption_minutes")
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
-_RESPONSE = EventKind.QUESTION_RESPONSE
 _BAD = object()  # a cell that does not parse
 # tuple.__new__ builds the event without the generated __new__'s Python frame
 _make_event = partial(tuple.__new__, InteractionEvent)
 _student_of = attrgetter("student_id")
 _timestamp_of = attrgetter("timestamp")
+_kind_of = attrgetter("kind")
 
 
 class _Undecodable(ValueError):
@@ -299,15 +299,17 @@ class _ChunkParser:
             i = kinds.index(None)
             raise _BadRecord(i, ParseError, f"unknown event_kind {kind_cells[i]!r}")
 
+        # a column is empty when every cell is "" (count finds csv's shared
+        # empty string by identity, with no truth test per cell)
         for j, col, flag in self.barred_columns:
-            if any(optional[j]):
+            if optional[j].count("") != len(rows):
                 message = f"column {col!r} populated but manifest {self.manifest.name!r} does not declare {flag!r}"
                 raise _BadRecord(_first(bool, optional[j]), SchemaError, message)
         if not self.barred_kinds.keys().isdisjoint(kinds):
             i = _first(self.barred_kinds.__contains__, kinds)
             message = f"event kind {kinds[i].value!r} requires manifest flag {self.barred_kinds[kinds[i]]!r}"
             raise _BadRecord(i, SchemaError, message)
-        responses = list(map(is_, kinds, repeat(_RESPONSE)))
+        responses = list(map(is_, kinds, repeat(QUESTION_RESPONSE)))
         minutes = optional[_MINUTES]
         if any(compress(minutes, responses)):
             i = _first(lambda pair: pair[0] and pair[1], zip(minutes, responses))
@@ -319,7 +321,7 @@ class _ChunkParser:
         values: list[Sequence] = []
         numeric: list[tuple[str, list]] = []  # the populated number columns
         for (col, f), cells in zip(OPTIONAL_FIELDS.items(), optional):
-            if not any(cells):
+            if cells.count("") == len(rows):
                 values.append(repeat(None))
             elif f.type is str:
                 values.append(list(map(self.strings.setdefault, cells, cells)))
@@ -401,7 +403,7 @@ def filter_students(dataset: Dataset, min_responses: int = 10) -> Dataset:
     kept = {
         sid: events
         for sid, events in dataset.students.items()
-        if sum(1 for e in events if e.is_response()) >= min_responses
+        if countOf(map(_kind_of, events), QUESTION_RESPONSE) >= min_responses
     }
     quality = dict(dataset.quality)
     quality["students_filtered"] = quality.get("students_filtered", 0) + (
@@ -464,23 +466,58 @@ def derive_lag_times(dataset: Dataset) -> Dataset:
 
 
 _FLAG_CELLS = {None: "", True: "1", False: "0"}
-_kind_value = attrgetter("value")
+_NONE_CELL = {"None": ""}
+# a kind's value, read without the `value` property's ~0.25 µs
+_kind_value = attrgetter("_value_")
+# the characters that make csv's excel dialect quote a cell
+_QUOTED_CHARS = frozenset(',"\r\n')
+
+
+def _quoted(text: str) -> str:
+    """A string cell as csv's excel dialect writes it (QUOTE_MINIMAL): in
+    quotes, with its quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if _QUOTED_CHARS.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _cells(values: Sequence, typ: type, strings: dict[str | None, str]) -> Iterable[str]:
+    """The cells of a column of `typ` values or None, as csv writes them: None
+    as an empty cell, a number as its `str` (which never needs quotes), and a
+    string `_quoted`.  `strings` holds each distinct string's cell, and None's.
+    Numbers are not kept there: 1 and 1.0, or 0.0 and -0.0, are equal keys
+    with different text."""
+    nones = values.count(None)
+    if nones == len(values):
+        return repeat("")
+    if typ is not str:
+        cells = list(map(str, values))
+        return map(_NONE_CELL.get, cells, cells) if nones else cells
+    new = set(values).difference(strings)
+    strings.update(zip(new, map(_quoted, new)))
+    return map(strings.__getitem__, values)
 
 
 def write_events(dataset: Dataset, path: str | Path) -> None:
-    """Write the canonical CSV (students in sorted-id order), a chunk of
-    events at a time, a column at a time.  csv writes None as an empty cell,
-    a float by repr and an int or string as itself."""
+    """Write the canonical CSV (students in sorted-id order) in csv's excel
+    dialect: CRLF rows, minimal quoting, None as an empty cell and a number as
+    its `str` (a float's shortest repr).  Rows are joined a chunk of events at
+    a time, from the cells of each column."""
     events = chain.from_iterable(dataset.students[sid] for sid in sorted(dataset.students))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
+    strings: dict[str | None, str] = {None: ""}
+    # zip(*chunk) holds an iterator per event, enough to start full collections
+    with _collector_paused(), Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CANONICAL_COLUMNS) + "\r\n")
         while chunk := list(islice(events, _CHUNK_RECORDS)):
             sid, ts, kind, qid, kc_ids, correct, *optional = zip(*chunk)
-            writer.writerows(zip(
-                sid, ts, map(_kind_value, kind), qid, map(";".join, kc_ids),
-                map(_FLAG_CELLS.__getitem__, correct), *optional,
-            ))
+            columns = [
+                _cells(sid, str, strings), _cells(ts, int, strings),
+                _cells(list(map(_kind_value, kind)), str, strings),
+                _cells(qid, str, strings), _cells(list(map(";".join, kc_ids)), str, strings),
+                map(_FLAG_CELLS.__getitem__, correct),
+                *(_cells(values, f.type, strings) for values, f in zip(optional, OPTIONAL_FIELDS.values())),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_manifest(path: str | Path) -> tuple[DatasetManifest, KCGraph | None]:

@@ -202,7 +202,7 @@ class Model:
         nz = np.flatnonzero(self.weights)
         return {
             "dim": int(self.dim),
-            "weights": [[int(i), float(self.weights[i])] for i in nz],
+            "weights": list(map(list, zip(nz.tolist(), self.weights[nz].tolist()))),
             "config": self.config.to_json(),
             "info": {k: self.info[k] for k in sorted(self.info)},
         }

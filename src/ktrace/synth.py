@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, cycle, islice, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -30,14 +31,14 @@ import numpy as np
 from ktrace.core import (
     ConfigError,
     DatasetManifest,
-    EventKind,
     FoldAssignment,
     InteractionEvent,
     KCGraph,
+    QUESTION_RESPONSE,
     canonical_json,
 )
 from ktrace.evaluate import auc
-from ktrace.ingest import Dataset, write_events, write_manifest
+from ktrace.ingest import Dataset, _collector_paused, _make_event, write_events, write_manifest
 
 _MAX_LOGIT = 30.0
 
@@ -124,94 +125,93 @@ class GroundTruth:
         )
 
 
-def _sigmoid(z: float) -> float:
-    z = max(-_MAX_LOGIT, min(_MAX_LOGIT, z))
-    return 1.0 / (1.0 + math.exp(-z))
-
-
 def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
-    """Draw a dataset and its ground truth, fully determined by the seed."""
+    """Draw a dataset and its ground truth, fully determined by the seed.
+
+    Each student's draws are taken in one fixed order (start offset, gaps,
+    elapsed times, questions, uniforms), so a seed always gives the same
+    log.  One loop over the responses serves every knob; its arithmetic runs
+    term by term in the module docstring's order, on Python floats, and the
+    logit is clamped to +-30 before the sigmoid."""
     rng = np.random.default_rng(config.seed)
     sids = [f"s{i:05d}" for i in range(config.n_students)]
     qids = [f"q{i:05d}" for i in range(config.n_questions)]
     kcs = [f"kc{i:03d}" for i in range(config.n_kcs)]
-    question_kc = {q: kcs[i % config.n_kcs] for i, q in enumerate(qids)}
 
-    abilities = dict(zip(sids, rng.normal(0.0, config.ability_scale, config.n_students)))
-    difficulties = dict(zip(qids, rng.normal(0.0, config.difficulty_scale, config.n_questions)))
-    difficulties_late = None
+    ability_draws = rng.normal(0.0, config.ability_scale, config.n_students)
+    difficulty_draws = rng.normal(0.0, config.difficulty_scale, config.n_questions)
+    late_draws = None
     if config.regime_step is not None:
-        difficulties_late = dict(
-            zip(qids, rng.normal(0.0, config.difficulty_scale, config.n_questions))
-        )
+        late_draws = rng.normal(0.0, config.difficulty_scale, config.n_questions)
     module_offsets = {}
     if config.modules:
         offsets = rng.normal(0.0, config.module_scale, len(config.modules))
-        module_offsets = dict(zip(config.modules, offsets))
+        module_offsets = dict(zip(config.modules, offsets.tolist()))
 
     graph = None
-    parent_of = {kcs[i]: kcs[i - 1] for i in range(1, len(kcs))}
     if config.prereq_transfer:
-        graph = KCGraph("kc", [(parent_of[k], k) for k in kcs if k in parent_of])
+        graph = KCGraph("kc", list(zip(kcs, kcs[1:])))
+
+    n = config.responses_per_student
+    momentum, cap, transfer = config.momentum, config.momentum_cap, config.prereq_transfer
+    kc_index = [i % config.n_kcs for i in range(config.n_questions)]  # question i's KC is kc_index[i]
+    kc_of = [(kcs[k],) for k in kc_index]
+    modules = config.modules
+    offset_at = [module_offsets[modules[t % len(modules)]] for t in range(n)] if modules else None
+    late = np.arange(n) >= config.regime_step if late_draws is not None else None
+    # the event fields after study_module stay None
+    unset = [repeat(None)] * (len(InteractionEvent._fields) - InteractionEvent._fields.index("study_module") - 1)
+    exp = math.exp
 
     students: dict[str, list[InteractionEvent]] = {}
     probs: dict[str, list[float]] = {}
-    n = config.responses_per_student
-    for sid in sids:
-        ts = config.start_ts + int(rng.integers(0, 30 * 86400))
-        gaps = rng.exponential(config.mean_gap_s, n)
-        elapsed_draws = rng.exponential(config.mean_elapsed_s, n)
-        timestamps = []
-        for g in gaps:
-            timestamps.append(ts)
-            ts += max(1, int(g))
-        q_draws = rng.integers(0, config.n_questions, n)
-        u_draws = rng.random(n)
+    with _collector_paused():
+        for sid, ability in zip(sids, ability_draws.tolist()):
+            start = config.start_ts + int(rng.integers(0, 30 * 86400))
+            # whole seconds to the next event, at least 1, as floats (summed as ints below)
+            steps = np.trunc(np.maximum(rng.exponential(config.mean_gap_s, n), 1.0))
+            elapsed = rng.exponential(config.mean_elapsed_s, n)
+            # every elapsed time but the last is capped at half the gap to the next event
+            elapsed[:-1] = np.minimum(elapsed[:-1], 0.5 * steps[:-1])
+            timestamps = list(accumulate(map(int, steps[:-1].tolist()), initial=start))
+            q_draws = rng.integers(0, config.n_questions, n)
+            u_draws = rng.random(n).tolist()
+            difficulty = difficulty_draws[q_draws]
+            if late is not None:
+                difficulty = np.where(late, late_draws[q_draws], difficulty)
+            q_list = q_draws.tolist()
 
-        events: list[InteractionEvent] = []
-        p_list: list[float] = []
-        streak = 0
-        kc_corrects = {k: 0 for k in kcs}
-        for t in range(n):
-            q = qids[int(q_draws[t])]
-            kc = question_kc[q]
-            table = difficulties
-            if config.regime_step is not None and t >= config.regime_step:
-                table = difficulties_late
-            z = abilities[sid] - table[q]
-            if config.momentum:
-                z += config.momentum * min(streak, config.momentum_cap) / config.momentum_cap
-            if config.prereq_transfer and kc in parent_of:
-                z += config.prereq_transfer * math.log1p(kc_corrects[parent_of[kc]])
-            module = None
-            if config.modules:
-                module = config.modules[t % len(config.modules)]
-                z += module_offsets[module]
-            p = _sigmoid(z)
-            correct = bool(u_draws[t] < p)
-            if t + 1 < n:
-                gap_next = timestamps[t + 1] - timestamps[t]
-                elapsed = min(float(elapsed_draws[t]), 0.5 * gap_next)
-            else:
-                elapsed = float(elapsed_draws[t])
-            events.append(
-                InteractionEvent(
-                    student_id=sid,
-                    timestamp=timestamps[t],
-                    kind=EventKind.QUESTION_RESPONSE,
-                    question_id=q,
-                    kc_ids=(kc,),
-                    correct=correct,
-                    elapsed_time_s=round(elapsed, 3),
-                    study_module=module,
-                )
-            )
-            p_list.append(p)
-            streak = streak + 1 if correct else 0
-            if correct:
-                kc_corrects[kc] += 1
-        students[sid] = events
-        probs[sid] = p_list
+            p_list: list[float] = []
+            corrects: list[bool] = []
+            streak = 0
+            kc_corrects = [0] * config.n_kcs
+            for t, z in enumerate((ability - difficulty).tolist()):
+                if momentum:
+                    z += momentum * min(streak, cap) / cap
+                k = kc_index[q_list[t]]
+                if transfer and k:
+                    z += transfer * math.log1p(kc_corrects[k - 1])
+                if offset_at is not None:
+                    z += offset_at[t]
+                if z > _MAX_LOGIT:
+                    z = _MAX_LOGIT
+                elif z < -_MAX_LOGIT:
+                    z = -_MAX_LOGIT
+                p = 1.0 / (1.0 + exp(-z))
+                correct = u_draws[t] < p
+                p_list.append(p)
+                corrects.append(correct)
+                if correct:
+                    streak += 1
+                    kc_corrects[k] += 1
+                else:
+                    streak = 0
+            students[sid] = list(map(_make_event, zip(
+                repeat(sid), timestamps, repeat(QUESTION_RESPONSE), map(qids.__getitem__, q_list),
+                map(kc_of.__getitem__, q_list), corrects, map(round, elapsed.tolist(), repeat(3)),
+                islice(cycle(modules), n) if modules else repeat(None), *unset,
+            )))
+            probs[sid] = p_list
 
     caps = {"elapsed_lag_time"}
     if config.modules:
@@ -222,12 +222,10 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     dataset = Dataset(manifest=manifest, students=students, kc_graph=graph)
     truth = GroundTruth(
         config=config,
-        abilities={k: float(v) for k, v in abilities.items()},
-        difficulties={k: float(v) for k, v in difficulties.items()},
-        difficulties_late={k: float(v) for k, v in difficulties_late.items()}
-        if difficulties_late is not None
-        else None,
-        module_offsets={k: float(v) for k, v in module_offsets.items()},
+        abilities=dict(zip(sids, ability_draws.tolist())),
+        difficulties=dict(zip(qids, difficulty_draws.tolist())),
+        difficulties_late=dict(zip(qids, late_draws.tolist())) if late_draws is not None else None,
+        module_offsets=module_offsets,
         probs=probs,
     )
     return dataset, truth

@@ -27,6 +27,8 @@ finite differences of its gradient and Hessian products.
 column parser replaced (`_parse_row`, with `reference_validate` for the
 checks `InteractionEvent.validate` made); the production `load_events`
 must return equal students, or raise the same error class and message.
+`reference_write_events` is the `csv.writer` writer that the column-wise
+`write_events` replaced; both must write the same bytes.
 
 `offset_of` and `trapezoid_area` read an encoder's block layout and
 integrate ROC points for tests; the library itself needs neither.
@@ -1123,3 +1125,18 @@ def reference_load_events(path, manifest):
         for sid, events in sorted(by_student.items())
     }
     return Dataset(manifest=manifest, students=students)
+
+
+_REF_FLAG_CELLS = {None: "", True: "1", False: "0"}
+
+
+def reference_write_events(dataset, path):
+    """Write the canonical CSV with `csv.writer` (the excel dialect), one
+    event at a time, students in sorted-id order."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CANONICAL_COLUMNS)
+        for sid in sorted(dataset.students):
+            for event in dataset.students[sid]:
+                _, ts, kind, qid, kc_ids, correct, *optional = event
+                writer.writerow((sid, ts, kind.value, qid, ";".join(kc_ids), _REF_FLAG_CELLS[correct], *optional))

@@ -57,6 +57,18 @@ def test_prepare_rerun_identical_outputs(prepared, tmp_path):
         assert filecmp.cmp(prepared / name, tmp_path / "again" / name, shallow=False)
 
 
+def test_prepare_writes_back_a_generated_log_byte_for_byte(tmp_path):
+    """Prepare reads and writes the one dialect generate writes: with no
+    student filtered, its events.csv is the raw one."""
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert run_cli("generate", "--out", raw, "--seed", 4, "--students", 30, "--responses", 12,
+                   "--modules", "pre,main,post") == 0
+    assert run_cli("prepare", "--input", raw / "events.csv", "--manifest", raw / "manifest.json",
+                   "--out", prep, "--min-responses", 12) == 0
+    assert json.loads((prep / "prepare_meta.json").read_text())["quality"]["students_filtered"] == 0
+    assert (prep / "events.csv").read_bytes() == (raw / "events.csv").read_bytes()
+
+
 def test_prepare_writes_run_manifest(prepared):
     obj = json.loads((prepared / "run_manifest.json").read_text())
     assert obj["subcommand"] == "prepare"

@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_line, response, toy_dataset, write_csv
-from oracle import reference_load_events, scipy_csr
+from oracle import reference_load_events, reference_write_events, scipy_csr
 
 from ktrace import cli, ingest
 from ktrace.core import (
@@ -187,6 +187,63 @@ def test_load_events_fuzz_fails_only_with_line_numbered_errors(rows, manifest):
         assert _outcome(load_events, path, manifest) == want
         with mock.patch.object(ingest, "_CHUNK_RECORDS", 2):
             assert _outcome(load_events, path, manifest) == want
+
+
+# text that csv quotes (comma, quote, CR, LF), with spaces, non-ASCII and empty text
+_TEXT = st.one_of(
+    st.sampled_from(["s1", "a,b", 'say "hi"', '"', "cr\rlf\nboth\r\n", " pad ", "é ü 中", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_WRITTEN_VALUES = {
+    str: _TEXT,
+    float: st.one_of(st.sampled_from([0.1, -0.0, 0.0, 1e-300, 1.0, 1]), st.floats()),
+    int: st.integers(-(10**20), 10**20),
+}
+
+
+@st.composite
+def _written_events(draw):
+    """Students whose events hold any cell `write_events` formats, None included."""
+    students = {}
+    for sid in draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True)):
+        students[sid] = [
+            InteractionEvent(
+                sid, draw(st.integers(0, 10**12)), draw(st.sampled_from(list(EventKind))),
+                draw(st.none() | _TEXT), tuple(draw(st.lists(_TEXT, max_size=3))),
+                draw(st.sampled_from([None, True, False])),
+                *(draw(st.none() | _WRITTEN_VALUES[f.type]) for f in OPTIONAL_FIELDS.values()),
+            )
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+    return students
+
+
+_EVERY_CELL = {
+    "a,b": [
+        InteractionEvent("a,b", 3, EventKind.QUESTION_RESPONSE, 'q"1', ("k1", "k,2", "é"), True, 1.0,
+                         "cr\rlf\n", consumption_minutes=None, hint_count=2, age=" pad "),
+        InteractionEvent("a,b", 4, EventKind.READING, None, ("k1",), None, 1,
+                         consumption_minutes=0.1, age=""),
+        InteractionEvent("a,b", 5, EventKind.VIDEO_WATCH, None, (), None, -0.0, consumption_minutes=1e-300),
+    ],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(students=_written_events())
+@example(students=_EVERY_CELL)
+def test_write_events_writes_csv_writers_bytes(students):
+    """write_events writes the bytes csv.writer writes, also when chunks hold
+    two events and a string cell was formatted in an earlier chunk."""
+    dataset = Dataset(DatasetManifest.full("f"), students)
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = Path(tmp) / "want.csv", Path(tmp) / "got.csv"
+        reference_write_events(dataset, want)
+        write_events(dataset, got)
+        assert got.read_bytes() == want.read_bytes()
+        with mock.patch.object(ingest, "_CHUNK_RECORDS", 2):
+            write_events(dataset, got)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_load_reports_the_first_records_first_error(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import math
 
 import numpy as np
@@ -72,6 +73,30 @@ def test_same_seed_identical_files(tmp_path):
     write_synth(*generate(cfg), b)
     for name in ("events.csv", "manifest.json", "ground_truth.json"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+# sha256 of events.csv, ground_truth.json and manifest.json, frozen from the
+# per-event generator loop this one replaced
+PINNED_OUTPUTS = [
+    ({}, (
+        "ad74eb0a4d1820384606fb2afd9423a7ddf88caf32ae6e388e217d37d4730d60",
+        "42a7d1477fbbb82bffdfbb260064d514f527b2e9af63bb6c7343743a7d0231ea",
+        "065a7396bd8550d0f73db1b89608720c4dd0de99355a4836501611a70fbe8b21",
+    )),
+    (dict(momentum=0.8, prereq_transfer=0.6, modules=("pre", "main", "post"), regime_step=8), (
+        "9480b9882cb1aee0b082919b477f85b24b777fc2c3811132d0e6a5b4e1a2abc4",
+        "d778878d5e145c95be098812a4e679ae60efe0bee1e515d89ce0437921168e9d",
+        "1bc644713e846a3d13375271e9dd7b01f27c7d3dfe1792b6f7ce243119ede105",
+    )),
+]
+
+
+@pytest.mark.parametrize("knobs, digests", PINNED_OUTPUTS, ids=["default-knobs", "every-knob"])
+def test_generated_files_keep_their_bytes(tmp_path, knobs, digests):
+    write_synth(*generate(GeneratorConfig(seed=5, n_students=30, responses_per_student=20, **knobs)), tmp_path)
+    got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("events.csv", "ground_truth.json", "manifest.json")]
+    assert got == list(digests)
 
 
 def test_output_passes_ingest_cleanly(tmp_path):
